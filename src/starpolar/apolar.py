@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .field import modulus_of, scalar_to_str
+from .field import scalar_to_str
 from .poly import (DUAL, PRIMAL, Form, coefficient_vector, contract,
                    form_from_vector, linear_power_coefficients,
                    monomial_basis, format_form)
@@ -144,9 +144,6 @@ def ideal_piece_dimension(generators, t: int) -> int:
             rows.append(coefficient_vector(Form.monomial(g.ring, m) * g))
     if not rows:
         return 0
-    p = modulus_of(c for g in gens for c in g.terms.values())
-    if p is not None:
-        return linalg.rank_mod([[int(e) for e in row] for row in rows], p)
     return linalg.rank(rows)
 
 
@@ -204,10 +201,7 @@ def _as_coords(item, num_vars: int):
             raise ValueError("expected primal linear forms")
         if item.num_vars != num_vars:
             raise ValueError("point variable count does not match the form")
-        vec = [0] * num_vars
-        for mono, c in item.terms.items():
-            vec[mono.index(1)] = c
-        return tuple(vec)
+        return tuple(coefficient_vector(item))
     coords = tuple(item)
     if len(coords) != num_vars:
         raise ValueError("point coordinate count does not match")

@@ -2,9 +2,10 @@
 (reading form files, appending sweep records, printing).
 
 Commands: rho, classify, jactest, star, perp, apolar-check, waring, sweep.
-Shared flags --json / --seed / --prime / --trials accept environment
-defaults STARPOLAR_SEED / STARPOLAR_PRIME / STARPOLAR_TRIALS; explicit
-flags win over the environment.  All scalars serialize as decimal strings
+Every command takes --json.  The rank-test commands (jactest, sweep) also
+take --seed / --prime / --trials, with environment defaults
+STARPOLAR_SEED / STARPOLAR_PRIME / STARPOLAR_TRIALS; explicit flags win
+over the environment.  All scalars serialize as decimal strings
 (rationals as "p/q") so nothing is lost to binary floating point.
 """
 
@@ -16,16 +17,15 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, linalg
 from .apolar import (catalecticant, is_apolar_ideal_contained, perp_piece,
                      solve_waring)
 from .existence import classify, jacobian_rank_test, rho
-from .field import (DEFAULT_PRIME, DEFAULT_SEED, is_prime, scalar_from_str,
+from .field import (DEFAULT_PRIME, DEFAULT_SEED, scalar_from_str,
                     scalar_to_str)
 from .poly import DUAL, PRIMAL, Form, format_form, parse_form
-from .starconfig import (GeneralPositionError, HyperplaneSet,
-                         build_star_configuration, hilbert_function,
-                         star_ideal_product_generators)
+from .starconfig import (HyperplaneSet, build_star_configuration,
+                         hilbert_function, star_ideal_product_generators)
 
 
 class CliError(Exception):
@@ -42,9 +42,12 @@ def _env_int(name: str, fallback: int) -> int:
         raise CliError(f"environment variable {name}={raw!r} is not an integer") from exc
 
 
-def _common_flags(parser: argparse.ArgumentParser):
+def _json_flag(parser: argparse.ArgumentParser):
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON document")
+
+
+def _rank_test_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default {DEFAULT_SEED}, env STARPOLAR_SEED)")
     parser.add_argument("--prime", type=int, default=None,
@@ -63,8 +66,10 @@ def _resolved(args):
     seed = args.seed if args.seed is not None else _env_int("STARPOLAR_SEED", DEFAULT_SEED)
     prime = args.prime if args.prime is not None else _env_int("STARPOLAR_PRIME", DEFAULT_PRIME)
     trials = args.trials if args.trials is not None else _env_int("STARPOLAR_TRIALS", 3)
-    if not is_prime(prime):
-        raise CliError(f"--prime {prime} is not prime")
+    try:
+        linalg.check_modulus(prime)
+    except ValueError as exc:
+        raise CliError(f"--prime: {exc}") from exc
     if trials < 1:
         raise CliError("--trials must be at least 1")
     return seed, prime, trials
@@ -97,31 +102,33 @@ def _parse_cli_form(text: str, ring: str | None = None, num_vars: int | None = N
 
 def load_forms_file(path: str, ring: str, num_vars: int | None = None):
     """Forms from a file: one expression per line, or a JSON array of
-    coefficient vectors with scalars as strings ("p/q" for rationals)."""
+    coefficient vectors with scalars as strings ("p/q" for rationals), all
+    in ``num_vars`` variables (default: as many as the widest form has)."""
     try:
         text = open(path).read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+    forms = []
+    if text.lstrip().startswith("["):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise CliError(f"{path}: invalid JSON: {exc}") from exc
-        forms = []
         for vec in data:
-            coeffs = [scalar_from_str(str(s)) for s in vec]
-            forms.append(Form.linear(ring, coeffs))
-        return forms
-    forms = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        forms.append(_parse_cli_form(line, ring=ring, num_vars=num_vars))
+            if num_vars is not None and len(vec) > num_vars:
+                raise CliError(f"{path}: vector of length {len(vec)} exceeds {num_vars} variables")
+            forms.append(Form.linear(ring, [scalar_from_str(str(s)) for s in vec]))
+    else:
+        for line in text.splitlines():
+            line = line.strip()
+            if line and not line.startswith("#"):
+                forms.append(_parse_cli_form(line, ring=ring, num_vars=num_vars))
     if not forms:
         raise CliError(f"{path}: no forms found")
-    return forms
+    width = num_vars if num_vars is not None else max(f.num_vars for f in forms)
+    return [Form(f.ring, width, f.degree,  # pad exponents of the absent variables
+                 {m + (0,) * (width - f.num_vars): c for m, c in f.terms.items()})
+            for f in forms]
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +170,11 @@ def _cmd_jactest(args) -> int:
 
 
 def _cmd_star(args) -> int:
-    declared = args.n + 1 if args.n is not None else None
-    forms = load_forms_file(args.forms, ring=DUAL, num_vars=declared)
-    nv = declared if declared is not None else max(f.num_vars for f in forms)
-    rows = []
-    for f in forms:
-        vec = [0] * nv
-        for mono, c in f.terms.items():
-            vec[mono.index(1)] = c
-        rows.append(vec)
+    forms = load_forms_file(args.forms, ring=DUAL,
+                            num_vars=args.n + 1 if args.n is not None else None)
     try:
-        hset = HyperplaneSet(rows)
-    except GeneralPositionError as exc:
+        hset = HyperplaneSet.from_forms(forms)
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
     config = build_star_configuration(hset)
     table = hilbert_function(config.points, hset.r)
@@ -224,7 +224,7 @@ def _cmd_apolar_check(args) -> int:
     if star_mode:
         try:
             hset = HyperplaneSet.from_forms(forms)
-        except (GeneralPositionError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError(str(exc)) from exc
         generators = star_ideal_product_generators(hset)
     else:
@@ -270,8 +270,6 @@ def _cmd_waring(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.mode != "conjecture":
-        raise CliError(f"unknown sweep mode {args.mode!r}")
     if args.n != 2:
         raise CliError("the conjecture sweep is a plane-curve family: --n 2")
     if args.dmin < 3 or args.dmax < args.dmin:
@@ -339,17 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rho", help="parameter-count necessary condition")
     _triple_flags(p)
-    _common_flags(p)
+    _json_flag(p)
     p.set_defaults(func=_cmd_rho)
 
     p = sub.add_parser("classify", help="closed-form existence verdict")
     _triple_flags(p)
-    _common_flags(p)
+    _json_flag(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("jactest", help="randomized Jacobian rank test")
     _triple_flags(p)
-    _common_flags(p)
+    _json_flag(p)
+    _rank_test_flags(p)
     p.set_defaults(func=_cmd_jactest)
 
     p = sub.add_parser("star", help="points, ideal generators, Hilbert function")
@@ -357,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None,
                    help="ambient projective dimension (default: inferred from "
                         "the largest variable index)")
-    _common_flags(p)
+    _json_flag(p)
     p.set_defaults(func=_cmd_star)
 
     p = sub.add_parser("perp", help="graded piece of the annihilator ideal")
@@ -365,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--matrix", action="store_true",
                    help="include the catalecticant matrix in JSON output")
-    _common_flags(p)
+    _json_flag(p)
     p.set_defaults(func=_cmd_perp)
 
     p = sub.add_parser("apolar-check",
@@ -375,13 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file of dual forms: all-linear input is treated as "
                         "star-configuration hyperplanes, otherwise as ideal "
                         "generators checked directly")
-    _common_flags(p)
+    _json_flag(p)
     p.set_defaults(func=_cmd_apolar_check)
 
     p = sub.add_parser("waring", help="solve for power-sum weights exactly")
     p.add_argument("--form", required=True, help="primal form expression")
     p.add_argument("--forms", required=True, help="file of primal linear forms")
-    _common_flags(p)
+    _json_flag(p)
     p.set_defaults(func=_cmd_waring)
 
     p = sub.add_parser("sweep", help="run the conjecture family and persist "
@@ -393,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="JSON-lines output path")
     p.add_argument("--force", action="store_true",
                    help="re-run cells already present in the output file")
-    _common_flags(p)
+    _json_flag(p)
+    _rank_test_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -23,12 +23,10 @@ from math import comb
 
 from . import linalg
 from .field import (DEFAULT_PRIME, DEFAULT_SEED, Fp, Jet, constant_part,
-                    is_prime, random_scalar)
+                    random_scalar)
 from .poly import linear_power_coefficients, monomial_basis
-from .starconfig import (DegenerateIntersectionError, _points_from_coeff_rows,
-                         general_position_violation)
-
-RESAMPLE_BUDGET = 32
+from .starconfig import (RESAMPLE_BUDGET, DegenerateIntersectionError,
+                         _points_from_coeff_rows, general_position_violation)
 
 # the five below-threshold triples (d, r, n) tabulated as existence cases
 EXCEPTIONAL_TRIPLES = frozenset({(3, 5, 3), (4, 6, 3), (5, 7, 3), (3, 6, 4), (3, 7, 5)})
@@ -195,23 +193,9 @@ def gamma_coefficients(d: int, r: int, n: int, params):
 
 
 def _draw_parameter_values(d, r, n, prime, rng):
-    """Random parameter point over F_p with certified hyperplane part."""
-    for _ in range(RESAMPLE_BUDGET):
-        a_vals = [random_scalar(rng, prime) for _ in range((n + 1) * r)]
-        rows = [a_vals[k * (n + 1):(k + 1) * (n + 1)] for k in range(r)]
-        if any(not any(row) for row in rows):
-            continue
-        if general_position_violation(rows) is not None:
-            continue
-        try:
-            _points_from_coeff_rows(rows, n)
-        except DegenerateIntersectionError:
-            continue
-        alphas = [random_scalar(rng, prime) for _ in range(comb(r, n))]
-        return a_vals + alphas
-    raise ResampleBudgetError(
-        f"{RESAMPLE_BUDGET} degenerate draws in a row for (d,r,n)="
-        f"({d},{r},{n}) over p={prime}")
+    """Random parameter point over F_p (a's, then alphas), uncertified:
+    `jacobian_matrix` raises :class:`DegenerateParametersError` on a bad one."""
+    return [random_scalar(rng, prime) for _ in range(parameter_count(d, r, n))]
 
 
 def jacobian_matrix(d: int, r: int, n: int, values):
@@ -230,6 +214,18 @@ def jacobian_matrix(d: int, r: int, n: int, values):
             for k, g in enumerate(c.grad):
                 rows[k][i] = g.value if isinstance(g, Fp) else int(g)
     return rows
+
+
+def _jacobian_at_random_point(d, r, n, prime, rng):
+    """Jacobian at a fresh random point, redrawn while the draw is degenerate."""
+    for _ in range(RESAMPLE_BUDGET):
+        try:
+            return jacobian_matrix(d, r, n, _draw_parameter_values(d, r, n, prime, rng))
+        except DegenerateParametersError:
+            continue
+    raise ResampleBudgetError(
+        f"{RESAMPLE_BUDGET} degenerate draws in a row for (d,r,n)="
+        f"({d},{r},{n}) over p={prime}")
 
 
 @dataclass
@@ -275,8 +271,7 @@ def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
     seeded with seed + t, so trials are independent and order-insensitive.
     """
     _validate_triple(d, r, n)
-    if not is_prime(prime):
-        raise ValueError(f"{prime} is not prime")
+    linalg.check_modulus(prime)
     if trials < 1:
         raise ValueError("need at least one trial")
     m = parameter_count(d, r, n)
@@ -284,9 +279,8 @@ def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
     start = time.perf_counter()
     best = 0
     for t in range(trials):
-        rng = random.Random(seed + t)
-        values = _draw_parameter_values(d, r, n, prime, rng)
-        rows = jacobian_matrix(d, r, n, values)
+        rows = _jacobian_at_random_point(d, r, n, prime, random.Random(seed + t))
+        # plain ints mod p carry no modulus, so rank them with the mod-p kernel
         best = max(best, linalg.rank_mod(rows, prime))
         if best == target:
             break

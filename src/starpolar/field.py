@@ -28,7 +28,7 @@ DEFAULT_SEED = 1
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic trial-division primality test (fine for m < 2^63-ish)."""
+    """Deterministic trial division in about sqrt(m)/2 steps: fast for m < 2^31."""
     if m < 2:
         return False
     if m % 2 == 0:
@@ -54,7 +54,8 @@ class Fp:
         self.value = value % p
         self.p = p
 
-    def _coerce(self, other):
+    def residue(self, other):
+        """``other`` (int, `Fraction` or `Fp` of this p) as an int in [0, p), else None."""
         if isinstance(other, Fp):
             if other.p != self.p:
                 raise ValueError(f"mixed prime-field moduli {self.p} and {other.p}")
@@ -67,7 +68,7 @@ class Fp:
         return None
 
     def __add__(self, other):
-        v = self._coerce(other)
+        v = self.residue(other)
         if v is None:
             return NotImplemented
         return Fp(self.value + v, self.p)
@@ -75,19 +76,19 @@ class Fp:
     __radd__ = __add__
 
     def __sub__(self, other):
-        v = self._coerce(other)
+        v = self.residue(other)
         if v is None:
             return NotImplemented
         return Fp(self.value - v, self.p)
 
     def __rsub__(self, other):
-        v = self._coerce(other)
+        v = self.residue(other)
         if v is None:
             return NotImplemented
         return Fp(v - self.value, self.p)
 
     def __mul__(self, other):
-        v = self._coerce(other)
+        v = self.residue(other)
         if v is None:
             return NotImplemented
         return Fp(self.value * v, self.p)
@@ -103,13 +104,13 @@ class Fp:
         return Fp(pow(self.value, -1, self.p), self.p)
 
     def __truediv__(self, other):
-        v = self._coerce(other)
+        v = self.residue(other)
         if v is None:
             return NotImplemented
         return self * Fp(v, self.p).inverse()
 
     def __rtruediv__(self, other):
-        v = self._coerce(other)
+        v = self.residue(other)
         if v is None:
             return NotImplemented
         return Fp(v, self.p) * self.inverse()
@@ -258,16 +259,15 @@ def constant_part(s):
     return getter() if getter is not None else s
 
 
-def modulus_of(values, default=None):
-    """First prime modulus found among ``values``, or ``default``.
+def modulus_of(values):
+    """First prime modulus found among ``values``, or None.
 
-    Used to decide whether a matrix built from the given scalars can be
-    handed to the fast mod-p elimination routines.
+    `linalg.rank`/`kernel_basis` use it to pick the field of a matrix.
     """
     for v in values:
         if isinstance(v, Fp):
             return v.p
-    return default
+    return None
 
 
 def scalar_to_str(s) -> str:

@@ -1,14 +1,18 @@
-"""Exact dense linear algebra over field scalars, plus fast mod-p paths.
+"""Exact dense linear algebra over field scalars.
 
-The generic routines (`rref`, `rank`, `kernel_basis`, `solve_linear`,
-`det`) operate on lists of rows whose entries are exact field scalars
-(`Fraction` or `Fp`); plain integer zeros and +/-1 are tolerated as
-entries.  No floating point arithmetic occurs anywhere.
+Matrices are lists of rows of exact scalars of one field: `Fraction` or
+`Fp`, with plain ints as the image of Z.  No floating point occurs.
 
-The `*_mod` routines operate on integer rows mod a prime p and use numpy
-int64 vectorization.  They require p < 2^31 so that a product of two
-reduced residues fits in a signed 64-bit word; the package default prime
-2^31 - 1 is the largest prime satisfying this.
+`rank` and `kernel_basis` pick the field from their own entries: if any
+entry is an `Fp` they run the int64 kernels `rank_mod`/`kernel_mod` on
+the entries' residues mod its prime (kernel rows come back as `Fp`),
+otherwise `rref` over Q.
+`solve_linear` and the division-free `det` take any scalars.
+
+The `*_mod` kernels reduce integer rows mod p with numpy int64
+vectorization.  They require p < 2^31 (`_INT64_PRIME_LIMIT`) so that a
+product of two reduced residues fits in a signed 64-bit word; the package
+default prime 2^31 - 1 is the largest prime satisfying this.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+
+from .field import Fp, is_prime, modulus_of
 
 
 def _invert(x):
@@ -67,14 +73,23 @@ def rref(rows):
 
 
 def rank(rows) -> int:
+    """Rank over the field of the entries: F_p if any entry is an `Fp`, else Q."""
+    p = modulus_of(e for row in rows for e in row)
+    if p is not None:
+        return rank_mod(_residues(rows, p), p)
     return len(rref(rows)[1])
 
 
 def kernel_basis(rows, num_cols: int):
     """Basis of the right kernel of the matrix, as rows in reduced echelon form.
 
+    The field is chosen as in `rank`; over F_p the rows hold `Fp` entries.
     ``num_cols`` is required so the kernel of an empty matrix is well defined.
     """
+    p = modulus_of(e for row in rows for e in row)
+    if p is not None:
+        return [[Fp(e, p) for e in row]
+                for row in kernel_mod(_residues(rows, p), num_cols, p).tolist()]
     if not rows:
         return [[1 if j == i else 0 for j in range(num_cols)] for i in range(num_cols)]
     R, pivots = rref(rows)
@@ -155,6 +170,22 @@ def det(rows):
 # mod-p fast paths (integer matrices, numpy int64)
 
 _INT64_PRIME_LIMIT = 2**31
+
+
+def check_modulus(p: int) -> None:
+    """Raise ``ValueError`` unless p is a prime below the int64 limit (checked first)."""
+    if p >= _INT64_PRIME_LIMIT:
+        raise ValueError(f"prime {p} too large for the int64 mod-p kernel (need p < 2^31)")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
+def _residues(rows, p: int):
+    """Integer rows mod p, each entry read as in F_p (`Fp.residue`); ints and `Fp`s
+    of modulus p, nearly all entries, skip that call, which dominates large matrices."""
+    residue = Fp(0, p).residue
+    return [[e if e.__class__ is int else e.value if e.__class__ is Fp and e.p == p
+             else residue(e) for e in row] for row in rows]
 
 
 def _as_modp_array(rows, p: int):

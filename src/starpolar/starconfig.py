@@ -17,10 +17,13 @@ from itertools import combinations
 from math import comb
 
 from . import linalg
-from .field import DEFAULT_PRIME, Fp, constant_part, modulus_of, random_scalar
-from .poly import (DUAL, Form, basis_index, evaluate, form_from_vector,
-                   monomial_basis)
+from .field import DEFAULT_PRIME, constant_part, random_scalar
+from .poly import (DUAL, Form, basis_index, coefficient_vector, evaluate,
+                   form_from_vector, monomial_basis)
 from .apolar import ideal_piece_dimension
+
+# random draws (hyperplane sets, parameter points) tried before giving up
+RESAMPLE_BUDGET = 32
 
 
 class GeneralPositionError(ValueError):
@@ -82,10 +85,7 @@ class HyperplaneSet:
         for f in forms:
             if not isinstance(f, Form) or f.ring != DUAL or f.degree != 1:
                 raise ValueError("hyperplanes must be linear forms in the dual ring")
-            vec = [0] * f.num_vars
-            for mono, c in f.terms.items():
-                vec[mono.index(1)] = c
-            rows.append(vec)
+            rows.append(coefficient_vector(f))
         return cls(rows)
 
     @property
@@ -246,15 +246,8 @@ def hilbert_function(points, t_max: int, num_vars: int | None = None) -> Hilbert
     if not coords:
         raise ValueError("need at least one point")
     nv = num_vars if num_vars is not None else len(coords[0])
-    p = modulus_of(c for pt in coords for c in pt)
-    values = []
-    for t in range(t_max + 1):
-        rows = evaluation_matrix(coords, t, nv)
-        if p is not None:
-            values.append(linalg.rank_mod([[int(e) for e in r] for r in rows], p))
-        else:
-            values.append(linalg.rank(rows))
-    return HilbertFunctionTable(values)
+    return HilbertFunctionTable([linalg.rank(evaluation_matrix(coords, t, nv))
+                                 for t in range(t_max + 1)])
 
 
 def point_ideal_piece(points, degree: int, num_vars: int | None = None):
@@ -262,13 +255,7 @@ def point_ideal_piece(points, degree: int, num_vars: int | None = None):
     coords = _point_coords(points)
     nv = num_vars if num_vars is not None else len(coords[0])
     rows = evaluation_matrix(coords, degree, nv)
-    ncols = comb(nv - 1 + degree, degree)
-    p = modulus_of(c for pt in coords for c in pt)
-    if p is not None:
-        kernel = linalg.kernel_mod([[int(e) for e in r] for r in rows], ncols, p)
-        kernel = [[Fp(int(e), p) for e in row] for row in kernel]
-    else:
-        kernel = linalg.kernel_basis(rows, ncols)
+    kernel = linalg.kernel_basis(rows, comb(nv - 1 + degree, degree))
     return [form_from_vector(DUAL, nv, degree, v) for v in kernel]
 
 
@@ -287,7 +274,6 @@ def star_ideal_dimension_by_intersection(hset: HyperplaneSet, t: int) -> int:
     num_cols = comb(nv - 1 + t, t)
     if t == 0:
         return 0  # proper ideals have no constants
-    p = modulus_of(c for row in hset.coeffs for c in row)
     idx = basis_index(nv, t)
     lower = monomial_basis(nv, t - 1)
     annihilators = []
@@ -302,17 +288,11 @@ def star_ideal_dimension_by_intersection(hset: HyperplaneSet, t: int) -> int:
                     if c:
                         shifted = list(mono)
                         shifted[v] += 1
-                        row[idx[tuple(shifted)]] = int(c) if p is not None else c
+                        row[idx[tuple(shifted)]] = c
                 rows.append(row)
-        if p is not None:
-            ann = linalg.kernel_mod(rows, num_cols, p)
-            annihilators.extend([int(e) for e in row] for row in ann)
-        else:
-            annihilators.extend(linalg.kernel_basis(rows, num_cols))
+        annihilators.extend(linalg.kernel_basis(rows, num_cols))
     if not annihilators:
         return num_cols
-    if p is not None:
-        return num_cols - linalg.rank_mod(annihilators, p)
     return num_cols - linalg.rank(annihilators)
 
 
@@ -337,22 +317,22 @@ def star_ideal_graded_dimension(hset: HyperplaneSet, t: int) -> int:
     return by_intersection
 
 
-def random_hyperplanes(n: int, r: int, rng, p: int = DEFAULT_PRIME,
-                       max_attempts: int = 32) -> HyperplaneSet:
+def random_hyperplanes(n: int, r: int, rng, p: int = DEFAULT_PRIME) -> HyperplaneSet:
     """Draw a certified random hyperplane set over F_p.
 
     Resamples the whole set (consuming the seed stream deterministically)
-    whenever a general-position minor vanishes; over a large prime this is
-    rare, and the attempt budget turns pathological luck into an error.
+    whenever `HyperplaneSet` rejects it (a zero row or a vanishing
+    general-position minor); over a large prime this is rare, and
+    `RESAMPLE_BUDGET` turns pathological luck into an error.
     """
     if r < n:
         raise ValueError(f"need r >= n, got r={r}, n={n}")
-    for _ in range(max_attempts):
-        rows = [[random_scalar(rng, p) for _ in range(n + 1)] for _ in range(r)]
-        if any(not any(row) for row in rows):
+    for _ in range(RESAMPLE_BUDGET):
+        try:
+            return HyperplaneSet([[random_scalar(rng, p) for _ in range(n + 1)]
+                                  for _ in range(r)])
+        except ValueError:
             continue
-        if general_position_violation(rows) is None:
-            return HyperplaneSet(rows)
     raise RuntimeError(
         f"failed to draw a general-position set (r={r}, n={n}) "
-        f"in {max_attempts} attempts")
+        f"in {RESAMPLE_BUDGET} attempts")

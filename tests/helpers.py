@@ -4,10 +4,13 @@ These deliberately do not reuse the package's jet class or sparse-form
 machinery: the epsilon scalars below are plain univariate polynomial
 lists with convolution products (no product rule anywhere), and the
 dict polynomials expand and differentiate symbolically.  Agreement with
-the package is therefore a genuine cross-check.
+the package is therefore a genuine cross-check.  `rref_kernel` is the
+exact reference for the int64 mod-p kernels: the generic `rref` alone.
 """
 
 from __future__ import annotations
+
+from starpolar.linalg import rref
 
 
 class EpsPoly:
@@ -130,3 +133,16 @@ def dp_eval(p, point):
                 term = term * b
         total = total + term
     return total
+
+
+def rref_kernel(rows, n):
+    """Right kernel in reduced echelon form, by `rref` alone (the reference)."""
+    R, pivots = rref(rows)
+    basis = []
+    for fcol in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[fcol] = 1
+        for prow, pcol in enumerate(pivots):
+            v[pcol] = -R[prow][fcol]
+        basis.append(v)
+    return [row for row in rref(basis)[0] if any(row)] if basis else []

@@ -13,6 +13,8 @@ from starpolar.poly import (DUAL, PRIMAL, Form, coefficient_vector,
                             monomial_basis, parse_form)
 from starpolar.starconfig import point_ideal_piece
 
+from helpers import rref_kernel
+
 CUSPIDAL = parse_form("x0^3 - x1^2*x2")
 CONIC_TANGENT = parse_form("x0*(x2^2+x0*x1)")
 
@@ -246,3 +248,36 @@ def test_apolarity_round_trip():
         deco = solve_waring(pts, f)
         assert deco is not None
         assert deco.residual(f).is_zero()
+
+
+def test_fp_power_sum_takes_the_mod_p_path(monkeypatch):
+    p = 10007
+    rng = random.Random(43)
+    f = None
+    for _ in range(4):
+        pt = [random_scalar(rng, p) for _ in range(3)]
+        piece = (Form.linear(PRIMAL, pt) ** 4) * random_scalar(rng, p)
+        f = piece if f is None else f + piece
+    expected = []
+    for i in range(1, 5):
+        cat = catalecticant(f, i)
+        lifted = [[int(e) for e in row] for row in cat.entries]
+        rank = linalg.rank_mod(lifted, p)
+        kernel = linalg.kernel_mod(lifted, len(cat.col_basis), p).tolist()
+        # the int64 kernels agree with exact elimination over F_p
+        assert rank == len(linalg.rref(cat.entries)[1])
+        assert kernel == [[int(e) for e in row]
+                          for row in rref_kernel(cat.entries, len(cat.col_basis))]
+        expected.append((rank, kernel))
+    calls = []
+    for name in ("rank_mod", "kernel_mod"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for i, (rank, kernel) in enumerate(expected, start=1):
+        calls.clear()
+        assert catalecticant(f, i).rank() == rank
+        basis = perp_piece(f, i).basis
+        assert calls == ["rank_mod", "kernel_mod"]
+        assert [[int(c) for c in coefficient_vector(b)] for b in basis] == kernel
+        assert all(isinstance(c, Fp) for b in basis for c in b.terms.values())

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -88,6 +89,24 @@ def test_star_command_json_coefficient_file(tmp_path, capsys):
     assert data["hilbert_function"] == [1, 3, 6, 6, 6]
 
 
+def test_star_command_json_file_takes_declared_or_widest_width(tmp_path, capsys):
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))
+    code, data = run_json(capsys, ["star", "--forms", str(path), "--n", "3"])
+    assert code == 0
+    assert data["n"] == 3 and data["hilbert_function"] == [1, 1, 1, 1]
+    # mixed lengths: short vectors are padded to the widest one, or to --n
+    path.write_text(json.dumps([["1", "0", "0", "0"], ["0", "1"], ["0", "0", "1"],
+                                ["0", "0", "0", "1"], ["1", "1", "1", "1"]]))
+    for declared in ([], ["--n", "3"]):
+        code, data = run_json(capsys, ["star", "--forms", str(path)] + declared)
+        assert code == 0
+        assert data["n"] == 3 and data["hilbert_function"] == [1, 4, 10, 10, 10, 10]
+    code = main(["star", "--forms", str(path), "--n", "2"])
+    assert code == 2
+    assert "exceeds 3 variables" in capsys.readouterr().err
+
+
 def test_star_command_reports_violation(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("y0\ny1\ny0 + y1\n")
@@ -98,6 +117,16 @@ def test_star_command_reports_violation(tmp_path, capsys):
     # the same three forms are a legitimate configuration of points in P^1
     code = main(["star", "--forms", str(path), "--n", "1", "--json"])
     assert code == 0
+
+
+@pytest.mark.parametrize("first", ["y0*y1", "y0^2"])
+@pytest.mark.parametrize("declared", [[], ["--n", "2"]])
+def test_star_rejects_nonlinear_lines(tmp_path, capsys, first, declared):
+    path = tmp_path / "lines.txt"
+    path.write_text(CUSPIDAL_LINES_TEXT.replace("y0\n", first + "\n", 1))
+    code = main(["star", "--forms", str(path)] + declared)
+    assert code == 2
+    assert "hyperplanes must be linear forms in the dual ring" in capsys.readouterr().err
 
 
 def test_perp_command(capsys):
@@ -238,9 +267,32 @@ def test_bad_form_is_a_clean_error(capsys):
 
 def test_module_entry_point():
     import subprocess, sys
+    import starpolar
+    # run the package this suite imported, installed or not
+    src = os.path.dirname(os.path.dirname(starpolar.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "starpolar", "rho", "--d", "3", "--r", "5",
          "--n", "3", "--json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rho"] == 5
+
+
+@pytest.mark.parametrize("prime", [2**61 - 1, 2147483659])
+def test_oversized_prime_is_a_quick_usage_error(capsys, prime):
+    start = time.perf_counter()
+    code = main(["jactest", "--d", "3", "--r", "4", "--n", "2",
+                 "--prime", str(prime)])
+    assert code == 2 and time.perf_counter() - start < 1
+    assert "too large" in capsys.readouterr().err
+
+
+def test_rank_test_flags_only_on_rank_test_commands(capsys):
+    for argv in (["rho", "--d", "3", "--r", "5", "--n", "3"],
+                 ["perp", "--form", "x0^2", "--degree", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "3"])
+        assert exc.value.code == 2
+        assert main(argv + ["--json"]) == 0

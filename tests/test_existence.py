@@ -1,10 +1,12 @@
 import json
 import random
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from starpolar import existence
 from starpolar.existence import (DegenerateParametersError, Verdict, classify,
                                  gamma_coefficients, jacobian_matrix,
                                  jacobian_rank_test, parameter_count, rho,
@@ -235,3 +237,41 @@ def test_known_discrepancy_boundary_triple_3_7_5():
     assert rep.target == 56
     assert rep.rank == 55
     assert rep.verdict == "RankDeficient"
+
+
+def test_jactest_redraws_a_degenerate_point(monkeypatch):
+    real = existence._draw_parameter_values
+    draws = []
+
+    def draw(d, r, n, prime, rng):
+        values = real(d, r, n, prime, rng)
+        if not draws:
+            values[n + 1:2 * (n + 1)] = values[:n + 1]  # two equal hyperplanes
+        draws.append(values)
+        return values
+
+    monkeypatch.setattr(existence, "_draw_parameter_values", draw)
+    rep = jacobian_rank_test(2, 3, 2, seed=5, trials=1)
+    assert len(draws) == 2
+    assert rep.verdict == "RankFull" and rep.rank == 6
+
+
+def test_jactest_gives_up_after_the_resample_budget(monkeypatch):
+    draws = []
+
+    def draw(d, r, n, prime, rng):
+        draws.append(None)
+        return [Fp(0, prime)] * existence.parameter_count(d, r, n)
+
+    monkeypatch.setattr(existence, "_draw_parameter_values", draw)
+    with pytest.raises(existence.ResampleBudgetError):
+        jacobian_rank_test(2, 3, 2, trials=1)
+    assert len(draws) == existence.RESAMPLE_BUDGET
+
+
+@pytest.mark.parametrize("prime", [2**61 - 1, 2147483659])
+def test_jactest_rejects_oversized_prime_quickly(prime):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        jacobian_rank_test(3, 4, 2, prime=prime)
+    assert time.perf_counter() - start < 1

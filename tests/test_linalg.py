@@ -6,6 +6,8 @@ import pytest
 from starpolar import linalg
 from starpolar.field import Fp, Jet
 
+from helpers import rref_kernel
+
 
 def F(*vals):
     return [Fraction(v) for v in vals]
@@ -93,7 +95,7 @@ def test_mod_paths_agree_with_generic():
         m, n = rng.randrange(1, 7), rng.randrange(1, 7)
         rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
         frows = [[Fp(e, p) for e in row] for row in rows]
-        assert linalg.rank_mod(rows, p) == linalg.rank(frows)
+        assert linalg.rank_mod(rows, p) == len(linalg.rref(frows)[1])
         ker = linalg.kernel_mod(rows, n, p)
         assert len(ker) == n - linalg.rank_mod(rows, p)
         for v in ker:
@@ -104,3 +106,39 @@ def test_mod_paths_agree_with_generic():
 def test_mod_path_rejects_oversized_prime():
     with pytest.raises(ValueError):
         linalg.rank_mod([[1]], 2**31 + 11)
+
+
+def test_rank_and_kernel_pick_the_field_from_fp_entries():
+    p = 101
+    rng = random.Random(29)
+    for _ in range(40):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+        # one plain int per row still counts as the image of Z in F_p
+        frows = [[row[0]] + [Fp(e, p) for e in row[1:]] for row in rows]
+        assert linalg.rank(frows) == linalg.rank_mod(rows, p)
+        assert linalg.rank(frows) == len(linalg.rref(frows)[1])
+        ker = linalg.kernel_basis(frows, n)
+        assert all(isinstance(e, Fp) and e.p == p for row in ker for e in row)
+        assert [[e.value for e in row] for row in ker] == \
+            linalg.kernel_mod(rows, n, p).tolist()
+        assert ker == rref_kernel(frows, n)
+
+
+def test_fp_dispatch_reads_every_entry_in_the_field():
+    p = 7
+    # 1/2 is 4 mod 7, so the second row is twice the first there
+    rows = [[Fp(1, p), 3], [Fraction(1, 2), Fraction(3, 2)]]
+    assert linalg.rank(rows) == 1
+    assert linalg.kernel_basis(rows, 2) == [[Fp(1, p), Fp(2, p)]]
+    with pytest.raises(ValueError, match="mixed prime-field moduli"):
+        linalg.rank([[Fp(1, p), Fp(1, 11)]])
+
+
+def test_rank_and_kernel_over_rationals_stay_on_rref():
+    rows = [F(1, 2, 3), F(2, 4, 7), F(1, 2, 4)]
+    assert linalg.rank(rows) == 2
+    ker = linalg.kernel_basis(rows, 3)
+    assert ker == [[1, Fraction(-1, 2), 0]]
+    assert not any(isinstance(e, Fp) for row in ker for e in row)
+    assert linalg.kernel_basis([], 2) == [[1, 0], [0, 1]]

@@ -6,7 +6,7 @@ import pytest
 
 from starpolar.field import DEFAULT_PRIME, Fp
 from starpolar.poly import DUAL, Form, evaluate, parse_form
-from starpolar.starconfig import (DegenerateIntersectionError,
+from starpolar.starconfig import (RESAMPLE_BUDGET, DegenerateIntersectionError,
                                   GeneralPositionError, HilbertFunctionTable,
                                   HyperplaneSet, build_star_configuration,
                                   general_position_violation, hilbert_function,
@@ -207,3 +207,30 @@ def test_random_hyperplanes_deterministic():
     assert a.coeffs == b.coeffs
     c = random_hyperplanes(2, 4, random.Random(100))
     assert a.coeffs != c.coeffs
+
+
+class _ZerosFirst:
+    """A random stream that yields ``zeros`` zeros before a seeded one."""
+
+    def __init__(self, zeros, seed=0):
+        self.zeros, self.calls, self.rng = zeros, 0, random.Random(seed)
+
+    def randrange(self, stop):
+        self.calls += 1
+        return 0 if self.calls <= self.zeros else self.rng.randrange(stop)
+
+
+def test_random_hyperplanes_redraws_a_rejected_set():
+    rng = _ZerosFirst(zeros=4 * 3)  # the first set is all zero forms
+    hset = random_hyperplanes(2, 4, rng)
+    assert rng.calls == 2 * 4 * 3
+    fresh = random.Random(0)
+    assert hset.coeffs == [tuple(Fp(fresh.randrange(DEFAULT_PRIME), DEFAULT_PRIME)
+                                 for _ in range(3)) for _ in range(4)]
+
+
+def test_random_hyperplanes_gives_up_after_the_budget():
+    rng = _ZerosFirst(zeros=10**9)
+    with pytest.raises(RuntimeError):
+        random_hyperplanes(2, 4, rng)
+    assert rng.calls == RESAMPLE_BUDGET * 4 * 3
