@@ -388,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--dmin", type=int, default=3)
     p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--mode", default="conjecture", choices=["conjecture"])
     p.add_argument("--out", required=True, help="JSON-lines output path")
     p.add_argument("--force", action="store_true",
                    help="re-run cells already present in the output file")

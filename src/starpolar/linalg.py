@@ -253,25 +253,15 @@ def rref_mod(rows, p: int):
 def kernel_mod(rows, num_cols: int, p: int):
     """Right-kernel basis mod p, rows in reduced echelon form (int64 array).
 
-    Works from the plain echelon form by back substitution (one solve per
-    free column), which is much cheaper than fully reducing wide matrices.
+    Read off `rref_mod` of the matrix: the vector for free column f has a 1
+    at f and -R[i, f] at the i-th pivot column.
     """
-    M = _as_modp_array(rows, p) if len(rows) else np.zeros((0, num_cols), dtype=np.int64)
-    if M.shape[0] == 0:
+    if not len(rows):
         return np.eye(num_cols, dtype=np.int64)
-    pivots = _echelon_mod(M, p)
+    R, pivots = rref_mod(rows, p)
     pivot_set = set(pivots)
     free = [c for c in range(num_cols) if c not in pivot_set]
     basis = np.zeros((len(free), num_cols), dtype=np.int64)
-    for i, fcol in enumerate(free):
-        x = basis[i]
-        x[fcol] = 1
-        for row in reversed(range(len(pivots))):
-            # pivot entry is 1 and everything left of it is 0, so the row
-            # forces x[pivot] = -(rest of the dot product)
-            s = int(((M[row] * x) % p).sum() % p)
-            if s:
-                x[pivots[row]] = p - s
-    if len(free):
-        basis, _ = rref_mod(basis, p)
-    return basis
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = -R[:len(pivots), free].T % p
+    return rref_mod(basis, p)[0]

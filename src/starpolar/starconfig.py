@@ -18,8 +18,8 @@ from math import comb
 
 from . import linalg
 from .field import DEFAULT_PRIME, constant_part, random_scalar
-from .poly import (DUAL, Form, basis_index, coefficient_vector, evaluate,
-                   form_from_vector, monomial_basis)
+from .poly import (DUAL, Form, coefficient_vector, evaluate, form_from_vector,
+                   monomial_basis)
 from .apolar import ideal_piece_dimension
 
 # random draws (hyperplane sets, parameter points) tried before giving up
@@ -44,12 +44,15 @@ def general_position_violation(rows):
     """First (n+1)-subset of coefficient rows with vanishing maximal minor.
 
     Returns the violating index subset, or None when every maximal minor
-    of the r x (n+1) coefficient matrix is nonzero (r <= n is vacuous).
+    of the r x (n+1) coefficient matrix is nonzero.  With r <= n there is
+    no such minor, and the rows themselves must be linearly independent.
     """
     rows = [list(r) for r in rows]
     if not rows:
         return None
     width = len(rows[0])
+    if len(rows) < width:
+        return None if linalg.rank(rows) == len(rows) else tuple(range(len(rows)))
     for subset in combinations(range(len(rows)), width):
         if not linalg.det([rows[j] for j in subset]):
             return subset
@@ -260,40 +263,20 @@ def point_ideal_piece(points, degree: int, num_vars: int | None = None):
 
 
 def star_ideal_dimension_by_intersection(hset: HyperplaneSet, t: int) -> int:
-    """dim of the degree-t piece of the intersection ideal, by exact kernel
-    intersection over the n-subsets.
+    """dim of the degree-t piece of the intersection ideal, by evaluation at
+    the points taken as kernel vectors.
 
-    Each subset contributes the span of (monomial x form) products; the
-    intersection of the spans is computed through their annihilators under
-    the coordinate pairing, which is plain linear duality and therefore
-    valid over any field.
+    Each n-subset's point is the one kernel vector of its n x (n+1)
+    coefficient block (exact RREF, independent of the Cramer minors of
+    `intersection_points`); the degree-t forms vanishing at every point are
+    the kernel of the evaluation matrix.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    n, nv = hset.n, hset.n + 1
-    num_cols = comb(nv - 1 + t, t)
-    if t == 0:
-        return 0  # proper ideals have no constants
-    idx = basis_index(nv, t)
-    lower = monomial_basis(nv, t - 1)
-    annihilators = []
-    for tau in combinations(range(hset.r), n):
-        rows = []
-        for j in tau:
-            coeff_row = hset.coeffs[j]
-            for mono in lower:
-                row = [0] * num_cols
-                for v in range(nv):
-                    c = coeff_row[v]
-                    if c:
-                        shifted = list(mono)
-                        shifted[v] += 1
-                        row[idx[tuple(shifted)]] = c
-                rows.append(row)
-        annihilators.extend(linalg.kernel_basis(rows, num_cols))
-    if not annihilators:
-        return num_cols
-    return num_cols - linalg.rank(annihilators)
+    nv = hset.n + 1
+    points = [linalg.kernel_basis([hset.coeffs[j] for j in tau], nv)[0]
+              for tau in combinations(range(hset.r), hset.n)]
+    return comb(nv - 1 + t, t) - linalg.rank(evaluation_matrix(points, t, nv))
 
 
 def star_ideal_dimension_by_products(hset: HyperplaneSet, t: int) -> int:

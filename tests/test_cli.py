@@ -120,6 +120,11 @@ def test_star_command_reports_violation(tmp_path, capsys):
     # the same three forms are a legitimate configuration of points in P^1
     code = main(["star", "--forms", str(path), "--n", "1", "--json"])
     assert code == 0
+    # with r = n there is no maximal minor; the rows must be independent
+    path.write_text("y0\n2*y0\n")
+    code = main(["star", "--forms", str(path), "--n", "2"])
+    assert code == 2
+    assert "(0, 1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("first", ["y0*y1", "y0^2"])

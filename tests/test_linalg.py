@@ -91,9 +91,14 @@ def test_det_over_jets_matches_value_determinant():
 def test_mod_paths_agree_with_generic():
     p = 101
     rng = random.Random(23)
+    cases = []
     for _ in range(40):
         m, n = rng.randrange(1, 7), rng.randrange(1, 7)
-        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+        cases.append([[rng.randrange(p) for _ in range(n)] for _ in range(m)])
+    # no pivot at all, and ten free columns against two pivots
+    cases += [[[0] * 4] * 3, [[rng.randrange(p) for _ in range(12)] for _ in range(2)]]
+    for rows in cases:
+        n = len(rows[0])
         frows = [[Fp(e, p) for e in row] for row in rows]
         assert linalg.rank_mod(rows, p) == len(linalg.rref(frows)[1])
         ker = linalg.kernel_mod(rows, n, p)
@@ -101,6 +106,7 @@ def test_mod_paths_agree_with_generic():
         for v in ker:
             for row in rows:
                 assert sum(a * int(b) for a, b in zip(row, v)) % p == 0
+        assert [[Fp(e, p) for e in row] for row in ker.tolist()] == rref_kernel(frows, n)
 
 
 def test_mod_path_rejects_oversized_prime():
@@ -111,9 +117,14 @@ def test_mod_path_rejects_oversized_prime():
 def test_rank_and_kernel_pick_the_field_from_fp_entries():
     p = 101
     rng = random.Random(29)
+    cases = []
     for _ in range(40):
         m, n = rng.randrange(1, 7), rng.randrange(1, 7)
-        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+        cases.append([[rng.randrange(p) for _ in range(n)] for _ in range(m)])
+    # no pivot at all, and ten free columns against two pivots
+    cases += [[[0] * 4] * 3, [[rng.randrange(p) for _ in range(12)] for _ in range(2)]]
+    for rows in cases:
+        n = len(rows[0])
         # one plain int per row still counts as the image of Z in F_p
         frows = [[row[0]] + [Fp(e, p) for e in row[1:]] for row in rows]
         assert linalg.rank(frows) == linalg.rank_mod(rows, p)

@@ -91,6 +91,8 @@ def test_degenerate_r_equals_n_detected():
     from starpolar.starconfig import _points_from_coeff_rows
     with pytest.raises(DegenerateIntersectionError):
         _points_from_coeff_rows([(1, 0, 0), (2, 0, 0)], 2)
+    with pytest.raises(GeneralPositionError):
+        HyperplaneSet([(1, 0, 0), (2, 0, 0)])
 
 
 def test_product_generators_four_lines():
