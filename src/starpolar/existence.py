@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
+import numpy as np
+
 from . import linalg
-from .field import (DEFAULT_PRIME, DEFAULT_SEED, Fp, Jet, constant_part,
+from .field import (DEFAULT_PRIME, DEFAULT_SEED, Jet, constant_part,
                     random_scalar)
 from .poly import linear_power_coefficients, monomial_basis
 from .starconfig import (RESAMPLE_BUDGET, DegenerateIntersectionError,
@@ -32,6 +34,9 @@ from .starconfig import (RESAMPLE_BUDGET, DegenerateIntersectionError,
 # and one defective case with the generic Jacobian rank of its map
 EXCEPTIONAL_TRIPLES = frozenset({(3, 5, 3), (4, 6, 3), (5, 7, 3), (3, 6, 4)})
 DEFECTIVE_TRIPLES = {(3, 7, 5): 55}
+# the plane family (d, d+1, 2) reaches full Jacobian rank for 3 <= d <= this
+# degree; acceptance criterion 4 checks the whole range
+PLANE_VERIFIED_DEGREE = 13
 
 
 class DegenerateParametersError(RuntimeError):
@@ -101,7 +106,7 @@ def classify(d: int, r: int, n: int) -> ClassificationVerdict:
     map has generic rank 55 < 56, certified exactly in characteristic zero
     by an integer normal vector to its image; in the plane the boundary
     family r = d + 1 is conjectural (verified computationally through
-    degree 13).
+    degree ``PLANE_VERIFIED_DEGREE``).
     """
     _validate_triple(d, r, n)
     if n == 1:
@@ -146,8 +151,9 @@ def classify(d: int, r: int, n: int) -> ClassificationVerdict:
             f"rho = {rho(d, r, n)} < 0")
     return ClassificationVerdict(
         Verdict.CONJECTURAL_EXISTS, "ternary-conjecture",
-        "verified computationally for d <= 13" if d <= 13
-        else "open; verified computationally only for d <= 13")
+        f"verified computationally for d <= {PLANE_VERIFIED_DEGREE}"
+        if d <= PLANE_VERIFIED_DEGREE
+        else f"open; verified computationally only for d <= {PLANE_VERIFIED_DEGREE}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +215,20 @@ def _draw_parameter_values(d, r, n, prime, rng):
 
 
 def jacobian_matrix(d: int, r: int, n: int, values):
-    """Exact Jacobian of the coefficient map at the given F_p point, as an
-    integer matrix with one row per parameter (m x C(n+d,d)).
+    """Exact Jacobian of the coefficient map at the given F_p point, as a
+    matrix of Python ints in [0, p) with one row per parameter
+    (m x C(n+d,d)).
 
     Every parameter is promoted to a jet carrying a unit gradient, so one
-    evaluation of the map yields all partial derivatives at once.
+    evaluation of the map yields all partial derivatives at once; the
+    coefficients' int64 gradients are stacked as the columns.
     """
     m = len(values)
     jets = [Jet.seed(v, k, m) for k, v in enumerate(values)]
     coeffs = gamma_coefficients(d, r, n, jets)
-    rows = [[0] * len(coeffs) for _ in range(m)]
-    for i, c in enumerate(coeffs):
-        if isinstance(c, Jet):
-            for k, g in enumerate(c.grad):
-                rows[k][i] = g.value if isinstance(g, Fp) else int(g)
-    return rows
+    zero = np.zeros(m, dtype=np.int64)
+    return np.stack([c.grad if isinstance(c, Jet) else zero for c in coeffs],
+                    axis=1).tolist()
 
 
 def _jacobian_at_random_point(d, r, n, prime, rng):

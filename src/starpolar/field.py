@@ -8,9 +8,10 @@ Three kinds of scalars are used throughout the package:
 * prime-field elements -- :class:`Fp`, integers mod a fixed prime, used
   for randomized rank computations where rational coefficient growth
   would be prohibitive;
-* jets -- :class:`Jet`, a value plus a gradient vector of fixed length
-  over either base, used to evaluate partial derivatives of polynomial
-  maps exactly, without symbolic expansion.
+* jets -- :class:`Jet`, an `Fp` value plus a fixed-length int64 numpy
+  gradient of residues mod the same p, used to evaluate partial
+  derivatives of polynomial maps over F_p exactly, without symbolic
+  expansion.
 
 All scalars are immutable values and all operations are pure functions,
 so they are safe to copy and share freely.  Plain Python integers mix
@@ -21,8 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-# 2^31 - 1 is prime and small enough that a product of two residues fits
-# comfortably in a signed 64-bit word.
+import numpy as np
+
+# below 2^31 a sum of two products of residues fits in a signed 64-bit
+# word, as the jet product rule and the mod-p kernels need; 2^31 - 1 is
+# the largest prime there.
+INT64_PRIME_LIMIT = 2**31
 DEFAULT_PRIME = 2**31 - 1
 DEFAULT_SEED = 1
 
@@ -151,46 +156,45 @@ def random_scalar(rng, p: int = DEFAULT_PRIME) -> Fp:
 
 
 class Jet:
-    """A first-order jet: ``value`` together with a fixed-length ``grad``.
+    """A first-order jet over F_p: an `Fp` ``value`` together with a
+    fixed-length int64 numpy ``grad`` of residues mod the same p.
 
     Addition acts coordinatewise and multiplication obeys the product rule
 
         (a * b).grad = a.value * b.grad + b.value * a.grad
 
     exactly, so evaluating a polynomial expression on jets seeded with unit
-    gradients computes all its partial derivatives at the base point.
+    gradients computes all its partial derivatives at the base point.  The
+    gradient is reduced mod p after every operation; p < 2^31 keeps each
+    product-rule sum below 2^63, and larger primes raise ``ValueError``.
     """
 
     __slots__ = ("value", "grad")
 
-    def __init__(self, value, grad):
+    def __init__(self, value: Fp, grad):
+        if value.p >= INT64_PRIME_LIMIT:
+            raise ValueError(f"prime {value.p} too large for an int64 jet (need p < 2^31)")
         self.value = value
-        self.grad = tuple(grad)
+        self.grad = np.asarray(grad, dtype=np.int64) % value.p
 
     @classmethod
-    def seed(cls, value, index: int, dim: int) -> "Jet":
+    def seed(cls, value: Fp, index: int, dim: int) -> "Jet":
         """Jet for the ``index``-th of ``dim`` variables at the point ``value``."""
-        zero = value * 0
-        one = zero + 1
-        return cls(value, tuple(one if k == index else zero for k in range(dim)))
+        grad = np.zeros(dim, dtype=np.int64)
+        grad[index] = 1
+        return cls(value, grad)
 
-    @classmethod
-    def constant(cls, value, dim: int) -> "Jet":
-        zero = value * 0
-        return cls(value, (zero,) * dim)
-
-    def constant_part(self):
+    def constant_part(self) -> Fp:
         return self.value
 
     def _check(self, other: "Jet"):
-        if len(self.grad) != len(other.grad):
+        if self.grad.shape != other.grad.shape:
             raise ValueError("jet gradient dimensions differ")
 
     def __add__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            return Jet(self.value + other.value,
-                       tuple(a + b for a, b in zip(self.grad, other.grad)))
+            return Jet(self.value + other.value, self.grad + other.grad)
         return Jet(self.value + other, self.grad)
 
     __radd__ = __add__
@@ -198,59 +202,32 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            return Jet(self.value - other.value,
-                       tuple(a - b for a, b in zip(self.grad, other.grad)))
+            return Jet(self.value - other.value, self.grad - other.grad)
         return Jet(self.value - other, self.grad)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Jet(-self.value, tuple(-a for a in self.grad))
+        return Jet(-self.value, -self.grad)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check(other)
             v, w = self.value, other.value
-            return Jet(v * w,
-                       tuple(v * b + w * a for a, b in zip(self.grad, other.grad)))
-        return Jet(self.value * other, tuple(a * other for a in self.grad))
+            return Jet(v * w, v.value * other.grad + w.value * self.grad)
+        c = self.value.residue(other)
+        if c is None:
+            return NotImplemented
+        return Jet(self.value * c, self.grad * c)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Jet":
-        if not self.value:
-            raise ZeroDivisionError("inversion of a jet with zero value part")
-        inv = 1 / self.value
-        minus_inv2 = -(inv * inv)
-        return Jet(inv, tuple(minus_inv2 * a for a in self.grad))
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.inverse()
-        return self * (1 / other)
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        out = Jet(self.value * 0 + 1, tuple(a * 0 for a in self.grad))
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, Jet):
-            return self.value == other.value and self.grad == other.grad
-        return NotImplemented
-
     def __bool__(self):
-        return bool(self.value) or any(self.grad)
+        return bool(self.value) or bool(self.grad.any())
 
     def __repr__(self):
-        return f"Jet({self.value!r}, {self.grad!r})"
+        return f"Jet({self.value!r}, {self.grad.tolist()!r})"
 
 
 def constant_part(s):

@@ -10,7 +10,7 @@ otherwise `rref` over Q.
 `solve_linear` and the division-free `det` take any scalars.
 
 The `*_mod` kernels reduce integer rows mod p with numpy int64
-vectorization.  They require p < 2^31 (`_INT64_PRIME_LIMIT`) so that a
+vectorization.  They require p < 2^31 (`INT64_PRIME_LIMIT`) so that a
 product of two reduced residues fits in a signed 64-bit word; the package
 default prime 2^31 - 1 is the largest prime satisfying this.
 """
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import Fp, is_prime, modulus_of
+from .field import INT64_PRIME_LIMIT, Fp, is_prime, modulus_of
 
 
 def _invert(x):
@@ -169,12 +169,10 @@ def det(rows):
 # ---------------------------------------------------------------------------
 # mod-p fast paths (integer matrices, numpy int64)
 
-_INT64_PRIME_LIMIT = 2**31
-
 
 def check_modulus(p: int) -> None:
     """Raise ``ValueError`` unless p is a prime below the int64 limit (checked first)."""
-    if p >= _INT64_PRIME_LIMIT:
+    if p >= INT64_PRIME_LIMIT:
         raise ValueError(f"prime {p} too large for the int64 mod-p kernel (need p < 2^31)")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -189,7 +187,7 @@ def _residues(rows, p: int):
 
 
 def _as_modp_array(rows, p: int):
-    if p >= _INT64_PRIME_LIMIT:
+    if p >= INT64_PRIME_LIMIT:
         raise ValueError(f"prime {p} too large for the int64 mod-p kernel")
     M = np.array(rows, dtype=np.int64)
     if M.ndim == 1:

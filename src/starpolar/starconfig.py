@@ -70,6 +70,8 @@ class HyperplaneSet:
         width = num_vars if num_vars is not None else len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("hyperplane coefficient vectors have mixed lengths")
+        if width < 2:
+            raise ValueError(f"need n >= 1, got n={width - 1}")
         self.n = width - 1
         self.r = len(rows)
         if self.r < self.n:
@@ -308,6 +310,8 @@ def random_hyperplanes(n: int, r: int, rng, p: int = DEFAULT_PRIME) -> Hyperplan
     general-position minor); over a large prime this is rare, and
     `RESAMPLE_BUDGET` turns pathological luck into an error.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if r < n:
         raise ValueError(f"need r >= n, got r={r}, n={n}")
     for _ in range(RESAMPLE_BUDGET):

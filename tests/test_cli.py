@@ -125,6 +125,10 @@ def test_star_command_reports_violation(tmp_path, capsys):
     code = main(["star", "--forms", str(path), "--n", "2"])
     assert code == 2
     assert "(0, 1)" in capsys.readouterr().err
+    # without --n the lines y0, 2*y0 live in one variable: n = 0
+    code = main(["star", "--forms", str(path)])
+    assert code == 2
+    assert "need n >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("first", ["y0*y1", "y0^2"])

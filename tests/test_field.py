@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from starpolar.field import (DEFAULT_PRIME, Fp, Jet, constant_part, is_prime,
@@ -94,35 +95,40 @@ def test_random_scalar_determinism():
 def test_jet_product_rule_example():
     # (v=2, g=(1,0)) * (v=3, g=(0,1)) -> (v=6, g=(3,2)) over F_p
     p = DEFAULT_PRIME
-    a = Jet(Fp(2, p), (Fp(1, p), Fp(0, p)))
-    b = Jet(Fp(3, p), (Fp(0, p), Fp(1, p)))
+    a = Jet(Fp(2, p), np.array([1, 0]))
+    b = Jet(Fp(3, p), np.array([0, 1]))
     c = a * b
     assert c.value == 6
-    assert c.grad == (Fp(3, p), Fp(2, p))
+    assert c.grad.tolist() == [3, 2]
+    # residues near p: every product-rule term is near 2^62, so a lost
+    # reduction mod p shows up against Python-int arithmetic
+    u, v = p - 1, p - 2
+    a = Jet(Fp(u, p), np.array([u, v]))
+    b = Jet(Fp(v, p), np.array([v, u]))
+    assert (a * b).grad.tolist() == [(u * v + v * u) % p, (u * u + v * v) % p]
+    assert (a + b).grad.tolist() == [(u + v) % p, (v + u) % p]
+    assert (a - b).grad.tolist() == [(u - v) % p, (v - u) % p]
+    assert (-a).grad.tolist() == [-u % p, -v % p]
+    assert (a * v).grad.tolist() == [u * v % p, v * v % p]
 
 
 def test_jet_seed_and_mixed_scalars():
     j = Jet.seed(Fp(4, 7), 1, 3)
-    assert j.grad == (Fp(0, 7), Fp(1, 7), Fp(0, 7))
+    assert j.grad.tolist() == [0, 1, 0]
     assert (j + 3).value == 0
     assert (2 * j).value == 1
-    k = Jet.constant(Fp(2, 7), 3)
-    assert not any(k.grad)
-    assert (j * k).grad[1] == 2
+    k = Fp(2, 7)
+    assert (j * k).grad.tolist() == [0, 2, 0]
+    assert (k * j).grad.tolist() == [0, 2, 0]
+    assert (j - k).value == 2 and (k - j).grad.tolist() == [0, 6, 0]
 
 
-def test_jet_dimension_mismatch_and_zero_inverse():
+def test_jet_dimension_mismatch_and_oversized_prime():
     with pytest.raises(ValueError):
         Jet(Fp(1, 7), (Fp(0, 7),)) + Jet(Fp(1, 7), (Fp(0, 7), Fp(0, 7)))
-    with pytest.raises(ZeroDivisionError):
-        Jet(Fp(0, 7), (Fp(1, 7),)).inverse()
-
-
-def test_jet_division():
-    a = Jet(Fraction(3), (Fraction(1), Fraction(2)))
-    b = Jet(Fraction(2), (Fraction(5), Fraction(0)))
-    q = a / b
-    assert q * b == a
+    # p >= 2^31 would overflow the int64 product rule
+    with pytest.raises(ValueError):
+        Jet.seed(Fp(3, 2**61 - 1), 0, 1)
 
 
 def _random_expr(rng, nvars, max_degree):
@@ -155,26 +161,22 @@ def test_jet_gradient_matches_symbolic_expansion_oracle():
     # evaluating on jets seeded with unit gradients must reproduce the
     # formal partial derivatives of the expanded polynomial, exactly
     rng = random.Random(2024)
-    p = 977
     for trial in range(60):
+        p = 977 if trial % 2 else DEFAULT_PRIME
         nvars = rng.randrange(1, 4)
         evaluator, dpoly = _random_expr(rng, nvars, 4)
-        if trial % 2:
-            point = [Fp(rng.randrange(p), p) for _ in range(nvars)]
-        else:
-            point = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
-                     for _ in range(nvars)]
+        point = [Fp(rng.randrange(p), p) for _ in range(nvars)]
         jets = [Jet.seed(v, k, nvars) for k, v in enumerate(point)]
         result = evaluator(jets)
         if not isinstance(result, Jet):  # constant expression
-            result = Jet.constant(point[0] * 0 + result, nvars)
+            result = Jet(Fp(result, p), [0] * nvars)
         assert result.value == dp_eval(dpoly, point)
-        for k in range(nvars):
-            assert result.grad[k] == dp_eval(dp_diff(dpoly, k), point)
+        assert [Fp(g, p) for g in result.grad.tolist()] == [
+            dp_eval(dp_diff(dpoly, k), point) for k in range(nvars)]
 
 
 def test_constant_part_and_modulus_scan():
-    j = Jet(Fp(5, 7), (Fp(1, 7),))
+    j = Jet(Fp(5, 7), np.array([1]))
     assert constant_part(j) == Fp(5, 7)
     assert constant_part(Fraction(1, 2)) == Fraction(1, 2)
     assert modulus_of([0, Fraction(1), Fp(3, 11)]) == 11

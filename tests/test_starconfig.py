@@ -61,6 +61,10 @@ def test_certify_rejects_zero_form_and_small_r():
         HyperplaneSet([(0, 0, 0), (1, 0, 0)])
     with pytest.raises(ValueError):
         HyperplaneSet([(1, 0, 0)])  # r=1 < n=2
+    with pytest.raises(ValueError, match="need n >= 1"):
+        HyperplaneSet([(1,), (2,)])  # one variable: n = 0
+    with pytest.raises(ValueError, match="need n >= 1"):
+        random_hyperplanes(0, 2, random.Random(1))
 
 
 def test_intersection_points_cuspidal_lines():
