@@ -147,7 +147,7 @@ def ideal_piece_dimension(generators, t: int) -> int:
     return linalg.rank(rows)
 
 
-def verify_perp_generators(f: Form, generators, max_degree: int | None = None) -> bool:
+def verify_perp_generators(f: Form, generators) -> bool:
     """Check a claimed generating set of the annihilator of F.
 
     Verifies (a) containment: every generator annihilates F, and (b) the
@@ -156,8 +156,7 @@ def verify_perp_generators(f: Form, generators, max_degree: int | None = None) -
     """
     if not is_apolar_ideal_contained(generators, f):
         return False
-    top = f.degree + 1 if max_degree is None else max_degree
-    for t in range(top + 1):
+    for t in range(f.degree + 2):
         if ideal_piece_dimension(generators, t) != perp_piece(f, t).dimension:
             return False
     return True

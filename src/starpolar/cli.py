@@ -3,10 +3,10 @@
 
 Commands: rho, classify, jactest, star, perp, apolar-check, waring, sweep.
 Every command takes --json.  The rank-test commands (jactest, sweep) also
-take --seed / --prime / --trials, with environment defaults
-STARPOLAR_SEED / STARPOLAR_PRIME / STARPOLAR_TRIALS; explicit flags win
-over the environment.  All scalars serialize as decimal strings
-(rationals as "p/q") so nothing is lost to binary floating point.
+take --seed / --prime / --trials; no environment variable changes an
+answer, so a run is reproducible from its flags.  All scalars serialize
+as decimal strings (rationals as "p/q") so nothing is lost to binary
+floating point.
 """
 
 from __future__ import annotations
@@ -32,28 +32,18 @@ class CliError(Exception):
     """User-facing error: message to stderr, nonzero exit."""
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise CliError(f"environment variable {name}={raw!r} is not an integer") from exc
-
-
 def _json_flag(parser: argparse.ArgumentParser):
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON document")
 
 
 def _rank_test_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default {DEFAULT_SEED}, env STARPOLAR_SEED)")
-    parser.add_argument("--prime", type=int, default=None,
-                        help=f"prime modulus (default {DEFAULT_PRIME}, env STARPOLAR_PRIME)")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="random trials per rank test (default 3, env STARPOLAR_TRIALS)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help=f"RNG seed (default {DEFAULT_SEED})")
+    parser.add_argument("--prime", type=int, default=DEFAULT_PRIME,
+                        help=f"prime modulus (default {DEFAULT_PRIME})")
+    parser.add_argument("--trials", type=int, default=3,
+                        help="random trials per rank test (default 3)")
 
 
 def _triple_flags(parser: argparse.ArgumentParser):
@@ -63,16 +53,13 @@ def _triple_flags(parser: argparse.ArgumentParser):
 
 
 def _resolved(args):
-    seed = args.seed if args.seed is not None else _env_int("STARPOLAR_SEED", DEFAULT_SEED)
-    prime = args.prime if args.prime is not None else _env_int("STARPOLAR_PRIME", DEFAULT_PRIME)
-    trials = args.trials if args.trials is not None else _env_int("STARPOLAR_TRIALS", 3)
     try:
-        linalg.check_modulus(prime)
+        linalg.check_modulus(args.prime)
     except ValueError as exc:
         raise CliError(f"--prime: {exc}") from exc
-    if trials < 1:
+    if args.trials < 1:
         raise CliError("--trials must be at least 1")
-    return seed, prime, trials
+    return args.seed, args.prime, args.trials
 
 
 def _emit(args, payload: dict, human_lines):

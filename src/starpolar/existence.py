@@ -27,8 +27,8 @@ from . import linalg
 from .field import (DEFAULT_PRIME, DEFAULT_SEED, Jet, constant_part,
                     random_scalar)
 from .poly import linear_power_coefficients, monomial_basis
-from .starconfig import (RESAMPLE_BUDGET, DegenerateIntersectionError,
-                         _points_from_coeff_rows, general_position_violation)
+from .starconfig import (RESAMPLE_BUDGET, _points_from_coeff_rows,
+                         general_position_violation)
 
 # the below-threshold triples (d, r, n) with rho >= 0: four existence cases,
 # and one defective case with the generic Jacobian rank of its map
@@ -183,18 +183,12 @@ def gamma_coefficients(d: int, r: int, n: int, params):
     if len(params) != m:
         raise ValueError(f"expected {m} parameters, got {len(params)}")
     rows = [params[k * (n + 1):(k + 1) * (n + 1)] for k in range(r)]
-    value_rows = [[constant_part(a) for a in row] for row in rows]
-    for k, row in enumerate(value_rows):
-        if not any(row):
-            raise DegenerateParametersError(f"hyperplane {k} degenerated to zero")
-    violation = general_position_violation(value_rows)
+    violation = general_position_violation(
+        [[constant_part(a) for a in row] for row in rows])
     if violation is not None:
         raise DegenerateParametersError(
             f"hyperplanes {violation} lost general position")
-    try:
-        points = _points_from_coeff_rows(rows, n)
-    except DegenerateIntersectionError as exc:
-        raise DegenerateParametersError(str(exc)) from exc
+    points = _points_from_coeff_rows(rows, n)
     alphas = params[(n + 1) * r:]
     size = len(monomial_basis(n + 1, d))
     out = [0] * size

@@ -7,7 +7,9 @@ Matrices are lists of rows of exact scalars of one field: `Fraction` or
 entry is an `Fp` they run the int64 kernels `rank_mod`/`kernel_mod` on
 the entries' residues mod its prime (kernel rows come back as `Fp`),
 otherwise `rref` over Q.
-`solve_linear` and the division-free `det` take any scalars.
+`solve_linear` and the division-free `minors` take any scalars: `minors`
+returns every maximal minor of a k x m matrix from one Laplace pass, and
+`det` is its square case.
 
 The `*_mod` kernels reduce integer rows mod p with numpy int64
 vectorization.  They require p < 2^31 (`INT64_PRIME_LIMIT`) so that a
@@ -128,28 +130,23 @@ def solve_linear(rows, rhs):
     return x
 
 
-def det(rows):
-    """Division-free determinant (Laplace expansion with subset memoization).
+def minors(rows):
+    """All maximal minors of a k x m matrix (k <= m) in one division-free pass.
 
-    Works over any commutative ring of scalars, in particular over jets,
-    whose values cannot be divided by.  Intended for small matrices.
+    Laplace expansion row by row, memoized on the set of columns used so
+    far.  Returns a dict from each k-column bitmask (bit c = column c) to
+    the determinant of the k x k submatrix on those columns; an absent
+    mask means that minor is zero.  Works over any commutative ring of
+    scalars, in particular over jets, whose values cannot be divided by.
+    Intended for small matrices.
     """
-    k = len(rows)
-    if any(len(r) != k for r in rows):
-        raise ValueError("determinant requires a square matrix")
-    if k == 0:
-        return 1
     cur = {0: 1}
-    for i in range(k):
+    for i, row in enumerate(rows):
         nxt = {}
-        row = rows[i]
         for mask, v in cur.items():
-            for c in range(k):
+            for c, a in enumerate(row):
                 bit = 1 << c
-                if mask & bit:
-                    continue
-                a = row[c]
-                if not a:
+                if mask & bit or not a:
                     continue
                 term = a * v
                 if (i + (mask & (bit - 1)).bit_count()) % 2:
@@ -160,10 +157,19 @@ def det(rows):
                 else:
                     nxt[key] = term
         if not nxt:
-            return rows[0][0] * 0  # a whole row was zero
+            return {}  # a whole row was zero
         cur = nxt
+    return cur
+
+
+def det(rows):
+    """Determinant of a square matrix: its one maximal minor (`minors`)."""
+    k = len(rows)
+    if any(len(r) != k for r in rows):
+        raise ValueError("determinant requires a square matrix")
     full = (1 << k) - 1
-    return cur.get(full, rows[0][0] * 0)
+    found = minors(rows)
+    return found[full] if full in found else rows[0][0] * 0
 
 
 # ---------------------------------------------------------------------------

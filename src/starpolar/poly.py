@@ -224,19 +224,38 @@ def form_from_vector(ring: str, num_vars: int, degree: int, vec) -> Form:
                 {basis[i]: c for i, c in enumerate(vec) if c})
 
 
+def monomial_values(coords, degree: int):
+    """Values of the degree-t basis monomials at ``coords``, in canonical order.
+
+    Each coordinate's powers are formed once; a monomial's value is the
+    product of the powers it uses, so no product with a literal 1 is formed
+    (the degree-0 monomial is the int 1).  Works over any commutative
+    scalars, including jets.
+    """
+    coords = list(coords)
+    pows = []
+    for b in coords:
+        col = [None, b]
+        for _ in range(degree - 1):
+            col.append(col[-1] * b)
+        pows.append(col)
+    out = []
+    for mono in monomial_basis(len(coords), degree):
+        value = None
+        for col, e in zip(pows, mono):
+            if e:
+                value = col[e] if value is None else value * col[e]
+        out.append(1 if value is None else value)
+    return out
+
+
 def evaluate(f: Form, coords):
     """Evaluate a form at affine coordinates (any commutative scalars)."""
     coords = list(coords)
     if len(coords) != f.num_vars:
         raise ValueError("coordinate count does not match variable count")
-    total = 0
-    for mono, c in f.terms.items():
-        term = c
-        for b, e in zip(coords, mono):
-            for _ in range(e):
-                term = term * b
-        total = total + term
-    return total
+    return sum(c * v for c, v in zip(coefficient_vector(f),
+                                     monomial_values(coords, f.degree)) if c)
 
 
 def contract(op: Form, f: Form) -> Form:
@@ -277,29 +296,12 @@ def contract(op: Form, f: Form) -> Form:
 
 
 def linear_power_coefficients(coords, degree: int):
-    """Coefficient vector of (c0*x0 + ... + cn*xn)^degree over the basis.
-
-    Multinomial expansion with cached coordinate powers; works over any
-    commutative scalars, including jets.
-    """
+    """Coefficient vector of (c0*x0 + ... + cn*xn)^degree over the basis:
+    multinomial times monomial value (any commutative scalars, including jets)."""
     coords = list(coords)
-    n1 = len(coords)
-    pows = []
-    for b in coords:
-        col = [1]
-        acc = None
-        for _ in range(degree):
-            acc = b if acc is None else acc * b
-            col.append(acc)
-        pows.append(col)
-    out = []
-    for mono in monomial_basis(n1, degree):
-        term = multinomial(degree, mono)
-        for j, e in enumerate(mono):
-            if e:
-                term = term * pows[j][e]
-        out.append(term)
-    return out
+    return [multinomial(degree, mono) * v
+            for mono, v in zip(monomial_basis(len(coords), degree),
+                               monomial_values(coords, degree))]
 
 
 # ---------------------------------------------------------------------------

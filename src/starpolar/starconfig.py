@@ -5,9 +5,10 @@ configuration ideal, and Hilbert functions of point sets.
 Given r linear forms in the dual ring with every (n+1)-subset linearly
 independent, the configuration consists of the C(r, n) points cut out by
 the n-subsets.  Each point is computed by signed maximal minors of the
-n x (n+1) coefficient matrix of its subset (Cramer), so coordinates stay
-polynomial in the hyperplane coefficients; this is what downstream
-Jacobian computations differentiate through.
+n x (n+1) coefficient matrix of its subset (Cramer), all n+1 of them from
+one `linalg.minors` pass, so coordinates stay polynomial in the hyperplane
+coefficients; this is what downstream Jacobian computations differentiate
+through.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from itertools import combinations
 from math import comb
 
 from . import linalg
-from .field import DEFAULT_PRIME, constant_part, random_scalar
+from .field import random_scalar
 from .poly import (DUAL, Form, coefficient_vector, evaluate, form_from_vector,
-                   monomial_basis)
+                   monomial_values)
 from .apolar import ideal_piece_dimension
 
 # random draws (hyperplane sets, parameter points) tried before giving up
@@ -63,11 +64,11 @@ class HyperplaneSet:
     """An ordered list of r (>= n) linear forms in the dual ring, certified
     in general position at construction."""
 
-    def __init__(self, coeff_rows, num_vars: int | None = None):
+    def __init__(self, coeff_rows):
         rows = [tuple(r) for r in coeff_rows]
         if not rows:
             raise ValueError("need at least one hyperplane")
-        width = num_vars if num_vars is not None else len(rows[0])
+        width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("hyperplane coefficient vectors have mixed lengths")
         if width < 2:
@@ -123,18 +124,18 @@ def _points_from_coeff_rows(rows, n: int):
 
     Coordinate j of the point for subset tau is (-1)^j times the maximal
     minor of the n x (n+1) matrix of tau's rows with column j removed, so
-    it involves no coefficient from variable slot j.
+    it involves no coefficient from variable slot j.  The rows must be
+    certified (`general_position_violation`), so every point is nonzero.
     """
+    full = (1 << (n + 1)) - 1
+    zero = rows[0][0] * 0
     points = []
     for tau in combinations(range(len(rows)), n):
-        sub = [list(rows[j]) for j in tau]
+        found = linalg.minors([rows[j] for j in tau])
         coords = []
         for j in range(n + 1):
-            minor = linalg.det([row[:j] + row[j + 1:] for row in sub])
+            minor = found.get(full ^ (1 << j), zero)
             coords.append(-minor if j % 2 else minor)
-        if not any(constant_part(c) for c in coords):
-            raise DegenerateIntersectionError(
-                f"hyperplane subset {tau} does not cut out a point")
         points.append(StarPoint(tau, tuple(coords)))
     return points
 
@@ -219,29 +220,12 @@ def _point_coords(points):
     return [pt.coords if isinstance(pt, StarPoint) else tuple(pt) for pt in points]
 
 
-def evaluation_matrix(points, degree: int, num_vars: int):
+def evaluation_matrix(points, degree: int):
     """Rows = points, columns = the degree-t monomial basis evaluated there."""
-    coords = _point_coords(points)
-    rows = []
-    for c in coords:
-        pows = []
-        for b in c:
-            col = [1]
-            for _ in range(degree):
-                col.append(col[-1] * b)
-            pows.append(col)
-        row = []
-        for mono in monomial_basis(num_vars, degree):
-            term = 1
-            for j, e in enumerate(mono):
-                if e:
-                    term = term * pows[j][e]
-            row.append(term)
-        rows.append(row)
-    return rows
+    return [monomial_values(c, degree) for c in _point_coords(points)]
 
 
-def hilbert_function(points, t_max: int, num_vars: int | None = None) -> HilbertFunctionTable:
+def hilbert_function(points, t_max: int) -> HilbertFunctionTable:
     """HF(t) = rank of the evaluation matrix of the point set in degree t.
 
     Row scaling cannot change the rank, so the raw minor coordinates of
@@ -250,8 +234,7 @@ def hilbert_function(points, t_max: int, num_vars: int | None = None) -> Hilbert
     coords = _point_coords(points)
     if not coords:
         raise ValueError("need at least one point")
-    nv = num_vars if num_vars is not None else len(coords[0])
-    return HilbertFunctionTable([linalg.rank(evaluation_matrix(coords, t, nv))
+    return HilbertFunctionTable([linalg.rank(evaluation_matrix(coords, t))
                                  for t in range(t_max + 1)])
 
 
@@ -259,7 +242,7 @@ def point_ideal_piece(points, degree: int, num_vars: int | None = None):
     """Basis of the degree-t dual forms vanishing on the point set."""
     coords = _point_coords(points)
     nv = num_vars if num_vars is not None else len(coords[0])
-    rows = evaluation_matrix(coords, degree, nv)
+    rows = evaluation_matrix(coords, degree)
     kernel = linalg.kernel_basis(rows, comb(nv - 1 + degree, degree))
     return [form_from_vector(DUAL, nv, degree, v) for v in kernel]
 
@@ -278,7 +261,7 @@ def star_ideal_dimension_by_intersection(hset: HyperplaneSet, t: int) -> int:
     nv = hset.n + 1
     points = [linalg.kernel_basis([hset.coeffs[j] for j in tau], nv)[0]
               for tau in combinations(range(hset.r), hset.n)]
-    return comb(nv - 1 + t, t) - linalg.rank(evaluation_matrix(points, t, nv))
+    return comb(nv - 1 + t, t) - linalg.rank(evaluation_matrix(points, t))
 
 
 def star_ideal_dimension_by_products(hset: HyperplaneSet, t: int) -> int:
@@ -302,8 +285,8 @@ def star_ideal_graded_dimension(hset: HyperplaneSet, t: int) -> int:
     return by_intersection
 
 
-def random_hyperplanes(n: int, r: int, rng, p: int = DEFAULT_PRIME) -> HyperplaneSet:
-    """Draw a certified random hyperplane set over F_p.
+def random_hyperplanes(n: int, r: int, rng) -> HyperplaneSet:
+    """Draw a certified random hyperplane set over F_p, p = `DEFAULT_PRIME`.
 
     Resamples the whole set (consuming the seed stream deterministically)
     whenever `HyperplaneSet` rejects it (a zero row or a vanishing
@@ -316,7 +299,7 @@ def random_hyperplanes(n: int, r: int, rng, p: int = DEFAULT_PRIME) -> Hyperplan
         raise ValueError(f"need r >= n, got r={r}, n={n}")
     for _ in range(RESAMPLE_BUDGET):
         try:
-            return HyperplaneSet([[random_scalar(rng, p) for _ in range(n + 1)]
+            return HyperplaneSet([[random_scalar(rng) for _ in range(n + 1)]
                                   for _ in range(r)])
         except ValueError:
             continue

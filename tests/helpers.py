@@ -4,8 +4,10 @@ These deliberately do not reuse the package's jet class or sparse-form
 machinery: the epsilon scalars below are plain univariate polynomial
 lists with convolution products (no product rule anywhere), and the
 dict polynomials expand and differentiate symbolically.  Agreement with
-the package is therefore a genuine cross-check.  `rref_kernel` is the
-exact reference for the int64 mod-p kernels: the generic `rref` alone.
+the package is therefore a genuine cross-check.  `eps_jacobian`, the
+oracle for the jet Jacobian, runs the coefficient map on epsilon scalars.
+`rref_kernel` is the exact reference for the int64 mod-p kernels: the
+generic `rref` alone.
 The (3, 7, 5) certificate at the end checks its identity over the
 integers with plain dict polynomials, using no Cramer or jet code.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from math import factorial, prod
 
+from starpolar.existence import gamma_coefficients
 from starpolar.field import Fp
 from starpolar.linalg import rref
 from starpolar.poly import monomial_basis
@@ -82,6 +85,20 @@ class EpsPoly:
 
     def __repr__(self):
         return f"EpsPoly({self.c!r})"
+
+
+def eps_jacobian(d, r, n, values, p):
+    """Row k of the Jacobian via a formal nilpotent direction, independently
+    of jet arithmetic: evaluate at value + eps * e_k and expand."""
+    m = len(values)
+    rows = []
+    for k in range(m):
+        params = [EpsPoly([v, Fp(1 if i == k else 0, p)])
+                  for i, v in enumerate(values)]
+        out = gamma_coefficients(d, r, n, params)
+        rows.append([int(c.eps_coefficient()) if isinstance(c, EpsPoly) else 0
+                     for c in out])
+    return rows
 
 
 # ---------------------------------------------------------------------------

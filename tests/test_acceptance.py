@@ -15,9 +15,9 @@ import pytest
 from starpolar.apolar import (ideal_piece_dimension, is_apolar_ideal_contained,
                               perp_piece, solve_waring, verify_perp_generators)
 from starpolar.existence import (PLANE_VERIFIED_DEGREE, classify,
-                                 gamma_coefficients, jacobian_matrix,
-                                 jacobian_rank_test, parameter_count, rho,
-                                 rho_n2, DegenerateParametersError)
+                                 jacobian_matrix, jacobian_rank_test,
+                                 parameter_count, rho, rho_n2,
+                                 DegenerateParametersError)
 from starpolar.field import DEFAULT_PRIME, Fp, random_scalar
 from starpolar.poly import (DUAL, Form, coefficient_vector, monomial_basis,
                             parse_form)
@@ -28,7 +28,7 @@ from starpolar.starconfig import (HyperplaneSet, build_star_configuration,
                                   star_ideal_dimension_by_products,
                                   star_ideal_product_generators)
 from starpolar import linalg
-from helpers import (EpsPoly, certificate_residuals, mu_certificate,
+from helpers import (certificate_residuals, eps_jacobian, mu_certificate,
                      star7_conormal)
 
 
@@ -240,18 +240,6 @@ def test_criterion_09_golden_conic_plus_tangent():
     assert ok
 
 
-def _eps_jacobian(d, r, n, values, p):
-    m = len(values)
-    rows = []
-    for k in range(m):
-        params = [EpsPoly([v, Fp(1 if i == k else 0, p)])
-                  for i, v in enumerate(values)]
-        out = gamma_coefficients(d, r, n, params)
-        rows.append([int(c.eps_coefficient()) if isinstance(c, EpsPoly) else 0
-                     for c in out])
-    return rows
-
-
 def test_criterion_10_jacobian_oracle_equivalence():
     t0 = time.perf_counter()
     p = DEFAULT_PRIME
@@ -271,7 +259,7 @@ def test_criterion_10_jacobian_oracle_equivalence():
                         continue
                     points += 1
                     checked += 1
-                    ok = ok and jet_rows == _eps_jacobian(d, r, n, vals, p)
+                    ok = ok and jet_rows == eps_jacobian(d, r, n, vals, p)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     _line(10, "jet Jacobian equals nilpotent-epsilon oracle entrywise", ok,

@@ -259,16 +259,16 @@ def test_sweep_rejects_bad_mode_and_range(capsys):
                  "--out", "x"]) != 0
 
 
-def test_env_defaults_and_flag_precedence(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("STARPOLAR_SEED", "21")
-    code, data = run_json(capsys, ["jactest", "--d", "2", "--r", "3", "--n", "2"])
-    assert data["seed"] == 21
+def test_rank_test_flags_alone_set_seed_and_prime(capsys, monkeypatch):
     code, data = run_json(capsys, ["jactest", "--d", "2", "--r", "3", "--n", "2",
                                    "--seed", "4"])
-    assert data["seed"] == 4
-    monkeypatch.setenv("STARPOLAR_PRIME", "15")  # not prime: must be rejected
-    code = main(["jactest", "--d", "2", "--r", "3", "--n", "2"])
-    assert code != 0
+    assert code == 0 and data["seed"] == 4
+    code = main(["jactest", "--d", "2", "--r", "3", "--n", "2", "--prime", "15"])
+    assert code == 2 and "not prime" in capsys.readouterr().err
+    # the environment is not an input: the default seed stays 1
+    monkeypatch.setenv("STARPOLAR_SEED", "21")
+    code, data = run_json(capsys, ["jactest", "--d", "2", "--r", "3", "--n", "2"])
+    assert code == 0 and data["seed"] == 1
 
 
 def test_bad_form_is_a_clean_error(capsys):

@@ -15,7 +15,7 @@ from starpolar.field import DEFAULT_PRIME, Fp, random_scalar
 from starpolar.apolar import solve_waring
 from starpolar.poly import coefficient_vector, monomial_basis, parse_form
 from starpolar.starconfig import intersection_points, HyperplaneSet
-from helpers import EpsPoly
+from helpers import eps_jacobian
 
 
 def test_rho_examples():
@@ -130,26 +130,6 @@ def test_gamma_validates_input():
         gamma_coefficients(3, 4, 2, params)
 
 
-def _eps_jacobian(d, r, n, values, p):
-    """Row k of the Jacobian via a formal nilpotent direction, independently
-    of jet arithmetic: evaluate at value + eps * e_k and expand."""
-    m = len(values)
-    rows = []
-    for k in range(m):
-        params = [EpsPoly([v, Fp(1 if i == k else 0, p)])
-                  for i, v in enumerate(values)]
-        out = gamma_coefficients(d, r, n, params)
-        row = []
-        for c in out:
-            if isinstance(c, EpsPoly):
-                e1 = c.eps_coefficient()
-                row.append(int(e1) if isinstance(e1, Fp) else int(e1))
-            else:
-                row.append(0)
-        rows.append(row)
-    return rows
-
-
 def test_jacobian_matches_nilpotent_epsilon_oracle_small():
     p = DEFAULT_PRIME
     rng = random.Random(41)
@@ -161,7 +141,7 @@ def test_jacobian_matches_nilpotent_epsilon_oracle_small():
                 jet_rows = jacobian_matrix(d, r, n, vals)
             except DegenerateParametersError:
                 continue
-            assert jet_rows == _eps_jacobian(d, r, n, vals, p)
+            assert jet_rows == eps_jacobian(d, r, n, vals, p)
 
 
 def test_jactest_small_known_ranks():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -64,6 +65,40 @@ def test_det_matches_cofactor_values():
         rows = [[Fraction(rng.randrange(-4, 5)) for _ in range(k)] for _ in range(k)]
         # compare with rank: singular iff rank < k
         assert (linalg.det(rows) == 0) == (linalg.rank(rows) < k)
+    # every maximal minor of a k x m matrix against the Leibniz sum
+    p = 101
+    cases = []
+    for scalar in (Fraction, lambda v: Fp(v, p)):
+        for m in range(6):
+            for k in range(m + 1):
+                rows = [[scalar(rng.randrange(-4, 5)) for _ in range(m)]
+                        for _ in range(k)]
+                cases.append((rows, m))
+        zero_row = [[scalar(rng.randrange(1, 5)) for _ in range(4)] for _ in range(3)]
+        zero_row[1] = [scalar(0)] * 4
+        zero_col = [[scalar(rng.randrange(1, 5)) for _ in range(5)] for _ in range(3)]
+        for row in zero_col:
+            row[2] = scalar(0)
+        cases += [(zero_row, 4), (zero_col, 5)]
+    for rows, m in cases:
+        found = linalg.minors(rows)
+        masks = {sum(1 << c for c in cols): cols
+                 for cols in combinations(range(m), len(rows))}
+        assert set(found) <= set(masks)
+        for mask, cols in masks.items():
+            expected = _leibniz(rows, cols)
+            assert found.get(mask, 0) == expected  # absent means zero
+
+
+def _leibniz(rows, cols):
+    """Determinant of the submatrix on ``cols`` as a signed permutation sum."""
+    total = 0
+    for perm in permutations(range(len(cols))):
+        term = -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
+        for i, j in enumerate(perm):
+            term = term * rows[i][cols[j]]
+        total = total + term
+    return total
 
 
 def test_det_over_jets_matches_value_determinant():

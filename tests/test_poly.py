@@ -122,6 +122,12 @@ def test_linear_power_matches_form_power():
         vec = linear_power_coefficients(coords, d)
         form = Form.linear(PRIMAL, coords) ** d
         assert vec == coefficient_vector(form, d)
+    # degree 0, and F_p coordinates (mod 3 some multinomials vanish)
+    for d in range(5):
+        for coords in ([Fraction(2), Fraction(-1)], [Fp(1, 3), Fp(2, 3), Fp(0, 3)],
+                       [Fp(rng.randrange(1, 101), 101) for _ in range(3)]):
+            vec = linear_power_coefficients(coords, d)
+            assert vec == coefficient_vector(Form.linear(PRIMAL, coords) ** d, d)
 
 
 def test_multinomial():
@@ -135,6 +141,10 @@ def test_evaluate():
     assert evaluate(C, [1, 0, 0]) == 1
     assert evaluate(C, [1, 1, 1]) == 0
     assert evaluate(C, [Fp(2, 7), Fp(1, 7), Fp(1, 7)]) == Fp(0, 7)
+    const = parse_form("5", num_vars=3)
+    assert const.degree == 0
+    assert evaluate(const, [2, 3, 4]) == 5
+    assert evaluate(const, [Fp(2, 7), Fp(0, 7), Fp(1, 7)]) == 5
 
 
 # ---------------------------------------------------------------------------

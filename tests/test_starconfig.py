@@ -6,8 +6,8 @@ import pytest
 
 from starpolar.field import DEFAULT_PRIME, Fp
 from starpolar.poly import DUAL, Form, evaluate, parse_form
-from starpolar.starconfig import (RESAMPLE_BUDGET, DegenerateIntersectionError,
-                                  GeneralPositionError, HilbertFunctionTable,
+from starpolar.starconfig import (RESAMPLE_BUDGET, GeneralPositionError,
+                                  HilbertFunctionTable,
                                   HyperplaneSet, build_star_configuration,
                                   general_position_violation, hilbert_function,
                                   intersection_points, point_ideal_piece,
@@ -92,9 +92,6 @@ def test_intersection_point_count():
 
 
 def test_degenerate_r_equals_n_detected():
-    from starpolar.starconfig import _points_from_coeff_rows
-    with pytest.raises(DegenerateIntersectionError):
-        _points_from_coeff_rows([(1, 0, 0), (2, 0, 0)], 2)
     with pytest.raises(GeneralPositionError):
         HyperplaneSet([(1, 0, 0), (2, 0, 0)])
 
