@@ -16,7 +16,7 @@ from . import linalg
 from .field import scalar_to_str
 from .poly import (DUAL, PRIMAL, Form, coefficient_vector, contract,
                    form_from_vector, linear_power_coefficients,
-                   monomial_basis, format_form)
+                   monomial_basis, format_form, shift_table)
 
 
 @dataclass
@@ -125,23 +125,39 @@ def is_apolar_ideal_contained(generators, f: Form) -> ApolarityCheck:
     return ApolarityCheck(True)
 
 
-def ideal_piece_dimension(generators, t: int) -> int:
-    """Dimension of the degree-t piece of the ideal the generators span.
+def _product_rows(gens, t: int):
+    """Coefficient rows of every (monomial x generator) product of degree t.
 
-    Computed as the rank of all (monomial x generator) products of degree
-    t, which is exact because contraction-side questions in this package
-    are all bounded in degree.
+    The row of m * g holds g's coefficients at the positions `shift_table`
+    gives for m, zeros elsewhere: no product is expanded and no scalar is
+    multiplied.  Generators of degree above t contribute no row.
     """
-    gens = [g for g in generators if not g.is_zero()]
-    if not gens:
-        return 0
     nv = gens[0].num_vars
+    width = len(monomial_basis(nv, t))
     rows = []
     for g in gens:
         if g.degree > t:
             continue
-        for m in monomial_basis(nv, t - g.degree):
-            rows.append(coefficient_vector(Form.monomial(g.ring, m) * g))
+        terms = [(i, c) for i, c in enumerate(coefficient_vector(g)) if c]
+        for positions in shift_table(nv, t - g.degree, g.degree):
+            row = [0] * width
+            for i, c in terms:
+                row[positions[i]] = c
+            rows.append(row)
+    return rows
+
+
+def ideal_piece_dimension(generators, t: int) -> int:
+    """Dimension of the degree-t piece of the ideal the generators span.
+
+    The piece is spanned by the products m * g with m a monomial of degree
+    t - deg g, so its dimension is the rank of their coefficient rows
+    (`_product_rows`) over the field of the coefficients.
+    """
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
+        return 0
+    rows = _product_rows(gens, t)
     if not rows:
         return 0
     return linalg.rank(rows)

@@ -150,7 +150,8 @@ def _cmd_jactest(args) -> int:
     payload = report.to_json_dict()
     _emit(args, payload,
           [f"({args.d},{args.r},{args.n}): {report.verdict}, "
-           f"rank {report.rank} of target {report.target} "
+           f"rank {report.rank} of target {report.target}, "
+           f"expected {report.expected_rank}, defect {report.defect} "
            f"(m={report.m}, prime={report.prime}, seed={report.seed}, "
            f"trials={report.trials}, {report.elapsed_ms} ms)"])
     return 0
@@ -300,14 +301,17 @@ def _cmd_sweep(args) -> int:
             out.write(json.dumps(record, sort_keys=True) + "\n")
             out.flush()
             records.append({"d": d, "skipped": False,
-                            "verdict": report.verdict, "rank": report.rank})
+                            "verdict": report.verdict, "rank": report.rank,
+                            "expected_rank": report.expected_rank,
+                            "defect": report.defect})
     payload = {"out": args.out, "cells": records}
     lines = []
     for rec in records:
         if rec.get("skipped"):
             lines.append(f"d={rec['d']}: already recorded, skipped")
         else:
-            lines.append(f"d={rec['d']}: {rec['verdict']} (rank {rec['rank']})")
+            lines.append(f"d={rec['d']}: {rec['verdict']} (rank {rec['rank']}, "
+                         f"expected {rec['expected_rank']}, defect {rec['defect']})")
     _emit(args, payload, lines)
     return 0
 

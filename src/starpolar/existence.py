@@ -259,12 +259,25 @@ class JacobianTestReport:
     def rank_full(self) -> bool:
         return self.rank == self.target
 
+    @property
+    def expected_rank(self) -> int:
+        """Generic rank if nothing beyond the r hyperplane rescalings is lost:
+        min(target, m - r)."""
+        return min(self.target, self.m - self.r)
+
+    @property
+    def defect(self) -> int:
+        """How far the rank falls short of `expected_rank`: 0 when a deficit
+        is forced by rho < 0, positive on a genuinely defective triple."""
+        return self.expected_rank - self.rank
+
     def to_json_dict(self) -> dict:
         return {
             "d": self.d, "r": self.r, "n": self.n,
             "m": self.m, "target": self.target,
             "prime": self.prime, "seed": self.seed, "trials": self.trials,
-            "rank": self.rank, "verdict": self.verdict,
+            "rank": self.rank, "expected_rank": self.expected_rank,
+            "defect": self.defect, "verdict": self.verdict,
             "elapsed_ms": self.elapsed_ms, "note": self.note,
         }
 

@@ -14,7 +14,12 @@ returns every maximal minor of a k x m matrix from one Laplace pass, and
 The `*_mod` kernels reduce integer rows mod p with numpy int64
 vectorization.  They require p < 2^31 (`INT64_PRIME_LIMIT`) so that a
 product of two reduced residues fits in a signed 64-bit word; the package
-default prime 2^31 - 1 is the largest prime satisfying this.
+default prime 2^31 - 1 is the largest prime satisfying this.  Elimination
+at a pivot in column c touches only the rows with a nonzero entry in c,
+and only their columns from c on: every other row would receive 0 times
+the pivot row, and the pivot row is zero left of c.  So sparse matrices
+(the product rows of an ideal piece) cost little, and the result is the
+same array as full-row elimination.
 """
 
 from __future__ import annotations
@@ -209,6 +214,23 @@ def rank_mod(rows, p: int) -> int:
     return len(_echelon_mod(M, p))
 
 
+def _eliminate(M, rows, r: int, c: int, p: int) -> None:
+    """Clear column c of the given rows with pivot row r (whose entry there is 1).
+
+    Row r is zero left of c, so only columns c: change.  Adjacent rows are
+    updated in place through a view, scattered ones through a gathered copy.
+    """
+    if not rows.size:
+        return
+    lo = int(rows[0])
+    run = rows[-1] - lo + 1 == rows.size
+    block = M[lo:lo + rows.size, c:] if run else M[rows, c:]
+    block -= np.outer(block[:, 0], M[r, c:])
+    block %= p
+    if not run:
+        M[rows, c:] = block
+
+
 def _echelon_mod(M, p: int):
     """In-place row-echelon form mod p (eliminate below only, pivots are 1).
 
@@ -218,19 +240,18 @@ def _echelon_mod(M, p: int):
     pivots = []
     r = 0
     for c in range(ncols):
-        nz = np.nonzero(M[r:, c])[0]
+        nz = np.flatnonzero(M[r:, c])
         if nz.size == 0:
             continue
         j = r + int(nz[0])
         if j != r:
             M[[r, j]] = M[[j, r]]
         inv = pow(int(M[r, c]), -1, p)
-        M[r] = (M[r] * inv) % p
-        below = M[r + 1:, c].copy()
-        if below.any():
-            block = M[r + 1:]
-            np.subtract(block, np.outer(below, M[r]), out=block)
-            np.remainder(block, p, out=block)
+        prow = M[r, c:]
+        prow *= inv
+        prow %= p
+        # the rows r + nz[1:] keep their place in the swap (they lie below j)
+        _eliminate(M, r + nz[1:], r, c, p)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -246,11 +267,7 @@ def rref_mod(rows, p: int):
     pivots = _echelon_mod(M, p)
     for r in reversed(range(len(pivots))):
         c = pivots[r]
-        above = M[:r, c].copy()
-        if above.any():
-            block = M[:r]
-            np.subtract(block, np.outer(above, M[r]), out=block)
-            np.remainder(block, p, out=block)
+        _eliminate(M, np.flatnonzero(M[:r, c]), r, c, p)
     return M, pivots
 
 

@@ -57,6 +57,20 @@ def basis_index(num_vars: int, degree: int):
     return {m: i for i, m in enumerate(monomial_basis(num_vars, degree))}
 
 
+@lru_cache(maxsize=None)
+def shift_table(num_vars: int, shift: int, degree: int):
+    """Where multiplying by a monomial sends each basis monomial.
+
+    One tuple per degree-``shift`` monomial m, in canonical order; entry i is
+    the position of m * b_i in the degree-(shift + degree) basis, where b_i
+    is the i-th degree-``degree`` basis monomial.
+    """
+    idx = basis_index(num_vars, shift + degree)
+    basis = monomial_basis(num_vars, degree)
+    return tuple(tuple(idx[tuple(a + e for a, e in zip(m, b))] for b in basis)
+                 for m in monomial_basis(num_vars, shift))
+
+
 def multinomial(d: int, exponents) -> int:
     out = math.factorial(d)
     for e in exponents:

@@ -189,7 +189,7 @@ def test_criterion_07_ideal_route_cross_check(shape_instances):
                 elif t == gen_degree:
                     ok = ok and a == comb(r, n - 1)
     elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 60.0
+    ok = ok and elapsed < 20.0
     _line(7, "intersection and product routes agree for all t <= r", ok,
           f"{elapsed:.1f}s")
     assert ok

@@ -5,12 +5,12 @@ from math import comb
 import pytest
 
 from starpolar import linalg
-from starpolar.apolar import (annihilates, catalecticant, ideal_piece_dimension,
-                              is_apolar_ideal_contained, perp_piece,
-                              solve_waring, verify_perp_generators)
+from starpolar.apolar import (_product_rows, annihilates, catalecticant,
+                              ideal_piece_dimension, is_apolar_ideal_contained,
+                              perp_piece, solve_waring, verify_perp_generators)
 from starpolar.field import Fp, random_scalar
 from starpolar.poly import (DUAL, PRIMAL, Form, coefficient_vector,
-                            monomial_basis, parse_form)
+                            monomial_basis, parse_form, shift_table)
 from starpolar.starconfig import point_ideal_piece
 
 from helpers import rref_kernel
@@ -141,6 +141,46 @@ def test_ideal_piece_dimension_matches_hand_count():
     assert ideal_piece_dimension(gens, 2) == 3
     assert ideal_piece_dimension(gens, 1) == 0
     assert ideal_piece_dimension([], 5) == 0
+
+
+def test_product_rows_match_form_products():
+    """Rows placed by `shift_table` against rows expanded by `Form.__mul__`."""
+    rng = random.Random(41)
+    fields = (lambda: Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)),
+              lambda: Fp(rng.randrange(7), 7),
+              lambda: random_scalar(rng))  # F_p, p = DEFAULT_PRIME
+    for trial in range(60):
+        scalar = fields[trial % 3]
+        nv = rng.randrange(1, 5)
+        gens = []
+        for _ in range(rng.randrange(1, 5)):
+            deg = rng.randrange(4)
+            terms = {m: scalar() for m in monomial_basis(nv, deg)
+                     if rng.random() < 0.5}
+            gens.append(Form(DUAL, nv, deg, terms))
+        gens.append(Form.zero(DUAL, nv, rng.randrange(4)))
+        nonzero = [g for g in gens if not g.is_zero()]
+        for t in range(5):
+            expanded = [coefficient_vector(Form.monomial(DUAL, m) * g)
+                        for g in nonzero if g.degree <= t
+                        for m in monomial_basis(nv, t - g.degree)]
+            assert (_product_rows(nonzero, t) if nonzero else []) == expanded
+            rank = len(linalg.rref(expanded)[1]) if expanded else 0
+            assert ideal_piece_dimension(gens, t) == rank
+
+
+def test_shift_table_matches_monomial_products():
+    for nv in range(1, 5):
+        for shift in range(4):
+            for degree in range(4):
+                target = monomial_basis(nv, shift + degree)
+                table = shift_table(nv, shift, degree)
+                for m, positions in zip(monomial_basis(nv, shift), table,
+                                        strict=True):
+                    for b, pos in zip(monomial_basis(nv, degree), positions,
+                                      strict=True):
+                        product = Form.monomial(DUAL, m) * Form.monomial(DUAL, b)
+                        assert list(product.terms) == [target[pos]]
 
 
 def test_solve_waring_cuspidal_star():

@@ -68,6 +68,10 @@ def test_jactest_command(capsys):
     assert data["verdict"] == "RankFull" and data["rank"] == 6
     assert data["seed"] == 11 and data["trials"] == 2
     assert data["prime"] == 2**31 - 1
+    # the text line says how far a rank falls short of the generic one
+    assert main(["jactest", "--d", "3", "--r", "7", "--n", "5",
+                 "--trials", "1"]) == 0
+    assert "rank 55 of target 56, expected 56, defect 1 " in capsys.readouterr().out
 
 
 def test_star_command(tmp_path, capsys):
@@ -210,6 +214,10 @@ def test_sweep_and_idempotency(tmp_path, capsys):
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert len(lines) == 2
     assert all(rec["report"]["verdict"] == "RankFull" for rec in lines)
+    assert [(rec["report"]["expected_rank"], rec["report"]["defect"])
+            for rec in lines] == [(10, 0), (15, 0)]
+    assert [(cell["expected_rank"], cell["defect"]) for cell in data["cells"]] \
+        == [(10, 0), (15, 0)]
     assert all(rec["source"] == "jactest" for rec in lines)
     assert lines[0]["report"]["seed"] == 5 + 3  # cell seed is base + d
     # idempotent re-run appends nothing

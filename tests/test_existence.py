@@ -165,6 +165,9 @@ def test_jactest_rank_bounds_and_monotonicity():
     r2 = jacobian_rank_test(3, 4, 3, seed=5, trials=3)
     assert r1.rank <= r2.rank
     assert r2.rank <= min(r2.m, r2.target)
+    # rho < 0: the r rescalings leave m - r = 16 < 20 directions, all used
+    assert r2.expected_rank == r2.m - r2.r == 16 < r2.target
+    assert r2.rank == 16 and r2.defect == 0
 
 
 def test_jactest_report_serialization():
@@ -173,9 +176,11 @@ def test_jactest_report_serialization():
     text = json.dumps(payload)
     back = json.loads(text)
     for key in ("d", "r", "n", "m", "target", "prime", "seed", "trials",
-                "rank", "verdict", "elapsed_ms", "note"):
+                "rank", "expected_rank", "defect", "verdict", "elapsed_ms",
+                "note"):
         assert key in back
     assert back["rank"] == 6 and back["verdict"] == "RankFull"
+    assert back["expected_rank"] == 6 and back["defect"] == 0
 
 
 def test_jactest_validates_prime():
@@ -221,6 +226,7 @@ def test_known_discrepancy_boundary_triple_3_7_5():
     assert rep.target == 56
     assert rep.rank == 55
     assert rep.verdict == "RankDeficient"
+    assert rep.expected_rank == 56 and rep.defect == 1
 
 
 def test_jactest_redraws_a_degenerate_point(monkeypatch):

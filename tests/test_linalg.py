@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from starpolar import linalg
-from starpolar.field import Fp, Jet
+from starpolar.field import DEFAULT_PRIME, Fp, Jet
 
 from helpers import rref_kernel
 
@@ -142,6 +142,46 @@ def test_mod_paths_agree_with_generic():
             for row in rows:
                 assert sum(a * int(b) for a, b in zip(row, v)) % p == 0
         assert [[Fp(e, p) for e in row] for row in ker.tolist()] == rref_kernel(frows, n)
+
+
+def _shaped_modp_cases(rng, p):
+    """Matrices up to 40 x 30 over F_p: tall, wide, sparse (about 10% nonzero)
+    and dense, with a forced row swap, an all-zero column and a duplicated row."""
+    cases = []
+    for m, n in ((40, 8), (40, 30), (6, 30), (25, 25), (1, 30), (40, 1)):
+        for density in (0.1, 1.0):
+            rows = [[rng.randrange(1, p) if rng.random() < density else 0
+                     for _ in range(n)] for _ in range(m)]
+            if n > 1:
+                zero_col = rng.randrange(n)
+                for row in rows:
+                    row[zero_col] = 0
+            if m > 3:
+                i, j = rng.sample(range(1, m - 1), 2)
+                rows[i] = list(rows[j])
+            # the pivot of the leading nonzero column lies below row 0
+            lead = next((c for c in range(n) if any(row[c] for row in rows)), None)
+            if m > 1 and lead is not None:
+                rows[0][lead] = 0
+                rows[-1][lead] = rng.randrange(1, p)
+            cases.append(rows)
+    return cases
+
+
+def test_mod_kernels_match_rref_over_fp_objects():
+    rng = random.Random(31)
+    for p in (2, 3, 101, DEFAULT_PRIME):
+        for rows in _shaped_modp_cases(rng, p):
+            n = len(rows[0])
+            frows = [[Fp(e, p) for e in row] for row in rows]
+            R, pivots = linalg.rref_mod(rows, p)
+            Rf, fpivots = linalg.rref(frows)
+            assert pivots == fpivots
+            assert R.tolist() == [[e.value for e in row] for row in Rf]
+            assert linalg.rank_mod(rows, p) == len(fpivots)
+            ker = linalg.kernel_mod(rows, n, p)
+            assert [[Fp(e, p) for e in row] for row in ker.tolist()] == \
+                rref_kernel(frows, n)
 
 
 def test_mod_path_rejects_oversized_prime():
