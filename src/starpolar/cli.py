@@ -102,9 +102,15 @@ def load_forms_file(path: str, ring: str, num_vars: int | None = None):
         except json.JSONDecodeError as exc:
             raise CliError(f"{path}: invalid JSON: {exc}") from exc
         for vec in data:
+            if not isinstance(vec, list) or not vec:
+                raise CliError(f"{path}: entry {vec!r} is not a coefficient vector")
             if num_vars is not None and len(vec) > num_vars:
                 raise CliError(f"{path}: vector of length {len(vec)} exceeds {num_vars} variables")
-            forms.append(Form.linear(ring, [scalar_from_str(str(s)) for s in vec]))
+            try:
+                coeffs = [scalar_from_str(str(s)) for s in vec]
+            except (ValueError, ZeroDivisionError) as exc:
+                raise CliError(f"{path}: bad scalar in {vec!r}: {exc}") from exc
+            forms.append(Form.linear(ring, coeffs))
     else:
         for line in text.splitlines():
             line = line.strip()

@@ -127,33 +127,23 @@ def classify(d: int, r: int, n: int) -> ClassificationVerdict:
             "a generic quadric needs n + 1 independent points")
     if r >= d + n:
         return ClassificationVerdict(Verdict.EXISTS, "ideal-degree-bound")
-    if n >= 6:
+    if (d, r, n) in EXCEPTIONAL_TRIPLES:
         return ClassificationVerdict(
-            Verdict.NOT_EXISTS, "parameter-count",
-            f"rho = {rho(d, r, n)} < 0")
-    if n in (3, 4, 5):
-        if (d, r, n) in EXCEPTIONAL_TRIPLES:
-            return ClassificationVerdict(
-                Verdict.EXISTS, "exceptional-triple",
-                "tabulated below-threshold entry; cross-check with the rank test")
-        if (d, r, n) in DEFECTIVE_TRIPLES:
-            return ClassificationVerdict(
-                Verdict.NOT_EXISTS, "certified-defective",
-                f"rho = {rho(d, r, n)}, but the generic Jacobian rank is "
-                f"{DEFECTIVE_TRIPLES[d, r, n]} < {comb(n + d, d)}")
+            Verdict.EXISTS, "exceptional-triple",
+            "tabulated below-threshold entry; cross-check with the rank test")
+    if (d, r, n) in DEFECTIVE_TRIPLES:
         return ClassificationVerdict(
-            Verdict.NOT_EXISTS, "parameter-count",
-            f"rho = {rho(d, r, n)} < 0")
-    # n == 2
-    if r <= d:
+            Verdict.NOT_EXISTS, "certified-defective",
+            f"rho = {rho(d, r, n)}, but the generic Jacobian rank is "
+            f"{DEFECTIVE_TRIPLES[d, r, n]} < {comb(n + d, d)}")
+    if n == 2 and r == d + 1:
         return ClassificationVerdict(
-            Verdict.NOT_EXISTS, "parameter-count",
-            f"rho = {rho(d, r, n)} < 0")
+            Verdict.CONJECTURAL_EXISTS, "ternary-conjecture",
+            f"verified computationally for d <= {PLANE_VERIFIED_DEGREE}"
+            if d <= PLANE_VERIFIED_DEGREE
+            else f"open; verified computationally only for d <= {PLANE_VERIFIED_DEGREE}")
     return ClassificationVerdict(
-        Verdict.CONJECTURAL_EXISTS, "ternary-conjecture",
-        f"verified computationally for d <= {PLANE_VERIFIED_DEGREE}"
-        if d <= PLANE_VERIFIED_DEGREE
-        else f"open; verified computationally only for d <= {PLANE_VERIFIED_DEGREE}")
+        Verdict.NOT_EXISTS, "parameter-count", f"rho = {rho(d, r, n)} < 0")
 
 
 # ---------------------------------------------------------------------------

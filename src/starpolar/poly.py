@@ -17,9 +17,11 @@ Text grammar (whitespace-insensitive)::
     primary :=  integer [ '/' integer ] | variable | '(' expr ')'
 
 where a variable is ``x<k>`` or ``y<k>`` (primal/dual may not be mixed).
-Arbitrary parenthesized arithmetic is accepted; homogeneity is checked on
-the expanded result.  The canonical printed format uses explicit ``*``
-and ``^`` with terms in canonical order, e.g. ``x0^3 - x1^2*x2``.
+Arbitrary parenthesized arithmetic is accepted: the parser expands it
+with `Form` arithmetic over ``Fraction`` coefficients, one form per total
+degree, and homogeneity is checked on the expanded result.  The canonical
+printed format uses explicit ``*`` and ``^`` with terms in canonical
+order, e.g. ``x0^3 - x1^2*x2``.
 """
 
 from __future__ import annotations
@@ -290,15 +292,9 @@ def contract(op: Form, f: Form) -> Form:
     terms = {}
     for beta, c_op in op.terms.items():
         for alpha, c_f in f.terms.items():
-            mult = 1
-            ok = True
-            for a, b in zip(alpha, beta):
-                if a < b:
-                    ok = False
-                    break
-                for t in range(a, a - b, -1):  # falling factorial a!/(a-b)!
-                    mult *= t
-            if not ok:
+            # falling factorials a!/(a-b)!; perm(a, b) is 0 when b > a
+            mult = math.prod(map(math.perm, alpha, beta))
+            if not mult:
                 continue
             mono = tuple(a - b for a, b in zip(alpha, beta))
             s = terms.get(mono, 0) + c_op * c_f * mult
@@ -367,16 +363,40 @@ def _tokenize(text: str):
     return tokens
 
 
+def _collect(pieces):
+    """Sum (degree, Form) pieces into {degree: nonzero Form}."""
+    out = {}
+    for d, f in pieces:
+        if d in out:
+            f = out.pop(d) + f
+        if f:
+            out[d] = f
+    return out
+
+
+def _product(p, q):
+    return _collect((d1 + d2, f1 * f2)
+                    for d1, f1 in p.items() for d2, f2 in q.items())
+
+
 class _Parser:
-    """Recursive-descent parser producing a raw (possibly inhomogeneous)
-    polynomial as {exponent-dict-items: Fraction} plus a ring letter."""
+    """Recursive-descent parser over the grammar above.
+
+    Each rule returns a possibly inhomogeneous polynomial as
+    {degree: nonzero Form}.  Every piece is a primal-tagged form with
+    ``Fraction`` coefficients and one width, the declared ``num_vars`` or
+    else one more than the largest variable index in the text, so all
+    expansion is `Form` arithmetic.  The ring letter is recorded as
+    variables are read.
+    """
 
     def __init__(self, text: str, num_vars):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.ring = None
-        self.max_index = -1
         self.num_vars = num_vars
+        self.width = num_vars if num_vars is not None else 1 + max(
+            (value[1] for kind, value, _ in self.tokens if kind == "var"), default=0)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -392,61 +412,34 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
         return tok
 
-    # raw polynomials are dicts {key: coeff} with key = sorted tuple of
-    # (var, exp) pairs; the empty tuple is the constant monomial
-    @staticmethod
-    def _mul_raw(p, q):
-        out = {}
-        for k1, c1 in p.items():
-            d1 = dict(k1)
-            for k2, c2 in q.items():
-                d = dict(d1)
-                for v, e in k2:
-                    d[v] = d.get(v, 0) + e
-                key = tuple(sorted(d.items()))
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return out
-
-    @staticmethod
-    def _add_raw(p, q, sign=1):
-        out = dict(p)
-        for k, c in q.items():
-            s = out.get(k, 0) + sign * c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return out
+    def constant(self, coeff: Fraction):
+        f = Form.monomial(PRIMAL, (0,) * self.width, coeff)
+        return {0: f} if f else {}
 
     def parse_expr(self):
         sign = 1
         if self.peek()[0] in "+-":
             sign = -1 if self.take()[0] == "-" else 1
-        acc = self._mul_raw({(): Fraction(sign)}, self.parse_term())
+        pieces = [(d, sign * f) for d, f in self.parse_term().items()]
         while self.peek()[0] in "+-":
-            op = self.take()[0]
-            acc = self._add_raw(acc, self.parse_term(), -1 if op == "-" else 1)
-        return acc
+            sign = -1 if self.take()[0] == "-" else 1
+            pieces += [(d, sign * f) for d, f in self.parse_term().items()]
+        return _collect(pieces)
 
     def parse_term(self):
         acc = self.parse_factor()
         while self.peek()[0] == "*":
             self.take()
-            acc = self._mul_raw(acc, self.parse_factor())
+            acc = _product(acc, self.parse_factor())
         return acc
 
     def parse_factor(self):
         base = self.parse_primary()
         if self.peek()[0] == "^":
             self.take()
-            tok = self.expect("int")
-            out = {(): Fraction(1)}
-            for _ in range(tok[1]):
-                out = self._mul_raw(out, base)
+            out = self.constant(Fraction(1))
+            for _ in range(self.expect("int")[1]):
+                out = _product(out, base)
             return out
         return base
 
@@ -461,7 +454,7 @@ class _Parser:
                 if den_tok[1] == 0:
                     raise ParseError("zero denominator", den_tok[2])
                 coeff = Fraction(value, den_tok[1])
-            return {(): coeff}
+            return self.constant(coeff)
         if kind == "var":
             letter, index = value
             if self.ring is None:
@@ -473,8 +466,9 @@ class _Parser:
                 raise ParseError(
                     f"variable {letter}{index} exceeds the declared "
                     f"{self.num_vars} variables", pos)
-            self.max_index = max(self.max_index, index)
-            return {((index, 1),): Fraction(1)}
+            exps = [0] * self.width
+            exps[index] = 1
+            return {1: Form.monomial(PRIMAL, exps, Fraction(1))}
         if kind == "(":
             inner = self.parse_expr()
             self.expect(")")
@@ -487,42 +481,26 @@ def parse_form(text: str, num_vars: int | None = None, ring: str | None = None) 
 
     The variable count is inferred from the largest index seen unless
     ``num_vars`` is declared; ``ring`` only matters for constant input.
-    Inhomogeneous input raises :class:`HomogeneityError` naming a term.
+    Inhomogeneous input raises :class:`HomogeneityError` naming one term
+    of each of its two lowest degrees.
     """
     parser = _Parser(text, num_vars)
-    raw = parser.parse_expr()
-    end = parser.expect("end")
-    del end
+    pieces = parser.parse_expr()
+    parser.expect("end")
     letter = parser.ring or ring or PRIMAL
     if ring is not None and parser.ring is not None and parser.ring != ring:
         raise ValueError(f"expected {ring!r} variables, found {parser.ring!r}")
-    nv = num_vars if num_vars is not None else max(parser.max_index + 1, 1)
-    if not raw:
-        return Form.zero(letter, nv, 0)
-    degrees = {}
-    for key in raw:
-        degrees.setdefault(sum(e for _, e in key), key)
-    if len(degrees) > 1:
-        (d1, k1), (d2, k2) = sorted(degrees.items())[:2]
-        name1 = _raw_term_str(letter, k1)
-        name2 = _raw_term_str(letter, k2)
+    if not pieces:
+        return Form.zero(letter, parser.width, 0)
+    if len(pieces) > 1:
+        d1, d2 = sorted(pieces)[:2]
+        name1, name2 = (format_form(Form.monomial(letter, next(iter(pieces[d].terms))))
+                        for d in (d1, d2))
         raise HomogeneityError(
             f"inhomogeneous input: term {name1} has degree {d1} "
             f"but term {name2} has degree {d2}")
-    degree = next(iter(degrees))
-    terms = {}
-    for key, c in raw.items():
-        exps = [0] * nv
-        for v, e in key:
-            exps[v] = e
-        terms[tuple(exps)] = c
-    return Form(letter, nv, degree, terms)
-
-
-def _raw_term_str(letter: str, key) -> str:
-    if not key:
-        return "1"
-    return "*".join(f"{letter}{v}" + (f"^{e}" if e > 1 else "") for v, e in key)
+    (degree, f), = pieces.items()
+    return Form(letter, f.num_vars, degree, f.terms)
 
 
 def _coeff_parts(c):

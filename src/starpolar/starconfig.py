@@ -265,7 +265,13 @@ def star_ideal_dimension_by_intersection(hset: HyperplaneSet, t: int) -> int:
 
 
 def star_ideal_dimension_by_products(hset: HyperplaneSet, t: int) -> int:
-    """dim of the degree-t piece of the ideal the product generators span."""
+    """dim of the degree-t piece of the ideal the product generators span.
+
+    Below the generators' degree r - n + 1 the piece is zero, and the
+    generators are not expanded.
+    """
+    if t < hset.r - hset.n + 1:
+        return 0
     return ideal_piece_dimension(star_ideal_product_generators(hset), t)
 
 

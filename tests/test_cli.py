@@ -145,6 +145,16 @@ def test_star_rejects_nonlinear_lines(tmp_path, capsys, first, declared):
     assert "hyperplanes must be linear forms in the dual ring" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["star"], ["waring", "--form", "x0^2 - x1^2"]])
+@pytest.mark.parametrize("content", ["[5]", '[["1", "x"]]', "[[]]", '[["1", "1/0"]]'])
+def test_malformed_json_forms_file_is_a_usage_error(tmp_path, capsys, command, content):
+    path = tmp_path / "forms.json"
+    path.write_text(content)
+    code = main(command + ["--forms", str(path)])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_perp_command(capsys):
     code, data = run_json(capsys, ["perp", "--form", "x0^3 - x1^2*x2",
                                    "--degree", "2"])

@@ -82,6 +82,20 @@ def test_classify_out_of_scope_rows():
         classify(3, 1, 2)
 
 
+def test_classify_rules_on_a_grid():
+    for n in range(1, 41):
+        for d in range(1, 61):
+            for r in range(n, d + n + 3):
+                v = classify(d, r, n)
+                if v.rule == "parameter-count":
+                    assert rho(d, r, n) < 0, (d, r, n)
+                if v.verdict == Verdict.CONJECTURAL_EXISTS:
+                    assert n == 2 and r == d + 1, (d, r, n)
+                if v.verdict == Verdict.EXISTS and r < d + n:
+                    assert ((d, r, n) in existence.EXCEPTIONAL_TRIPLES
+                            or v.rule == "quadric-threshold"), (d, r, n)
+
+
 def test_classify_is_pure():
     assert classify(6, 7, 2).to_json_dict() == classify(6, 7, 2).to_json_dict()
 

@@ -9,6 +9,7 @@ from starpolar.poly import (DUAL, PRIMAL, Form, HomogeneityError, ParseError,
                             coefficient_vector, contract, evaluate,
                             format_form, linear_power_coefficients,
                             monomial_basis, multinomial, parse_form)
+from helpers import dp_add, dp_diff
 
 
 def test_monomial_basis_examples():
@@ -111,6 +112,35 @@ def test_overdegree_contraction_annihilates():
         assert contract(op, f).is_zero()
 
 
+def test_contract_matches_iterated_derivatives():
+    # over F_7 with degrees up to 8 some multiplicities vanish mod p
+    rng = random.Random(81)
+    for p in (None, 7, 101):
+        def scalar():
+            if p is None:
+                return Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+            return Fp(rng.randrange(p), p)
+
+        for _ in range(20):
+            n1 = rng.randrange(1, 4)
+            d = rng.randrange(0, 9)
+            e = rng.randrange(0, d + 2)
+            f = Form(PRIMAL, n1, d, {m: scalar() for m in monomial_basis(n1, d)
+                                     if rng.random() < 0.6})
+            op = Form(DUAL, n1, e, {m: scalar() for m in monomial_basis(n1, e)
+                                    if rng.random() < 0.6})
+            expect = {}
+            for beta, c in op.terms.items():
+                dp = dict(f.terms)
+                for j, b in enumerate(beta):
+                    for _ in range(b):
+                        dp = dp_diff(dp, j)
+                expect = dp_add(expect, {m: c * v for m, v in dp.items()})
+            got = contract(op, f)
+            assert got.terms == expect
+            assert got.degree == (d - e if e <= d else 0)
+
+
 def test_linear_power_matches_form_power():
     rng = random.Random(80)
     for _ in range(15):
@@ -163,6 +193,17 @@ def test_parse_rational_coefficients():
     f = parse_form("y0 + 47/132*y1 - 3*y2")
     assert f.terms[(0, 1, 0)] == Fraction(47, 132)
     assert f.terms[(0, 0, 1)] == -3
+    for text in ("y0 + 47/132*y1 - 3*y2", "x0^3 - x1^2*x2", "(x0 - 2*x1)^3", "7"):
+        assert all(type(c) is Fraction for c in parse_form(text).terms.values())
+
+
+def test_parse_expands_through_cancellation_and_zero_powers():
+    f = parse_form("(x0 + 1)*(x0 - 1) + 1")
+    assert (f.num_vars, f.degree, f.terms) == (1, 2, {(2,): 1})
+    f = parse_form("x0^0")
+    assert (f.num_vars, f.degree, f.terms) == (1, 0, {(0,): 1})
+    f = parse_form("(1 + x0)^0 - 1 + x1")
+    assert (f.num_vars, f.degree, f.terms) == (2, 1, {(0, 1): 1})
 
 
 def test_parse_rejects_inhomogeneous():
@@ -170,6 +211,11 @@ def test_parse_rejects_inhomogeneous():
         parse_form("x0 + x1^2")
     assert "degree 1" in str(err.value) and "degree 2" in str(err.value)
     assert "x0" in str(err.value)
+    # one term of each of the two lowest degrees is named, without coefficient
+    with pytest.raises(HomogeneityError) as err:
+        parse_form("x1^2 + 3 + x0 + x0*x1")
+    assert str(err.value) == ("inhomogeneous input: term 1 has degree 0 "
+                              "but term x0 has degree 1")
 
 
 def test_parse_syntax_errors_carry_position():
@@ -225,4 +271,9 @@ def test_print_parse_round_trip_random():
 def test_parse_zero():
     z = parse_form("0")
     assert z.is_zero()
-    assert parse_form("x0 - x0", num_vars=2).is_zero()
+    assert (z.ring, z.num_vars, z.degree) == (PRIMAL, 1, 0)
+    for z, width in ((parse_form("x0 - x0", num_vars=2), 2),
+                     (parse_form("x2^2 - x2*x2"), 3),
+                     (parse_form("0", num_vars=4, ring=DUAL), 4)):
+        assert z.is_zero()
+        assert (z.num_vars, z.degree) == (width, 0)
