@@ -24,8 +24,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .field import (DEFAULT_PRIME, DEFAULT_SEED, Jet, constant_part,
-                    random_scalar)
+from .field import DEFAULT_PRIME, DEFAULT_SEED, Jet, random_scalar
 from .poly import linear_power_coefficients, monomial_basis
 from .starconfig import (RESAMPLE_BUDGET, _points_from_coeff_rows,
                          general_position_violation)
@@ -68,10 +67,8 @@ def rho_n2(d: int, r: int) -> int:
     """The n=2 specialization (r(r-1) + 4r - (d+2)(d+1)) / 2, exactly."""
     if r < 2:
         raise ValueError(f"need r >= 2 in the plane, got r={r}")
-    num = r * (r - 1) + 4 * r - (d + 2) * (d + 1)
-    if num % 2:
-        raise ArithmeticError("parity violation in the n=2 count")
-    return num // 2
+    # r(r-1), 4r and (d+2)(d+1) are all even
+    return (r * (r - 1) + 4 * r - (d + 2) * (d + 1)) // 2
 
 
 class Verdict(str, Enum):
@@ -157,28 +154,25 @@ def parameter_count(d: int, r: int, n: int) -> int:
     return (n + 1) * r + comb(r, n)
 
 
+def _hyperplane_rows(d: int, r: int, n: int, params):
+    """Check the parameter count and split off the r hyperplane rows."""
+    m = parameter_count(d, r, n)
+    if len(params) != m:
+        raise ValueError(f"expected {m} parameters, got {len(params)}")
+    return [params[k * (n + 1):(k + 1) * (n + 1)] for k in range(r)]
+
+
 def gamma_coefficients(d: int, r: int, n: int, params):
     """Coefficient vector of  sum_i alpha_i * L_i^d  over the degree-d basis.
 
     ``params`` holds, per hyperplane k = 0..r-1, its n+1 coefficients
     a_{0,k}..a_{n,k}, followed by one weight per n-subset in subset order.
     Works over any commutative scalars with the field ops (prime-field
-    elements, rationals, jets); general position is certified on the value
-    parts, and a degenerate draw raises
-    :class:`DegenerateParametersError` so the caller can resample.
+    elements, rationals, jets).  The map is defined everywhere: a
+    dependent n-subset's point L_i is zero.
     """
-    _validate_triple(d, r, n)
-    m = parameter_count(d, r, n)
     params = list(params)
-    if len(params) != m:
-        raise ValueError(f"expected {m} parameters, got {len(params)}")
-    rows = [params[k * (n + 1):(k + 1) * (n + 1)] for k in range(r)]
-    violation = general_position_violation(
-        [[constant_part(a) for a in row] for row in rows])
-    if violation is not None:
-        raise DegenerateParametersError(
-            f"hyperplanes {violation} lost general position")
-    points = _points_from_coeff_rows(rows, n)
+    points = _points_from_coeff_rows(_hyperplane_rows(d, r, n, params), n)
     alphas = params[(n + 1) * r:]
     size = len(monomial_basis(n + 1, d))
     out = [0] * size
@@ -203,10 +197,16 @@ def jacobian_matrix(d: int, r: int, n: int, values):
     matrix of Python ints in [0, p) with one row per parameter
     (m x C(n+d,d)).
 
-    Every parameter is promoted to a jet carrying a unit gradient, so one
+    A point whose hyperplanes fail general position raises
+    :class:`DegenerateParametersError` before any jet is made.  Then
+    every parameter is promoted to a jet carrying a unit gradient, so one
     evaluation of the map yields all partial derivatives at once; the
     coefficients' int64 gradients are stacked as the columns.
     """
+    violation = general_position_violation(_hyperplane_rows(d, r, n, values))
+    if violation is not None:
+        raise DegenerateParametersError(
+            f"hyperplanes {violation} lost general position")
     m = len(values)
     jets = [Jet.seed(v, k, m) for k, v in enumerate(values)]
     coeffs = gamma_coefficients(d, r, n, jets)
@@ -246,10 +246,6 @@ class JacobianTestReport:
     note: str = ""
 
     @property
-    def rank_full(self) -> bool:
-        return self.rank == self.target
-
-    @property
     def expected_rank(self) -> int:
         """Generic rank if nothing beyond the r hyperplane rescalings is lost:
         min(target, m - r)."""
@@ -280,7 +276,9 @@ def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
     witness minor is nonzero in characteristic zero as well); staying below
     the target is one-sided evidence of nonexistence, never proof, which is
     why the report carries the prime and seed.  Trial t owns the stream
-    seeded with seed + t, so trials are independent and order-insensitive.
+    seeded with the string "seed:d:r:n:t", which `random.Random` hashes
+    with SHA-512, so no two (seed, triple, trial) share a stream and no
+    draw depends on PYTHONHASHSEED.
     """
     _validate_triple(d, r, n)
     linalg.check_modulus(prime)
@@ -291,7 +289,8 @@ def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
     start = time.perf_counter()
     best = 0
     for t in range(trials):
-        rows = _jacobian_at_random_point(d, r, n, prime, random.Random(seed + t))
+        rng = random.Random(f"{seed}:{d}:{r}:{n}:{t}")
+        rows = _jacobian_at_random_point(d, r, n, prime, rng)
         # plain ints mod p carry no modulus, so rank them with the mod-p kernel
         best = max(best, linalg.rank_mod(rows, prime))
         if best == target:

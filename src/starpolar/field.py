@@ -184,9 +184,6 @@ class Jet:
         grad[index] = 1
         return cls(value, grad)
 
-    def constant_part(self) -> Fp:
-        return self.value
-
     def _check(self, other: "Jet"):
         if self.grad.shape != other.grad.shape:
             raise ValueError("jet gradient dimensions differ")
@@ -228,12 +225,6 @@ class Jet:
 
     def __repr__(self):
         return f"Jet({self.value!r}, {self.grad.tolist()!r})"
-
-
-def constant_part(s):
-    """Value part of a jet-like scalar; plain field scalars pass through."""
-    getter = getattr(s, "constant_part", None)
-    return getter() if getter is not None else s
 
 
 def modulus_of(values):

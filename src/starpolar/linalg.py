@@ -168,7 +168,8 @@ def minors(rows):
 
 
 def det(rows):
-    """Determinant of a square matrix: its one maximal minor (`minors`)."""
+    """Determinant of a square matrix: its one maximal minor (`minors`).
+    The package calls `minors`; tests and the benchmark tracer use `det`."""
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("determinant requires a square matrix")

@@ -32,6 +32,9 @@ from functools import lru_cache
 
 PRIMAL = "x"
 DUAL = "y"
+# parser limits: x0^e expands in time linear in e; an index sets term width
+MAX_EXPONENT = 1000
+MAX_VARIABLE_INDEX = 1000
 
 
 @lru_cache(maxsize=None)
@@ -351,7 +354,10 @@ def _tokenize(text: str):
                 j += 1
             if j == i + 1:
                 raise ParseError(f"variable '{ch}' needs an index", i)
-            tokens.append(("var", (ch, int(text[i + 1:j])), i))
+            index = int(text[i + 1:j])
+            if index > MAX_VARIABLE_INDEX:
+                raise ParseError(f"variable index {index} exceeds {MAX_VARIABLE_INDEX}", i)
+            tokens.append(("var", (ch, index), i))
             i = j
             continue
         if ch in "+-*^/()":
@@ -437,8 +443,11 @@ class _Parser:
         base = self.parse_primary()
         if self.peek()[0] == "^":
             self.take()
+            _, exponent, pos = self.expect("int")
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent {exponent} exceeds {MAX_EXPONENT}", pos)
             out = self.constant(Fraction(1))
-            for _ in range(self.expect("int")[1]):
+            for _ in range(exponent):
                 out = _product(out, base)
             return out
         return base
@@ -482,10 +491,15 @@ def parse_form(text: str, num_vars: int | None = None, ring: str | None = None) 
     The variable count is inferred from the largest index seen unless
     ``num_vars`` is declared; ``ring`` only matters for constant input.
     Inhomogeneous input raises :class:`HomogeneityError` naming one term
-    of each of its two lowest degrees.
+    of each of its two lowest degrees.  Too deep nesting, an exponent over
+    `MAX_EXPONENT` and an index over `MAX_VARIABLE_INDEX` raise ParseError.
     """
     parser = _Parser(text, num_vars)
-    pieces = parser.parse_expr()
+    try:
+        pieces = parser.parse_expr()
+    except RecursionError:
+        at = parser.tokens[min(parser.pos, len(parser.tokens) - 1)][2]
+        raise ParseError("expression nested too deeply", at) from None
     parser.expect("end")
     letter = parser.ring or ring or PRIMAL
     if ring is not None and parser.ring is not None and parser.ring != ring:

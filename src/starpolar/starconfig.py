@@ -8,7 +8,8 @@ the n-subsets.  Each point is computed by signed maximal minors of the
 n x (n+1) coefficient matrix of its subset (Cramer), all n+1 of them from
 one `linalg.minors` pass, so coordinates stay polynomial in the hyperplane
 coefficients; this is what downstream Jacobian computations differentiate
-through.
+through.  The same points certify general position, once, where the
+hyperplanes are supplied (`HyperplaneSet`) or drawn (`existence`).
 """
 
 from __future__ import annotations
@@ -45,18 +46,22 @@ def general_position_violation(rows):
     """First (n+1)-subset of coefficient rows with vanishing maximal minor.
 
     Returns the violating index subset, or None when every maximal minor
-    of the r x (n+1) coefficient matrix is nonzero.  With r <= n there is
-    no such minor, and the rows themselves must be linearly independent.
+    of the r x (n+1) coefficient matrix is nonzero.  The minor of
+    tau + (k,) is +-l_k(P_tau) (expand along row k), so each later row is
+    evaluated at the Cramer points P_tau of the first r - 1 rows, meeting
+    the subsets in `combinations` order.  With r <= n there is no such
+    minor, and the rows themselves must be linearly independent.
     """
     rows = [list(r) for r in rows]
     if not rows:
         return None
-    width = len(rows[0])
-    if len(rows) < width:
+    n = len(rows[0]) - 1
+    if len(rows) <= n:
         return None if linalg.rank(rows) == len(rows) else tuple(range(len(rows)))
-    for subset in combinations(range(len(rows)), width):
-        if not linalg.det([rows[j] for j in subset]):
-            return subset
+    for pt in _points_from_coeff_rows(rows[:-1], n):
+        for k in range(pt.tag[-1] + 1, len(rows)):
+            if not sum(a * b for a, b in zip(rows[k], pt.coords)):
+                return pt.tag + (k,)
     return None
 
 
@@ -124,8 +129,8 @@ def _points_from_coeff_rows(rows, n: int):
 
     Coordinate j of the point for subset tau is (-1)^j times the maximal
     minor of the n x (n+1) matrix of tau's rows with column j removed, so
-    it involves no coefficient from variable slot j.  The rows must be
-    certified (`general_position_violation`), so every point is nonzero.
+    it involves no coefficient from variable slot j.  A dependent
+    n-subset gets the zero point.
     """
     full = (1 << (n + 1)) - 1
     zero = rows[0][0] * 0
@@ -175,24 +180,10 @@ class StarConfiguration:
 
 
 def build_star_configuration(hset: HyperplaneSet) -> StarConfiguration:
-    """Construct points and generators and verify the defining invariants:
-    points pairwise distinct, each on exactly its tagged hyperplanes, and
-    every generator vanishing at every point."""
+    """Construct points and generators and check that every generator
+    vanishes at every point.  A point on an extra hyperplane, or two equal
+    points, would be a vanishing (n+1)-minor, which `hset` excludes."""
     points = intersection_points(hset)
-    seen = {}
-    for pt in points:
-        key = pt.normalized()
-        if key in seen:
-            raise DegenerateIntersectionError(
-                f"subsets {seen[key]} and {pt.tag} give the same point")
-        seen[key] = pt.tag
-    for pt in points:
-        for k, row in enumerate(hset.coeffs):
-            val = sum(a * b for a, b in zip(row, pt.coords))
-            on_plane = not val
-            if on_plane != (k in pt.tag):
-                raise DegenerateIntersectionError(
-                    f"point {pt.tag} lies on hyperplane {k} unexpectedly")
     gens = star_ideal_product_generators(hset)
     for g in gens:
         for pt in points:

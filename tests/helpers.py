@@ -36,9 +36,6 @@ class EpsPoly:
     def __init__(self, coeffs):
         self.c = list(coeffs)
 
-    def constant_part(self):
-        return self.c[0]
-
     def eps_coefficient(self):
         return self.c[1] if len(self.c) > 1 else self.c[0] * 0
 

@@ -229,7 +229,8 @@ def test_sweep_and_idempotency(tmp_path, capsys):
     assert [(cell["expected_rank"], cell["defect"]) for cell in data["cells"]] \
         == [(10, 0), (15, 0)]
     assert all(rec["source"] == "jactest" for rec in lines)
-    assert lines[0]["report"]["seed"] == 5 + 3  # cell seed is base + d
+    # every cell records the base seed; the rank test keys streams by triple
+    assert [rec["report"]["seed"] for rec in lines] == [5, 5]
     # idempotent re-run appends nothing
     code, data = run_json(capsys, ["sweep", "--n", "2", "--dmin", "3",
                                    "--dmax", "4", "--out", str(out),
@@ -293,6 +294,15 @@ def test_bad_form_is_a_clean_error(capsys):
     code = main(["perp", "--form", "x0 + x1^2", "--degree", "1"])
     err = capsys.readouterr().err
     assert code != 0 and "degree" in err
+
+
+@pytest.mark.parametrize("form", ["(" * 5000 + "x0" + ")" * 5000,
+                                  "x0^100000000", "x1000000000"])
+def test_unparsable_forms_are_quick_usage_errors(capsys, form):
+    start = time.perf_counter()
+    code = main(["perp", "--form", form, "--degree", "0"])
+    assert code == 2 and "cannot parse form" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
 
 
 def test_module_entry_point():

@@ -137,11 +137,15 @@ def test_gamma_single_point_power():
 def test_gamma_validates_input():
     with pytest.raises(ValueError):
         gamma_coefficients(3, 4, 2, [Fraction(1)] * 5)
-    # concurrent hyperplanes must signal a resample, not crash
+    with pytest.raises(ValueError):
+        jacobian_matrix(3, 4, 2, [Fp(1, 7)] * 5)
+    # the map is defined at concurrent hyperplanes; a Jacobian draw there
+    # must signal a resample, not crash
     rows = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)]
-    params = [Fraction(c) for row in rows for c in row] + [Fraction(1)] * 6
+    params = [Fp(c, 7) for row in rows for c in row] + [Fp(1, 7)] * 6
+    assert len(gamma_coefficients(3, 4, 2, params)) == 10
     with pytest.raises(DegenerateParametersError):
-        gamma_coefficients(3, 4, 2, params)
+        jacobian_matrix(3, 4, 2, params)
 
 
 def test_jacobian_matches_nilpotent_epsilon_oracle_small():
@@ -258,6 +262,22 @@ def test_jactest_redraws_a_degenerate_point(monkeypatch):
     rep = jacobian_rank_test(2, 3, 2, seed=5, trials=1)
     assert len(draws) == 2
     assert rep.verdict == "RankFull" and rep.rank == 6
+
+
+def test_jactest_streams_are_keyed_by_seed_triple_and_trial(monkeypatch):
+    real = existence._draw_parameter_values
+    draws = []
+
+    def draw(d, r, n, prime, rng):
+        draws.append(real(d, r, n, prime, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(existence, "_draw_parameter_values", draw)
+    # (3, 3, 2) has rho < 0, so every trial runs
+    jacobian_rank_test(3, 3, 2, seed=1, trials=2)
+    jacobian_rank_test(3, 3, 2, seed=2, trials=1)
+    assert len(draws) == 3
+    assert draws[1] != draws[2]  # seed 1 trial 1 vs seed 2 trial 0
 
 
 def test_jactest_gives_up_after_the_resample_budget(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from starpolar.field import (DEFAULT_PRIME, Fp, Jet, constant_part, is_prime,
+from starpolar.field import (DEFAULT_PRIME, Fp, Jet, is_prime,
                              modulus_of, random_scalar, scalar_from_str,
                              scalar_to_str)
 from helpers import dp_add, dp_const, dp_diff, dp_eval, dp_mul, dp_var
@@ -175,10 +175,7 @@ def test_jet_gradient_matches_symbolic_expansion_oracle():
             dp_eval(dp_diff(dpoly, k), point) for k in range(nvars)]
 
 
-def test_constant_part_and_modulus_scan():
-    j = Jet(Fp(5, 7), np.array([1]))
-    assert constant_part(j) == Fp(5, 7)
-    assert constant_part(Fraction(1, 2)) == Fraction(1, 2)
+def test_modulus_scan():
     assert modulus_of([0, Fraction(1), Fp(3, 11)]) == 11
     assert modulus_of([0, Fraction(1)]) is None
 

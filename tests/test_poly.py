@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from starpolar.field import Fp
-from starpolar.poly import (DUAL, PRIMAL, Form, HomogeneityError, ParseError,
+from starpolar.poly import (DUAL, MAX_EXPONENT, MAX_VARIABLE_INDEX, PRIMAL,
+                            Form, HomogeneityError, ParseError,
                             coefficient_vector, contract, evaluate,
                             format_form, linear_power_coefficients,
                             monomial_basis, multinomial, parse_form)
@@ -236,6 +237,19 @@ def test_parse_respects_declared_variable_count():
     assert "x5" in str(err.value)
     f = parse_form("x0^2", num_vars=4)
     assert f.num_vars == 4
+
+
+def test_parse_rejects_deep_nesting_and_oversized_tokens():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_form("(" * 5000 + "x0" + ")" * 5000)
+    with pytest.raises(ParseError) as err:
+        parse_form("x0^100000000")
+    assert err.value.position == 3
+    with pytest.raises(ParseError) as err:
+        parse_form("x0 + x1000000000")
+    assert err.value.position == 5
+    f = parse_form(f"x{MAX_VARIABLE_INDEX}^{MAX_EXPONENT}")
+    assert f.num_vars == MAX_VARIABLE_INDEX + 1 and f.degree == MAX_EXPONENT
 
 
 def test_parse_rejects_mixed_rings():

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from starpolar.field import DEFAULT_PRIME, Fp
+from starpolar.linalg import det, rank
 from starpolar.poly import DUAL, Form, evaluate, parse_form
 from starpolar.starconfig import (RESAMPLE_BUDGET, GeneralPositionError,
                                   HilbertFunctionTable,
@@ -48,6 +50,44 @@ def test_certify_concurrent_lines_fails_with_witness():
     with pytest.raises(GeneralPositionError) as err:
         HyperplaneSet(rows)
     assert err.value.subset == (0, 1, 2)
+
+
+def _det_scan_violation(rows):
+    """Reference certificate: every maximal minor by `linalg.det`."""
+    if not rows:
+        return None
+    width = len(rows[0])
+    if len(rows) < width:
+        return None if rank(rows) == len(rows) else tuple(range(len(rows)))
+    for subset in combinations(range(len(rows)), width):
+        if not det([rows[j] for j in subset]):
+            return subset
+    return None
+
+
+def test_general_position_witness_matches_det_scan():
+    rng = random.Random(2024)
+    scalars = {
+        "Z": lambda: rng.randint(-2, 2),
+        "F_3": lambda: Fp(rng.randrange(3), 3),
+        "Q": lambda: Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+    }
+    cases = violations = 0
+    for field, draw in scalars.items():
+        for n in range(1, 5):
+            for r in range(n, n + 4):
+                for _ in range(220):
+                    rows = [[draw() for _ in range(n + 1)] for _ in range(r)]
+                    if r > 1 and rng.random() < 0.2:
+                        # force a dependency: one row a combination of two others
+                        i, j, k = (rng.randrange(r) for _ in range(3))
+                        a, b = draw(), draw()
+                        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+                    expected = _det_scan_violation(rows)
+                    assert general_position_violation(rows) == expected, (field, rows)
+                    cases += 1
+                    violations += expected is not None
+    assert cases >= 10000 and 0 < violations < cases
 
 
 def test_certify_r_equals_n_is_vacuous():
