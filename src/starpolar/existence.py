@@ -2,11 +2,14 @@
 the parameter-count necessary condition, the closed-form classification,
 and the randomized Jacobian rank test that certifies the remaining cases.
 
-The rank test evaluates the polynomial map sending hyperplane coefficients
+The rank test takes the polynomial map sending hyperplane coefficients
 and mixing weights (a, alpha) to the coefficient vector of the weighted
 power sum  sum_i alpha_i * L_i^d,  where the L_i are the configuration
-points built from the a's by signed minors.  Differentiating through the
-whole composite with jet arithmetic gives the exact Jacobian over F_p; a
+points built from the a's by signed minors.  Its exact Jacobian over F_p
+is assembled by the chain rule (the tangent directions of a sum of
+powers, as in Terracini's lemma) in int64 arrays mod p, with the
+derivatives of the points read off signed cofactors; `gamma_coefficients`
+stays the generic map, which the tests differentiate independently.  A
 full-rank evaluation at one random point certifies that the map dominates
 the space of degree-d forms (a nonzero minor mod p certifies a nonzero
 minor in characteristic zero), while a rank deficit at one prime and seed
@@ -19,13 +22,16 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from . import linalg
-from .field import DEFAULT_PRIME, DEFAULT_SEED, Jet, random_scalar
-from .poly import linear_power_coefficients, monomial_basis
+from .field import (DEFAULT_PRIME, DEFAULT_SEED, INT64_PRIME_LIMIT, Fp,
+                    modulus_of, random_scalar)
+from .poly import (linear_power_coefficients, monomial_basis, multinomial,
+                   shift_table)
 from .starconfig import (RESAMPLE_BUDGET, _points_from_coeff_rows,
                          general_position_violation)
 
@@ -192,34 +198,112 @@ def _draw_parameter_values(d, r, n, prime, rng):
     return [random_scalar(rng, prime) for _ in range(parameter_count(d, r, n))]
 
 
+def _power_table(points, degree: int, p: int):
+    """Coefficient vectors of (P_0 x_0 + ... + P_n x_n)^degree mod p, one row
+    per row P of the int64 residue array ``points``: multinomial times
+    monomial value, read off a power table per coordinate, with every
+    product reduced mod p before the next is taken."""
+    basis = monomial_basis(points.shape[1], degree)
+    exps = np.array(basis, dtype=np.int64)
+    pows = np.ones(points.shape + (degree + 1,), dtype=np.int64)
+    for e in range(1, degree + 1):
+        pows[:, :, e] = pows[:, :, e - 1] * points % p
+    table = np.array([multinomial(degree, e) % p for e in basis], dtype=np.int64)
+    for j in range(points.shape[1]):
+        table = table * pows[:, j, exps[:, j]] % p
+    return table
+
+
+def _cofactor_tables(rows, n: int, p: int):
+    """The (n-1)-subsets U of the hyperplane rows, each with its table E_U mod p.
+
+    Let S = U + {k} have k in position q.  The Cramer coordinate P_{S,j} is
+    multilinear in the rows, and d P_{S,j} / d a_{k,i} = (-1)^q E_U[i, j]:
+    the signed maximal minor of U's rows on the columns other than i and j,
+    with E_U antisymmetric and zero on the diagonal.  One `linalg.minors`
+    pass per U serves every set S that contains it.
+    """
+    full = (1 << (n + 1)) - 1
+    subsets = list(combinations(range(len(rows)), n - 1))
+    tables = np.zeros((len(subsets), n + 1, n + 1), dtype=np.int64)
+    for u, sub in enumerate(subsets):
+        found = linalg.minors([rows[k] for k in sub])
+        for i, j in combinations(range(n + 1), 2):
+            minor = found.get(full ^ (1 << i) ^ (1 << j), 0)
+            if (i + j) % 2:
+                minor = -minor
+            tables[u, i, j] = minor % p
+            tables[u, j, i] = -minor % p
+    return subsets, tables
+
+
 def jacobian_matrix(d: int, r: int, n: int, values):
     """Exact Jacobian of the coefficient map at the given F_p point, as a
     matrix of Python ints in [0, p) with one row per parameter
     (m x C(n+d,d)).
 
     A point whose hyperplanes fail general position raises
-    :class:`DegenerateParametersError` before any jet is made.  Then
-    every parameter is promoted to a jet carrying a unit gradient, so one
-    evaluation of the map yields all partial derivatives at once; the
-    coefficients' int64 gradients are stacked as the columns.
+    :class:`DegenerateParametersError` before any arithmetic, and a prime
+    p >= 2^31 raises ``ValueError``.  The rows come from the chain rule,
+    in int64 arrays mod p for all C(r, n) points at once: the row of the
+    weight alpha_S is the coefficient vector of P_S^d, and the row of the
+    hyperplane coefficient a_{k,i} is
+
+        sum over S containing k of  d alpha_S sum_j (d P_{S,j} / d a_{k,i})
+                                                  * coeff(x_j P_S^(d-1)),
+
+    with the cofactors d P_{S,j} / d a_{k,i} from `_cofactor_tables`.  The
+    points themselves are P_S = a_k . (d P_S / d a_k) for the first k in S.
     """
     violation = general_position_violation(_hyperplane_rows(d, r, n, values))
     if violation is not None:
         raise DegenerateParametersError(
             f"hyperplanes {violation} lost general position")
-    m = len(values)
-    jets = [Jet.seed(v, k, m) for k, v in enumerate(values)]
-    coeffs = gamma_coefficients(d, r, n, jets)
-    zero = np.zeros(m, dtype=np.int64)
-    return np.stack([c.grad if isinstance(c, Jet) else zero for c in coeffs],
-                    axis=1).tolist()
+    p = modulus_of(values)
+    if p is None:
+        raise ValueError("the Jacobian is taken at a point over F_p")
+    if p >= INT64_PRIME_LIMIT:
+        raise ValueError(f"prime {p} too large for the int64 Jacobian (need p < 2^31)")
+    residue = Fp(0, p).residue
+    params = np.array([residue(v) for v in values], dtype=np.int64)
+    coeffs = params[:(n + 1) * r].reshape(r, n + 1)
+    # Python ints, so a minor cannot overflow before its reduction mod p
+    subsets, tables = _cofactor_tables(coeffs.tolist(), n, p)
+    where = {sub: u for u, sub in enumerate(subsets)}
+    point_sets = list(combinations(range(r), n))
+    sets = np.array(point_sets, dtype=np.int64)
+    # cofactor[q][s] = d P_S / d a_k for k = S[q], as an (i, j) table
+    cofactor = []
+    for q in range(n):
+        table = tables[[where[S[:q] + S[q + 1:]] for S in point_sets]]
+        cofactor.append(-table % p if q % 2 else table)
+    points = np.zeros((len(sets), n + 1), dtype=np.int64)
+    for i in range(n + 1):
+        points = (points + coeffs[sets[:, 0], i, None] * cofactor[0][:, i, :] % p) % p
+    size = comb(n + d, d)
+    # the tangent along P_j is d x_j P^(d-1); fold in the weight alpha_S too
+    weights = d * params[(n + 1) * r:] % p
+    lower = _power_table(points, d - 1, p) * weights[:, None] % p
+    shifts = shift_table(n + 1, 1, d - 1)
+    # an entry of grads sums one residue per point through k, far fewer
+    # than 2^32 for any point set that fits in memory, so int64 holds it
+    grads = np.zeros((r, n + 1, size), dtype=np.int64)
+    for q in range(n):
+        block = np.zeros((len(sets), n + 1, size), dtype=np.int64)
+        for j, cols in enumerate(shifts):
+            block[:, :, cols] += cofactor[q][:, :, j, None] * lower[:, None, :] % p
+        np.add.at(grads, sets[:, q], block % p)
+    return np.concatenate([grads.reshape(-1, size) % p,
+                           _power_table(points, d, p)]).tolist()
 
 
 def _jacobian_at_random_point(d, r, n, prime, rng):
-    """Jacobian at a fresh random point, redrawn while the draw is degenerate."""
-    for _ in range(RESAMPLE_BUDGET):
+    """Jacobian at a fresh random point, redrawn while the draw is degenerate;
+    returns it with the number of degenerate draws before it."""
+    for resamples in range(RESAMPLE_BUDGET):
         try:
-            return jacobian_matrix(d, r, n, _draw_parameter_values(d, r, n, prime, rng))
+            values = _draw_parameter_values(d, r, n, prime, rng)
+            return jacobian_matrix(d, r, n, values), resamples
         except DegenerateParametersError:
             continue
     raise ResampleBudgetError(
@@ -230,7 +314,9 @@ def _jacobian_at_random_point(d, r, n, prime, rng):
 @dataclass
 class JacobianTestReport:
     """Outcome of the randomized rank test; records prime and seed so a
-    verdict is reproducible and auditable."""
+    verdict is reproducible and auditable, the rank of each trial that ran
+    (``trial_ranks``; full rank stops the test early) and the number of
+    degenerate draws redrawn over all trials (``resamples``)."""
 
     d: int
     r: int
@@ -243,6 +329,8 @@ class JacobianTestReport:
     rank: int
     verdict: str
     elapsed_ms: int
+    trial_ranks: list
+    resamples: int
     note: str = ""
 
     @property
@@ -264,6 +352,7 @@ class JacobianTestReport:
             "prime": self.prime, "seed": self.seed, "trials": self.trials,
             "rank": self.rank, "expected_rank": self.expected_rank,
             "defect": self.defect, "verdict": self.verdict,
+            "trial_ranks": self.trial_ranks, "resamples": self.resamples,
             "elapsed_ms": self.elapsed_ms, "note": self.note,
         }
 
@@ -287,20 +376,22 @@ def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
     m = parameter_count(d, r, n)
     target = comb(n + d, d)
     start = time.perf_counter()
-    best = 0
+    trial_ranks, resamples = [], 0
     for t in range(trials):
         rng = random.Random(f"{seed}:{d}:{r}:{n}:{t}")
-        rows = _jacobian_at_random_point(d, r, n, prime, rng)
+        rows, redrawn = _jacobian_at_random_point(d, r, n, prime, rng)
+        resamples += redrawn
         # plain ints mod p carry no modulus, so rank them with the mod-p kernel
-        best = max(best, linalg.rank_mod(rows, prime))
-        if best == target:
+        trial_ranks.append(linalg.rank_mod(rows, prime))
+        if trial_ranks[-1] == target:
             break
     elapsed_ms = int((time.perf_counter() - start) * 1000)
+    best = max(trial_ranks)
     full = best == target
     return JacobianTestReport(
         d=d, r=r, n=n, m=m, target=target, prime=prime, seed=seed,
         trials=trials, rank=best, verdict="RankFull" if full else "RankDeficient",
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=elapsed_ms, trial_ranks=trial_ranks, resamples=resamples,
         note=("full rank at one point certifies the generic statement" if full
               else "rank deficit at this prime and seed is evidence of "
                    "nonexistence, not proof"),

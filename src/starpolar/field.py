@@ -9,9 +9,11 @@ Three kinds of scalars are used throughout the package:
   for randomized rank computations where rational coefficient growth
   would be prohibitive;
 * jets -- :class:`Jet`, an `Fp` value plus a fixed-length int64 numpy
-  gradient of residues mod the same p, used to evaluate partial
-  derivatives of polynomial maps over F_p exactly, without symbolic
-  expansion.
+  gradient of residues mod the same p, which evaluates partial
+  derivatives of polynomial maps over F_p exactly.  The rank test no
+  longer uses it (its Jacobian is assembled by the chain rule); it is a
+  test-side scalar, kept for the tests and the benchmark tracer's jet
+  counters.
 
 All scalars are immutable values and all operations are pure functions,
 so they are safe to copy and share freely.  Plain Python integers mix
@@ -21,6 +23,7 @@ into any of the three (they act as the image of Z in the field).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,8 +35,10 @@ DEFAULT_PRIME = 2**31 - 1
 DEFAULT_SEED = 1
 
 
+@lru_cache
 def is_prime(m: int) -> bool:
-    """Deterministic trial division in about sqrt(m)/2 steps: fast for m < 2^31."""
+    """Deterministic trial division in about sqrt(m)/2 steps (about 1 ms at
+    2^31 - 1), memoized: a run asks about the same few moduli again and again."""
     if m < 2:
         return False
     if m % 2 == 0:

@@ -7,14 +7,16 @@ independent, the configuration consists of the C(r, n) points cut out by
 the n-subsets.  Each point is computed by signed maximal minors of the
 n x (n+1) coefficient matrix of its subset (Cramer), all n+1 of them from
 one `linalg.minors` pass, so coordinates stay polynomial in the hyperplane
-coefficients; this is what downstream Jacobian computations differentiate
-through.  The same points certify general position, once, where the
-hyperplanes are supplied (`HyperplaneSet`) or drawn (`existence`).
+coefficients and the generic coefficient map of `existence` can be
+differentiated through them.  The same points certify general position,
+once, where the hyperplanes are supplied (`HyperplaneSet`) or drawn
+(`existence`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -103,6 +105,27 @@ class HyperplaneSet:
     def forms(self):
         return [Form.linear(DUAL, row) for row in self.coeffs]
 
+    @cached_property
+    def product_generators(self) -> tuple:
+        """The C(r, n-1) products of all forms outside an (n-1)-subset,
+        expanded on first use and kept for the life of the set.
+
+        Each generator has degree r - n + 1 and vanishes on every point of
+        the configuration: any n-subset tau misses at most n - 1 of the
+        omitted indices, so the product retains a form from tau.
+        """
+        forms = self.forms
+        gens = []
+        for sigma in combinations(range(self.r), self.n - 1):
+            omit = set(sigma)
+            g = None
+            for k, f in enumerate(forms):
+                if k in omit:
+                    continue
+                g = f if g is None else g * f
+            gens.append(g)
+        return tuple(gens)
+
     def __repr__(self):
         return f"HyperplaneSet(r={self.r}, n={self.n})"
 
@@ -151,23 +174,9 @@ def intersection_points(hset: HyperplaneSet):
 
 
 def star_ideal_product_generators(hset: HyperplaneSet):
-    """The C(r, n-1) products of all forms outside an (n-1)-subset.
-
-    Each generator has degree r - n + 1 and vanishes on every point of the
-    configuration: any n-subset tau misses at most n - 1 of the omitted
-    indices, so the product retains a form from tau.
-    """
-    forms = hset.forms
-    gens = []
-    for sigma in combinations(range(hset.r), hset.n - 1):
-        omit = set(sigma)
-        g = None
-        for k, f in enumerate(forms):
-            if k in omit:
-                continue
-            g = f if g is None else g * f
-        gens.append(g)
-    return gens
+    """The C(r, n-1) products of all forms outside an (n-1)-subset, as a
+    new list (`HyperplaneSet.product_generators`)."""
+    return list(hset.product_generators)
 
 
 @dataclass
@@ -259,11 +268,12 @@ def star_ideal_dimension_by_products(hset: HyperplaneSet, t: int) -> int:
     """dim of the degree-t piece of the ideal the product generators span.
 
     Below the generators' degree r - n + 1 the piece is zero, and the
-    generators are not expanded.
+    generators are not expanded; above it they are expanded once per set
+    (`HyperplaneSet.product_generators`), not once per degree.
     """
     if t < hset.r - hset.n + 1:
         return 0
-    return ideal_piece_dimension(star_ideal_product_generators(hset), t)
+    return ideal_piece_dimension(hset.product_generators, t)
 
 
 def star_ideal_graded_dimension(hset: HyperplaneSet, t: int) -> int:

@@ -5,7 +5,8 @@ machinery: the epsilon scalars below are plain univariate polynomial
 lists with convolution products (no product rule anywhere), and the
 dict polynomials expand and differentiate symbolically.  Agreement with
 the package is therefore a genuine cross-check.  `eps_jacobian`, the
-oracle for the jet Jacobian, runs the coefficient map on epsilon scalars.
+oracle for the chain-rule Jacobian, runs the generic coefficient map
+(`gamma_coefficients`) on epsilon scalars.
 `rref_kernel` is the exact reference for the int64 mod-p kernels: the
 generic `rref` alone.
 The (3, 7, 5) certificate at the end checks its identity over the
@@ -86,7 +87,7 @@ class EpsPoly:
 
 def eps_jacobian(d, r, n, values, p):
     """Row k of the Jacobian via a formal nilpotent direction, independently
-    of jet arithmetic: evaluate at value + eps * e_k and expand."""
+    of the chain-rule assembly: evaluate at value + eps * e_k and expand."""
     m = len(values)
     rows = []
     for k in range(m):

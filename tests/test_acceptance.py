@@ -254,15 +254,15 @@ def test_criterion_10_jacobian_oracle_equivalence():
                 while points < 5:
                     vals = [random_scalar(rng, p) for _ in range(m)]
                     try:
-                        jet_rows = jacobian_matrix(d, r, n, vals)
+                        rows = jacobian_matrix(d, r, n, vals)
                     except DegenerateParametersError:
                         continue
                     points += 1
                     checked += 1
-                    ok = ok and jet_rows == eps_jacobian(d, r, n, vals, p)
+                    ok = ok and rows == eps_jacobian(d, r, n, vals, p)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
-    _line(10, "jet Jacobian equals nilpotent-epsilon oracle entrywise", ok,
+    _line(10, "chain-rule Jacobian equals nilpotent-epsilon oracle entrywise", ok,
           f"{checked} matrices, {elapsed:.1f}s")
     assert ok
 

@@ -228,6 +228,8 @@ def test_sweep_and_idempotency(tmp_path, capsys):
             for rec in lines] == [(10, 0), (15, 0)]
     assert [(cell["expected_rank"], cell["defect"]) for cell in data["cells"]] \
         == [(10, 0), (15, 0)]
+    assert [(rec["report"]["trial_ranks"], rec["report"]["resamples"])
+            for rec in lines] == [([10], 0), ([15], 0)]
     assert all(rec["source"] == "jactest" for rec in lines)
     # every cell records the base seed; the rank test keys streams by triple
     assert [rec["report"]["seed"] for rec in lines] == [5, 5]

@@ -146,6 +146,14 @@ def test_gamma_validates_input():
     assert len(gamma_coefficients(3, 4, 2, params)) == 10
     with pytest.raises(DegenerateParametersError):
         jacobian_matrix(3, 4, 2, params)
+    # a general-position point must lie over an int64 prime field
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    params = [c for row in rows for c in row] + [1] * 6
+    with pytest.raises(ValueError, match="over F_p"):
+        jacobian_matrix(3, 4, 2, params)
+    with pytest.raises(ValueError, match="too large"):
+        jacobian_matrix(3, 4, 2, [Fp(c, 2147483659) for c in params])
+    assert len(jacobian_matrix(3, 4, 2, [Fp(c, 7) for c in params])) == 18
 
 
 def test_jacobian_matches_nilpotent_epsilon_oracle_small():
@@ -156,15 +164,33 @@ def test_jacobian_matches_nilpotent_epsilon_oracle_small():
         for _ in range(2):
             vals = [random_scalar(rng, p) for _ in range(m)]
             try:
-                jet_rows = jacobian_matrix(d, r, n, vals)
+                rows = jacobian_matrix(d, r, n, vals)
             except DegenerateParametersError:
                 continue
-            assert jet_rows == eps_jacobian(d, r, n, vals, p)
+            assert rows == eps_jacobian(d, r, n, vals, p)
+    # n >= 3 uses cofactor signs that n <= 2 never reaches; the small
+    # primes also reduce multinomials and weights to 0 now and then
+    cases = [(triple, p) for triple in [(2, 4, 3), (3, 5, 3), (1, 5, 4), (3, 6, 4)]
+             for p in (7, 101, DEFAULT_PRIME)]
+    cases.append(((3, 7, 5), 101))
+    for (d, r, n), p in cases:
+        for _ in range(100):
+            vals = [random_scalar(rng, p) for _ in range(parameter_count(d, r, n))]
+            try:
+                rows = jacobian_matrix(d, r, n, vals)
+            except DegenerateParametersError:
+                continue
+            assert rows == eps_jacobian(d, r, n, vals, p), ((d, r, n), p)
+            break
+        else:
+            pytest.fail(f"no general-position draw for {(d, r, n)} at p={p}")
 
 
 def test_jactest_small_known_ranks():
     rep = jacobian_rank_test(3, 4, 2)
     assert rep.verdict == "RankFull" and rep.rank == rep.target == 10
+    # full rank stops the test after the first trial
+    assert rep.trial_ranks == [10] and rep.resamples == 0
     rep = jacobian_rank_test(2, 3, 2)
     assert rep.verdict == "RankFull" and rep.rank == 6
     assert rep.m == 12 and rep.prime == DEFAULT_PRIME
@@ -194,11 +220,12 @@ def test_jactest_report_serialization():
     text = json.dumps(payload)
     back = json.loads(text)
     for key in ("d", "r", "n", "m", "target", "prime", "seed", "trials",
-                "rank", "expected_rank", "defect", "verdict", "elapsed_ms",
-                "note"):
+                "rank", "expected_rank", "defect", "verdict", "trial_ranks",
+                "resamples", "elapsed_ms", "note"):
         assert key in back
     assert back["rank"] == 6 and back["verdict"] == "RankFull"
     assert back["expected_rank"] == 6 and back["defect"] == 0
+    assert back["trial_ranks"] == [6] and back["resamples"] == 0
 
 
 def test_jactest_validates_prime():
@@ -240,9 +267,12 @@ def test_known_discrepancy_boundary_triple_3_7_5():
     assert verdict.verdict == Verdict.NOT_EXISTS
     assert verdict.rule == "certified-defective"
     assert "55 < 56" in verdict.note
-    rep = jacobian_rank_test(3, 7, 5, trials=2)
+    rep = jacobian_rank_test(3, 7, 5)
     assert rep.target == 56
     assert rep.rank == 55
+    # a deficient test runs every trial; each one reaches 55
+    assert rep.trial_ranks == [55, 55, 55] and rep.resamples == 0
+    assert rep.to_json_dict()["trial_ranks"] == [55, 55, 55]
     assert rep.verdict == "RankDeficient"
     assert rep.expected_rank == 56 and rep.defect == 1
 
@@ -262,6 +292,7 @@ def test_jactest_redraws_a_degenerate_point(monkeypatch):
     rep = jacobian_rank_test(2, 3, 2, seed=5, trials=1)
     assert len(draws) == 2
     assert rep.verdict == "RankFull" and rep.rank == 6
+    assert rep.resamples == 1 and rep.trial_ranks == [6]
 
 
 def test_jactest_streams_are_keyed_by_seed_triple_and_trial(monkeypatch):

@@ -160,6 +160,26 @@ def test_product_generator_degree():
     assert all(g.degree == 5 for g in gens)
 
 
+def test_route_b_expands_its_generators_once_per_set(monkeypatch):
+    rng = random.Random(23)
+    hset = random_hyperplanes(3, 6, rng)
+    products = []
+    real = Form.__mul__
+
+    def mul(self, other):
+        products.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(Form, "__mul__", mul)
+    dims = [star_ideal_dimension_by_products(hset, t) for t in range(8)]
+    # 15 generators, each a product of r - n + 1 = 4 linear forms
+    assert len(products) == comb(6, 2) * 3
+    assert dims == [comb(3 + t, t) - min(comb(3 + t, t), comb(6, 3))
+                    for t in range(8)]
+    assert star_ideal_product_generators(hset) == list(hset.product_generators)
+    assert len(products) == comb(6, 2) * 3
+
+
 def test_graded_dimension_cuspidal_lines():
     hset = _cuspidal_set()
     assert star_ideal_graded_dimension(hset, 2) == 0
