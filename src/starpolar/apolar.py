@@ -11,6 +11,7 @@ linear algebra (no Groebner bases anywhere).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import linalg
 from .field import scalar_to_str
@@ -224,12 +225,11 @@ def _as_coords(item, num_vars: int):
 
 
 def _pairwise_independent(coord_list) -> tuple | None:
-    for i in range(len(coord_list)):
-        for j in range(i + 1, len(coord_list)):
-            u, v = coord_list[i], coord_list[j]
-            if all(not (u[a] * v[b] - u[b] * v[a])
-                   for a in range(len(u)) for b in range(a + 1, len(u))):
-                return (i, j)
+    for i, j in combinations(range(len(coord_list)), 2):
+        u, v = coord_list[i], coord_list[j]
+        if all(not (u[a] * v[b] - u[b] * v[a])
+               for a, b in combinations(range(len(u)), 2)):
+            return (i, j)
     return None
 
 

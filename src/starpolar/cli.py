@@ -92,8 +92,9 @@ def load_forms_file(path: str, ring: str, num_vars: int | None = None):
     coefficient vectors with scalars as strings ("p/q" for rationals), all
     in ``num_vars`` variables (default: as many as the widest form has)."""
     try:
-        text = open(path).read()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     forms = []
     if text.lstrip().startswith("["):

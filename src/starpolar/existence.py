@@ -32,7 +32,7 @@ from .field import (DEFAULT_PRIME, DEFAULT_SEED, INT64_PRIME_LIMIT, Fp,
                     modulus_of, random_scalar)
 from .poly import (linear_power_coefficients, monomial_basis, multinomial,
                    shift_table)
-from .starconfig import (RESAMPLE_BUDGET, _points_from_coeff_rows,
+from .starconfig import (RESAMPLE_BUDGET, StarPoint, _points_from_coeff_rows,
                          general_position_violation)
 
 # the below-threshold triples (d, r, n) with rho >= 0: four existence cases,
@@ -242,10 +242,10 @@ def jacobian_matrix(d: int, r: int, n: int, values):
     matrix of Python ints in [0, p) with one row per parameter
     (m x C(n+d,d)).
 
-    A point whose hyperplanes fail general position raises
-    :class:`DegenerateParametersError` before any arithmetic, and a prime
-    p >= 2^31 raises ``ValueError``.  The rows come from the chain rule,
-    in int64 arrays mod p for all C(r, n) points at once: the row of the
+    A prime p >= 2^31 raises ``ValueError``, and a point whose hyperplanes
+    fail general position raises :class:`DegenerateParametersError` before
+    any Jacobian entry is formed.  The rows come from the chain rule, in
+    int64 arrays mod p for all C(r, n) points at once: the row of the
     weight alpha_S is the coefficient vector of P_S^d, and the row of the
     hyperplane coefficient a_{k,i} is
 
@@ -253,12 +253,11 @@ def jacobian_matrix(d: int, r: int, n: int, values):
                                                   * coeff(x_j P_S^(d-1)),
 
     with the cofactors d P_{S,j} / d a_{k,i} from `_cofactor_tables`.  The
-    points themselves are P_S = a_k . (d P_S / d a_k) for the first k in S.
+    points themselves are P_S = a_k . (d P_S / d a_k) for the first k in S;
+    general position is read off their residues (`Fp` times int reduces
+    mod p), so a draw takes one `linalg.minors` pass per (n-1)-subset.
     """
-    violation = general_position_violation(_hyperplane_rows(d, r, n, values))
-    if violation is not None:
-        raise DegenerateParametersError(
-            f"hyperplanes {violation} lost general position")
+    hyperplanes = _hyperplane_rows(d, r, n, values)
     p = modulus_of(values)
     if p is None:
         raise ValueError("the Jacobian is taken at a point over F_p")
@@ -280,6 +279,11 @@ def jacobian_matrix(d: int, r: int, n: int, values):
     points = np.zeros((len(sets), n + 1), dtype=np.int64)
     for i in range(n + 1):
         points = (points + coeffs[sets[:, 0], i, None] * cofactor[0][:, i, :] % p) % p
+    stars = [StarPoint(S, tuple(pt)) for S, pt in zip(point_sets, points.tolist())]
+    violation = general_position_violation(hyperplanes, stars)
+    if violation is not None:
+        raise DegenerateParametersError(
+            f"hyperplanes {violation} lost general position")
     size = comb(n + d, d)
     # the tangent along P_j is d x_j P^(d-1); fold in the weight alpha_S too
     weights = d * params[(n + 1) * r:] % p

@@ -32,9 +32,11 @@ from functools import lru_cache
 
 PRIMAL = "x"
 DUAL = "y"
-# parser limits: x0^e expands in time linear in e; an index sets term width
+# parser limits: x0^e expands in time linear in e; an index sets term width;
+# one parse's term-pair products (cubic in e for (x0+x1+x2)^e) bound its work
 MAX_EXPONENT = 1000
 MAX_VARIABLE_INDEX = 1000
+MAX_TERM_PRODUCTS = 50_000
 
 
 @lru_cache(maxsize=None)
@@ -129,13 +131,8 @@ class Form:
     def linear(cls, ring: str, coeffs) -> "Form":
         coeffs = list(coeffs)
         n = len(coeffs)
-        terms = {}
-        for k, c in enumerate(coeffs):
-            if c:
-                e = [0] * n
-                e[k] = 1
-                terms[tuple(e)] = c
-        return cls(ring, n, 1, terms)
+        return cls(ring, n, 1, {tuple(int(j == k) for j in range(n)): c
+                                for k, c in enumerate(coeffs) if c})
 
     # -- basic queries -----------------------------------------------------
 
@@ -380,11 +377,6 @@ def _collect(pieces):
     return out
 
 
-def _product(p, q):
-    return _collect((d1 + d2, f1 * f2)
-                    for d1, f1 in p.items() for d2, f2 in q.items())
-
-
 class _Parser:
     """Recursive-descent parser over the grammar above.
 
@@ -399,6 +391,7 @@ class _Parser:
     def __init__(self, text: str, num_vars):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.work = 0
         self.ring = None
         self.num_vars = num_vars
         self.width = num_vars if num_vars is not None else 1 + max(
@@ -422,6 +415,16 @@ class _Parser:
         f = Form.monomial(PRIMAL, (0,) * self.width, coeff)
         return {0: f} if f else {}
 
+    def product(self, p, q, at: int):
+        """p * q, charged to the parse's `MAX_TERM_PRODUCTS` first."""
+        self.work += (sum(len(f.terms) for f in p.values())
+                      * sum(len(f.terms) for f in q.values()))
+        if self.work > MAX_TERM_PRODUCTS:
+            raise ParseError(
+                f"expansion needs over {MAX_TERM_PRODUCTS} term products", at)
+        return _collect((d1 + d2, f1 * f2)
+                        for d1, f1 in p.items() for d2, f2 in q.items())
+
     def parse_expr(self):
         sign = 1
         if self.peek()[0] in "+-":
@@ -435,20 +438,20 @@ class _Parser:
     def parse_term(self):
         acc = self.parse_factor()
         while self.peek()[0] == "*":
-            self.take()
-            acc = _product(acc, self.parse_factor())
+            at = self.take()[2]
+            acc = self.product(acc, self.parse_factor(), at)
         return acc
 
     def parse_factor(self):
         base = self.parse_primary()
         if self.peek()[0] == "^":
-            self.take()
+            at = self.take()[2]
             _, exponent, pos = self.expect("int")
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent {exponent} exceeds {MAX_EXPONENT}", pos)
             out = self.constant(Fraction(1))
             for _ in range(exponent):
-                out = _product(out, base)
+                out = self.product(out, base, at)
             return out
         return base
 
@@ -492,7 +495,8 @@ def parse_form(text: str, num_vars: int | None = None, ring: str | None = None) 
     ``num_vars`` is declared; ``ring`` only matters for constant input.
     Inhomogeneous input raises :class:`HomogeneityError` naming one term
     of each of its two lowest degrees.  Too deep nesting, an exponent over
-    `MAX_EXPONENT` and an index over `MAX_VARIABLE_INDEX` raise ParseError.
+    `MAX_EXPONENT`, an index over `MAX_VARIABLE_INDEX` and an expansion of
+    over `MAX_TERM_PRODUCTS` term-pair products raise ParseError.
     """
     parser = _Parser(text, num_vars)
     try:

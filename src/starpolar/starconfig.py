@@ -8,15 +8,15 @@ the n-subsets.  Each point is computed by signed maximal minors of the
 n x (n+1) coefficient matrix of its subset (Cramer), all n+1 of them from
 one `linalg.minors` pass, so coordinates stay polynomial in the hyperplane
 coefficients and the generic coefficient map of `existence` can be
-differentiated through them.  The same points certify general position,
-once, where the hyperplanes are supplied (`HyperplaneSet`) or drawn
-(`existence`).
+differentiated through them.  They are computed once per hyperplane set,
+supplied (`HyperplaneSet`, which keeps them) or drawn (`existence`), and
+general position is read off them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
 
@@ -44,23 +44,19 @@ class DegenerateIntersectionError(ArithmeticError):
     """An n-subset of hyperplanes failed to cut out a single point."""
 
 
-def general_position_violation(rows):
+def general_position_violation(rows, points):
     """First (n+1)-subset of coefficient rows with vanishing maximal minor.
 
-    Returns the violating index subset, or None when every maximal minor
-    of the r x (n+1) coefficient matrix is nonzero.  The minor of
-    tau + (k,) is +-l_k(P_tau) (expand along row k), so each later row is
-    evaluated at the Cramer points P_tau of the first r - 1 rows, meeting
-    the subsets in `combinations` order.  With r <= n there is no such
-    minor, and the rows themselves must be linearly independent.
+    ``points`` holds the Cramer points of every n-subset of the rows, in
+    `combinations` order (`_points_from_coeff_rows`).  The minor of
+    S + (k,) is +-l_k(P_S) (expand along row k), so each row k > max S is
+    evaluated at P_S.  With r = n there is no such minor, and the one point
+    is zero exactly when the rows are dependent.  Returns the violating
+    index subset, or None when every maximal minor is nonzero.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return None
-    n = len(rows[0]) - 1
-    if len(rows) <= n:
-        return None if linalg.rank(rows) == len(rows) else tuple(range(len(rows)))
-    for pt in _points_from_coeff_rows(rows[:-1], n):
+    if len(points) == 1 and not any(points[0].coords):
+        return points[0].tag
+    for pt in points:
         for k in range(pt.tag[-1] + 1, len(rows)):
             if not sum(a * b for a, b in zip(rows[k], pt.coords)):
                 return pt.tag + (k,)
@@ -69,7 +65,7 @@ def general_position_violation(rows):
 
 class HyperplaneSet:
     """An ordered list of r (>= n) linear forms in the dual ring, certified
-    in general position at construction."""
+    in general position at construction; keeps its Cramer ``points``."""
 
     def __init__(self, coeff_rows):
         rows = [tuple(r) for r in coeff_rows]
@@ -87,7 +83,8 @@ class HyperplaneSet:
         for k, row in enumerate(rows):
             if not any(row):
                 raise ValueError(f"hyperplane {k} is the zero form")
-        violation = general_position_violation(rows)
+        self.points = tuple(_points_from_coeff_rows(rows, self.n))
+        violation = general_position_violation(rows, self.points)
         if violation is not None:
             raise GeneralPositionError(violation)
         self.coeffs = rows
@@ -115,16 +112,9 @@ class HyperplaneSet:
         omitted indices, so the product retains a form from tau.
         """
         forms = self.forms
-        gens = []
-        for sigma in combinations(range(self.r), self.n - 1):
-            omit = set(sigma)
-            g = None
-            for k, f in enumerate(forms):
-                if k in omit:
-                    continue
-                g = f if g is None else g * f
-            gens.append(g)
-        return tuple(gens)
+        return tuple(
+            reduce(Form.__mul__, [f for k, f in enumerate(forms) if k not in sigma])
+            for sigma in combinations(range(self.r), self.n - 1))
 
     def __repr__(self):
         return f"HyperplaneSet(r={self.r}, n={self.n})"
@@ -170,7 +160,7 @@ def _points_from_coeff_rows(rows, n: int):
 
 def intersection_points(hset: HyperplaneSet):
     """The C(r, n) points of the configuration, in subset order."""
-    return _points_from_coeff_rows(hset.coeffs, hset.n)
+    return list(hset.points)
 
 
 def star_ideal_product_generators(hset: HyperplaneSet):

@@ -8,7 +8,8 @@ the package is therefore a genuine cross-check.  `eps_jacobian`, the
 oracle for the chain-rule Jacobian, runs the generic coefficient map
 (`gamma_coefficients`) on epsilon scalars.
 `rref_kernel` is the exact reference for the int64 mod-p kernels: the
-generic `rref` alone.
+generic `rref` alone, and `det_scan_violation` the one for the
+general-position certificate: every maximal minor by `linalg.det`.
 The (3, 7, 5) certificate at the end checks its identity over the
 integers with plain dict polynomials, using no Cramer or jet code.
 """
@@ -20,7 +21,7 @@ from math import factorial, prod
 
 from starpolar.existence import gamma_coefficients
 from starpolar.field import Fp
-from starpolar.linalg import rref
+from starpolar.linalg import det, rank, rref
 from starpolar.poly import monomial_basis
 
 
@@ -168,6 +169,21 @@ def rref_kernel(rows, n):
             v[pcol] = -R[prow][fcol]
         basis.append(v)
     return [row for row in rref(basis)[0] if any(row)] if basis else []
+
+
+def det_scan_violation(rows):
+    """Reference general-position certificate: the first (n+1)-subset of
+    rows, in `combinations` order, whose maximal minor `linalg.det` finds
+    zero; with fewer rows than columns, the rows' own rank decides."""
+    if not rows:
+        return None
+    width = len(rows[0])
+    if len(rows) < width:
+        return None if rank(rows) == len(rows) else tuple(range(len(rows)))
+    for subset in combinations(range(len(rows)), width):
+        if not det([rows[j] for j in subset]):
+            return subset
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,16 @@ def test_malformed_json_forms_file_is_a_usage_error(tmp_path, capsys, command, c
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["star"], ["apolar-check", "--form", CONIC_TANGENT],
+                                     ["waring", "--form", "x0^2 - x1^2"]])
+def test_forms_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "forms.txt"
+    path.write_bytes(b"\xff\xfey0\n")
+    code = main(command + ["--forms", str(path)])
+    assert code == 2
+    assert f"cannot read {path}" in capsys.readouterr().err
+
+
 def test_perp_command(capsys):
     code, data = run_json(capsys, ["perp", "--form", "x0^3 - x1^2*x2",
                                    "--degree", "2"])
@@ -299,7 +309,8 @@ def test_bad_form_is_a_clean_error(capsys):
 
 
 @pytest.mark.parametrize("form", ["(" * 5000 + "x0" + ")" * 5000,
-                                  "x0^100000000", "x1000000000"])
+                                  "x0^100000000", "x1000000000",
+                                  "(x0+x1+x2)^1000"])
 def test_unparsable_forms_are_quick_usage_errors(capsys, form):
     start = time.perf_counter()
     code = main(["perp", "--form", form, "--degree", "0"])

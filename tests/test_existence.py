@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from starpolar import existence
+from starpolar import existence, linalg
 from starpolar.existence import (DegenerateParametersError, Verdict, classify,
                                  gamma_coefficients, jacobian_matrix,
                                  jacobian_rank_test, parameter_count, rho,
@@ -15,7 +15,7 @@ from starpolar.field import DEFAULT_PRIME, Fp, random_scalar
 from starpolar.apolar import solve_waring
 from starpolar.poly import coefficient_vector, monomial_basis, parse_form
 from starpolar.starconfig import intersection_points, HyperplaneSet
-from helpers import eps_jacobian
+from helpers import det_scan_violation, eps_jacobian
 
 
 def test_rho_examples():
@@ -184,6 +184,53 @@ def test_jacobian_matches_nilpotent_epsilon_oracle_small():
             break
         else:
             pytest.fail(f"no general-position draw for {(d, r, n)} at p={p}")
+
+
+def test_one_cofactor_pass_per_draw(monkeypatch):
+    calls = []
+    real = linalg.minors
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "minors", counting)
+    rng = random.Random(5)
+    m = parameter_count(3, 7, 5)
+    rows = jacobian_matrix(3, 7, 5, [random_scalar(rng) for _ in range(m)])
+    assert len(rows) == m
+    # one pass per 4-subset; the certificate reads the points they give
+    assert calls == [4] * comb(7, 4)
+
+
+def test_degenerate_draws_match_the_det_scan(monkeypatch):
+    tables = []
+    real = existence._power_table
+
+    def power_table(*args):
+        tables.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(existence, "_power_table", power_table)
+    p = 7
+    rng = random.Random(61)
+    for d, r, n in [(2, 2, 2), (3, 4, 3), (2, 5, 3), (3, 7, 5)]:
+        m = parameter_count(d, r, n)
+        degenerate = 0
+        for _ in range(30):
+            vals = [Fp(rng.randrange(p), p) for _ in range(m)]
+            expected = det_scan_violation(
+                [vals[k * (n + 1):(k + 1) * (n + 1)] for k in range(r)])
+            formed = len(tables)
+            if expected is None:
+                assert len(jacobian_matrix(d, r, n, vals)) == m
+                continue
+            with pytest.raises(DegenerateParametersError) as err:
+                jacobian_matrix(d, r, n, vals)
+            assert str(err.value) == f"hyperplanes {expected} lost general position"
+            assert len(tables) == formed  # raised before any entry is formed
+            degenerate += 1
+        assert 0 < degenerate < 30, (d, r, n)
 
 
 def test_jactest_small_known_ranks():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -250,6 +251,21 @@ def test_parse_rejects_deep_nesting_and_oversized_tokens():
     assert err.value.position == 5
     f = parse_form(f"x{MAX_VARIABLE_INDEX}^{MAX_EXPONENT}")
     assert f.num_vars == MAX_VARIABLE_INDEX + 1 and f.degree == MAX_EXPONENT
+
+
+def test_parse_refuses_an_expansion_over_its_budget_quickly():
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="term products") as err:
+        parse_form("(x0+x1+x2)^1000")
+    assert time.perf_counter() - start < 1
+    assert err.value.position == 10  # the '^'
+    # the budget is one parse's total: each power fits, the product does not
+    with pytest.raises(ParseError, match="term products") as err:
+        parse_form("(x0+x1+x2)^40*(x0+x1+x2)^20")
+    assert err.value.position == 13  # the '*'
+    f = parse_form("(x0+x1+x2)^40")
+    assert f.degree == 40 and len(f.terms) == comb(42, 2)
+    assert f.terms[(14, 13, 13)] == multinomial(40, (14, 13, 13))
 
 
 def test_parse_rejects_mixed_rings():

@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
+from starpolar import linalg
 from starpolar.field import DEFAULT_PRIME, Fp
-from starpolar.linalg import det, rank
 from starpolar.poly import DUAL, Form, evaluate, parse_form
 from starpolar.starconfig import (RESAMPLE_BUDGET, GeneralPositionError,
                                   HilbertFunctionTable,
@@ -17,7 +17,9 @@ from starpolar.starconfig import (RESAMPLE_BUDGET, GeneralPositionError,
                                   star_ideal_dimension_by_intersection,
                                   star_ideal_dimension_by_products,
                                   star_ideal_graded_dimension,
-                                  star_ideal_product_generators)
+                                  star_ideal_product_generators,
+                                  _points_from_coeff_rows)
+from helpers import det_scan_violation
 
 CUSPIDAL_LINES = [parse_form(s, num_vars=3, ring=DUAL) for s in
                ["y0", "y1", "y1 - y2", "y0 + y1 + y2"]]
@@ -41,28 +43,15 @@ def _proj_eq(a, b):
 def test_certify_cuspidal_lines():
     hset = _cuspidal_set()
     assert hset.r == 4 and hset.n == 2
-    assert general_position_violation(hset.coeffs) is None
+    assert general_position_violation(hset.coeffs, intersection_points(hset)) is None
 
 
 def test_certify_concurrent_lines_fails_with_witness():
     rows = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]  # y0, y1, y0+y1 share [0:0:1]
-    assert general_position_violation(rows) == (0, 1, 2)
+    assert general_position_violation(rows, _points_from_coeff_rows(rows, 2)) == (0, 1, 2)
     with pytest.raises(GeneralPositionError) as err:
         HyperplaneSet(rows)
     assert err.value.subset == (0, 1, 2)
-
-
-def _det_scan_violation(rows):
-    """Reference certificate: every maximal minor by `linalg.det`."""
-    if not rows:
-        return None
-    width = len(rows[0])
-    if len(rows) < width:
-        return None if rank(rows) == len(rows) else tuple(range(len(rows)))
-    for subset in combinations(range(len(rows)), width):
-        if not det([rows[j] for j in subset]):
-            return subset
-    return None
 
 
 def test_general_position_witness_matches_det_scan():
@@ -83,8 +72,9 @@ def test_general_position_witness_matches_det_scan():
                         i, j, k = (rng.randrange(r) for _ in range(3))
                         a, b = draw(), draw()
                         rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
-                    expected = _det_scan_violation(rows)
-                    assert general_position_violation(rows) == expected, (field, rows)
+                    expected = det_scan_violation(rows)
+                    points = _points_from_coeff_rows(rows, n)
+                    assert general_position_violation(rows, points) == expected, (field, rows)
                     cases += 1
                     violations += expected is not None
     assert cases >= 10000 and 0 < violations < cases
@@ -134,6 +124,23 @@ def test_intersection_point_count():
 def test_degenerate_r_equals_n_detected():
     with pytest.raises(GeneralPositionError):
         HyperplaneSet([(1, 0, 0), (2, 0, 0)])
+
+
+def test_one_cramer_pass_per_hyperplane_set(monkeypatch):
+    calls = []
+    real = linalg.minors
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "minors", counting)
+    # moment-curve rows: every 4 x 4 minor is a nonzero Vandermonde
+    hset = HyperplaneSet([(1, t, t * t, t ** 3) for t in range(1, 7)])
+    pts = intersection_points(hset)
+    # one pass per n-subset: the certificate reads the points it keeps
+    assert calls == [3] * comb(6, 3) and len(pts) == comb(6, 3)
+    assert intersection_points(hset) == pts and len(calls) == comb(6, 3)
 
 
 def test_product_generators_four_lines():
