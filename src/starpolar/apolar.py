@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
-from .field import scalar_to_str
+from .field import Fp, scalar_to_str
 from .poly import (DUAL, PRIMAL, Form, coefficient_vector, contract,
-                   form_from_vector, linear_power_coefficients,
-                   monomial_basis, format_form, shift_table)
+                   contraction_row, field_terms, form_from_vector,
+                   linear_power_coefficients, monomial_basis, format_form,
+                   shift_table)
 
 
 @dataclass
@@ -52,7 +53,12 @@ def _mono_str(ring: str, mono) -> str:
 
 
 def catalecticant(f: Form, i: int) -> CatalecticantMatrix:
-    """Catalecticant of a primal form in source degree i, 0 <= i <= deg F."""
+    """Catalecticant of a primal form in source degree i, 0 <= i <= deg F.
+
+    The column of y^b is F's coefficients read through b's
+    `contraction_row`, the same entries `contract` forms for y^b (over F_p
+    on int residues, wrapped back into `Fp`; a zero entry is the int 0).
+    """
     if f.ring != PRIMAL:
         raise ValueError("catalecticant expects a primal form")
     if f.is_zero():
@@ -62,9 +68,13 @@ def catalecticant(f: Form, i: int) -> CatalecticantMatrix:
     nv = f.num_vars
     col_basis = monomial_basis(nv, i)
     row_basis = monomial_basis(nv, f.degree - i)
-    cols = [coefficient_vector(contract(Form.monomial(DUAL, m), f))
-            for m in col_basis]
-    entries = [[col[r] for col in cols] for r in range(len(row_basis))]
+    p, (terms,) = field_terms(f)
+    get = terms.get
+    cols = [[get(a, 0) * u for a, u in zip(*contraction_row(nv, b, f.degree - i))]
+            for b in col_basis]
+    if p is not None:
+        cols = [[Fp(v, p) if v % p else 0 for v in col] for col in cols]
+    entries = [list(row) for row in zip(*cols)]
     return CatalecticantMatrix(i, f.degree - i, entries, row_basis, col_basis)
 
 

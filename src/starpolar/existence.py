@@ -28,8 +28,8 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .field import (DEFAULT_PRIME, DEFAULT_SEED, INT64_PRIME_LIMIT, Fp,
-                    modulus_of, random_scalar)
+from .field import (DEFAULT_PRIME, DEFAULT_SEED, INT64_PRIME_LIMIT,
+                    random_scalar, residue_rows)
 from .poly import (linear_power_coefficients, monomial_basis, multinomial,
                    shift_table)
 from .starconfig import (RESAMPLE_BUDGET, StarPoint, _points_from_coeff_rows,
@@ -258,13 +258,12 @@ def jacobian_matrix(d: int, r: int, n: int, values):
     mod p), so a draw takes one `linalg.minors` pass per (n-1)-subset.
     """
     hyperplanes = _hyperplane_rows(d, r, n, values)
-    p = modulus_of(values)
+    p, (params,) = residue_rows([values])
     if p is None:
         raise ValueError("the Jacobian is taken at a point over F_p")
     if p >= INT64_PRIME_LIMIT:
         raise ValueError(f"prime {p} too large for the int64 Jacobian (need p < 2^31)")
-    residue = Fp(0, p).residue
-    params = np.array([residue(v) for v in values], dtype=np.int64)
+    params = np.array(params, dtype=np.int64)
     coeffs = params[:(n + 1) * r].reshape(r, n + 1)
     # Python ints, so a minor cannot overflow before its reduction mod p
     subsets, tables = _cofactor_tables(coeffs.tolist(), n, p)

@@ -232,11 +232,26 @@ class Jet:
         return f"Jet({self.value!r}, {self.grad.tolist()!r})"
 
 
-def modulus_of(values):
-    """First prime modulus found among ``values``, or None.
+def residue_rows(rows):
+    """(p, rows) for rows of scalars of one field, which may be any re-iterables.
 
-    `linalg.rank`/`kernel_basis` use it to pick the field of a matrix.
+    If an entry is an `Fp`, p is its prime and each entry is read in F_p as
+    an int in [0, p) (`Fp.residue`); otherwise (None, rows) unchanged.  This
+    is the package's one mod-p representation: the int64 kernels, the
+    contraction loop and the Cramer points of `Fp` rows all run on these
+    ints and wrap results back into `Fp` only at the end.  Ints and `Fp`s of
+    modulus p, nearly all entries, skip the method call.
     """
+    p = modulus_of(e for row in rows for e in row)
+    if p is None:
+        return None, rows
+    residue = Fp(0, p).residue
+    return p, [[e % p if e.__class__ is int else e.value if e.__class__ is Fp and e.p == p
+                else residue(e) for e in row] for row in rows]
+
+
+def modulus_of(values):
+    """First prime modulus found among ``values``, or None."""
     for v in values:
         if isinstance(v, Fp):
             return v.p

@@ -3,13 +3,14 @@
 Matrices are lists of rows of exact scalars of one field: `Fraction` or
 `Fp`, with plain ints as the image of Z.  No floating point occurs.
 
-`rank` and `kernel_basis` pick the field from their own entries: if any
-entry is an `Fp` they run the int64 kernels `rank_mod`/`kernel_mod` on
-the entries' residues mod its prime (kernel rows come back as `Fp`),
-otherwise `rref` over Q.
-`solve_linear` and the division-free `minors` take any scalars: `minors`
-returns every maximal minor of a k x m matrix from one Laplace pass, and
-`det` is its square case.
+`rank`, `kernel_basis` and `solve_linear` pick the field from their own
+entries: if any entry is an `Fp` they run the int64 kernels
+`rank_mod`/`kernel_mod`/`rref_mod` on the entries' residues mod its prime
+(`field.residue_rows`; kernel rows and solutions come back as `Fp`), otherwise
+`rref` over Q.  `solve_linear` alone also takes a prime of 2^31 or more,
+which it solves by `rref` on the `Fp` entries.  The division-free `minors`
+takes any scalars: it returns every maximal minor of a k x m matrix from
+one Laplace pass, and `det` is its square case.
 
 The `*_mod` kernels reduce integer rows mod p with numpy int64
 vectorization.  They require p < 2^31 (`INT64_PRIME_LIMIT`) so that a
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import INT64_PRIME_LIMIT, Fp, is_prime, modulus_of
+from .field import INT64_PRIME_LIMIT, Fp, is_prime, residue_rows
 
 
 def _invert(x):
@@ -81,10 +82,8 @@ def rref(rows):
 
 def rank(rows) -> int:
     """Rank over the field of the entries: F_p if any entry is an `Fp`, else Q."""
-    p = modulus_of(e for row in rows for e in row)
-    if p is not None:
-        return rank_mod(_residues(rows, p), p)
-    return len(rref(rows)[1])
+    p, res = residue_rows(rows)
+    return len(rref(rows)[1]) if p is None else rank_mod(res, p)
 
 
 def kernel_basis(rows, num_cols: int):
@@ -93,10 +92,9 @@ def kernel_basis(rows, num_cols: int):
     The field is chosen as in `rank`; over F_p the rows hold `Fp` entries.
     ``num_cols`` is required so the kernel of an empty matrix is well defined.
     """
-    p = modulus_of(e for row in rows for e in row)
+    p, res = residue_rows(rows)
     if p is not None:
-        return [[Fp(e, p) for e in row]
-                for row in kernel_mod(_residues(rows, p), num_cols, p).tolist()]
+        return [[Fp(e, p) for e in row] for row in kernel_mod(res, num_cols, p).tolist()]
     if not rows:
         return [[1 if j == i else 0 for j in range(num_cols)] for i in range(num_cols)]
     R, pivots = rref(rows)
@@ -120,18 +118,25 @@ def solve_linear(rows, rhs):
     """One exact solution of ``rows @ x = rhs`` or None if inconsistent.
 
     Free variables are set to zero under the column order, so the returned
-    solution is canonical.
+    solution is canonical.  The field is chosen as in `rank`; over F_p with
+    p < 2^31 the solution holds `Fp` entries.
     """
     if not rows:
         return []
     ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    R, pivots = rref(aug)
+    p, res = residue_rows(aug)
+    if p is not None and p < INT64_PRIME_LIMIT:
+        R, pivots = rref_mod(res, p)
+        last = [Fp(v, p) for v in R[:len(pivots), -1].tolist()]
+    else:
+        R, pivots = rref(aug)
+        last = [row[-1] for row in R]
     if ncols in pivots:
         return None
     x = [0] * ncols
-    for prow, pcol in enumerate(pivots):
-        x[pcol] = R[prow][-1]
+    for pcol, v in zip(pivots, last):
+        x[pcol] = v
     return x
 
 
@@ -188,14 +193,6 @@ def check_modulus(p: int) -> None:
         raise ValueError(f"prime {p} too large for the int64 mod-p kernel (need p < 2^31)")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-
-
-def _residues(rows, p: int):
-    """Integer rows mod p, each entry read as in F_p (`Fp.residue`); ints and `Fp`s
-    of modulus p, nearly all entries, skip that call, which dominates large matrices."""
-    residue = Fp(0, p).residue
-    return [[e if e.__class__ is int else e.value if e.__class__ is Fp and e.p == p
-             else residue(e) for e in row] for row in rows]
 
 
 def _as_modp_array(rows, p: int):

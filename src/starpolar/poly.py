@@ -9,6 +9,15 @@ partial derivative d/dx_j (falling-factorial multiplicities appear), so
 an operator of degree e sends a degree-d form to a degree d-e form and
 annihilates everything whenever e exceeds d.
 
+Contraction reads F through index rows (`contraction_row`), cached per
+(num_vars, beta, d - e) like `shift_table`: for the operator term y^beta
+and each degree-(d - e) monomial gamma, the monomial beta + gamma and the
+falling factorial (beta + gamma)!/gamma!.  An operator term walks the
+shorter of its row and F's terms, so no dense table is ever built.  When
+any coefficient is an `Fp`, the loop runs on plain int residues mod its
+prime (`field.residue_rows`, the convention of the mod-p kernels in
+`linalg`), and only the result is wrapped back into `Fp`.
+
 Text grammar (whitespace-insensitive)::
 
     expr    :=  ['+'|'-'] term { ('+'|'-') term }
@@ -18,8 +27,9 @@ Text grammar (whitespace-insensitive)::
 
 where a variable is ``x<k>`` or ``y<k>`` (primal/dual may not be mixed).
 Arbitrary parenthesized arithmetic is accepted: the parser expands it
-with `Form` arithmetic over ``Fraction`` coefficients, one form per total
-degree, and homogeneity is checked on the expanded result.  The canonical
+with `Form` products over ``Fraction`` coefficients, one form per total
+degree, and sums merge term maps, so a long sum parses in linear time;
+homogeneity is checked on the expanded result.  The canonical
 printed format uses explicit ``*`` and ``^`` with terms in canonical
 order, e.g. ``x0^3 - x1^2*x2``.
 """
@@ -29,6 +39,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
+
+from .field import Fp, residue_rows
 
 PRIMAL = "x"
 DUAL = "y"
@@ -76,6 +89,32 @@ def shift_table(num_vars: int, shift: int, degree: int):
     basis = monomial_basis(num_vars, degree)
     return tuple(tuple(idx[tuple(a + e for a, e in zip(m, b))] for b in basis)
                  for m in monomial_basis(num_vars, shift))
+
+
+@lru_cache(maxsize=None)
+def contraction_row(num_vars: int, beta: tuple, degree: int):
+    """How the operator y^beta reads a form of degree |beta| + ``degree``.
+
+    One entry per degree-``degree`` basis monomial gamma, in canonical order:
+    the monomial beta + gamma, whose coefficient in F lands on gamma, and
+    the falling factorial (beta + gamma)! / gamma!.  Returned as the pair
+    (monomials, factors); F's terms are looked up by monomial, so no index
+    of F's whole degree is built.
+    """
+    alphas = tuple(tuple(map(add, beta, gamma))
+                   for gamma in monomial_basis(num_vars, degree))
+    return alphas, tuple(math.prod(map(math.perm, a, beta)) for a in alphas)
+
+
+def field_terms(*forms):
+    """(p, term maps) of the forms, as the contraction loop reads them.
+
+    If any coefficient is an `Fp`, p is its prime and every coefficient is
+    replaced by its int residue mod p (`field.residue_rows`); otherwise p
+    is None and the coefficients are the forms' own.
+    """
+    p, values = residue_rows([f.terms.values() for f in forms])
+    return p, [dict(zip(f.terms, v)) for f, v in zip(forms, values)]
 
 
 def multinomial(d: int, exponents) -> int:
@@ -280,29 +319,39 @@ def contract(op: Form, f: Form) -> Form:
     ``y_j^a`` acts as the a-th partial derivative in ``x_j``, so falling
     factorials appear as integer multiplicities.  The result is the zero
     form whenever the operator degree exceeds the form degree.
+
+    It walks index rows on `field_terms` (module docstring), so a call
+    costs at most |op terms| x |F terms| steps.
     """
     if op.ring != DUAL or f.ring != PRIMAL:
         raise ValueError("contraction expects a dual operator and a primal form")
     if op.num_vars != f.num_vars:
         raise ValueError("operator and form have different variable counts")
-    e, d = op.degree, f.degree
-    if e > d:
-        return Form.zero(PRIMAL, f.num_vars, 0)
-    out_deg = d - e
-    terms = {}
-    for beta, c_op in op.terms.items():
-        for alpha, c_f in f.terms.items():
-            # falling factorials a!/(a-b)!; perm(a, b) is 0 when b > a
-            mult = math.prod(map(math.perm, alpha, beta))
-            if not mult:
-                continue
-            mono = tuple(a - b for a, b in zip(alpha, beta))
-            s = terms.get(mono, 0) + c_op * c_f * mult
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
-    return Form(PRIMAL, f.num_vars, out_deg, terms)
+    nv, m = f.num_vars, f.degree - op.degree
+    if m < 0:
+        return Form.zero(PRIMAL, nv, 0)
+    p, (op_terms, f_terms) = field_terms(op, f)
+    size = math.comb(nv - 1 + m, m)
+    if size <= len(f_terms):
+        get = f_terms.get
+        out = [0] * size
+        for beta, c in op_terms.items():
+            alphas, factors = contraction_row(nv, beta, m)
+            out = [o + c * get(a, 0) * u for o, a, u in zip(out, alphas, factors)]
+        terms = zip(monomial_basis(nv, m), out)
+    else:
+        out = {}
+        for beta, c in op_terms.items():
+            for alpha, v in f_terms.items():
+                # falling factorials a!/(a-b)!; perm(a, b) is 0 when b > a
+                factor = math.prod(map(math.perm, alpha, beta))
+                if factor:
+                    gamma = tuple(map(sub, alpha, beta))
+                    out[gamma] = out.get(gamma, 0) + c * v * factor
+        terms = out.items()
+    if p is not None:
+        terms = ((g, Fp(v, p)) for g, v in terms if v % p)
+    return Form(PRIMAL, nv, m, dict(terms))
 
 
 def linear_power_coefficients(coords, degree: int):
@@ -366,15 +415,26 @@ def _tokenize(text: str):
     return tokens
 
 
-def _collect(pieces):
-    """Sum (degree, Form) pieces into {degree: nonzero Form}."""
-    out = {}
+def _collect(pieces, width: int):
+    """Sum (degree, Form) pieces into {degree: nonzero Form}.
+
+    The term maps are merged per degree and each degree's `Form` is built
+    once, so a sum costs time linear in its terms.  Terms and degrees keep
+    the order that adding the pieces one `Form.__add__` at a time gives (a
+    cancelled entry leaves, a new one goes last), which names the terms of
+    a `HomogeneityError`.
+    """
+    sums = {}
     for d, f in pieces:
-        if d in out:
-            f = out.pop(d) + f
-        if f:
-            out[d] = f
-    return out
+        terms = sums.pop(d, {})
+        for mono, c in f.terms.items():
+            s = terms.get(mono, 0) + c
+            if s:
+                terms[mono] = s
+            else:
+                del terms[mono]
+        sums[d] = terms
+    return {d: Form(PRIMAL, width, d, terms) for d, terms in sums.items() if terms}
 
 
 class _Parser:
@@ -422,18 +482,18 @@ class _Parser:
         if self.work > MAX_TERM_PRODUCTS:
             raise ParseError(
                 f"expansion needs over {MAX_TERM_PRODUCTS} term products", at)
-        return _collect((d1 + d2, f1 * f2)
-                        for d1, f1 in p.items() for d2, f2 in q.items())
+        return _collect(((d1 + d2, f1 * f2)
+                         for d1, f1 in p.items() for d2, f2 in q.items()), self.width)
 
     def parse_expr(self):
         sign = 1
         if self.peek()[0] in "+-":
             sign = -1 if self.take()[0] == "-" else 1
-        pieces = [(d, sign * f) for d, f in self.parse_term().items()]
+        pieces = [(d, f if sign == 1 else -f) for d, f in self.parse_term().items()]
         while self.peek()[0] in "+-":
             sign = -1 if self.take()[0] == "-" else 1
-            pieces += [(d, sign * f) for d, f in self.parse_term().items()]
-        return _collect(pieces)
+            pieces += [(d, f if sign == 1 else -f) for d, f in self.parse_term().items()]
+        return _collect(pieces, self.width)
 
     def parse_term(self):
         acc = self.parse_factor()

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from . import linalg
-from .field import random_scalar
+from .field import Fp, random_scalar, residue_rows
 from .poly import (DUAL, Form, coefficient_vector, evaluate, form_from_vector,
                    monomial_values)
 from .apolar import ideal_piece_dimension
@@ -143,9 +143,11 @@ def _points_from_coeff_rows(rows, n: int):
     Coordinate j of the point for subset tau is (-1)^j times the maximal
     minor of the n x (n+1) matrix of tau's rows with column j removed, so
     it involves no coefficient from variable slot j.  A dependent
-    n-subset gets the zero point.
+    n-subset gets the zero point.  Rows over F_p are expanded on their int
+    residues (`field.residue_rows`) and the coordinates wrapped back into `Fp`.
     """
     full = (1 << (n + 1)) - 1
+    p, rows = residue_rows(rows)
     zero = rows[0][0] * 0
     points = []
     for tau in combinations(range(len(rows)), n):
@@ -154,6 +156,8 @@ def _points_from_coeff_rows(rows, n: int):
         for j in range(n + 1):
             minor = found.get(full ^ (1 << j), zero)
             coords.append(-minor if j % 2 else minor)
+        if p is not None:
+            coords = [Fp(c, p) for c in coords]
         points.append(StarPoint(tau, tuple(coords)))
     return points
 

@@ -10,19 +10,22 @@ oracle for the chain-rule Jacobian, runs the generic coefficient map
 `rref_kernel` is the exact reference for the int64 mod-p kernels: the
 generic `rref` alone, and `det_scan_violation` the one for the
 general-position certificate: every maximal minor by `linalg.det`.
+`contract_by_pairs` is the reference for `poly.contract`: every pair of
+operator and form terms, on the scalars as given (`Fp` objects over F_p).
 The (3, 7, 5) certificate at the end checks its identity over the
 integers with plain dict polynomials, using no Cramer or jet code.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial, prod
+from math import factorial, perm, prod
 
 from starpolar.existence import gamma_coefficients
 from starpolar.field import Fp
 from starpolar.linalg import det, rank, rref
-from starpolar.poly import monomial_basis
+from starpolar.poly import DUAL, PRIMAL, Form, monomial_basis
 
 
 class EpsPoly:
@@ -344,3 +347,50 @@ def star7_conormal(values, rows, p):
         dual = dp_add(dual, term)
     weights = [prod(factorial(x) for x in e) for e in basis]
     return [dual.get(e, Fp(0, p)) * w for e, w in zip(basis, weights)], c
+
+
+# ---------------------------------------------------------------------------
+# contraction by term pairs (reference for `poly.contract`)
+
+
+def random_scalar_over(rng, field):
+    """A random scalar of Z ("Z"), Q ("Q") or F_p (an int p); possibly zero."""
+    if field == "Z":
+        return rng.randrange(-6, 7)
+    if field == "Q":
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+    return Fp(rng.randrange(field), field)
+
+
+def random_form_over(rng, ring, num_vars, degree, field, density):
+    """A form whose basis monomials each get a term with the given chance."""
+    return Form(ring, num_vars, degree,
+                {m: random_scalar_over(rng, field)
+                 for m in monomial_basis(num_vars, degree) if rng.random() < density})
+
+
+def contract_by_pairs(op, f):
+    """y^beta applied to c x^alpha for every pair of terms: the falling
+    factorials alpha!/(alpha - beta)! times the product of the two
+    coefficients, summed on the scalars as given; zero past deg F."""
+    if op.ring != DUAL or f.ring != PRIMAL:
+        raise ValueError("contraction expects a dual operator and a primal form")
+    if op.num_vars != f.num_vars:
+        raise ValueError("operator and form have different variable counts")
+    e, d = op.degree, f.degree
+    if e > d:
+        return Form.zero(PRIMAL, f.num_vars, 0)
+    terms = {}
+    for beta, c_op in op.terms.items():
+        for alpha, c_f in f.terms.items():
+            # perm(a, b) is 0 when b > a
+            mult = prod(map(perm, alpha, beta))
+            if not mult:
+                continue
+            mono = tuple(a - b for a, b in zip(alpha, beta))
+            s = terms.get(mono, 0) + c_op * c_f * mult
+            if s:
+                terms[mono] = s
+            else:
+                terms.pop(mono, None)
+    return Form(PRIMAL, f.num_vars, d - e, terms)

@@ -5,15 +5,16 @@ from math import comb
 import pytest
 
 from starpolar import linalg
-from starpolar.apolar import (_product_rows, annihilates, catalecticant,
-                              ideal_piece_dimension, is_apolar_ideal_contained,
-                              perp_piece, solve_waring, verify_perp_generators)
+from starpolar.apolar import (CatalecticantMatrix, _product_rows, annihilates,
+                              catalecticant, ideal_piece_dimension,
+                              is_apolar_ideal_contained, perp_piece,
+                              solve_waring, verify_perp_generators)
 from starpolar.field import Fp, random_scalar
-from starpolar.poly import (DUAL, PRIMAL, Form, coefficient_vector,
+from starpolar.poly import (DUAL, PRIMAL, Form, coefficient_vector, contract,
                             monomial_basis, parse_form, shift_table)
 from starpolar.starconfig import point_ideal_piece
 
-from helpers import rref_kernel
+from helpers import random_form_over, rref_kernel
 
 CUSPIDAL = parse_form("x0^3 - x1^2*x2")
 CONIC_TANGENT = parse_form("x0*(x2^2+x0*x1)")
@@ -60,6 +61,32 @@ def test_catalecticant_power_of_x0():
 def test_catalecticant_degree_zero_has_trivial_kernel():
     for f in (CUSPIDAL, CONIC_TANGENT, parse_form("x0^5", num_vars=2)):
         assert perp_piece(f, 0).dimension == 0
+
+
+@pytest.mark.parametrize("field", ["Z", "Q", 7, 2**31 - 1])
+def test_catalecticant_matches_the_per_monomial_contraction_build(field):
+    rng = random.Random(str(field))
+    cases = 0
+    for nv in (1, 2, 3, 4):
+        for d in range(6):
+            for density in (0.3, 1.0):
+                f = random_form_over(rng, PRIMAL, nv, d, field, density)
+                if f.is_zero():
+                    continue
+                for i in range(d + 1):
+                    cols = [coefficient_vector(contract(Form.monomial(DUAL, m), f))
+                            for m in monomial_basis(nv, i)]
+                    entries = [list(row) for row in zip(*cols)]
+                    want = CatalecticantMatrix(i, d - i, entries,
+                                               monomial_basis(nv, d - i),
+                                               monomial_basis(nv, i))
+                    got = catalecticant(f, i)
+                    assert got == want
+                    assert ([[type(e) for e in row] for row in got.entries]
+                            == [[type(e) for e in row] for row in entries])
+                    assert got.to_json_dict() == want.to_json_dict()
+                    cases += 1
+    assert cases > 100
 
 
 def test_catalecticant_range_check():

@@ -228,3 +228,59 @@ def test_rank_and_kernel_over_rationals_stay_on_rref():
     assert ker == [[1, Fraction(-1, 2), 0]]
     assert not any(isinstance(e, Fp) for row in ker for e in row)
     assert linalg.kernel_basis([], 2) == [[1, 0], [0, 1]]
+
+
+def _solve_by_rref(rows, rhs):
+    """`solve_linear`'s read-off on the generic `rref` of the augmented rows."""
+    ncols = len(rows[0])
+    R, pivots = linalg.rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [0] * ncols
+    for prow, pcol in enumerate(pivots):
+        x[pcol] = R[prow][-1]
+    return x
+
+
+def test_solve_linear_over_fp_matches_rref_on_fp_objects(monkeypatch):
+    rng = random.Random(37)
+    big = 2147483659  # prime, above the int64 kernel's limit
+    calls = []
+    real = linalg.rref_mod
+    monkeypatch.setattr(linalg, "rref_mod",
+                        lambda *a: calls.append(a[1]) or real(*a))
+    kinds = {"solved": 0, "inconsistent": 0, "free": 0}
+    for p in (2, 7, 101, DEFAULT_PRIME, big):
+        for _ in range(60):
+            m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+            rows = [[Fp(rng.randrange(p), p) for _ in range(n)] for _ in range(m)]
+            shape = rng.randrange(3)
+            if shape == 0:
+                # consistent: the right side is a combination of the columns
+                x0 = [Fp(rng.randrange(p), p) for _ in range(n)]
+                rhs = [sum((a * b for a, b in zip(row, x0)), Fp(0, p)) for row in rows]
+            elif shape == 1 and m > 1:
+                # a repeated row with a different right side has no solution
+                rows[-1] = list(rows[0])
+                rhs = [Fp(rng.randrange(p), p) for _ in range(m - 1)]
+                rhs.append(rhs[0] + 1)
+            else:
+                rhs = [Fp(rng.randrange(p), p) for _ in range(m)]
+            calls.clear()
+            got = linalg.solve_linear(rows, rhs)
+            assert calls == ([p] if p < 2**31 else [])
+            want = _solve_by_rref(rows, rhs)
+            assert got == want, (p, rows, rhs)
+            if got is None:
+                kinds["inconsistent"] += 1
+                continue
+            kinds["solved"] += 1
+            assert all(isinstance(v, Fp) and v.p == p for v in got if v)
+            assert [sum((a * b for a, b in zip(row, got)), Fp(0, p))
+                    for row in rows] == rhs
+            # free columns (no pivot in the rref) are pinned to zero
+            pivots = linalg.rref(rows)[1]
+            free = [c for c in range(n) if c not in pivots]
+            kinds["free"] += bool(free)
+            assert all(got[c] == 0 for c in free)
+    assert min(kinds.values()) > 20

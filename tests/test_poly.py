@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -8,10 +9,10 @@ import pytest
 from starpolar.field import Fp
 from starpolar.poly import (DUAL, MAX_EXPONENT, MAX_VARIABLE_INDEX, PRIMAL,
                             Form, HomogeneityError, ParseError,
-                            coefficient_vector, contract, evaluate,
-                            format_form, linear_power_coefficients,
+                            coefficient_vector, contract, contraction_row,
+                            evaluate, format_form, linear_power_coefficients,
                             monomial_basis, multinomial, parse_form)
-from helpers import dp_add, dp_diff
+from helpers import contract_by_pairs, dp_add, dp_diff, random_form_over
 
 
 def test_monomial_basis_examples():
@@ -143,6 +144,89 @@ def test_contract_matches_iterated_derivatives():
             assert got.degree == (d - e if e <= d else 0)
 
 
+def _contract_against_pairs(op, f):
+    """Compare `contract` with the pair loop, coefficient types included;
+    returns True when the call read `contraction_row`s."""
+    before = contraction_row.cache_info()
+    got = contract(op, f)
+    after = contraction_row.cache_info()
+    want = contract_by_pairs(op, f)
+    assert got == want and got.degree == want.degree, (op, f)
+    assert ({m: type(c) for m, c in got.terms.items()}
+            == {m: type(c) for m, c in want.terms.items()})
+    return after.hits + after.misses > before.hits + before.misses
+
+
+@pytest.mark.parametrize("field", ["Z", "Q", 7, 101, 2**31 - 1])
+def test_contract_matches_the_pair_loop(field):
+    rng = random.Random(str(field))
+    walks = {True: 0, False: 0}
+    for nv in (1, 2, 3, 4):
+        for d in range(5):
+            for density in (0.0, 0.3, 1.0):
+                f = random_form_over(rng, PRIMAL, nv, d, field, density)
+                for e in range(d + 2):
+                    for op_density in (0.0, 0.5, 1.0):
+                        op = random_form_over(rng, DUAL, nv, e, field, op_density)
+                        walks[_contract_against_pairs(op, f)] += 1
+    # both walks ran: along the rows, and along F's terms
+    assert walks[True] > 100 and walks[False] > 100
+
+
+def test_contract_matches_the_pair_loop_where_factorials_vanish_mod_p():
+    # exponents >= 7 over F_7: some falling factorials are 0 mod 7
+    rng = random.Random(707)
+    vanished = 0
+    for _ in range(120):
+        nv = rng.randrange(1, 4)
+        d = rng.randrange(7, 13)
+        e = rng.randrange(0, d + 2)
+        f = random_form_over(rng, PRIMAL, nv, d, 7, 0.5)
+        op = random_form_over(rng, DUAL, nv, e, 7, 0.5)
+        _contract_against_pairs(op, f)
+        vanished += any(math.prod(map(math.perm, a, b)) % 7 == 0
+                        and all(x >= y for x, y in zip(a, b))
+                        for a in f.terms for b in op.terms)
+    assert vanished > 20
+
+
+def test_contract_of_fractions_on_fp_forms_matches_the_pair_loop():
+    rng = random.Random(708)
+    for p in (7, 101, 2**31 - 1):
+        for _ in range(40):
+            nv = rng.randrange(1, 4)
+            d = rng.randrange(0, 6)
+            e = rng.randrange(0, d + 2)
+            f = random_form_over(rng, PRIMAL, nv, d, p, 0.7)
+            op = random_form_over(rng, DUAL, nv, e, "Q", 0.7)
+            _contract_against_pairs(op, f)
+            assert all(isinstance(c, Fp) for c in contract(op, f).terms.values())
+
+
+def test_contract_rejects_mixed_moduli():
+    f = Form(PRIMAL, 2, 2, {(2, 0): Fp(3, 11), (1, 1): Fp(1, 11)})
+    for op in (Form(DUAL, 2, 1, {(1, 0): Fp(2, 7)}),
+               Form(DUAL, 2, 2, {(2, 0): Fp(2, 7), (0, 2): 5})):
+        with pytest.raises(ValueError, match="mixed prime-field moduli"):
+            contract(op, f)
+        with pytest.raises(ValueError, match="mixed prime-field moduli"):
+            contract_by_pairs(op, f)
+
+
+def test_contract_keeps_the_sparse_bound():
+    # dim S_100 in 10 variables is about 4e12, so the call must walk F's two
+    # terms and build no row, basis or index of that size
+    f = parse_form("x0^200 + x9^200")
+    op = parse_form("y0^100", num_vars=10)
+    caches = (contraction_row, monomial_basis)
+    sizes = [c.cache_info().currsize for c in caches]
+    for scale in (1, Fp(1, 2**31 - 1)):
+        got = contract(op, f * scale)
+        assert got == Form(PRIMAL, 10, 100, {(100,) + (0,) * 9: math.perm(200, 100) * scale})
+        assert len(got.terms) == 1
+    assert [c.cache_info().currsize for c in caches] == sizes
+
+
 def test_linear_power_matches_form_power():
     rng = random.Random(80)
     for _ in range(15):
@@ -266,6 +350,35 @@ def test_parse_refuses_an_expansion_over_its_budget_quickly():
     f = parse_form("(x0+x1+x2)^40")
     assert f.degree == 40 and len(f.terms) == comb(42, 2)
     assert f.terms[(14, 13, 13)] == multinomial(40, (14, 13, 13))
+
+
+def test_parse_validates_terms_linearly_in_the_summands(monkeypatch):
+    # a sum of N distinct cubic monomials: each summand's terms are checked
+    # a bounded number of times, where summing one `Form.__add__` at a time
+    # re-checked the whole accumulated form, about N^2 / 2 terms
+    monos = [(i, j, k) for i in range(40) for j in range(i, 40)
+             for k in range(j, 40)]
+    random.Random(31).shuffle(monos)
+    checked = []
+    real = Form.__init__
+
+    def counting(self, ring, num_vars, degree, terms):
+        checked.append(len(terms))
+        real(self, ring, num_vars, degree, terms)
+
+    monkeypatch.setattr(Form, "__init__", counting)
+    counts = {}
+    for n in (250, 500, 1000):
+        text = " - ".join(f"{c + 2}*x{i}*x{j}*x{k}" for c, (i, j, k)
+                          in enumerate(monos[:n]))
+        checked.clear()
+        f = parse_form(text)
+        counts[n] = sum(checked)
+        assert len(f.terms) == n
+        first, second = (tuple(m.count(v) for v in range(40)) for m in monos[:2])
+        assert (f.terms[first], f.terms[second]) == (2, -3)
+    assert all(counts[n] <= 16 * n for n in counts)
+    assert counts[1000] <= 4.2 * counts[250]
 
 
 def test_parse_rejects_mixed_rings():

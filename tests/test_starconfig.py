@@ -80,6 +80,29 @@ def test_general_position_witness_matches_det_scan():
     assert cases >= 10000 and 0 < violations < cases
 
 
+def test_fp_cramer_points_match_minors_on_fp_objects():
+    # the points of F_p rows are expanded on int residues; the same signed
+    # minors taken on the Fp objects themselves must give the same points
+    rng = random.Random(2026)
+    for p in (3, 101, DEFAULT_PRIME):
+        for n in range(1, 5):
+            full = (1 << (n + 1)) - 1
+            for r in range(n, n + 3):
+                for _ in range(8):
+                    rows = [[Fp(rng.randrange(p), p) for _ in range(n + 1)]
+                            for _ in range(r)]
+                    want = []
+                    for tau in combinations(range(r), n):
+                        found = linalg.minors([rows[j] for j in tau])
+                        coords = [found.get(full ^ (1 << j), Fp(0, p)) for j in range(n + 1)]
+                        want.append((tau, tuple(-c if j % 2 else c
+                                                for j, c in enumerate(coords))))
+                    got = _points_from_coeff_rows(rows, n)
+                    assert [(pt.tag, pt.coords) for pt in got] == want
+                    assert all(isinstance(c, Fp) and c.p == p
+                               for pt in got for c in pt.coords)
+
+
 def test_certify_r_equals_n_is_vacuous():
     hset = HyperplaneSet([(1, 0, 0), (0, 1, 0)])
     assert hset.r == hset.n == 2
