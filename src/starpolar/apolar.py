@@ -53,7 +53,8 @@ def _mono_str(ring: str, mono) -> str:
 
 
 def catalecticant(f: Form, i: int) -> CatalecticantMatrix:
-    """Catalecticant of a primal form in source degree i, 0 <= i <= deg F.
+    """Catalecticant of a primal form in source degree i, 0 <= i <= deg F;
+    the zero form's is the zero matrix, so its annihilator is everything.
 
     The column of y^b is F's coefficients read through b's
     `contraction_row`, the same entries `contract` forms for y^b (over F_p
@@ -61,8 +62,6 @@ def catalecticant(f: Form, i: int) -> CatalecticantMatrix:
     """
     if f.ring != PRIMAL:
         raise ValueError("catalecticant expects a primal form")
-    if f.is_zero():
-        raise ValueError("catalecticant of the zero form is not defined")
     if not 0 <= i <= f.degree:
         raise ValueError(f"source degree {i} outside 0..{f.degree}")
     nv = f.num_vars

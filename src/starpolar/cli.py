@@ -7,6 +7,13 @@ take --seed / --prime / --trials; no environment variable changes an
 answer, so a run is reproducible from its flags.  All scalars serialize
 as decimal strings (rationals as "p/q") so nothing is lost to binary
 floating point.
+
+Input rules live in the library, and the exception type decides the exit
+code: `main` turns every ``ValueError`` (a bad flag, a bad file, or a
+failed library check) into exit 2, and a ``RuntimeError`` or
+``ArithmeticError`` (the computation itself failed) into exit 1.  The
+checks made here only name the offending text or path, or cover what no
+library function knows (the sweep's plane family, its output file).
 """
 
 from __future__ import annotations
@@ -17,19 +24,15 @@ import json
 import os
 import sys
 
-from . import __version__, linalg
+from . import __version__
 from .apolar import (catalecticant, is_apolar_ideal_contained, perp_piece,
                      solve_waring)
-from .existence import classify, jacobian_rank_test, rho
+from .existence import check_rank_test, classify, jacobian_rank_test, rho
 from .field import (DEFAULT_PRIME, DEFAULT_SEED, scalar_from_str,
                     scalar_to_str)
 from .poly import DUAL, PRIMAL, Form, format_form, parse_form
 from .starconfig import (HyperplaneSet, build_star_configuration,
                          hilbert_function, star_ideal_product_generators)
-
-
-class CliError(Exception):
-    """User-facing error: message to stderr, nonzero exit."""
 
 
 def _json_flag(parser: argparse.ArgumentParser):
@@ -52,28 +55,12 @@ def _triple_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--n", type=int, required=True, help="projective dimension")
 
 
-def _resolved(args):
-    try:
-        linalg.check_modulus(args.prime)
-    except ValueError as exc:
-        raise CliError(f"--prime: {exc}") from exc
-    if args.trials < 1:
-        raise CliError("--trials must be at least 1")
-    return args.seed, args.prime, args.trials
-
-
 def _emit(args, payload: dict, human_lines):
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in human_lines:
             print(line)
-
-
-def _check_triple(d, r, n):
-    if n < 1 or d < 1 or r < n:
-        raise CliError(f"invalid triple: need d >= 1, n >= 1, r >= n "
-                       f"(got d={d}, r={r}, n={n})")
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +71,7 @@ def _parse_cli_form(text: str, ring: str | None = None, num_vars: int | None = N
     try:
         return parse_form(text, num_vars=num_vars, ring=ring)
     except ValueError as exc:
-        raise CliError(f"cannot parse form {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse form {text!r}: {exc}") from exc
 
 
 def load_forms_file(path: str, ring: str, num_vars: int | None = None):
@@ -95,22 +82,22 @@ def load_forms_file(path: str, ring: str, num_vars: int | None = None):
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     forms = []
     if text.lstrip().startswith("["):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise CliError(f"{path}: invalid JSON: {exc}") from exc
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
         for vec in data:
             if not isinstance(vec, list) or not vec:
-                raise CliError(f"{path}: entry {vec!r} is not a coefficient vector")
+                raise ValueError(f"{path}: entry {vec!r} is not a coefficient vector")
             if num_vars is not None and len(vec) > num_vars:
-                raise CliError(f"{path}: vector of length {len(vec)} exceeds {num_vars} variables")
+                raise ValueError(f"{path}: vector of length {len(vec)} exceeds {num_vars} variables")
             try:
                 coeffs = [scalar_from_str(str(s)) for s in vec]
             except (ValueError, ZeroDivisionError) as exc:
-                raise CliError(f"{path}: bad scalar in {vec!r}: {exc}") from exc
+                raise ValueError(f"{path}: bad scalar in {vec!r}: {exc}") from exc
             forms.append(Form.linear(ring, coeffs))
     else:
         for line in text.splitlines():
@@ -118,7 +105,7 @@ def load_forms_file(path: str, ring: str, num_vars: int | None = None):
             if line and not line.startswith("#"):
                 forms.append(_parse_cli_form(line, ring=ring, num_vars=num_vars))
     if not forms:
-        raise CliError(f"{path}: no forms found")
+        raise ValueError(f"{path}: no forms found")
     width = num_vars if num_vars is not None else max(f.num_vars for f in forms)
     return [Form(f.ring, width, f.degree,  # pad exponents of the absent variables
                  {m + (0,) * (width - f.num_vars): c for m, c in f.terms.items()})
@@ -130,7 +117,6 @@ def load_forms_file(path: str, ring: str, num_vars: int | None = None):
 
 
 def _cmd_rho(args) -> int:
-    _check_triple(args.d, args.r, args.n)
     value = rho(args.d, args.r, args.n)
     note = ("necessary condition fails: no apolar configuration for the "
             "generic form" if value < 0 else "necessary condition holds")
@@ -140,7 +126,6 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _check_triple(args.d, args.r, args.n)
     v = classify(args.d, args.r, args.n)
     payload = {"d": args.d, "r": args.r, "n": args.n, **v.to_json_dict()}
     _emit(args, payload,
@@ -150,10 +135,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_jactest(args) -> int:
-    _check_triple(args.d, args.r, args.n)
-    seed, prime, trials = _resolved(args)
-    report = jacobian_rank_test(args.d, args.r, args.n,
-                                prime=prime, seed=seed, trials=trials)
+    report = jacobian_rank_test(args.d, args.r, args.n, prime=args.prime,
+                                seed=args.seed, trials=args.trials)
     payload = report.to_json_dict()
     _emit(args, payload,
           [f"({args.d},{args.r},{args.n}): {report.verdict}, "
@@ -167,10 +150,7 @@ def _cmd_jactest(args) -> int:
 def _cmd_star(args) -> int:
     forms = load_forms_file(args.forms, ring=DUAL,
                             num_vars=args.n + 1 if args.n is not None else None)
-    try:
-        hset = HyperplaneSet.from_forms(forms)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    hset = HyperplaneSet.from_forms(forms)
     config = build_star_configuration(hset)
     table = hilbert_function(config.points, hset.r)
     payload = {
@@ -195,8 +175,6 @@ def _cmd_star(args) -> int:
 
 def _cmd_perp(args) -> int:
     f = _parse_cli_form(args.form, ring=PRIMAL)
-    if args.degree < 0:
-        raise CliError("--degree must be nonnegative")
     piece = perp_piece(f, args.degree)
     payload = {
         "form": format_form(f), "degree": args.degree,
@@ -217,11 +195,7 @@ def _cmd_apolar_check(args) -> int:
     forms = load_forms_file(args.forms, ring=DUAL, num_vars=f.num_vars)
     star_mode = all(g.degree == 1 for g in forms)
     if star_mode:
-        try:
-            hset = HyperplaneSet.from_forms(forms)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        generators = star_ideal_product_generators(hset)
+        generators = star_ideal_product_generators(HyperplaneSet.from_forms(forms))
     else:
         generators = forms
     check = is_apolar_ideal_contained(generators, f)
@@ -244,10 +218,7 @@ def _cmd_apolar_check(args) -> int:
 def _cmd_waring(args) -> int:
     f = _parse_cli_form(args.form, ring=PRIMAL)
     points = load_forms_file(args.forms, ring=PRIMAL, num_vars=f.num_vars)
-    try:
-        deco = solve_waring(points, f)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    deco = solve_waring(points, f)
     if deco is None:
         _emit(args, {"form": format_form(f), "feasible": False},
               ["infeasible: the form is outside the span of the supplied powers"])
@@ -266,38 +237,44 @@ def _cmd_waring(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.n != 2:
-        raise CliError("the conjecture sweep is a plane-curve family: --n 2")
+        raise ValueError("the conjecture sweep is a plane-curve family: --n 2")
     if args.dmin < 3 or args.dmax < args.dmin:
-        raise CliError("need 3 <= dmin <= dmax")
-    seed, prime, trials = _resolved(args)
+        raise ValueError("need 3 <= dmin <= dmax")
+    # refuse a bad prime, trial count or size before the output file exists;
+    # the largest cell bounds the others
+    check_rank_test(args.dmax, args.dmax + 1, 2, args.prime, args.trials)
     done = set()
     if os.path.exists(args.out) and not args.force:
-        with open(args.out) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    rep = rec.get("report") or {}
-                    done.add((rec.get("d"), rec.get("r"), rec.get("n"),
-                              rep.get("prime"), rep.get("seed")))
-                except (json.JSONDecodeError, AttributeError):
-                    continue  # damaged line; remaining lines stay valid
+        try:
+            with open(args.out, encoding="utf-8") as fh:
+                recorded = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read {args.out}: {exc}") from exc
+        for line in recorded:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                rep = rec.get("report") or {}
+                done.add((rec.get("d"), rec.get("r"), rec.get("n"),
+                          rep.get("prime"), rep.get("seed")))
+            except (json.JSONDecodeError, AttributeError):
+                continue  # damaged line; remaining lines stay valid
     records = []
     try:
         out = open(args.out, "a")
     except OSError as exc:
-        raise CliError(f"cannot open {args.out} for append: {exc}") from exc
+        raise ValueError(f"cannot open {args.out} for append: {exc}") from exc
     with out:
         for d in range(args.dmin, args.dmax + 1):
             # the rank test keys its streams by the triple, so each cell
             # owns its stream under the base seed
-            if (d, d + 1, 2, prime, seed) in done:
+            if (d, d + 1, 2, args.prime, args.seed) in done:
                 records.append({"d": d, "skipped": True})
                 continue
-            report = jacobian_rank_test(d, d + 1, 2, prime=prime,
-                                        seed=seed, trials=trials)
+            report = jacobian_rank_test(d, d + 1, 2, prime=args.prime,
+                                        seed=args.seed, trials=args.trials)
             record = {
                 "d": d, "r": d + 1, "n": 2,
                 "source": "jactest",
@@ -401,10 +378,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

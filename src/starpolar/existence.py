@@ -42,6 +42,9 @@ DEFECTIVE_TRIPLES = {(3, 7, 5): 55}
 # the plane family (d, d+1, 2) reaches full Jacobian rank for 3 <= d <= this
 # degree; acceptance criterion 4 checks the whole range
 PLANE_VERIFIED_DEGREE = 13
+# int64 cells C(r,n) * (n+1) * C(n+d,d) of the largest array the Jacobian
+# assembly holds (2^25 cells, 256 MiB); the plane family fits up to d = 80
+MAX_JACOBIAN_CELLS = 2**25
 
 
 class DegenerateParametersError(RuntimeError):
@@ -360,6 +363,20 @@ class JacobianTestReport:
         }
 
 
+def check_rank_test(d: int, r: int, n: int, prime: int, trials: int):
+    """Raise ``ValueError`` unless `jacobian_rank_test` accepts these
+    inputs: a valid triple, a prime below 2^31, at least one trial, and a
+    Jacobian whose assembly stays within ``MAX_JACOBIAN_CELLS`` int64 cells."""
+    _validate_triple(d, r, n)
+    linalg.check_modulus(prime)
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    cells = comb(r, n) * (n + 1) * comb(n + d, d)
+    if cells > MAX_JACOBIAN_CELLS:
+        raise ValueError(f"(d,r,n)=({d},{r},{n}) needs {cells} int64 cells for its "
+                         f"Jacobian, over the limit of {MAX_JACOBIAN_CELLS}")
+
+
 def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
                        seed: int = DEFAULT_SEED, trials: int = 3) -> JacobianTestReport:
     """Max Jacobian rank over independently seeded random trials.
@@ -370,12 +387,10 @@ def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
     why the report carries the prime and seed.  Trial t owns the stream
     seeded with the string "seed:d:r:n:t", which `random.Random` hashes
     with SHA-512, so no two (seed, triple, trial) share a stream and no
-    draw depends on PYTHONHASHSEED.
+    draw depends on PYTHONHASHSEED.  Inputs are checked by `check_rank_test`
+    before the first draw.
     """
-    _validate_triple(d, r, n)
-    linalg.check_modulus(prime)
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    check_rank_test(d, r, n, prime, trials)
     m = parameter_count(d, r, n)
     target = comb(n + d, d)
     start = time.perf_counter()

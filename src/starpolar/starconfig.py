@@ -210,8 +210,14 @@ class HilbertFunctionTable:
         return iter(self.values)
 
 
-def _point_coords(points):
-    return [pt.coords if isinstance(pt, StarPoint) else tuple(pt) for pt in points]
+def _point_coords(points, num_vars: int | None = None):
+    """Coordinate tuples of the points; ``ValueError`` unless they all have
+    one width, ``num_vars`` when it is given."""
+    coords = [pt.coords if isinstance(pt, StarPoint) else tuple(pt) for pt in points]
+    widths = {len(c) for c in coords} | ({num_vars} if num_vars is not None else set())
+    if len(widths) > 1:
+        raise ValueError(f"points must share one width, got widths {sorted(widths)}")
+    return coords
 
 
 def evaluation_matrix(points, degree: int):
@@ -234,7 +240,7 @@ def hilbert_function(points, t_max: int) -> HilbertFunctionTable:
 
 def point_ideal_piece(points, degree: int, num_vars: int | None = None):
     """Basis of the degree-t dual forms vanishing on the point set."""
-    coords = _point_coords(points)
+    coords = _point_coords(points, num_vars)
     nv = num_vars if num_vars is not None else len(coords[0])
     rows = evaluation_matrix(coords, degree)
     kernel = linalg.kernel_basis(rows, comb(nv - 1 + degree, degree))

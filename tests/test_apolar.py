@@ -116,6 +116,24 @@ def test_perp_piece_past_degree_is_everything():
     assert piece.dimension == len(monomial_basis(3, 4))
 
 
+@pytest.mark.parametrize("one", [1, Fp(1, 7), Fp(1, 2**31 - 1)])
+def test_zero_form_is_annihilated_by_everything(one):
+    # Ann(0) is all of T: the zero catalecticant's kernel in every degree,
+    # generated by the constant 1 over Q and over F_p
+    for nv, d in ((2, 0), (3, 2), (4, 3)):
+        g = Form.monomial(PRIMAL, (d,) + (0,) * (nv - 1), one)
+        zero = g - g
+        assert zero.is_zero() and zero.degree == d
+        for i in range(d + 2):
+            piece = perp_piece(zero, i)
+            assert piece.dimension == comb(nv - 1 + i, i)
+            if i <= d:
+                assert catalecticant(zero, i).rank() == 0
+        assert verify_perp_generators(zero, [Form.monomial(DUAL, (0,) * nv, one)])
+        assert not verify_perp_generators(
+            zero, [Form.monomial(DUAL, (1,) + (0,) * (nv - 1), one)])
+
+
 def test_annihilates_examples():
     y0, y1, y2 = (Form.linear(DUAL, [1 if k == i else 0 for k in range(3)])
                   for i in range(3))

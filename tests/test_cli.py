@@ -4,7 +4,9 @@ import time
 
 import pytest
 
+from starpolar import cli, existence
 from starpolar.cli import main
+from starpolar.existence import ResampleBudgetError
 
 CUSPIDAL_LINES_TEXT = "y0\ny1\ny1 - y2\ny0 + y1 + y2\n"
 
@@ -184,6 +186,14 @@ def test_perp_command_matrix_export(capsys):
     assert all(isinstance(e, str) for row in cat["rows"] for e in row)
 
 
+def test_perp_of_the_zero_form_is_everything(capsys):
+    code, data = run_json(capsys, ["perp", "--form", "0", "--degree", "0"])
+    assert code == 0
+    assert data["dimension"] == 1 and data["basis"] == ["1"]
+    code, data = run_json(capsys, ["perp", "--form", "0*x0*x2", "--degree", "2"])
+    assert code == 0 and data["dimension"] == 6
+
+
 def test_apolar_check_star_mode_golden(tmp_path, capsys):
     path = tmp_path / "lines.txt"
     path.write_text(CONIC_TANGENT_LINES)
@@ -349,3 +359,50 @@ def test_rank_test_flags_only_on_rank_test_commands(capsys):
             main(argv + ["--seed", "3"])
         assert exc.value.code == 2
         assert main(argv + ["--json"]) == 0
+
+
+SWEEP = ["sweep", "--dmax", "4", "--out", "{tmp}/sweep.jsonl"]
+
+
+def _budget_spent(*args, **kwargs):
+    raise ResampleBudgetError("32 degenerate draws in a row")
+
+
+def _unreachable(*args):
+    raise AssertionError("a refused command reached Jacobian assembly")
+
+
+@pytest.mark.parametrize("argv, code, patched", [
+    (["rho", "--d", "2", "--r", "1", "--n", "2"], 2, False),
+    (["classify", "--d", "0", "--r", "3", "--n", "2"], 2, False),
+    (["jactest", "--d", "200", "--r", "201", "--n", "2"], 2, False),
+    (SWEEP + ["--prime", "15"], 2, False),
+    (SWEEP + ["--trials", "0"], 2, False),
+    (["sweep", "--dmin", "200", "--dmax", "200", "--out", "{tmp}/sweep.jsonl"], 2, False),
+    (["sweep", "--dmax", "4", "--out", "{tmp}"], 2, False),
+    (["star", "--forms", "{tmp}/missing.txt"], 2, False),
+    (["perp", "--form", "x0^2", "--degree", "-1"], 2, False),
+    (["apolar-check", "--form", "x0*x1", "--forms", "{tmp}/dependent.txt"], 2, False),
+    (["waring", "--form", "x0*x1", "--forms", "{tmp}/proportional.txt"], 2, False),
+    (["jactest", "--d", "3", "--r", "4", "--n", "2"], 1, True),
+    (SWEEP, 1, True),
+])
+def test_exit_codes_follow_the_exception_type(tmp_path, capsys, monkeypatch,
+                                              argv, code, patched):
+    """A ValueError (a bad flag, a bad file, a failed library check) exits
+    2; a computation that fails exits 1.  Either way the reason is one
+    `error:` line on stderr and stdout stays empty."""
+    inputs = {"dependent.txt": "y0\n2*y0\n", "proportional.txt": "x0 + x1\n2*x0 + 2*x1\n"}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    # an oversize triple must be refused, never assembled
+    monkeypatch.setattr(existence, "_cofactor_tables", _unreachable)
+    if patched:
+        monkeypatch.setattr(cli, "jacobian_rank_test", _budget_spent)
+    start = time.perf_counter()
+    assert main([a.format(tmp=tmp_path) for a in argv]) == code
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if code == 2:  # a refused command leaves no file behind
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(inputs)

@@ -371,6 +371,23 @@ def test_jactest_gives_up_after_the_resample_budget(monkeypatch):
     assert len(draws) == existence.RESAMPLE_BUDGET
 
 
+def test_jactest_refuses_a_jacobian_over_the_cell_bound(monkeypatch):
+    def unguarded(*args):
+        raise AssertionError("an oversize triple reached Jacobian assembly")
+
+    monkeypatch.setattr(existence, "_cofactor_tables", unguarded)
+    # the plane family fits up to d = 80: C(d+1, 2) * 3 * C(d+2, 2) cells
+    assert comb(81, 2) * 3 * comb(82, 2) <= existence.MAX_JACOBIAN_CELLS
+    for d, r, n in ((81, 82, 2), (200, 201, 2), (8, 40, 6)):
+        assert comb(r, n) * (n + 1) * comb(n + d, d) > existence.MAX_JACOBIAN_CELLS
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="over the limit"):
+            jacobian_rank_test(d, r, n, trials=1)
+        assert time.perf_counter() - start < 1
+    with pytest.raises(AssertionError, match="reached Jacobian assembly"):
+        jacobian_rank_test(80, 81, 2, trials=1)
+
+
 @pytest.mark.parametrize("prime", [2**61 - 1, 2147483659])
 def test_jactest_rejects_oversized_prime_quickly(prime):
     start = time.perf_counter()

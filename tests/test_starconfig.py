@@ -247,6 +247,22 @@ def test_point_ideal_piece_vanishes_on_points():
                 assert not evaluate(g, pt.coords)
 
 
+@pytest.mark.parametrize("one", [1, Fp(1, DEFAULT_PRIME)])
+def test_point_sets_have_one_width(one):
+    pts = [(one, 0, 0), (0, one, 0), (0, 0, one)]
+    # the points' width must be the declared variable count
+    with pytest.raises(ValueError, match="one width"):
+        point_ideal_piece(pts, 2, 2)
+    assert len(point_ideal_piece(pts, 2, 3)) == 3
+    # an empty set takes its width from num_vars alone
+    assert len(point_ideal_piece([], 2, 2)) == 3
+    for mixed in ([(one, 0, 0), (0, one)], [(one, 0), (0, one, 0)]):
+        with pytest.raises(ValueError, match="one width"):
+            hilbert_function(mixed, 2)
+        with pytest.raises(ValueError, match="one width"):
+            point_ideal_piece(mixed, 1)
+
+
 SHAPES = [(4, 2), (5, 2), (6, 2), (5, 3), (6, 3), (6, 4)]
 
 
