@@ -5,18 +5,24 @@ The annihilator of a degree-d primal form F is the dual ideal of operators
 killing F under contraction.  Its degree-i piece is the kernel of the
 catalecticant matrix of the contraction map T_i -> S_{d-i}, so every
 ideal-theoretic question here is answered degree by degree with exact
-linear algebra (no Groebner bases anywhere).
+linear algebra (no Groebner bases anywhere).  The degree-t piece of an
+ideal is the span of the generators' monomial multiples; over F_p their
+rows are one int64 residue array, the generators' residues scattered to
+their `shift_table` positions, ranked by the mod-p kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
+from math import comb
+
+import numpy as np
 
 from . import linalg
 from .field import Fp, scalar_to_str
-from .poly import (DUAL, PRIMAL, Form, coefficient_vector, contract,
-                   contraction_row, field_terms, form_from_vector,
+from .poly import (DUAL, PRIMAL, Form, basis_index, coefficient_vector,
+                   contract, contraction_row, field_terms, form_from_vector,
                    linear_power_coefficients, monomial_basis, format_form,
                    shift_table)
 
@@ -136,25 +142,35 @@ def is_apolar_ideal_contained(generators, f: Form) -> ApolarityCheck:
 
 
 def _product_rows(gens, t: int):
-    """Coefficient rows of every (monomial x generator) product of degree t.
+    """(p, rows): the coefficient rows of every (monomial x generator)
+    product of degree t, over the field of the coefficients (`field_terms`).
 
-    The row of m * g holds g's coefficients at the positions `shift_table`
-    gives for m, zeros elsewhere: no product is expanded and no scalar is
-    multiplied.  Generators of degree above t contribute no row.
+    Over F_p the rows are one int64 array of residues, else lists of the
+    coefficients as given.  The row of m * g holds g's coefficients at the
+    positions `shift_table` gives for m, zeros elsewhere: no product is
+    expanded and no scalar is multiplied.  Each run of generators of one
+    degree is scattered at once, in generator order; generators of degree
+    above t contribute no row.
     """
     nv = gens[0].num_vars
-    width = len(monomial_basis(nv, t))
-    rows = []
-    for g in gens:
-        if g.degree > t:
+    width = comb(nv - 1 + t, t)
+    p, term_maps = field_terms(*gens)
+    dtype = object if p is None else np.int64
+    blocks = [np.zeros((0, width), dtype=dtype)]
+    for e, run in groupby(zip(gens, term_maps), key=lambda pair: pair[0].degree):
+        if e > t:
             continue
-        terms = [(i, c) for i, c in enumerate(coefficient_vector(g)) if c]
-        for positions in shift_table(nv, t - g.degree, g.degree):
-            row = [0] * width
-            for i, c in terms:
-                row[positions[i]] = c
-            rows.append(row)
-    return rows
+        idx = basis_index(nv, e)
+        run = [terms for _, terms in run]
+        coeffs = np.zeros((len(run), len(idx)), dtype=dtype)
+        for k, terms in enumerate(run):
+            coeffs[k, [idx[m] for m in terms]] = list(terms.values())
+        where = np.array(shift_table(nv, t - e, e), dtype=np.int64)
+        block = np.zeros((len(run), len(where), width), dtype=dtype)
+        block[:, np.arange(len(where))[:, None], where] = coeffs[:, None, :]
+        blocks.append(block.reshape(-1, width))
+    rows = np.concatenate(blocks)
+    return p, rows if p is not None else rows.tolist()
 
 
 def ideal_piece_dimension(generators, t: int) -> int:
@@ -167,10 +183,7 @@ def ideal_piece_dimension(generators, t: int) -> int:
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return 0
-    rows = _product_rows(gens, t)
-    if not rows:
-        return 0
-    return linalg.rank(rows)
+    return linalg.rank_over(*_product_rows(gens, t))
 
 
 def verify_perp_generators(f: Form, generators) -> bool:

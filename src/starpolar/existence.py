@@ -30,8 +30,8 @@ import numpy as np
 from . import linalg
 from .field import (DEFAULT_PRIME, DEFAULT_SEED, INT64_PRIME_LIMIT,
                     random_scalar, residue_rows)
-from .poly import (linear_power_coefficients, monomial_basis, multinomial,
-                   shift_table)
+from .poly import (linear_power_coefficients, monomial_basis, monomial_table,
+                   multinomial, shift_table)
 from .starconfig import (RESAMPLE_BUDGET, StarPoint, _points_from_coeff_rows,
                          general_position_violation)
 
@@ -203,18 +203,12 @@ def _draw_parameter_values(d, r, n, prime, rng):
 
 def _power_table(points, degree: int, p: int):
     """Coefficient vectors of (P_0 x_0 + ... + P_n x_n)^degree mod p, one row
-    per row P of the int64 residue array ``points``: multinomial times
-    monomial value, read off a power table per coordinate, with every
-    product reduced mod p before the next is taken."""
-    basis = monomial_basis(points.shape[1], degree)
-    exps = np.array(basis, dtype=np.int64)
-    pows = np.ones(points.shape + (degree + 1,), dtype=np.int64)
-    for e in range(1, degree + 1):
-        pows[:, :, e] = pows[:, :, e - 1] * points % p
-    table = np.array([multinomial(degree, e) % p for e in basis], dtype=np.int64)
-    for j in range(points.shape[1]):
-        table = table * pows[:, j, exps[:, j]] % p
-    return table
+    per row P of the int64 residue array ``points``: the multinomials times
+    the monomial values (`poly.monomial_table`)."""
+    multinomials = np.array([multinomial(degree, e) % p
+                             for e in monomial_basis(points.shape[1], degree)],
+                            dtype=np.int64)
+    return monomial_table(points, degree, p) * multinomials % p
 
 
 def _cofactor_tables(rows, n: int, p: int):
@@ -241,8 +235,8 @@ def _cofactor_tables(rows, n: int, p: int):
 
 
 def jacobian_matrix(d: int, r: int, n: int, values):
-    """Exact Jacobian of the coefficient map at the given F_p point, as a
-    matrix of Python ints in [0, p) with one row per parameter
+    """Exact Jacobian of the coefficient map at the given F_p point, as an
+    int64 array of residues in [0, p) with one row per parameter
     (m x C(n+d,d)).
 
     A prime p >= 2^31 raises ``ValueError``, and a point whose hyperplanes
@@ -300,7 +294,7 @@ def jacobian_matrix(d: int, r: int, n: int, values):
             block[:, :, cols] += cofactor[q][:, :, j, None] * lower[:, None, :] % p
         np.add.at(grads, sets[:, q], block % p)
     return np.concatenate([grads.reshape(-1, size) % p,
-                           _power_table(points, d, p)]).tolist()
+                           _power_table(points, d, p)])
 
 
 def _jacobian_at_random_point(d, r, n, prime, rng):
@@ -399,7 +393,7 @@ def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
         rng = random.Random(f"{seed}:{d}:{r}:{n}:{t}")
         rows, redrawn = _jacobian_at_random_point(d, r, n, prime, rng)
         resamples += redrawn
-        # plain ints mod p carry no modulus, so rank them with the mod-p kernel
+        # an int64 array carries no modulus, so rank it with the mod-p kernel
         trial_ranks.append(linalg.rank_mod(rows, prime))
         if trial_ranks[-1] == target:
             break

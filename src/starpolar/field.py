@@ -250,6 +250,21 @@ def residue_rows(rows):
                 else residue(e) for e in row] for row in rows]
 
 
+def residue_array(rows, p: int):
+    """Int rows (lists or an array) as a 2-D int64 array reduced mod p.
+
+    A prime of 2^31 or more raises ``ValueError`` before any entry is
+    converted: below it, a product of two residues fits in int64, which
+    the mod-p kernels and tables need.
+    """
+    if p >= INT64_PRIME_LIMIT:
+        raise ValueError(f"prime {p} too large for the int64 mod-p kernel")
+    M = np.asarray(rows, dtype=np.int64)
+    if M.ndim == 1:
+        M = M.reshape(0, 0) if M.size == 0 else M.reshape(1, -1)
+    return M % p
+
+
 def modulus_of(values):
     """First prime modulus found among ``values``, or None."""
     for v in values:

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import INT64_PRIME_LIMIT, Fp, is_prime, residue_rows
+from .field import INT64_PRIME_LIMIT, Fp, is_prime, residue_array, residue_rows
 
 
 def _invert(x):
@@ -82,8 +82,14 @@ def rref(rows):
 
 def rank(rows) -> int:
     """Rank over the field of the entries: F_p if any entry is an `Fp`, else Q."""
-    p, res = residue_rows(rows)
-    return len(rref(rows)[1]) if p is None else rank_mod(res, p)
+    return rank_over(*residue_rows(rows))
+
+
+def rank_over(p, rows) -> int:
+    """Rank over the field that ``p`` names, the pair `field.residue_rows`
+    returns: over F_p the rows hold int residues (lists or an int64 array,
+    `rank_mod`), and with p None they are scalars of Q (`rref`)."""
+    return len(rref(rows)[1]) if p is None else rank_mod(rows, p)
 
 
 def kernel_basis(rows, num_cols: int):
@@ -92,9 +98,13 @@ def kernel_basis(rows, num_cols: int):
     The field is chosen as in `rank`; over F_p the rows hold `Fp` entries.
     ``num_cols`` is required so the kernel of an empty matrix is well defined.
     """
-    p, res = residue_rows(rows)
+    return kernel_over(*residue_rows(rows), num_cols)
+
+
+def kernel_over(p, rows, num_cols: int):
+    """`kernel_basis` over the field that ``p`` names, as in `rank_over`."""
     if p is not None:
-        return [[Fp(e, p) for e in row] for row in kernel_mod(res, num_cols, p).tolist()]
+        return [[Fp(e, p) for e in row] for row in kernel_mod(rows, num_cols, p).tolist()]
     if not rows:
         return [[1 if j == i else 0 for j in range(num_cols)] for i in range(num_cols)]
     R, pivots = rref(rows)
@@ -195,18 +205,9 @@ def check_modulus(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _as_modp_array(rows, p: int):
-    if p >= INT64_PRIME_LIMIT:
-        raise ValueError(f"prime {p} too large for the int64 mod-p kernel")
-    M = np.array(rows, dtype=np.int64)
-    if M.ndim == 1:
-        M = M.reshape(0, 0) if M.size == 0 else M.reshape(1, -1)
-    return M % p
-
-
 def rank_mod(rows, p: int) -> int:
     """Rank of an integer matrix mod p (plain echelon, eliminate below only)."""
-    M = _as_modp_array(rows, p)
+    M = residue_array(rows, p)
     if M.size == 0:
         return 0
     return len(_echelon_mod(M, p))
@@ -259,7 +260,7 @@ def _echelon_mod(M, p: int):
 
 def rref_mod(rows, p: int):
     """Reduced row-echelon form mod p.  Returns (array, pivot columns)."""
-    M = _as_modp_array(rows, p)
+    M = residue_array(rows, p)
     if M.size == 0:
         return M, []
     pivots = _echelon_mod(M, p)

@@ -14,9 +14,13 @@ Contraction reads F through index rows (`contraction_row`), cached per
 and each degree-(d - e) monomial gamma, the monomial beta + gamma and the
 falling factorial (beta + gamma)!/gamma!.  An operator term walks the
 shorter of its row and F's terms, so no dense table is ever built.  When
-any coefficient is an `Fp`, the loop runs on plain int residues mod its
-prime (`field.residue_rows`, the convention of the mod-p kernels in
-`linalg`), and only the result is wrapped back into `Fp`.
+any coefficient is an `Fp`, the contraction loop and the term-pair loop
+of a product of forms run on plain int residues mod its prime
+(`field.residue_rows`, the convention of the mod-p kernels in `linalg`),
+and only the result is wrapped back into `Fp`.  Over F_p, the values of
+the degree-t monomials at a set of points come as one int64 residue
+array (`monomial_table`), which the ideal layer and the Jacobian's
+power table hand straight to the mod-p kernels.
 
 Text grammar (whitespace-insensitive)::
 
@@ -41,7 +45,9 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-from .field import Fp, residue_rows
+import numpy as np
+
+from .field import Fp, residue_array, residue_rows
 
 PRIMAL = "x"
 DUAL = "y"
@@ -228,17 +234,21 @@ class Form:
     def __mul__(self, other):
         if isinstance(other, Form):
             self._check_ring(other)
-            deg = self.degree + other.degree
+            p, (left, right) = field_terms(self, other)
             terms = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono = tuple(a + b for a, b in zip(m1, m2))
+            for m1, c1 in left.items():
+                for m2, c2 in right.items():
+                    mono = tuple(map(add, m1, m2))
                     s = terms.get(mono, 0) + c1 * c2
+                    if p is not None:
+                        s %= p
                     if s:
                         terms[mono] = s
                     else:
                         terms.pop(mono, None)
-            return Form(self.ring, self.num_vars, deg, terms)
+            if p is not None:
+                terms = {m: Fp(v, p) for m, v in terms.items()}
+            return Form(self.ring, self.num_vars, self.degree + other.degree, terms)
         # scalar scaling
         if not other:
             return Form.zero(self.ring, self.num_vars, self.degree)
@@ -302,6 +312,28 @@ def monomial_values(coords, degree: int):
                 value = col[e] if value is None else value * col[e]
         out.append(1 if value is None else value)
     return out
+
+
+def monomial_table(points, degree: int, p: int):
+    """Values mod p of the degree-t basis monomials at each point, in
+    canonical order: an int64 array with one row per point.
+
+    ``points`` holds int residues mod p, one point per row (an int64 array
+    or lists; `field.residue_array` raises ``ValueError`` for p >= 2^31).
+    Each coordinate's powers are formed once, and every product is reduced
+    mod p before the next is taken, so no entry leaves int64.  This is the
+    package's one mod-p evaluator; `monomial_values` evaluates on the
+    scalars as given.
+    """
+    points = residue_array(points, p)
+    exps = np.array(monomial_basis(points.shape[1], degree), dtype=np.int64)
+    pows = np.ones(points.shape + (degree + 1,), dtype=np.int64)
+    for e in range(1, degree + 1):
+        pows[:, :, e] = pows[:, :, e - 1] * points % p
+    table = np.ones(len(exps), dtype=np.int64)
+    for j in range(points.shape[1]):
+        table = table * pows[:, j, exps[:, j]] % p
+    return table
 
 
 def evaluate(f: Form, coords):

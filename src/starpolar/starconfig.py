@@ -11,6 +11,13 @@ coefficients and the generic coefficient map of `existence` can be
 differentiated through them.  They are computed once per hyperplane set,
 supplied (`HyperplaneSet`, which keeps them) or drawn (`existence`), and
 general position is read off them.
+
+Over F_p the evaluation matrices of the Hilbert function, of
+`point_ideal_piece` and of route A are int64 residue arrays
+(`poly.monomial_table`) ranked by the mod-p kernels; over Q they are
+`evaluation_matrix` lists under exact RREF.  Route A's own points, the
+kernel vectors of the coefficient blocks, are found once per set on first
+use (`HyperplaneSet.kernel_points`), as route B's generators are.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from math import comb
 from . import linalg
 from .field import Fp, random_scalar, residue_rows
 from .poly import (DUAL, Form, coefficient_vector, evaluate, form_from_vector,
-                   monomial_values)
+                   monomial_table, monomial_values)
 from .apolar import ideal_piece_dimension
 
 # random draws (hyperplane sets, parameter points) tried before giving up
@@ -115,6 +122,15 @@ class HyperplaneSet:
         return tuple(
             reduce(Form.__mul__, [f for k, f in enumerate(forms) if k not in sigma])
             for sigma in combinations(range(self.r), self.n - 1))
+
+    @cached_property
+    def kernel_points(self) -> tuple:
+        """The point of each n-subset as the one kernel vector of its
+        n x (n+1) coefficient block (exact RREF), in subset order, found
+        on first use and kept; route A's points, independent of the Cramer
+        ``points``."""
+        return tuple(linalg.kernel_basis([self.coeffs[j] for j in tau], self.n + 1)[0]
+                     for tau in combinations(range(self.r), self.n))
 
     def __repr__(self):
         return f"HyperplaneSet(r={self.r}, n={self.n})"
@@ -221,8 +237,18 @@ def _point_coords(points, num_vars: int | None = None):
 
 
 def evaluation_matrix(points, degree: int):
-    """Rows = points, columns = the degree-t monomial basis evaluated there."""
+    """Rows = points, columns = the degree-t monomial basis evaluated there,
+    on the coordinates as given."""
     return [monomial_values(c, degree) for c in _point_coords(points)]
+
+
+def _evaluation(p, coords, degree: int):
+    """The degree-t evaluation matrix of the `field.residue_rows` pair
+    (p, coords): an int64 residue array (`poly.monomial_table`) over F_p,
+    `evaluation_matrix` lists with p None."""
+    if p is None:
+        return evaluation_matrix(coords, degree)
+    return monomial_table(coords, degree, p)
 
 
 def hilbert_function(points, t_max: int) -> HilbertFunctionTable:
@@ -231,37 +257,33 @@ def hilbert_function(points, t_max: int) -> HilbertFunctionTable:
     Row scaling cannot change the rank, so the raw minor coordinates of
     star points are fine as-is.
     """
-    coords = _point_coords(points)
+    p, coords = residue_rows(_point_coords(points))
     if not coords:
         raise ValueError("need at least one point")
-    return HilbertFunctionTable([linalg.rank(evaluation_matrix(coords, t))
+    return HilbertFunctionTable([linalg.rank_over(p, _evaluation(p, coords, t))
                                  for t in range(t_max + 1)])
 
 
 def point_ideal_piece(points, degree: int, num_vars: int | None = None):
     """Basis of the degree-t dual forms vanishing on the point set."""
-    coords = _point_coords(points, num_vars)
+    p, coords = residue_rows(_point_coords(points, num_vars))
     nv = num_vars if num_vars is not None else len(coords[0])
-    rows = evaluation_matrix(coords, degree)
-    kernel = linalg.kernel_basis(rows, comb(nv - 1 + degree, degree))
+    kernel = linalg.kernel_over(p, _evaluation(p, coords, degree),
+                                comb(nv - 1 + degree, degree))
     return [form_from_vector(DUAL, nv, degree, v) for v in kernel]
 
 
 def star_ideal_dimension_by_intersection(hset: HyperplaneSet, t: int) -> int:
     """dim of the degree-t piece of the intersection ideal, by evaluation at
-    the points taken as kernel vectors.
-
-    Each n-subset's point is the one kernel vector of its n x (n+1)
-    coefficient block (exact RREF, independent of the Cramer minors of
-    `intersection_points`); the degree-t forms vanishing at every point are
-    the kernel of the evaluation matrix.
+    the points taken as kernel vectors (`HyperplaneSet.kernel_points`,
+    found once per set and independent of the Cramer minors of
+    `intersection_points`): the degree-t forms vanishing at every point
+    are the kernel of the evaluation matrix.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    nv = hset.n + 1
-    points = [linalg.kernel_basis([hset.coeffs[j] for j in tau], nv)[0]
-              for tau in combinations(range(hset.r), hset.n)]
-    return comb(nv - 1 + t, t) - linalg.rank(evaluation_matrix(points, t))
+    p, coords = residue_rows(hset.kernel_points)
+    return comb(hset.n + t, t) - linalg.rank_over(p, _evaluation(p, coords, t))
 
 
 def star_ideal_dimension_by_products(hset: HyperplaneSet, t: int) -> int:

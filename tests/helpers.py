@@ -12,6 +12,10 @@ generic `rref` alone, and `det_scan_violation` the one for the
 general-position certificate: every maximal minor by `linalg.det`.
 `contract_by_pairs` is the reference for `poly.contract`: every pair of
 operator and form terms, on the scalars as given (`Fp` objects over F_p).
+The `*_on_scalars` functions are the same kind of reference for the int64
+residue tables of the ideal layer and for `Form.__mul__` over F_p: the
+evaluation matrices, product rows and term products built from the
+scalars as given, then ranked by `linalg.rank`/`kernel_basis`.
 The (3, 7, 5) certificate at the end checks its identity over the
 integers with plain dict polynomials, using no Cramer or jet code.
 """
@@ -24,8 +28,10 @@ from math import factorial, perm, prod
 
 from starpolar.existence import gamma_coefficients
 from starpolar.field import Fp
-from starpolar.linalg import det, rank, rref
-from starpolar.poly import DUAL, PRIMAL, Form, monomial_basis
+from starpolar.linalg import det, kernel_basis, rank, rref
+from starpolar.poly import (DUAL, PRIMAL, Form, coefficient_vector, form_from_vector,
+                            monomial_basis, shift_table)
+from starpolar.starconfig import evaluation_matrix
 
 
 class EpsPoly:
@@ -394,3 +400,68 @@ def contract_by_pairs(op, f):
             else:
                 terms.pop(mono, None)
     return Form(PRIMAL, f.num_vars, d - e, terms)
+
+
+# ---------------------------------------------------------------------------
+# the ideal layer and form products on the scalars as given (references for
+# the int64 residue tables and the residue product loop)
+
+
+def hilbert_on_scalars(points, t_max):
+    """HF(0..t_max): the rank of `evaluation_matrix` on the points' own scalars."""
+    return [rank(evaluation_matrix(points, t)) for t in range(t_max + 1)]
+
+
+def point_ideal_piece_on_scalars(points, degree, num_vars):
+    """The kernel of `evaluation_matrix` on the points' own scalars, as forms."""
+    size = len(monomial_basis(num_vars, degree))
+    return [form_from_vector(DUAL, num_vars, degree, v)
+            for v in kernel_basis(evaluation_matrix(points, degree), size)]
+
+
+def route_a_on_scalars(hset, t):
+    """Route A with its kernel points found again for this t."""
+    nv = hset.n + 1
+    points = [kernel_basis([hset.coeffs[j] for j in tau], nv)[0]
+              for tau in combinations(range(hset.r), hset.n)]
+    return len(monomial_basis(nv, t)) - rank(evaluation_matrix(points, t))
+
+
+def product_rows_on_scalars(gens, t):
+    """Rows of every (monomial x generator) product of degree t, as lists
+    of the coefficients as given, placed by `shift_table`."""
+    nv = gens[0].num_vars
+    width = len(monomial_basis(nv, t))
+    rows = []
+    for g in gens:
+        if g.degree > t:
+            continue
+        terms = [(i, c) for i, c in enumerate(coefficient_vector(g)) if c]
+        for positions in shift_table(nv, t - g.degree, g.degree):
+            row = [0] * width
+            for i, c in terms:
+                row[positions[i]] = c
+            rows.append(row)
+    return rows
+
+
+def ideal_piece_dimension_on_scalars(generators, t):
+    """Rank of `product_rows_on_scalars` over the field of the coefficients."""
+    gens = [g for g in generators if not g.is_zero()]
+    rows = product_rows_on_scalars(gens, t) if gens else []
+    return rank(rows) if rows else 0
+
+
+def form_mul_on_scalars(f, g):
+    """f * g by the term-pair loop on the coefficients as given; a sum that
+    cancels leaves the term map, and a later term goes in last."""
+    terms = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            s = terms.get(mono, 0) + c1 * c2
+            if s:
+                terms[mono] = s
+            else:
+                terms.pop(mono, None)
+    return Form(f.ring, f.num_vars, f.degree + g.degree, terms)

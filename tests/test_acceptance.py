@@ -93,7 +93,7 @@ def test_criterion_02_exceptional_triples():
     p = DEFAULT_PRIME
     rng = random.Random(42)
     values = [random_scalar(rng, p) for _ in range(parameter_count(3, 7, 5))]
-    rows = jacobian_matrix(3, 7, 5, values)
+    rows = jacobian_matrix(3, 7, 5, values).tolist()
     normal, c = star7_conormal(values, rows, p)
     annihilated = sum(1 for row in rows
                       if not sum((x * y for x, y in zip(normal, row)), Fp(0, p)))
@@ -259,7 +259,7 @@ def test_criterion_10_jacobian_oracle_equivalence():
                         continue
                     points += 1
                     checked += 1
-                    ok = ok and rows == eps_jacobian(d, r, n, vals, p)
+                    ok = ok and rows.tolist() == eps_jacobian(d, r, n, vals, p)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     _line(10, "chain-rule Jacobian equals nilpotent-epsilon oracle entrywise", ok,

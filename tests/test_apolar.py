@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from starpolar import linalg
@@ -9,7 +10,7 @@ from starpolar.apolar import (CatalecticantMatrix, _product_rows, annihilates,
                               catalecticant, ideal_piece_dimension,
                               is_apolar_ideal_contained, perp_piece,
                               solve_waring, verify_perp_generators)
-from starpolar.field import Fp, random_scalar
+from starpolar.field import DEFAULT_PRIME, Fp, random_scalar
 from starpolar.poly import (DUAL, PRIMAL, Form, coefficient_vector, contract,
                             monomial_basis, parse_form, shift_table)
 from starpolar.starconfig import point_ideal_piece
@@ -209,7 +210,15 @@ def test_product_rows_match_form_products():
             expanded = [coefficient_vector(Form.monomial(DUAL, m) * g)
                         for g in nonzero if g.degree <= t
                         for m in monomial_basis(nv, t - g.degree)]
-            assert (_product_rows(nonzero, t) if nonzero else []) == expanded
+            p, rows = _product_rows(nonzero, t) if nonzero else (None, [])
+            if trial % 3 and nonzero:  # over F_p: one int64 array of residues
+                assert p == (7, DEFAULT_PRIME)[trial % 3 - 1]
+                assert rows.dtype == np.int64
+                rows = rows.tolist()
+                expanded = [[int(c) for c in row] for row in expanded]
+            else:
+                assert p is None
+            assert rows == expanded
             rank = len(linalg.rref(expanded)[1]) if expanded else 0
             assert ideal_piece_dimension(gens, t) == rank
 

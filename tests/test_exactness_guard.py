@@ -1,0 +1,85 @@
+"""No floating point in the package.
+
+An AST scan of every ``src/starpolar/*.py`` file fails on a float or
+complex literal, any use of the builtin ``float``, ``sqrt``/``log``/``exp``
+from ``math`` or numpy, and a numpy float dtype (``np.float64``, or a
+dtype string such as ``"float32"`` or ``"f8"``).  Every answer of the
+package is exact, so none of these has a place in it.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "starpolar"
+FLOAT_FUNCTIONS = {"sqrt", "log", "log2", "log10", "log1p", "exp", "exp2", "expm1"}
+FLOAT_MODULES = {"math", "np", "numpy"}
+FLOAT_DTYPE = re.compile(r"float\d*|floating|double|half|single|longdouble|f\d+")
+
+
+def violations(source: str, filename: str = "<snippet>"):
+    """(line, description) of every floating-point construct in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"{type(node.value).__name__} literal {node.value!r}"))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "builtin float"))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module, attr = node.value.id, node.attr
+            if module in FLOAT_MODULES and attr in FLOAT_FUNCTIONS:
+                found.append((node.lineno, f"{module}.{attr}"))
+            elif module in ("np", "numpy") and FLOAT_DTYPE.fullmatch(attr.rstrip("_")):
+                found.append((node.lineno, f"{module}.{attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy"):
+            for alias in node.names:
+                if alias.name in FLOAT_FUNCTIONS or FLOAT_DTYPE.fullmatch(alias.name):
+                    found.append((node.lineno, f"from {node.module} import {alias.name}"))
+        elif isinstance(node, ast.Call):
+            for arg in [*node.args, *(k.value for k in node.keywords)]:
+                if (isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                        and FLOAT_DTYPE.fullmatch(arg.value)):
+                    found.append((node.lineno, f"dtype string {arg.value!r}"))
+    return found
+
+
+def test_package_has_no_floating_point():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 8
+    found = [f"{path.name}:{line}: {what}" for path in sources
+             for line, what in violations(path.read_text(), str(path))]
+    assert not found, "floating point in the package:\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("snippet", [
+    "x = 0.5",
+    "x = 1e3",
+    "x = 2j",
+    "x = float(3)",
+    "x = isinstance(y, float)",
+    "a = np.zeros(3, dtype=float)",
+    "import math\nx = math.sqrt(2)",
+    "import math\nx = math.log(2)",
+    "import math\nx = math.exp(2)",
+    "from math import sqrt",
+    "x = np.exp(a)",
+    "a = np.zeros(3, dtype=np.float64)",
+    "a = numpy.float32(1)",
+    "a = b.astype('float32')",
+    "a = np.array(b, dtype='f8')",
+])
+def test_guard_flags_floating_point(snippet):
+    assert violations(snippet)
+
+
+@pytest.mark.parametrize("snippet", [
+    "x = 1 // 2",
+    "x = Fraction(1, 2)",
+    "a = np.zeros(3, dtype=np.int64)",
+    "import math\nx = math.comb(5, 2) + math.isqrt(10)",
+    "x = 'float'.upper()",
+])
+def test_guard_passes_exact_code(snippet):
+    assert violations(snippet) == []

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from starpolar import existence, linalg
@@ -153,7 +154,8 @@ def test_gamma_validates_input():
         jacobian_matrix(3, 4, 2, params)
     with pytest.raises(ValueError, match="too large"):
         jacobian_matrix(3, 4, 2, [Fp(c, 2147483659) for c in params])
-    assert len(jacobian_matrix(3, 4, 2, [Fp(c, 7) for c in params])) == 18
+    rows = jacobian_matrix(3, 4, 2, [Fp(c, 7) for c in params])
+    assert rows.shape == (18, 10) and rows.dtype == np.int64
 
 
 def test_jacobian_matches_nilpotent_epsilon_oracle_small():
@@ -167,7 +169,7 @@ def test_jacobian_matches_nilpotent_epsilon_oracle_small():
                 rows = jacobian_matrix(d, r, n, vals)
             except DegenerateParametersError:
                 continue
-            assert rows == eps_jacobian(d, r, n, vals, p)
+            assert rows.tolist() == eps_jacobian(d, r, n, vals, p)
     # n >= 3 uses cofactor signs that n <= 2 never reaches; the small
     # primes also reduce multinomials and weights to 0 now and then
     cases = [(triple, p) for triple in [(2, 4, 3), (3, 5, 3), (1, 5, 4), (3, 6, 4)]
@@ -180,7 +182,7 @@ def test_jacobian_matches_nilpotent_epsilon_oracle_small():
                 rows = jacobian_matrix(d, r, n, vals)
             except DegenerateParametersError:
                 continue
-            assert rows == eps_jacobian(d, r, n, vals, p), ((d, r, n), p)
+            assert rows.tolist() == eps_jacobian(d, r, n, vals, p), ((d, r, n), p)
             break
         else:
             pytest.fail(f"no general-position draw for {(d, r, n)} at p={p}")

@@ -4,15 +4,18 @@ import time
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
-from starpolar.field import Fp
+from starpolar.field import DEFAULT_PRIME, Fp
 from starpolar.poly import (DUAL, MAX_EXPONENT, MAX_VARIABLE_INDEX, PRIMAL,
                             Form, HomogeneityError, ParseError,
                             coefficient_vector, contract, contraction_row,
                             evaluate, format_form, linear_power_coefficients,
-                            monomial_basis, multinomial, parse_form)
-from helpers import contract_by_pairs, dp_add, dp_diff, random_form_over
+                            monomial_basis, monomial_table, monomial_values,
+                            multinomial, parse_form)
+from helpers import (contract_by_pairs, dp_add, dp_diff, form_mul_on_scalars,
+                     random_form_over)
 
 
 def test_monomial_basis_examples():
@@ -420,3 +423,69 @@ def test_parse_zero():
                      (parse_form("0", num_vars=4, ring=DUAL), 4)):
         assert z.is_zero()
         assert (z.num_vars, z.degree) == (width, 0)
+
+
+@pytest.mark.parametrize("p", [2, 7, 101, DEFAULT_PRIME])
+def test_monomial_table_matches_monomial_values_on_fp(p):
+    rng = random.Random(p)
+    for nv in range(1, 6):
+        # zero coordinates, a zero point, and the largest residue p - 1
+        points = [[0] * nv, [p - 1] * nv]
+        points += [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(nv)]
+                   for _ in range(4)]
+        for degree in range(7):
+            table = monomial_table(np.array(points, dtype=np.int64), degree, p)
+            assert table.dtype == np.int64
+            assert table.shape == (len(points), comb(nv - 1 + degree, degree))
+            expected = [[int(v) % p for v in monomial_values([Fp(c, p) for c in pt], degree)]
+                        for pt in points]
+            assert table.tolist() == expected
+            assert monomial_table(points, degree, p).tolist() == expected
+
+
+def test_monomial_table_refuses_a_prime_past_int64():
+    with pytest.raises(ValueError, match="too large"):
+        monomial_table([[1, 2]], 3, 2147483659)
+
+
+def _term_items(f):
+    return [(m, c.__class__, c) for m, c in f.terms.items()]
+
+
+@pytest.mark.parametrize("field", ["Z", "Q", 2, 7, 101, DEFAULT_PRIME, 2147483659])
+def test_form_products_match_the_term_pair_loop(field):
+    """Terms, their order and their coefficient types, on the residue loop
+    over F_p (p >= 2^31 included: the loop runs on Python ints) and on
+    the scalars as given over Z and Q."""
+    rng = random.Random(str(field))
+    for _ in range(60):
+        nv = rng.randrange(1, 5)
+        f = random_form_over(rng, PRIMAL, nv, rng.randrange(4), field, rng.random())
+        g = random_form_over(rng, PRIMAL, nv, rng.randrange(4), field, rng.random())
+        assert _term_items(f * g) == _term_items(form_mul_on_scalars(f, g))
+        # an int scalar form times an F_p form, as `Form.__pow__` starts
+        one = Form(PRIMAL, nv, 0, {(0,) * nv: 1})
+        assert _term_items(one * g) == _term_items(form_mul_on_scalars(one, g))
+    if isinstance(field, int):
+        lf = random_form_over(rng, PRIMAL, 4, 1, field, 1.0)
+        power = Form(PRIMAL, 4, 0, {(0,) * 4: 1})
+        for _ in range(5):
+            power = form_mul_on_scalars(power, lf)
+        assert _term_items(lf ** 5) == _term_items(power)
+
+
+@pytest.mark.parametrize("one", [1, Fp(1, 7)])
+def test_form_products_drop_cancelled_terms_and_keep_the_loop_order(one):
+    f = Form(PRIMAL, 3, 2, {(2, 0, 0): one, (1, 1, 0): one, (1, 0, 1): one})
+    g = Form(PRIMAL, 3, 2, {(0, 1, 1): one, (1, 0, 1): -one, (1, 1, 0): one})
+    # x0^2*x1*x2 gets +1, then -1 (it leaves), then +1 (it comes back last)
+    prod = f * g
+    assert list(prod.terms)[-1] == (2, 1, 1)
+    assert _term_items(prod) == _term_items(form_mul_on_scalars(f, g))
+    x0, x1 = (Form.linear(PRIMAL, [one * (k == j) for k in range(2)]) for j in range(2))
+    assert ((x0 + x1) * (x0 - x1)).terms == {(2, 0): one, (0, 2): -one}
+
+
+def test_form_products_over_f2_drop_the_cross_term():
+    s = Form.linear(PRIMAL, [Fp(1, 2), Fp(1, 2)])
+    assert (s * s).terms == {(2, 0): Fp(1, 2), (0, 2): Fp(1, 2)}

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from starpolar import linalg
+from starpolar.apolar import ideal_piece_dimension
 from starpolar.field import DEFAULT_PRIME, Fp
 from starpolar.poly import DUAL, Form, evaluate, parse_form
 from starpolar.starconfig import (RESAMPLE_BUDGET, GeneralPositionError,
@@ -19,7 +20,9 @@ from starpolar.starconfig import (RESAMPLE_BUDGET, GeneralPositionError,
                                   star_ideal_graded_dimension,
                                   star_ideal_product_generators,
                                   _points_from_coeff_rows)
-from helpers import det_scan_violation
+from helpers import (det_scan_violation, hilbert_on_scalars,
+                     ideal_piece_dimension_on_scalars, point_ideal_piece_on_scalars,
+                     random_form_over, route_a_on_scalars)
 
 CUSPIDAL_LINES = [parse_form(s, num_vars=3, ring=DUAL) for s in
                ["y0", "y1", "y1 - y2", "y0 + y1 + y2"]]
@@ -343,3 +346,96 @@ def test_random_hyperplanes_gives_up_after_the_budget():
     with pytest.raises(RuntimeError):
         random_hyperplanes(2, 4, rng)
     assert rng.calls == RESAMPLE_BUDGET * 4 * 3
+
+
+def _fp_point_sets(rng, p, nv):
+    """Random point sets over F_p with zero coordinates, and degenerate
+    ones: a repeated point, and collinear points (combinations of two)."""
+    def point():
+        return [Fp(rng.randrange(p) if rng.random() < 0.7 else 0, p) for _ in range(nv)]
+
+    a, b = point(), point()
+    yield [point() for _ in range(rng.randrange(1, 8))]
+    yield [a, b, a, point(), b]
+    yield [[x * s + y * u for x, y in zip(a, b)]
+           for s, u in ((1, 0), (0, 1), (1, 1), (2, 3), (5, 1))]
+
+
+def _hyperplane_set(rng, field, r, n):
+    while True:
+        rows = [[Fp(rng.randrange(field), field) if isinstance(field, int)
+                 else Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+                 for _ in range(n + 1)] for _ in range(r)]
+        try:
+            return HyperplaneSet(rows)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("field", [7, 101, DEFAULT_PRIME, "Q"])
+def test_ideal_layer_matches_the_path_on_scalars(field):
+    """Hilbert function, point ideal pieces, both routes and
+    `ideal_piece_dimension` against the evaluation matrices and product
+    rows built on the scalars as given (`Fp` objects over F_p)."""
+    rng = random.Random(str(field))
+    if isinstance(field, int):
+        for nv in (2, 3, 4):
+            for pts in _fp_point_sets(rng, field, nv):
+                assert hilbert_function(pts, 5).values == hilbert_on_scalars(pts, 5)
+                for t in range(5):
+                    got = point_ideal_piece(pts, t, nv)
+                    want = point_ideal_piece_on_scalars(pts, t, nv)
+                    assert [list(g.terms.items()) for g in got] == \
+                        [list(w.terms.items()) for w in want]
+    # exact rref over Q grows fast in the product rows, so Q stops at (5, 2)
+    shapes = ((2, 1), (3, 1), (4, 2), (5, 2)) + ((5, 3), (6, 4)) * isinstance(field, int)
+    for r, n in shapes:
+        hset = _hyperplane_set(rng, field, r, n)
+        for t in range(r + 2):
+            assert star_ideal_dimension_by_intersection(hset, t) == \
+                route_a_on_scalars(hset, t)
+            want = (ideal_piece_dimension_on_scalars(hset.product_generators, t)
+                    if t >= r - n + 1 else 0)
+            assert star_ideal_dimension_by_products(hset, t) == want
+        gens = [random_form_over(rng, DUAL, n + 1, rng.randrange(4),
+                                 field if isinstance(field, int) else "Q", 0.4)
+                for _ in range(4)]
+        for t in range(5):
+            assert ideal_piece_dimension(gens, t) == \
+                ideal_piece_dimension_on_scalars(gens, t)
+
+
+def test_ideal_layer_refuses_a_prime_past_int64():
+    p = 2147483659
+    pts = [[Fp(c, p) for c in row] for row in ((1, 2, 3), (0, 1, 5), (4, 0, 1))]
+    with pytest.raises(ValueError, match="too large"):
+        hilbert_function(pts, 2)
+    with pytest.raises(ValueError, match="too large"):
+        point_ideal_piece(pts, 2)
+    hset = _hyperplane_set(random.Random(3), p, 4, 2)
+    with pytest.raises(ValueError, match="too large"):
+        star_ideal_dimension_by_intersection(hset, 2)
+    with pytest.raises(ValueError, match="too large"):
+        star_ideal_dimension_by_products(hset, 3)
+    assert star_ideal_dimension_by_products(hset, 2) == 0  # below the generators
+    with pytest.raises(ValueError, match="too large"):
+        ideal_piece_dimension([Form.linear(DUAL, [Fp(1, p), Fp(2, p), 0])], 2)
+
+
+def test_route_a_finds_its_kernel_points_once_per_set(monkeypatch):
+    calls = []
+    real = linalg.kernel_basis
+
+    def counting(rows, num_cols):
+        calls.append(len(rows))
+        return real(rows, num_cols)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counting)
+    for r, n in ((5, 2), (6, 3)):
+        hset = random_hyperplanes(n, r, random.Random(r))
+        assert calls == []  # building the set finds no kernel point
+        for t in range(r + 1):
+            star_ideal_dimension_by_intersection(hset, t)
+        # one kernel per n-subset for all t together, not one per subset and t
+        assert calls == [n] * comb(r, n)
+        calls.clear()
