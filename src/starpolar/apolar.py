@@ -7,8 +7,9 @@ catalecticant matrix of the contraction map T_i -> S_{d-i}, so every
 ideal-theoretic question here is answered degree by degree with exact
 linear algebra (no Groebner bases anywhere).  The degree-t piece of an
 ideal is the span of the generators' monomial multiples; over F_p their
-rows are one int64 residue array, the generators' residues scattered to
-their `shift_table` positions, ranked by the mod-p kernel.
+rows are one int64 residue array, the residues of an echelon basis of
+each degree's generators scattered to their `shift_table` positions,
+ranked by the mod-p kernel.
 """
 
 from __future__ import annotations
@@ -141,22 +142,18 @@ def is_apolar_ideal_contained(generators, f: Form) -> ApolarityCheck:
     return ApolarityCheck(True)
 
 
-def _product_rows(gens, t: int):
-    """(p, rows): the coefficient rows of every (monomial x generator)
-    product of degree t, over the field of the coefficients (`field_terms`).
+def _coefficient_runs(gens, t: int):
+    """(p, runs): each run of generators of one degree e <= t, in generator
+    order, as (e, their coefficient rows over the degree-e basis).
 
-    Over F_p the rows are one int64 array of residues, else lists of the
-    coefficients as given.  The row of m * g holds g's coefficients at the
-    positions `shift_table` gives for m, zeros elsewhere: no product is
-    expanded and no scalar is multiplied.  Each run of generators of one
-    degree is scattered at once, in generator order; generators of degree
-    above t contribute no row.
+    The rows are one array per run, over the field of the coefficients
+    (`field_terms`): int64 residues over F_p, else the coefficients as
+    given in an object array.
     """
     nv = gens[0].num_vars
-    width = comb(nv - 1 + t, t)
     p, term_maps = field_terms(*gens)
     dtype = object if p is None else np.int64
-    blocks = [np.zeros((0, width), dtype=dtype)]
+    runs = []
     for e, run in groupby(zip(gens, term_maps), key=lambda pair: pair[0].degree):
         if e > t:
             continue
@@ -165,11 +162,38 @@ def _product_rows(gens, t: int):
         coeffs = np.zeros((len(run), len(idx)), dtype=dtype)
         for k, terms in enumerate(run):
             coeffs[k, [idx[m] for m in terms]] = list(terms.values())
+        runs.append((e, coeffs))
+    return p, runs
+
+
+def _scatter(nv: int, runs, t: int):
+    """The rows of every (monomial x row) product of degree t, one array.
+
+    The row of m * g holds g's coefficients at the positions `shift_table`
+    gives for m, zeros elsewhere: no product is expanded and no scalar is
+    multiplied.  Each run is scattered at once, in order; with no run the
+    result is an empty int64 array.
+    """
+    width = comb(nv - 1 + t, t)
+    blocks = []
+    for e, coeffs in runs:
         where = np.array(shift_table(nv, t - e, e), dtype=np.int64)
-        block = np.zeros((len(run), len(where), width), dtype=dtype)
+        block = np.zeros((len(coeffs), len(where), width), dtype=coeffs.dtype)
         block[:, np.arange(len(where))[:, None], where] = coeffs[:, None, :]
         blocks.append(block.reshape(-1, width))
-    rows = np.concatenate(blocks)
+    return np.concatenate(blocks) if blocks else np.zeros((0, width), dtype=np.int64)
+
+
+def _product_rows(gens, t: int):
+    """(p, rows): the coefficient rows of every (monomial x generator)
+    product of degree t, over the field of the coefficients (`field_terms`).
+
+    Over F_p the rows are one int64 array of residues, else lists of the
+    coefficients as given.  They come in generator order (`_scatter`), and
+    generators of degree above t contribute no row.
+    """
+    p, runs = _coefficient_runs(gens, t)
+    rows = _scatter(gens[0].num_vars, runs, t)
     return p, rows if p is not None else rows.tolist()
 
 
@@ -177,13 +201,21 @@ def ideal_piece_dimension(generators, t: int) -> int:
     """Dimension of the degree-t piece of the ideal the generators span.
 
     The piece is spanned by the products m * g with m a monomial of degree
-    t - deg g, so its dimension is the rank of their coefficient rows
-    (`_product_rows`) over the field of the coefficients.
+    t - deg g, so its dimension is the rank of their coefficient rows over
+    the field of the coefficients.  Each run of generators of one degree
+    e < t is first replaced by an echelon basis of its span
+    (`linalg.echelon_basis_over`): the products of a basis span the same
+    piece from no more rows, and reduced echelon rows are zero at each
+    other's pivot columns, so the rank's sparse elimination touches fewer
+    rows and entries.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return 0
-    return linalg.rank_over(*_product_rows(gens, t))
+    p, runs = _coefficient_runs(gens, t)
+    runs = [(e, np.asarray(linalg.echelon_basis_over(p, coeffs), dtype=coeffs.dtype)
+             if e < t else coeffs) for e, coeffs in runs]
+    return linalg.rank_over(p, _scatter(gens[0].num_vars, runs, t))
 
 
 def verify_perp_generators(f: Form, generators) -> bool:

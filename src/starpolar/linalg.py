@@ -10,7 +10,9 @@ entries: if any entry is an `Fp` they run the int64 kernels
 `rref` over Q.  `solve_linear` alone also takes a prime of 2^31 or more,
 which it solves by `rref` on the `Fp` entries.  The division-free `minors`
 takes any scalars: it returns every maximal minor of a k x m matrix from
-one Laplace pass, and `det` is its square case.
+one Laplace pass, and `det` is its square case.  `echelon_basis_over`
+returns a basis of a row span over either field; the ideal layer reduces
+generators with it before multiplying them out.
 
 The `*_mod` kernels reduce integer rows mod p with numpy int64
 vectorization.  They require p < 2^31 (`INT64_PRIME_LIMIT`) so that a
@@ -21,6 +23,12 @@ and only their columns from c on: every other row would receive 0 times
 the pivot row, and the pivot row is zero left of c.  So sparse matrices
 (the product rows of an ideal piece) cost little, and the result is the
 same array as full-row elimination.
+
+An update x = a - b * q with a, b, q residues in [0, p) lies in
+[-(p - 1)^2, p), inside (-2^62, 2^31) for p < 2^31, so it is exact in
+int64.  It is reduced as x - floor(x / p) * p: numpy's floor division by
+a scalar is several times cheaper than its int64 remainder, and floor
+division gives the residue in [0, p) for negative x too.
 """
 
 from __future__ import annotations
@@ -90,6 +98,14 @@ def rank_over(p, rows) -> int:
     returns: over F_p the rows hold int residues (lists or an int64 array,
     `rank_mod`), and with p None they are scalars of Q (`rref`)."""
     return len(rref(rows)[1]) if p is None else rank_mod(rows, p)
+
+
+def echelon_basis_over(p, rows):
+    """A basis of the row span over the field that ``p`` names, as in
+    `rank_over`: the nonzero rows of the reduced echelon form, an int64
+    array over F_p (`rref_mod`) and lists of scalars of Q (`rref`)."""
+    R, pivots = rref(rows) if p is None else rref_mod(rows, p)
+    return R[:len(pivots)]
 
 
 def kernel_basis(rows, num_cols: int):
@@ -224,8 +240,12 @@ def _eliminate(M, rows, r: int, c: int, p: int) -> None:
     lo = int(rows[0])
     run = rows[-1] - lo + 1 == rows.size
     block = M[lo:lo + rows.size, c:] if run else M[rows, c:]
-    block -= np.outer(block[:, 0], M[r, c:])
-    block %= p
+    tmp = np.multiply.outer(block[:, 0], M[r, c:])
+    block -= tmp
+    # reduce mod p by floor division (module docstring); tmp is reused
+    np.floor_divide(block, p, out=tmp)
+    tmp *= p
+    block -= tmp
     if not run:
         M[rows, c:] = block
 

@@ -164,6 +164,15 @@ class Form:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, ring: str, num_vars: int, degree: int, terms: dict) -> "Form":
+        """A form from parts already known valid, with no check: nonzero
+        coefficients on exponent tuples of ``num_vars`` entries summing to
+        ``degree``.  Only products of forms are built this way."""
+        f = object.__new__(cls)
+        f.ring, f.num_vars, f.degree, f.terms = ring, num_vars, degree, terms
+        return f
+
+    @classmethod
     def zero(cls, ring: str, num_vars: int, degree: int = 0) -> "Form":
         return cls(ring, num_vars, degree, {})
 
@@ -248,7 +257,8 @@ class Form:
                         terms.pop(mono, None)
             if p is not None:
                 terms = {m: Fp(v, p) for m, v in terms.items()}
-            return Form(self.ring, self.num_vars, self.degree + other.degree, terms)
+            # sums of valid exponent tuples, and zero sums were dropped
+            return Form._trusted(self.ring, self.num_vars, self.degree + other.degree, terms)
         # scalar scaling
         if not other:
             return Form.zero(self.ring, self.num_vars, self.degree)
@@ -314,6 +324,14 @@ def monomial_values(coords, degree: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def _exponent_array(num_vars: int, degree: int):
+    """`monomial_basis` as a read-only int64 array, one row per monomial."""
+    exps = np.array(monomial_basis(num_vars, degree), dtype=np.int64)
+    exps.flags.writeable = False
+    return exps
+
+
 def monomial_table(points, degree: int, p: int):
     """Values mod p of the degree-t basis monomials at each point, in
     canonical order: an int64 array with one row per point.
@@ -321,12 +339,13 @@ def monomial_table(points, degree: int, p: int):
     ``points`` holds int residues mod p, one point per row (an int64 array
     or lists; `field.residue_array` raises ``ValueError`` for p >= 2^31).
     Each coordinate's powers are formed once, and every product is reduced
-    mod p before the next is taken, so no entry leaves int64.  This is the
+    mod p before the next is taken, so no entry leaves int64; the exponent
+    rows are built once per shape (`_exponent_array`).  This is the
     package's one mod-p evaluator; `monomial_values` evaluates on the
     scalars as given.
     """
     points = residue_array(points, p)
-    exps = np.array(monomial_basis(points.shape[1], degree), dtype=np.int64)
+    exps = _exponent_array(points.shape[1], degree)
     pows = np.ones(points.shape + (degree + 1,), dtype=np.int64)
     for e in range(1, degree + 1):
         pows[:, :, e] = pows[:, :, e - 1] * points % p

@@ -2,9 +2,10 @@
 
 An AST scan of every ``src/starpolar/*.py`` file fails on a float or
 complex literal, any use of the builtin ``float``, ``sqrt``/``log``/``exp``
-from ``math`` or numpy, and a numpy float dtype (``np.float64``, or a
-dtype string such as ``"float32"`` or ``"f8"``).  Every answer of the
-package is exact, so none of these has a place in it.
+from ``math`` or numpy, numpy's true division ``divide``/``true_divide``
+(which turns int64 arrays into float64), and a numpy float dtype
+(``np.float64``, or a dtype string such as ``"float32"`` or ``"f8"``).
+Every answer of the package is exact, so none of these has a place in it.
 """
 
 import ast
@@ -16,6 +17,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "starpolar"
 FLOAT_FUNCTIONS = {"sqrt", "log", "log2", "log10", "log1p", "exp", "exp2", "expm1"}
 FLOAT_MODULES = {"math", "np", "numpy"}
+NUMPY_FLOAT_FUNCTIONS = {"divide", "true_divide"}
 FLOAT_DTYPE = re.compile(r"float\d*|floating|double|half|single|longdouble|f\d+")
 
 
@@ -31,11 +33,13 @@ def violations(source: str, filename: str = "<snippet>"):
             module, attr = node.value.id, node.attr
             if module in FLOAT_MODULES and attr in FLOAT_FUNCTIONS:
                 found.append((node.lineno, f"{module}.{attr}"))
-            elif module in ("np", "numpy") and FLOAT_DTYPE.fullmatch(attr.rstrip("_")):
+            elif module in ("np", "numpy") and (attr in NUMPY_FLOAT_FUNCTIONS or
+                                                FLOAT_DTYPE.fullmatch(attr.rstrip("_"))):
                 found.append((node.lineno, f"{module}.{attr}"))
         elif isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy"):
             for alias in node.names:
-                if alias.name in FLOAT_FUNCTIONS or FLOAT_DTYPE.fullmatch(alias.name):
+                if (alias.name in FLOAT_FUNCTIONS | NUMPY_FLOAT_FUNCTIONS
+                        or FLOAT_DTYPE.fullmatch(alias.name)):
                     found.append((node.lineno, f"from {node.module} import {alias.name}"))
         elif isinstance(node, ast.Call):
             for arg in [*node.args, *(k.value for k in node.keywords)]:
@@ -69,6 +73,10 @@ def test_package_has_no_floating_point():
     "a = numpy.float32(1)",
     "a = b.astype('float32')",
     "a = np.array(b, dtype='f8')",
+    "x = np.true_divide(a, p)",
+    "x = np.divide(a, p)",
+    "x = numpy.true_divide(a, p)",
+    "from numpy import divide",
 ])
 def test_guard_flags_floating_point(snippet):
     assert violations(snippet)
@@ -80,6 +88,7 @@ def test_guard_flags_floating_point(snippet):
     "a = np.zeros(3, dtype=np.int64)",
     "import math\nx = math.comb(5, 2) + math.isqrt(10)",
     "x = 'float'.upper()",
+    "np.floor_divide(a, p, out=b)",
 ])
 def test_guard_passes_exact_code(snippet):
     assert violations(snippet) == []

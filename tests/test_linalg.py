@@ -146,8 +146,16 @@ def test_mod_paths_agree_with_generic():
 
 def _shaped_modp_cases(rng, p):
     """Matrices up to 40 x 30 over F_p: tall, wide, sparse (about 10% nonzero)
-    and dense, with a forced row swap, an all-zero column and a duplicated row."""
-    cases = []
+    and dense, with a forced row swap, an all-zero column and a duplicated row;
+    and matrices of entries p - 1 at the int64 edge of the kernel."""
+    top = p - 1
+    # all p - 1, with the pivot of column 0 below a row that is zero there
+    cases = [[[0] + [top] * 7] + [[top] * 8 for _ in range(6)]]
+    # pivot row (1, p - 1, ...) found below row 0; it clears rows holding
+    # p - 1 in column 0 and 0 or p - 1 after it, so an update reaches its
+    # lowest value 0 - (p - 1) * (p - 1) = -(p - 1)^2
+    cases.append([[0] + [top] * 9, [1] + [top] * 9]
+                 + [[top] + [rng.choice((0, top)) for _ in range(9)] for _ in range(8)])
     for m, n in ((40, 8), (40, 30), (6, 30), (25, 25), (1, 30), (40, 1)):
         for density in (0.1, 1.0):
             rows = [[rng.randrange(1, p) if rng.random() < density else 0

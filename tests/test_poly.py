@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from starpolar import poly
 from starpolar.field import DEFAULT_PRIME, Fp
 from starpolar.poly import (DUAL, MAX_EXPONENT, MAX_VARIABLE_INDEX, PRIMAL,
                             Form, HomogeneityError, ParseError,
@@ -441,6 +442,12 @@ def test_monomial_table_matches_monomial_values_on_fp(p):
                         for pt in points]
             assert table.tolist() == expected
             assert monomial_table(points, degree, p).tolist() == expected
+            # the exponent rows are built once per shape and are read-only
+            exps = poly._exponent_array(nv, degree)
+            assert exps is poly._exponent_array(nv, degree)
+            assert exps.tolist() == [list(m) for m in monomial_basis(nv, degree)]
+            with pytest.raises(ValueError, match="read-only"):
+                exps[0, 0] = 1
 
 
 def test_monomial_table_refuses_a_prime_past_int64():
@@ -462,7 +469,11 @@ def test_form_products_match_the_term_pair_loop(field):
         nv = rng.randrange(1, 5)
         f = random_form_over(rng, PRIMAL, nv, rng.randrange(4), field, rng.random())
         g = random_form_over(rng, PRIMAL, nv, rng.randrange(4), field, rng.random())
-        assert _term_items(f * g) == _term_items(form_mul_on_scalars(f, g))
+        prod, want = f * g, form_mul_on_scalars(f, g)
+        assert _term_items(prod) == _term_items(want)
+        # built without the constructor's checks, a product still passes them
+        assert (prod.ring, prod.num_vars, prod.degree) == \
+            (want.ring, want.num_vars, want.degree)
         # an int scalar form times an F_p form, as `Form.__pow__` starts
         one = Form(PRIMAL, nv, 0, {(0,) * nv: 1})
         assert _term_items(one * g) == _term_items(form_mul_on_scalars(one, g))

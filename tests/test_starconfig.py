@@ -397,12 +397,21 @@ def test_ideal_layer_matches_the_path_on_scalars(field):
             want = (ideal_piece_dimension_on_scalars(hset.product_generators, t)
                     if t >= r - n + 1 else 0)
             assert star_ideal_dimension_by_products(hset, t) == want
-        gens = [random_form_over(rng, DUAL, n + 1, rng.randrange(4),
-                                 field if isinstance(field, int) else "Q", 0.4)
+        over = field if isinstance(field, int) else "Q"
+        gens = [random_form_over(rng, DUAL, n + 1, rng.randrange(4), over, 0.4)
                 for _ in range(4)]
-        for t in range(5):
-            assert ideal_piece_dimension(gens, t) == \
-                ideal_piece_dimension_on_scalars(gens, t)
+        # dependent generators, which the echelon pre-step of each degree run
+        # folds: a duplicate, a scalar multiple, the sum of two of one degree,
+        # and mixed degrees with one (degree 5) above every t
+        a, b, c = (random_form_over(rng, DUAL, n + 1, 2, over, 1.0) for _ in range(3))
+        lin = random_form_over(rng, DUAL, n + 1, 1, over, 1.0)
+        high = random_form_over(rng, DUAL, n + 1, 5, over, 0.5)
+        scale = Fp(3, field) if isinstance(field, int) else Fraction(-2, 3)
+        for gens in (gens, [a, b, a], [a, b * scale, b], [a, b, a + b, c],
+                     [lin, a, b, a + b, high, lin * lin, c, lin * scale]):
+            for t in range(5):
+                assert ideal_piece_dimension(gens, t) == \
+                    ideal_piece_dimension_on_scalars(gens, t)
 
 
 def test_ideal_layer_refuses_a_prime_past_int64():
