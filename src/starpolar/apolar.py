@@ -184,19 +184,6 @@ def _scatter(nv: int, runs, t: int):
     return np.concatenate(blocks) if blocks else np.zeros((0, width), dtype=np.int64)
 
 
-def _product_rows(gens, t: int):
-    """(p, rows): the coefficient rows of every (monomial x generator)
-    product of degree t, over the field of the coefficients (`field_terms`).
-
-    Over F_p the rows are one int64 array of residues, else lists of the
-    coefficients as given.  They come in generator order (`_scatter`), and
-    generators of degree above t contribute no row.
-    """
-    p, runs = _coefficient_runs(gens, t)
-    rows = _scatter(gens[0].num_vars, runs, t)
-    return p, rows if p is not None else rows.tolist()
-
-
 def ideal_piece_dimension(generators, t: int) -> int:
     """Dimension of the degree-t piece of the ideal the generators span.
 
@@ -209,6 +196,8 @@ def ideal_piece_dimension(generators, t: int) -> int:
     other's pivot columns, so the rank's sparse elimination touches fewer
     rows and entries.
     """
+    if t < 0:
+        raise ValueError("degree must be nonnegative")
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return 0

@@ -7,8 +7,8 @@ and mixing weights (a, alpha) to the coefficient vector of the weighted
 power sum  sum_i alpha_i * L_i^d,  where the L_i are the configuration
 points built from the a's by signed minors.  Its exact Jacobian over F_p
 is assembled by the chain rule (the tangent directions of a sum of
-powers, as in Terracini's lemma) in int64 arrays mod p, with the
-derivatives of the points read off signed cofactors; `gamma_coefficients`
+powers, as in Terracini's lemma) in int64 arrays mod p, from the points
+and signed cofactors of `starconfig.cramer_table`; `gamma_coefficients`
 stays the generic map, which the tests differentiate independently.  A
 full-rank evaluation at one random point certifies that the map dominates
 the space of degree-d forms (a nonzero minor mod p certifies a nonzero
@@ -32,8 +32,8 @@ from .field import (DEFAULT_PRIME, DEFAULT_SEED, INT64_PRIME_LIMIT,
                     random_scalar, residue_rows)
 from .poly import (linear_power_coefficients, monomial_basis, monomial_table,
                    multinomial, shift_table)
-from .starconfig import (RESAMPLE_BUDGET, StarPoint, _points_from_coeff_rows,
-                         general_position_violation)
+from .starconfig import (RESAMPLE_BUDGET, _cofactor_tables, _points_from_coeff_rows,
+                         cramer_table, general_position_violation)
 
 # the below-threshold triples (d, r, n) with rho >= 0: four existence cases,
 # and one defective case with the generic Jacobian rank of its map
@@ -185,10 +185,10 @@ def gamma_coefficients(d: int, r: int, n: int, params):
     alphas = params[(n + 1) * r:]
     size = len(monomial_basis(n + 1, d))
     out = [0] * size
-    for alpha, pt in zip(alphas, points):
+    for alpha, coords in zip(alphas, points):
         if not alpha:
             continue
-        powers = linear_power_coefficients(pt.coords, d)
+        powers = linear_power_coefficients(coords, d)
         for i, c in enumerate(powers):
             if c:
                 out[i] = out[i] + alpha * c
@@ -211,29 +211,6 @@ def _power_table(points, degree: int, p: int):
     return monomial_table(points, degree, p) * multinomials % p
 
 
-def _cofactor_tables(rows, n: int, p: int):
-    """The (n-1)-subsets U of the hyperplane rows, each with its table E_U mod p.
-
-    Let S = U + {k} have k in position q.  The Cramer coordinate P_{S,j} is
-    multilinear in the rows, and d P_{S,j} / d a_{k,i} = (-1)^q E_U[i, j]:
-    the signed maximal minor of U's rows on the columns other than i and j,
-    with E_U antisymmetric and zero on the diagonal.  One `linalg.minors`
-    pass per U serves every set S that contains it.
-    """
-    full = (1 << (n + 1)) - 1
-    subsets = list(combinations(range(len(rows)), n - 1))
-    tables = np.zeros((len(subsets), n + 1, n + 1), dtype=np.int64)
-    for u, sub in enumerate(subsets):
-        found = linalg.minors([rows[k] for k in sub])
-        for i, j in combinations(range(n + 1), 2):
-            minor = found.get(full ^ (1 << i) ^ (1 << j), 0)
-            if (i + j) % 2:
-                minor = -minor
-            tables[u, i, j] = minor % p
-            tables[u, j, i] = -minor % p
-    return subsets, tables
-
-
 def jacobian_matrix(d: int, r: int, n: int, values):
     """Exact Jacobian of the coefficient map at the given F_p point, as an
     int64 array of residues in [0, p) with one row per parameter
@@ -249,40 +226,26 @@ def jacobian_matrix(d: int, r: int, n: int, values):
         sum over S containing k of  d alpha_S sum_j (d P_{S,j} / d a_{k,i})
                                                   * coeff(x_j P_S^(d-1)),
 
-    with the cofactors d P_{S,j} / d a_{k,i} from `_cofactor_tables`.  The
-    points themselves are P_S = a_k . (d P_S / d a_k) for the first k in S;
-    general position is read off their residues (`Fp` times int reduces
-    mod p), so a draw takes one `linalg.minors` pass per (n-1)-subset.
+    with the cofactors d P_{S,j} / d a_{k,i} and the points P_S from the
+    int64 table `starconfig.cramer_table`, one `linalg.minors` pass per
+    (n-1)-subset.  General position is certified on the residues of the
+    rows and points (`general_position_violation`).
     """
-    hyperplanes = _hyperplane_rows(d, r, n, values)
     p, (params,) = residue_rows([values])
+    rows = _hyperplane_rows(d, r, n, params)
     if p is None:
         raise ValueError("the Jacobian is taken at a point over F_p")
     if p >= INT64_PRIME_LIMIT:
         raise ValueError(f"prime {p} too large for the int64 Jacobian (need p < 2^31)")
-    params = np.array(params, dtype=np.int64)
-    coeffs = params[:(n + 1) * r].reshape(r, n + 1)
-    # Python ints, so a minor cannot overflow before its reduction mod p
-    subsets, tables = _cofactor_tables(coeffs.tolist(), n, p)
-    where = {sub: u for u, sub in enumerate(subsets)}
-    point_sets = list(combinations(range(r), n))
-    sets = np.array(point_sets, dtype=np.int64)
-    # cofactor[q][s] = d P_S / d a_k for k = S[q], as an (i, j) table
-    cofactor = []
-    for q in range(n):
-        table = tables[[where[S[:q] + S[q + 1:]] for S in point_sets]]
-        cofactor.append(-table % p if q % 2 else table)
-    points = np.zeros((len(sets), n + 1), dtype=np.int64)
-    for i in range(n + 1):
-        points = (points + coeffs[sets[:, 0], i, None] * cofactor[0][:, i, :] % p) % p
-    stars = [StarPoint(S, tuple(pt)) for S, pt in zip(point_sets, points.tolist())]
-    violation = general_position_violation(hyperplanes, stars)
+    cofactor, points = cramer_table(rows, p, _cofactor_tables(rows, n, p))
+    violation = general_position_violation(p, rows, points.tolist())
     if violation is not None:
         raise DegenerateParametersError(
             f"hyperplanes {violation} lost general position")
+    sets = np.array(list(combinations(range(r), n)), dtype=np.int64)
     size = comb(n + d, d)
     # the tangent along P_j is d x_j P^(d-1); fold in the weight alpha_S too
-    weights = d * params[(n + 1) * r:] % p
+    weights = d * np.array(params[(n + 1) * r:], dtype=np.int64) % p
     lower = _power_table(points, d - 1, p) * weights[:, None] % p
     shifts = shift_table(n + 1, 1, d - 1)
     # an entry of grads sums one residue per point through k, far fewer

@@ -4,13 +4,13 @@ configuration ideal, and Hilbert functions of point sets.
 
 Given r linear forms in the dual ring with every (n+1)-subset linearly
 independent, the configuration consists of the C(r, n) points cut out by
-the n-subsets.  Each point is computed by signed maximal minors of the
-n x (n+1) coefficient matrix of its subset (Cramer), all n+1 of them from
-one `linalg.minors` pass, so coordinates stay polynomial in the hyperplane
-coefficients and the generic coefficient map of `existence` can be
-differentiated through them.  They are computed once per hyperplane set,
-supplied (`HyperplaneSet`, which keeps them) or drawn (`existence`), and
-general position is read off them.
+the n-subsets.  Each point is the Cramer point of its subset, signed
+maximal minors polynomial in the coefficients.  Over F_p with p < 2^31
+every point is a row of one int64 table (`cramer_table`), built from one
+`linalg.minors` pass per (n-1)-subset; `HyperplaneSet` and the Jacobian
+of `existence` both read it.  Over Z, Q and larger primes, and in the
+generic map the tests differentiate, each n-subset takes its own pass
+(`_points_from_coeff_rows`).  General position is read off the points.
 
 Over F_p the evaluation matrices of the Hilbert function, of
 `point_ideal_piece` and of route A are int64 residue arrays
@@ -26,9 +26,12 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
+from operator import mul
+
+import numpy as np
 
 from . import linalg
-from .field import Fp, random_scalar, residue_rows
+from .field import INT64_PRIME_LIMIT, Fp, random_scalar, residue_rows
 from .poly import (DUAL, Form, coefficient_vector, evaluate, form_from_vector,
                    monomial_table, monomial_values)
 from .apolar import ideal_piece_dimension
@@ -51,22 +54,24 @@ class DegenerateIntersectionError(ArithmeticError):
     """An n-subset of hyperplanes failed to cut out a single point."""
 
 
-def general_position_violation(rows, points):
+def general_position_violation(p, rows, points):
     """First (n+1)-subset of coefficient rows with vanishing maximal minor.
 
     ``points`` holds the Cramer points of every n-subset of the rows, in
-    `combinations` order (`_points_from_coeff_rows`).  The minor of
-    S + (k,) is +-l_k(P_S) (expand along row k), so each row k > max S is
-    evaluated at P_S.  With r = n there is no such minor, and the one point
-    is zero exactly when the rows are dependent.  Returns the violating
-    index subset, or None when every maximal minor is nonzero.
+    `combinations` order.  ``p`` names the field as in `linalg.rank_over`:
+    over F_p rows and points are residues in [0, p), and each dot product
+    is reduced mod p.  The minor of S + (k,) is +-l_k(P_S), so each row
+    k > max S is evaluated at P_S.  With r = n the one point is zero exactly
+    when the rows are dependent.  Returns the violating index subset or None.
     """
-    if len(points) == 1 and not any(points[0].coords):
-        return points[0].tag
-    for pt in points:
-        for k in range(pt.tag[-1] + 1, len(rows)):
-            if not sum(a * b for a, b in zip(rows[k], pt.coords)):
-                return pt.tag + (k,)
+    subsets = combinations(range(len(rows)), len(rows[0]) - 1)
+    if len(points) == 1:
+        return None if any(points[0]) else next(subsets)
+    for S, pt in zip(subsets, points):
+        for k in range(S[-1] + 1, len(rows)):
+            dot = sum(map(mul, rows[k], pt))
+            if not (dot if p is None else dot % p):
+                return S + (k,)
     return None
 
 
@@ -90,10 +95,17 @@ class HyperplaneSet:
         for k, row in enumerate(rows):
             if not any(row):
                 raise ValueError(f"hyperplane {k} is the zero form")
-        self.points = tuple(_points_from_coeff_rows(rows, self.n))
-        violation = general_position_violation(rows, self.points)
+        p, residues = residue_rows(rows)
+        if p is None or p >= INT64_PRIME_LIMIT:
+            coords = [[c % p for c in pt] if p else pt
+                      for pt in _points_from_coeff_rows(residues, self.n)]
+        else:
+            coords = cramer_table(residues, p, _cofactor_tables(residues, self.n, p))[1].tolist()
+        violation = general_position_violation(p, residues, coords)
         if violation is not None:
             raise GeneralPositionError(violation)
+        self.points = tuple(StarPoint(S, tuple(Fp(c, p) for c in pt) if p else tuple(pt))
+                            for S, pt in zip(combinations(range(self.r), self.n), coords))
         self.coeffs = rows
 
     @classmethod
@@ -154,28 +166,64 @@ class StarPoint:
 
 
 def _points_from_coeff_rows(rows, n: int):
-    """Cramer points for every n-subset, over any commutative scalars.
+    """Cramer coordinate rows of every n-subset, in `combinations` order,
+    over any commutative scalars (Z, Q, residues of any prime, jets).
 
     Coordinate j of the point for subset tau is (-1)^j times the maximal
     minor of the n x (n+1) matrix of tau's rows with column j removed, so
     it involves no coefficient from variable slot j.  A dependent
-    n-subset gets the zero point.  Rows over F_p are expanded on their int
-    residues (`field.residue_rows`) and the coordinates wrapped back into `Fp`.
+    n-subset gets the zero point.
     """
     full = (1 << (n + 1)) - 1
-    p, rows = residue_rows(rows)
     zero = rows[0][0] * 0
     points = []
     for tau in combinations(range(len(rows)), n):
         found = linalg.minors([rows[j] for j in tau])
-        coords = []
-        for j in range(n + 1):
-            minor = found.get(full ^ (1 << j), zero)
-            coords.append(-minor if j % 2 else minor)
-        if p is not None:
-            coords = [Fp(c, p) for c in coords]
-        points.append(StarPoint(tau, tuple(coords)))
+        minors = [found.get(full ^ (1 << j), zero) for j in range(n + 1)]
+        points.append(tuple(-m if j % 2 else m for j, m in enumerate(minors)))
     return points
+
+
+def _cofactor_tables(rows, n: int, p: int):
+    """The tables E_U mod p of the (n-1)-subsets U of the int rows, in
+    `combinations` order.
+
+    Let S = U + {k} have k in position q.  The Cramer coordinate P_{S,j} is
+    multilinear in the rows, and d P_{S,j} / d a_{k,i} = (-1)^q E_U[i, j]:
+    the signed maximal minor of U's rows on the columns other than i and j,
+    with E_U antisymmetric and zero on the diagonal.  One `linalg.minors`
+    pass per U, on Python ints, serves every set S that contains it.
+    """
+    full = (1 << (n + 1)) - 1
+    tables = np.zeros((comb(len(rows), n - 1), n + 1, n + 1), dtype=np.int64)
+    for u, sub in enumerate(combinations(range(len(rows)), n - 1)):
+        found = linalg.minors([rows[k] for k in sub])
+        for i, j in combinations(range(n + 1), 2):
+            minor = found.get(full ^ (1 << i) ^ (1 << j), 0) * (-1) ** (i + j)
+            tables[u, i, j] = minor % p
+            tables[u, j, i] = -minor % p
+    return tables
+
+
+def cramer_table(rows, p: int, tables):
+    """(cofactor, points) for the n-subsets S of r residue rows mod p < 2^31,
+    in `combinations` order, from `_cofactor_tables`: cofactor[q] holds the
+    (i, j) table of d P_S / d a_k for k = S[q], and points the (C(r, n), n+1)
+    int64 residues P_S = a_k . (d P_S / d a_k) for k = S[0], the points of
+    `_points_from_coeff_rows` reduced mod p.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n = rows.shape[1] - 1
+    where = {sub: u for u, sub in enumerate(combinations(range(len(rows)), n - 1))}
+    point_sets = list(combinations(range(len(rows)), n))
+    cofactor = []
+    for q in range(n):
+        table = tables[[where[S[:q] + S[q + 1:]] for S in point_sets]]
+        cofactor.append(-table % p if q % 2 else table)
+    first = rows[[S[0] for S in point_sets]]
+    # a sum of n + 1 residues before its reduction, far below 2^63
+    points = sum(first[:, i, None] * cofactor[0][:, i, :] % p for i in range(n + 1)) % p
+    return cofactor, points
 
 
 def intersection_points(hset: HyperplaneSet):
@@ -257,6 +305,8 @@ def hilbert_function(points, t_max: int) -> HilbertFunctionTable:
     Row scaling cannot change the rank, so the raw minor coordinates of
     star points are fine as-is.
     """
+    if t_max < 0:
+        raise ValueError("degree must be nonnegative")
     p, coords = residue_rows(_point_coords(points))
     if not coords:
         raise ValueError("need at least one point")
@@ -293,6 +343,8 @@ def star_ideal_dimension_by_products(hset: HyperplaneSet, t: int) -> int:
     generators are not expanded; above it they are expanded once per set
     (`HyperplaneSet.product_generators`), not once per degree.
     """
+    if t < 0:
+        raise ValueError("degree must be nonnegative")
     if t < hset.r - hset.n + 1:
         return 0
     return ideal_piece_dimension(hset.product_generators, t)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from starpolar import linalg
-from starpolar.apolar import (CatalecticantMatrix, _product_rows, annihilates,
-                              catalecticant, ideal_piece_dimension,
+from starpolar.apolar import (CatalecticantMatrix, _coefficient_runs, _scatter,
+                              annihilates, catalecticant, ideal_piece_dimension,
                               is_apolar_ideal_contained, perp_piece,
                               solve_waring, verify_perp_generators)
 from starpolar.field import DEFAULT_PRIME, Fp, random_scalar
@@ -210,7 +210,11 @@ def test_product_rows_match_form_products():
             expanded = [coefficient_vector(Form.monomial(DUAL, m) * g)
                         for g in nonzero if g.degree <= t
                         for m in monomial_basis(nv, t - g.degree)]
-            p, rows = _product_rows(nonzero, t) if nonzero else (None, [])
+            p, rows = None, []
+            if nonzero:
+                p, runs = _coefficient_runs(nonzero, t)
+                rows = _scatter(nv, runs, t)
+                rows = rows if p is not None else rows.tolist()
             if trial % 3 and nonzero:  # over F_p: one int64 array of residues
                 assert p == (7, DEFAULT_PRIME)[trial % 3 - 1]
                 assert rows.dtype == np.int64

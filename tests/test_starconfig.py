@@ -3,11 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from starpolar import linalg
-from starpolar.apolar import ideal_piece_dimension
-from starpolar.field import DEFAULT_PRIME, Fp
+from starpolar.apolar import ideal_piece_dimension, perp_piece
+from starpolar.field import DEFAULT_PRIME, Fp, residue_rows
 from starpolar.poly import DUAL, Form, evaluate, parse_form
 from starpolar.starconfig import (RESAMPLE_BUDGET, GeneralPositionError,
                                   HilbertFunctionTable,
@@ -19,7 +20,8 @@ from starpolar.starconfig import (RESAMPLE_BUDGET, GeneralPositionError,
                                   star_ideal_dimension_by_products,
                                   star_ideal_graded_dimension,
                                   star_ideal_product_generators,
-                                  _points_from_coeff_rows)
+                                  _cofactor_tables, _points_from_coeff_rows,
+                                  cramer_table)
 from helpers import (det_scan_violation, hilbert_on_scalars,
                      ideal_piece_dimension_on_scalars, point_ideal_piece_on_scalars,
                      random_form_over, route_a_on_scalars)
@@ -46,29 +48,43 @@ def _proj_eq(a, b):
 def test_certify_cuspidal_lines():
     hset = _cuspidal_set()
     assert hset.r == 4 and hset.n == 2
-    assert general_position_violation(hset.coeffs, intersection_points(hset)) is None
+    points = [pt.coords for pt in intersection_points(hset)]
+    assert general_position_violation(None, hset.coeffs, points) is None
 
 
 def test_certify_concurrent_lines_fails_with_witness():
     rows = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]  # y0, y1, y0+y1 share [0:0:1]
-    assert general_position_violation(rows, _points_from_coeff_rows(rows, 2)) == (0, 1, 2)
+    assert general_position_violation(None, rows, _points_from_coeff_rows(rows, 2)) == (0, 1, 2)
     with pytest.raises(GeneralPositionError) as err:
         HyperplaneSet(rows)
     assert err.value.subset == (0, 1, 2)
 
 
+def _table_points(residues, n, p):
+    """The int64 Cramer table of residue rows, as `HyperplaneSet` builds it."""
+    return cramer_table(residues, p, _cofactor_tables(residues, n, p))[1]
+
+
 def test_general_position_witness_matches_det_scan():
     rng = random.Random(2024)
-    scalars = {
-        "Z": lambda: rng.randint(-2, 2),
-        "F_3": lambda: Fp(rng.randrange(3), 3),
-        "Q": lambda: Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+    big = DEFAULT_PRIME
+    # field: (entry draw, smallest n, draws per shape (n, r)); over F_p the
+    # rows take `HyperplaneSet`'s path, the int64 table and the residue
+    # certificate.  Entries near p - 1 make the dot product of a vanishing
+    # minor a nonzero multiple of p until it is reduced.
+    fields = {
+        "Z": (lambda: rng.randint(-2, 2), 1, 220),
+        "F_3": (lambda: Fp(rng.randrange(3), 3), 1, 220),
+        "Q": (lambda: Fraction(rng.randint(-2, 2), rng.randint(1, 3)), 1, 220),
+        "F_big": (lambda: Fp(big - 1 - rng.randrange(3) if rng.random() < 0.8
+                             else rng.randrange(2), big), 2, 60),
     }
-    cases = violations = 0
-    for field, draw in scalars.items():
-        for n in range(1, 5):
+    cases, violations = {}, {}
+    for field, (draw, low, draws) in fields.items():
+        cases[field] = violations[field] = 0
+        for n in range(low, 5):
             for r in range(n, n + 4):
-                for _ in range(220):
+                for _ in range(draws):
                     rows = [[draw() for _ in range(n + 1)] for _ in range(r)]
                     if r > 1 and rng.random() < 0.2:
                         # force a dependency: one row a combination of two others
@@ -76,34 +92,46 @@ def test_general_position_witness_matches_det_scan():
                         a, b = draw(), draw()
                         rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
                     expected = det_scan_violation(rows)
-                    points = _points_from_coeff_rows(rows, n)
-                    assert general_position_violation(rows, points) == expected, (field, rows)
-                    cases += 1
-                    violations += expected is not None
-    assert cases >= 10000 and 0 < violations < cases
+                    p, residues = residue_rows(rows)
+                    points = _points_from_coeff_rows(residues, n)
+                    if p is not None:  # the table, checked against the minors
+                        table = _table_points(residues, n, p).tolist()
+                        assert table == [[c % p for c in pt] for pt in points]
+                        points = table
+                    assert general_position_violation(p, residues, points) == expected, \
+                        (field, rows)
+                    cases[field] += 1
+                    violations[field] += expected is not None
+    assert cases == {"Z": 3520, "F_3": 3520, "Q": 3520, "F_big": 720}
+    assert all(0 < violations[f] < cases[f] for f in fields), violations
 
 
 def test_fp_cramer_points_match_minors_on_fp_objects():
-    # the points of F_p rows are expanded on int residues; the same signed
-    # minors taken on the Fp objects themselves must give the same points
+    # the int64 table reads the points of F_p rows off the cofactors of
+    # their (n-1)-subsets; the signed minors of each n-subset, taken on the
+    # Fp objects themselves, must give the same points, also for dependent
+    # rows, for n = 1 (the one empty (n-1)-subset) and for r = n
     rng = random.Random(2026)
+    dependent = 0
     for p in (3, 101, DEFAULT_PRIME):
         for n in range(1, 5):
             full = (1 << (n + 1)) - 1
             for r in range(n, n + 3):
-                for _ in range(8):
+                for trial in range(8):
                     rows = [[Fp(rng.randrange(p), p) for _ in range(n + 1)]
                             for _ in range(r)]
+                    if trial % 2 and r > 1:
+                        rows[-1] = [Fp(2, p) * a + b for a, b in zip(rows[0], rows[1])]
+                    dependent += det_scan_violation(rows) is not None
                     want = []
                     for tau in combinations(range(r), n):
                         found = linalg.minors([rows[j] for j in tau])
                         coords = [found.get(full ^ (1 << j), Fp(0, p)) for j in range(n + 1)]
-                        want.append((tau, tuple(-c if j % 2 else c
-                                                for j, c in enumerate(coords))))
-                    got = _points_from_coeff_rows(rows, n)
-                    assert [(pt.tag, pt.coords) for pt in got] == want
-                    assert all(isinstance(c, Fp) and c.p == p
-                               for pt in got for c in pt.coords)
+                        want.append([(-c if j % 2 else c).value
+                                     for j, c in enumerate(coords)])
+                    got = _table_points(residue_rows(rows)[1], n, p)
+                    assert got.dtype == np.int64 and got.tolist() == want, (p, rows)
+    assert dependent > 100
 
 
 def test_certify_r_equals_n_is_vacuous():
@@ -167,6 +195,39 @@ def test_one_cramer_pass_per_hyperplane_set(monkeypatch):
     # one pass per n-subset: the certificate reads the points it keeps
     assert calls == [3] * comb(6, 3) and len(pts) == comb(6, 3)
     assert intersection_points(hset) == pts and len(calls) == comb(6, 3)
+
+
+def test_one_cofactor_pass_per_fp_hyperplane_set(monkeypatch):
+    calls = []
+    real = linalg.minors
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "minors", counting)
+    hset = HyperplaneSet([[Fp(t ** e) for e in range(4)] for t in range(1, 7)])
+    # one pass per 2-subset: the int64 table reads every point off them
+    assert calls == [2] * comb(6, 2) and len(hset.points) == comb(6, 3)
+    assert all(isinstance(c, Fp) for pt in hset.points for c in pt.coords)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: star_ideal_dimension_by_products(_cuspidal_set(), -1),
+    lambda: star_ideal_dimension_by_intersection(_cuspidal_set(), -1),
+    lambda: star_ideal_graded_dimension(_cuspidal_set(), -1),
+    lambda: ideal_piece_dimension(CUSPIDAL_LINES, -1),
+    lambda: ideal_piece_dimension([], -1),
+    lambda: hilbert_function(CUSPIDAL_POINTS, -1),
+    lambda: hilbert_function([], -1),
+    lambda: point_ideal_piece(CUSPIDAL_POINTS, -1),
+    lambda: perp_piece(parse_form("x0^2 - x1*x2"), -1),
+], ids=["route-b", "route-a", "both-routes", "ideal-piece", "no-generators",
+        "hilbert", "no-points", "point-ideal", "perp"])
+def test_negative_degrees_are_refused(call):
+    # refused before any other work: with no generators or no points too
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        call()
 
 
 def test_product_generators_four_lines():
