@@ -10,6 +10,8 @@ is assembled by the chain rule (the tangent directions of a sum of
 powers, as in Terracini's lemma) in int64 arrays mod p, from the points
 and signed cofactors of `starconfig.cramer_table`; `gamma_coefficients`
 stays the generic map, which the tests differentiate independently.  A
+draw whose hyperplanes fail general position raises
+`starconfig.GeneralPositionError`, and `starconfig.redraw` draws again.  A
 full-rank evaluation at one random point certifies that the map dominates
 the space of degree-d forms (a nonzero minor mod p certifies a nonzero
 minor in characteristic zero), while a rank deficit at one prime and seed
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import combinations
 from math import comb
@@ -32,8 +34,9 @@ from .field import (DEFAULT_PRIME, DEFAULT_SEED, INT64_PRIME_LIMIT,
                     random_scalar, residue_rows)
 from .poly import (linear_power_coefficients, monomial_basis, monomial_table,
                    multinomial, shift_table)
-from .starconfig import (RESAMPLE_BUDGET, _cofactor_tables, _points_from_coeff_rows,
-                         cramer_table, general_position_violation)
+from .starconfig import (GeneralPositionError, ResampleBudgetError,  # noqa: F401, re-export
+                         _points_from_coeff_rows, cramer_table,
+                         general_position_violation, redraw)
 
 # the below-threshold triples (d, r, n) with rho >= 0: four existence cases,
 # and one defective case with the generic Jacobian rank of its map
@@ -45,15 +48,6 @@ PLANE_VERIFIED_DEGREE = 13
 # int64 cells C(r,n) * (n+1) * C(n+d,d) of the largest array the Jacobian
 # assembly holds (2^25 cells, 256 MiB); the plane family fits up to d = 80
 MAX_JACOBIAN_CELLS = 2**25
-
-
-class DegenerateParametersError(RuntimeError):
-    """The drawn parameter point fails general position; resample it."""
-
-
-class ResampleBudgetError(RuntimeError):
-    """Too many degenerate draws in a row (astronomically unlikely over a
-    large prime unless something is wrong)."""
 
 
 def _validate_triple(d: int, r: int, n: int):
@@ -74,8 +68,7 @@ def rho(d: int, r: int, n: int) -> int:
 
 def rho_n2(d: int, r: int) -> int:
     """The n=2 specialization (r(r-1) + 4r - (d+2)(d+1)) / 2, exactly."""
-    if r < 2:
-        raise ValueError(f"need r >= 2 in the plane, got r={r}")
+    _validate_triple(d, r, 2)
     # r(r-1), 4r and (d+2)(d+1) are all even
     return (r * (r - 1) + 4 * r - (d + 2) * (d + 1)) // 2
 
@@ -197,7 +190,7 @@ def gamma_coefficients(d: int, r: int, n: int, params):
 
 def _draw_parameter_values(d, r, n, prime, rng):
     """Random parameter point over F_p (a's, then alphas), uncertified:
-    `jacobian_matrix` raises :class:`DegenerateParametersError` on a bad one."""
+    `jacobian_matrix` raises `GeneralPositionError` on a bad one."""
     return [random_scalar(rng, prime) for _ in range(parameter_count(d, r, n))]
 
 
@@ -217,11 +210,11 @@ def jacobian_matrix(d: int, r: int, n: int, values):
     (m x C(n+d,d)).
 
     A prime p >= 2^31 raises ``ValueError``, and a point whose hyperplanes
-    fail general position raises :class:`DegenerateParametersError` before
-    any Jacobian entry is formed.  The rows come from the chain rule, in
-    int64 arrays mod p for all C(r, n) points at once: the row of the
-    weight alpha_S is the coefficient vector of P_S^d, and the row of the
-    hyperplane coefficient a_{k,i} is
+    fail general position raises `GeneralPositionError`, naming the witness
+    subset, before any Jacobian entry is formed.  The rows come from the
+    chain rule, in int64 arrays mod p for all C(r, n) points at once: the
+    row of the weight alpha_S is the coefficient vector of P_S^d, and the
+    row of the hyperplane coefficient a_{k,i} is
 
         sum over S containing k of  d alpha_S sum_j (d P_{S,j} / d a_{k,i})
                                                   * coeff(x_j P_S^(d-1)),
@@ -237,11 +230,10 @@ def jacobian_matrix(d: int, r: int, n: int, values):
         raise ValueError("the Jacobian is taken at a point over F_p")
     if p >= INT64_PRIME_LIMIT:
         raise ValueError(f"prime {p} too large for the int64 Jacobian (need p < 2^31)")
-    cofactor, points = cramer_table(rows, p, _cofactor_tables(rows, n, p))
+    cofactor, points = cramer_table(rows, p)
     violation = general_position_violation(p, rows, points.tolist())
     if violation is not None:
-        raise DegenerateParametersError(
-            f"hyperplanes {violation} lost general position")
+        raise GeneralPositionError(violation)
     sets = np.array(list(combinations(range(r), n)), dtype=np.int64)
     size = comb(n + d, d)
     # the tangent along P_j is d x_j P^(d-1); fold in the weight alpha_S too
@@ -260,26 +252,14 @@ def jacobian_matrix(d: int, r: int, n: int, values):
                            _power_table(points, d, p)])
 
 
-def _jacobian_at_random_point(d, r, n, prime, rng):
-    """Jacobian at a fresh random point, redrawn while the draw is degenerate;
-    returns it with the number of degenerate draws before it."""
-    for resamples in range(RESAMPLE_BUDGET):
-        try:
-            values = _draw_parameter_values(d, r, n, prime, rng)
-            return jacobian_matrix(d, r, n, values), resamples
-        except DegenerateParametersError:
-            continue
-    raise ResampleBudgetError(
-        f"{RESAMPLE_BUDGET} degenerate draws in a row for (d,r,n)="
-        f"({d},{r},{n}) over p={prime}")
-
-
 @dataclass
 class JacobianTestReport:
     """Outcome of the randomized rank test; records prime and seed so a
     verdict is reproducible and auditable, the rank of each trial that ran
     (``trial_ranks``; full rank stops the test early) and the number of
-    degenerate draws redrawn over all trials (``resamples``)."""
+    degenerate draws redrawn over all trials (``resamples``).  It stores
+    only what was measured; ``verdict``, ``note``, ``expected_rank`` and
+    ``defect`` are derived from it."""
 
     d: int
     r: int
@@ -290,11 +270,19 @@ class JacobianTestReport:
     seed: int
     trials: int
     rank: int
-    verdict: str
     elapsed_ms: int
     trial_ranks: list
     resamples: int
-    note: str = ""
+
+    @property
+    def verdict(self) -> str:
+        return "RankFull" if self.rank == self.target else "RankDeficient"
+
+    @property
+    def note(self) -> str:
+        if self.rank == self.target:
+            return "full rank at one point certifies the generic statement"
+        return "rank deficit at this prime and seed is evidence of nonexistence, not proof"
 
     @property
     def expected_rank(self) -> int:
@@ -309,15 +297,8 @@ class JacobianTestReport:
         return self.expected_rank - self.rank
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d, "r": self.r, "n": self.n,
-            "m": self.m, "target": self.target,
-            "prime": self.prime, "seed": self.seed, "trials": self.trials,
-            "rank": self.rank, "expected_rank": self.expected_rank,
-            "defect": self.defect, "verdict": self.verdict,
-            "trial_ranks": self.trial_ranks, "resamples": self.resamples,
-            "elapsed_ms": self.elapsed_ms, "note": self.note,
-        }
+        return {**asdict(self), "expected_rank": self.expected_rank,
+                "defect": self.defect, "verdict": self.verdict, "note": self.note}
 
 
 def check_rank_test(d: int, r: int, n: int, prime: int, trials: int):
@@ -351,23 +332,19 @@ def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
     m = parameter_count(d, r, n)
     target = comb(n + d, d)
     start = time.perf_counter()
+    what = f"(d,r,n)=({d},{r},{n}) over p={prime}"
     trial_ranks, resamples = [], 0
     for t in range(trials):
         rng = random.Random(f"{seed}:{d}:{r}:{n}:{t}")
-        rows, redrawn = _jacobian_at_random_point(d, r, n, prime, rng)
+        rows, redrawn = redraw(lambda: jacobian_matrix(
+            d, r, n, _draw_parameter_values(d, r, n, prime, rng)), what)
         resamples += redrawn
         # an int64 array carries no modulus, so rank it with the mod-p kernel
         trial_ranks.append(linalg.rank_mod(rows, prime))
         if trial_ranks[-1] == target:
             break
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    best = max(trial_ranks)
-    full = best == target
     return JacobianTestReport(
         d=d, r=r, n=n, m=m, target=target, prime=prime, seed=seed,
-        trials=trials, rank=best, verdict="RankFull" if full else "RankDeficient",
-        elapsed_ms=elapsed_ms, trial_ranks=trial_ranks, resamples=resamples,
-        note=("full rank at one point certifies the generic statement" if full
-              else "rank deficit at this prime and seed is evidence of "
-                   "nonexistence, not proof"),
-    )
+        trials=trials, rank=max(trial_ranks),
+        elapsed_ms=int((time.perf_counter() - start) * 1000),
+        trial_ranks=trial_ranks, resamples=resamples)

@@ -10,7 +10,11 @@ every point is a row of one int64 table (`cramer_table`), built from one
 `linalg.minors` pass per (n-1)-subset; `HyperplaneSet` and the Jacobian
 of `existence` both read it.  Over Z, Q and larger primes, and in the
 generic map the tests differentiate, each n-subset takes its own pass
-(`_points_from_coeff_rows`).  General position is read off the points.
+(`_points_from_coeff_rows`).  General position is read off the points,
+and it is stated only here: `GeneralPositionError` names the first
+dependent (n+1)-subset, a zero row included, for a `HyperplaneSet` and
+for a Jacobian draw alike, and `redraw` is the one loop that redraws a
+random draw it refuses, up to ``RESAMPLE_BUDGET`` times.
 
 Over F_p the evaluation matrices of the Hilbert function, of
 `point_ideal_piece` and of route A are int64 residue arrays
@@ -31,7 +35,7 @@ from operator import mul
 import numpy as np
 
 from . import linalg
-from .field import INT64_PRIME_LIMIT, Fp, random_scalar, residue_rows
+from .field import DEFAULT_PRIME, INT64_PRIME_LIMIT, Fp, random_scalar, residue_rows
 from .poly import (DUAL, Form, coefficient_vector, evaluate, form_from_vector,
                    monomial_table, monomial_values)
 from .apolar import ideal_piece_dimension
@@ -50,8 +54,26 @@ class GeneralPositionError(ValueError):
             "(general position fails)")
 
 
+class ResampleBudgetError(RuntimeError):
+    """Too many degenerate draws in a row (astronomically unlikely over a
+    large prime unless something is wrong)."""
+
+
 class DegenerateIntersectionError(ArithmeticError):
     """An n-subset of hyperplanes failed to cut out a single point."""
+
+
+def redraw(draw, what: str):
+    """(draw(), number of draws refused before it): call ``draw`` again
+    while it raises `GeneralPositionError`, at most ``RESAMPLE_BUDGET`` times
+    in all, then raise `ResampleBudgetError`, whose message names ``what``
+    was drawn.  Any other error propagates at once."""
+    for resamples in range(RESAMPLE_BUDGET):
+        try:
+            return draw(), resamples
+        except GeneralPositionError:
+            continue
+    raise ResampleBudgetError(f"{RESAMPLE_BUDGET} degenerate draws in a row for {what}")
 
 
 def general_position_violation(p, rows, points):
@@ -92,15 +114,12 @@ class HyperplaneSet:
         self.r = len(rows)
         if self.r < self.n:
             raise ValueError(f"need r >= n, got r={self.r}, n={self.n}")
-        for k, row in enumerate(rows):
-            if not any(row):
-                raise ValueError(f"hyperplane {k} is the zero form")
         p, residues = residue_rows(rows)
         if p is None or p >= INT64_PRIME_LIMIT:
             coords = [[c % p for c in pt] if p else pt
                       for pt in _points_from_coeff_rows(residues, self.n)]
         else:
-            coords = cramer_table(residues, p, _cofactor_tables(residues, self.n, p))[1].tolist()
+            coords = cramer_table(residues, p)[1].tolist()
         violation = general_position_violation(p, residues, coords)
         if violation is not None:
             raise GeneralPositionError(violation)
@@ -205,15 +224,16 @@ def _cofactor_tables(rows, n: int, p: int):
     return tables
 
 
-def cramer_table(rows, p: int, tables):
+def cramer_table(rows, p: int):
     """(cofactor, points) for the n-subsets S of r residue rows mod p < 2^31,
-    in `combinations` order, from `_cofactor_tables`: cofactor[q] holds the
-    (i, j) table of d P_S / d a_k for k = S[q], and points the (C(r, n), n+1)
-    int64 residues P_S = a_k . (d P_S / d a_k) for k = S[0], the points of
-    `_points_from_coeff_rows` reduced mod p.
+    in `combinations` order, from the rows' `_cofactor_tables`: cofactor[q]
+    holds the (i, j) table of d P_S / d a_k for k = S[q], and points the
+    (C(r, n), n+1) int64 residues P_S = a_k . (d P_S / d a_k) for k = S[0],
+    the points of `_points_from_coeff_rows` reduced mod p.
     """
+    n = len(rows[0]) - 1
+    tables = _cofactor_tables(rows, n, p)
     rows = np.asarray(rows, dtype=np.int64)
-    n = rows.shape[1] - 1
     where = {sub: u for u, sub in enumerate(combinations(range(len(rows)), n - 1))}
     point_sets = list(combinations(range(len(rows)), n))
     cofactor = []
@@ -369,21 +389,11 @@ def star_ideal_graded_dimension(hset: HyperplaneSet, t: int) -> int:
 def random_hyperplanes(n: int, r: int, rng) -> HyperplaneSet:
     """Draw a certified random hyperplane set over F_p, p = `DEFAULT_PRIME`.
 
-    Resamples the whole set (consuming the seed stream deterministically)
-    whenever `HyperplaneSet` rejects it (a zero row or a vanishing
-    general-position minor); over a large prime this is rare, and
-    `RESAMPLE_BUDGET` turns pathological luck into an error.
+    Redraws the whole set (consuming the seed stream deterministically)
+    whenever general position fails, a zero row included (`redraw`); over
+    a large prime this is rare.  Bad n or r raise ``ValueError`` from
+    `HyperplaneSet` on the first draw.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    if r < n:
-        raise ValueError(f"need r >= n, got r={r}, n={n}")
-    for _ in range(RESAMPLE_BUDGET):
-        try:
-            return HyperplaneSet([[random_scalar(rng) for _ in range(n + 1)]
-                                  for _ in range(r)])
-        except ValueError:
-            continue
-    raise RuntimeError(
-        f"failed to draw a general-position set (r={r}, n={n}) "
-        f"in {RESAMPLE_BUDGET} attempts")
+    return redraw(lambda: HyperplaneSet([[random_scalar(rng) for _ in range(n + 1)]
+                                         for _ in range(r)]),
+                  f"(r,n)=({r},{n}) over p={DEFAULT_PRIME}")[0]

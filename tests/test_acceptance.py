@@ -16,12 +16,12 @@ from starpolar.apolar import (ideal_piece_dimension, is_apolar_ideal_contained,
                               perp_piece, solve_waring, verify_perp_generators)
 from starpolar.existence import (PLANE_VERIFIED_DEGREE, classify,
                                  jacobian_matrix, jacobian_rank_test,
-                                 parameter_count, rho, rho_n2,
-                                 DegenerateParametersError)
+                                 parameter_count, rho, rho_n2)
 from starpolar.field import DEFAULT_PRIME, Fp, random_scalar
 from starpolar.poly import (DUAL, Form, coefficient_vector, monomial_basis,
                             parse_form)
-from starpolar.starconfig import (HyperplaneSet, build_star_configuration,
+from starpolar.starconfig import (GeneralPositionError, HyperplaneSet,
+                                  build_star_configuration,
                                   hilbert_function, intersection_points,
                                   point_ideal_piece, random_hyperplanes,
                                   star_ideal_dimension_by_intersection,
@@ -255,7 +255,7 @@ def test_criterion_10_jacobian_oracle_equivalence():
                     vals = [random_scalar(rng, p) for _ in range(m)]
                     try:
                         rows = jacobian_matrix(d, r, n, vals)
-                    except DegenerateParametersError:
+                    except GeneralPositionError:
                         continue
                     points += 1
                     checked += 1

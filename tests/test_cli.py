@@ -396,7 +396,7 @@ def test_exit_codes_follow_the_exception_type(tmp_path, capsys, monkeypatch,
     for name, text in inputs.items():
         (tmp_path / name).write_text(text)
     # an oversize triple must be refused, never assembled
-    monkeypatch.setattr(existence, "_cofactor_tables", _unreachable)
+    monkeypatch.setattr(existence, "cramer_table", _unreachable)
     if patched:
         monkeypatch.setattr(cli, "jacobian_rank_test", _budget_spent)
     start = time.perf_counter()

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from starpolar import existence, linalg
-from starpolar.existence import (DegenerateParametersError, Verdict, classify,
+from starpolar.existence import (Verdict, classify,
                                  gamma_coefficients, jacobian_matrix,
                                  jacobian_rank_test, parameter_count, rho,
                                  rho_n2)
 from starpolar.field import DEFAULT_PRIME, Fp, random_scalar
 from starpolar.apolar import solve_waring
 from starpolar.poly import coefficient_vector, monomial_basis, parse_form
-from starpolar.starconfig import intersection_points, HyperplaneSet
+from starpolar.starconfig import (RESAMPLE_BUDGET, GeneralPositionError, HyperplaneSet,
+                                  ResampleBudgetError, intersection_points)
 from helpers import det_scan_violation, eps_jacobian
 
 
@@ -35,6 +36,15 @@ def test_rho_n2_examples():
     assert rho_n2(13, 14) == 14
     # the factored identity used for the planar nonexistence range
     assert rho_n2(3, 3) == Fraction(1, 2) * (3 - 3) * (3 + 3 + 3) - 1 == -1
+
+
+@pytest.mark.parametrize("d, r", [(0, 3), (-2, 3), (3, 1), (3, 0), (3, -1), (0, 1)])
+def test_rho_n2_refuses_what_rho_refuses(d, r):
+    with pytest.raises(ValueError) as want:
+        rho(d, r, 2)
+    with pytest.raises(ValueError) as got:
+        rho_n2(d, r)
+    assert str(got.value) == str(want.value)
 
 
 def test_rho_n2_identity_exhaustive():
@@ -145,8 +155,9 @@ def test_gamma_validates_input():
     rows = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)]
     params = [Fp(c, 7) for row in rows for c in row] + [Fp(1, 7)] * 6
     assert len(gamma_coefficients(3, 4, 2, params)) == 10
-    with pytest.raises(DegenerateParametersError):
+    with pytest.raises(GeneralPositionError) as err:
         jacobian_matrix(3, 4, 2, params)
+    assert err.value.subset == (0, 1, 2)
     # a general-position point must lie over an int64 prime field
     rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
     params = [c for row in rows for c in row] + [1] * 6
@@ -167,7 +178,7 @@ def test_jacobian_matches_nilpotent_epsilon_oracle_small():
             vals = [random_scalar(rng, p) for _ in range(m)]
             try:
                 rows = jacobian_matrix(d, r, n, vals)
-            except DegenerateParametersError:
+            except GeneralPositionError:
                 continue
             assert rows.tolist() == eps_jacobian(d, r, n, vals, p)
     # n >= 3 uses cofactor signs that n <= 2 never reaches; the small
@@ -180,7 +191,7 @@ def test_jacobian_matches_nilpotent_epsilon_oracle_small():
             vals = [random_scalar(rng, p) for _ in range(parameter_count(d, r, n))]
             try:
                 rows = jacobian_matrix(d, r, n, vals)
-            except DegenerateParametersError:
+            except GeneralPositionError:
                 continue
             assert rows.tolist() == eps_jacobian(d, r, n, vals, p), ((d, r, n), p)
             break
@@ -227,9 +238,9 @@ def test_degenerate_draws_match_the_det_scan(monkeypatch):
             if expected is None:
                 assert len(jacobian_matrix(d, r, n, vals)) == m
                 continue
-            with pytest.raises(DegenerateParametersError) as err:
+            with pytest.raises(GeneralPositionError) as err:
                 jacobian_matrix(d, r, n, vals)
-            assert str(err.value) == f"hyperplanes {expected} lost general position"
+            assert err.value.subset == expected
             assert len(tables) == formed  # raised before any entry is formed
             degenerate += 1
         assert 0 < degenerate < 30, (d, r, n)
@@ -368,16 +379,18 @@ def test_jactest_gives_up_after_the_resample_budget(monkeypatch):
         return [Fp(0, prime)] * existence.parameter_count(d, r, n)
 
     monkeypatch.setattr(existence, "_draw_parameter_values", draw)
-    with pytest.raises(existence.ResampleBudgetError):
+    with pytest.raises(ResampleBudgetError, match=f"{RESAMPLE_BUDGET} degenerate draws "
+                       r"in a row for \(d,r,n\)=\(2,3,2\)"):
         jacobian_rank_test(2, 3, 2, trials=1)
-    assert len(draws) == existence.RESAMPLE_BUDGET
+    assert existence.ResampleBudgetError is ResampleBudgetError
+    assert len(draws) == RESAMPLE_BUDGET
 
 
 def test_jactest_refuses_a_jacobian_over_the_cell_bound(monkeypatch):
     def unguarded(*args):
         raise AssertionError("an oversize triple reached Jacobian assembly")
 
-    monkeypatch.setattr(existence, "_cofactor_tables", unguarded)
+    monkeypatch.setattr(existence, "cramer_table", unguarded)
     # the plane family fits up to d = 80: C(d+1, 2) * 3 * C(d+2, 2) cells
     assert comb(81, 2) * 3 * comb(82, 2) <= existence.MAX_JACOBIAN_CELLS
     for d, r, n in ((81, 82, 2), (200, 201, 2), (8, 40, 6)):

@@ -11,7 +11,7 @@ from starpolar.apolar import ideal_piece_dimension, perp_piece
 from starpolar.field import DEFAULT_PRIME, Fp, residue_rows
 from starpolar.poly import DUAL, Form, evaluate, parse_form
 from starpolar.starconfig import (RESAMPLE_BUDGET, GeneralPositionError,
-                                  HilbertFunctionTable,
+                                  HilbertFunctionTable, ResampleBudgetError,
                                   HyperplaneSet, build_star_configuration,
                                   general_position_violation, hilbert_function,
                                   intersection_points, point_ideal_piece,
@@ -20,8 +20,7 @@ from starpolar.starconfig import (RESAMPLE_BUDGET, GeneralPositionError,
                                   star_ideal_dimension_by_products,
                                   star_ideal_graded_dimension,
                                   star_ideal_product_generators,
-                                  _cofactor_tables, _points_from_coeff_rows,
-                                  cramer_table)
+                                  _points_from_coeff_rows, cramer_table, redraw)
 from helpers import (det_scan_violation, hilbert_on_scalars,
                      ideal_piece_dimension_on_scalars, point_ideal_piece_on_scalars,
                      random_form_over, route_a_on_scalars)
@@ -60,11 +59,6 @@ def test_certify_concurrent_lines_fails_with_witness():
     assert err.value.subset == (0, 1, 2)
 
 
-def _table_points(residues, n, p):
-    """The int64 Cramer table of residue rows, as `HyperplaneSet` builds it."""
-    return cramer_table(residues, p, _cofactor_tables(residues, n, p))[1]
-
-
 def test_general_position_witness_matches_det_scan():
     rng = random.Random(2024)
     big = DEFAULT_PRIME
@@ -95,7 +89,7 @@ def test_general_position_witness_matches_det_scan():
                     p, residues = residue_rows(rows)
                     points = _points_from_coeff_rows(residues, n)
                     if p is not None:  # the table, checked against the minors
-                        table = _table_points(residues, n, p).tolist()
+                        table = cramer_table(residues, p)[1].tolist()
                         assert table == [[c % p for c in pt] for pt in points]
                         points = table
                     assert general_position_violation(p, residues, points) == expected, \
@@ -129,7 +123,7 @@ def test_fp_cramer_points_match_minors_on_fp_objects():
                         coords = [found.get(full ^ (1 << j), Fp(0, p)) for j in range(n + 1)]
                         want.append([(-c if j % 2 else c).value
                                      for j, c in enumerate(coords)])
-                    got = _table_points(residue_rows(rows)[1], n, p)
+                    got = cramer_table(residue_rows(rows)[1], p)[1]
                     assert got.dtype == np.int64 and got.tolist() == want, (p, rows)
     assert dependent > 100
 
@@ -147,8 +141,43 @@ def test_certify_rejects_zero_form_and_small_r():
         HyperplaneSet([(1, 0, 0)])  # r=1 < n=2
     with pytest.raises(ValueError, match="need n >= 1"):
         HyperplaneSet([(1,), (2,)])  # one variable: n = 0
-    with pytest.raises(ValueError, match="need n >= 1"):
+    with pytest.raises(ValueError, match="need n >= 1, got n=0"):
         random_hyperplanes(0, 2, random.Random(1))
+    with pytest.raises(ValueError, match="need r >= n, got r=1, n=2"):
+        random_hyperplanes(2, 1, random.Random(1))
+
+
+@pytest.mark.parametrize("p", [None, 7, DEFAULT_PRIME, 2147483659])
+def test_certify_names_a_zero_row(p):
+    """A zero row, raw or zero only mod p such as (7, 0, Fp(0, 7)), is refused
+    by the certificate itself, at r = n and r > n and in every position,
+    with a subset that holds it; the other rows are in general position."""
+    rng = random.Random(11)
+
+    def draw():
+        return rng.randint(-3, 3) if p is None else Fp(rng.randrange(p), p)
+
+    checked = 0
+    for n in range(1, 5):
+        zeros = [(0,) * (n + 1)]
+        if p is not None:
+            zeros.append((p,) + (0,) * (n - 1) + (Fp(0, p),))
+        for r in range(n, n + 4):
+            while True:
+                rest = [[draw() for _ in range(n + 1)] for _ in range(r - 1)]
+                try:
+                    if r > n:
+                        HyperplaneSet(rest)
+                    break
+                except GeneralPositionError:
+                    continue
+            for zero in zeros:
+                for k in range(r):
+                    with pytest.raises(GeneralPositionError) as err:
+                        HyperplaneSet(rest[:k] + [zero] + rest[k:])
+                    assert k in err.value.subset, (zero, k, rest)
+                    checked += 1
+    assert checked == len(zeros) * sum(r for n in range(1, 5) for r in range(n, n + 4))
 
 
 def test_intersection_points_cuspidal_lines():
@@ -404,9 +433,39 @@ def test_random_hyperplanes_redraws_a_rejected_set():
 
 def test_random_hyperplanes_gives_up_after_the_budget():
     rng = _ZerosFirst(zeros=10**9)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ResampleBudgetError, match=r"for \(r,n\)=\(4,2\)"):
         random_hyperplanes(2, 4, rng)
     assert rng.calls == RESAMPLE_BUDGET * 4 * 3
+
+
+def test_redraw_retries_only_a_general_position_failure():
+    calls = []
+
+    def draw():
+        calls.append(None)
+        if len(calls) < 3:
+            raise GeneralPositionError((0, 1, 2))
+        return "drawn"
+
+    assert redraw(draw, "a test draw") == ("drawn", 2)
+    calls.clear()
+
+    def refused():
+        calls.append(None)
+        raise ValueError("need r >= n, got r=1, n=2")
+
+    with pytest.raises(ValueError, match="need r >= n") as err:
+        redraw(refused, "a test draw")
+    assert type(err.value) is ValueError and len(calls) == 1
+    calls.clear()
+
+    def degenerate():
+        calls.append(None)
+        raise GeneralPositionError((0, 1))
+
+    with pytest.raises(ResampleBudgetError, match="degenerate draws in a row for a test draw"):
+        redraw(degenerate, "a test draw")
+    assert len(calls) == RESAMPLE_BUDGET
 
 
 def _fp_point_sets(rng, p, nv):
