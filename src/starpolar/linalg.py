@@ -14,6 +14,13 @@ one Laplace pass, and `det` is its square case.  `echelon_basis_over`
 returns a basis of a row span over either field; the ideal layer reduces
 generators with it before multiplying them out.
 
+A kernel is read off one elimination R of the matrix with its columns
+reversed.  The vector of a free column f of R has a 1 at f and -R[i, f] at
+the i-th pivot, and R[i, f] = 0 for every pivot right of f, so it ends in
+its own 1.  Reversed back, that 1 leads, and every other vector is 0 there
+(f is free): listed by descending f, the vectors are the reduced echelon
+basis, which is unique.
+
 The `*_mod` kernels reduce integer rows mod p with numpy int64
 vectorization.  They require p < 2^31 (`INT64_PRIME_LIMIT`) so that a
 product of two reduced residues fits in a signed 64-bit word; the package
@@ -118,26 +125,38 @@ def kernel_basis(rows, num_cols: int):
 
 
 def kernel_over(p, rows, num_cols: int):
-    """`kernel_basis` over the field that ``p`` names, as in `rank_over`."""
+    """`kernel_basis` over the field that ``p`` names, as in `rank_over`.
+
+    Over Q, one `rref` of the rows with their columns reversed: a
+    free-column vector ends in its own 1 at f, which leads once reversed
+    back and is 0 in every other vector, so listed by descending f they are
+    the reduced echelon basis.  ``ValueError`` if a row is not ``num_cols`` wide.
+    """
     if p is not None:
         return [[Fp(e, p) for e in row] for row in kernel_mod(rows, num_cols, p).tolist()]
+    rows = [list(row)[::-1] for row in rows]
+    for row in rows:
+        _check_width(len(row), num_cols)
     if not rows:
         return [[1 if j == i else 0 for j in range(num_cols)] for i in range(num_cols)]
     R, pivots = rref(rows)
     pivot_set = set(pivots)
     basis = []
-    for fcol in (c for c in range(num_cols) if c not in pivot_set):
+    for fcol in (c for c in reversed(range(num_cols)) if c not in pivot_set):
         v = [0] * num_cols
         v[fcol] = 1
         for prow, pcol in enumerate(pivots):
             e = R[prow][fcol]
             if e:
                 v[pcol] = -e
-        basis.append(v)
-    if basis:
-        basis, _ = rref(basis)
-        basis = [row for row in basis if any(row)]
+        basis.append(v[::-1])
     return basis
+
+
+def _check_width(width: int, num_cols: int) -> None:
+    """Raise ``ValueError`` unless a kernel's row has ``num_cols`` columns."""
+    if width != num_cols:
+        raise ValueError(f"a row has {width} columns, expected num_cols={num_cols}")
 
 
 def solve_linear(rows, rhs):
@@ -293,15 +312,20 @@ def rref_mod(rows, p: int):
 def kernel_mod(rows, num_cols: int, p: int):
     """Right-kernel basis mod p, rows in reduced echelon form (int64 array).
 
-    Read off `rref_mod` of the matrix: the vector for free column f has a 1
-    at f and -R[i, f] at the i-th pivot column.
+    Read off one `rref_mod` of the matrix with its columns reversed: the
+    vector for free column f has a 1 at f and -R[i, f] at the i-th pivot,
+    ends in that 1, which leads once reversed back and is 0 in every other
+    vector, so listed by descending f they are the reduced echelon basis
+    (module docstring).  ``ValueError`` if the rows are not ``num_cols`` wide.
     """
     if not len(rows):
         return np.eye(num_cols, dtype=np.int64)
-    R, pivots = rref_mod(rows, p)
+    M = residue_array(rows, p)
+    _check_width(M.shape[1], num_cols)
+    R, pivots = rref_mod(M[:, ::-1], p)
     pivot_set = set(pivots)
-    free = [c for c in range(num_cols) if c not in pivot_set]
+    free = [c for c in reversed(range(num_cols)) if c not in pivot_set]
     basis = np.zeros((len(free), num_cols), dtype=np.int64)
     basis[range(len(free)), free] = 1
     basis[:, pivots] = -R[:len(pivots), free].T % p
-    return rref_mod(basis, p)[0]
+    return basis[:, ::-1]

@@ -7,8 +7,9 @@ dict polynomials expand and differentiate symbolically.  Agreement with
 the package is therefore a genuine cross-check.  `eps_jacobian`, the
 oracle for the chain-rule Jacobian, runs the generic coefficient map
 (`gamma_coefficients`) on epsilon scalars.
-`rref_kernel` is the exact reference for the int64 mod-p kernels: the
-generic `rref` alone, and `det_scan_violation` the one for the
+`rref_kernel` is the exact reference for the kernels over Q and the int64
+mod-p kernels: the generic `rref` alone, run a second time on the
+free-column basis in natural column order, and `det_scan_violation` the one for the
 general-position certificate: every maximal minor by `linalg.det`.
 `contract_by_pairs` is the reference for `poly.contract`: every pair of
 operator and form terms, on the scalars as given (`Fp` objects over F_p).

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from starpolar import linalg
@@ -43,6 +44,90 @@ def test_kernel_of_empty_matrix_is_identity():
 def test_kernel_basis_is_reduced_echelon():
     ker = linalg.kernel_basis([F(1, 1)], 2)
     assert ker == [[1, Fraction(-1)]]
+
+
+def _shaped_q_cases(rng):
+    """Matrices of ints and of `Fraction`s: tall, wide, of rank 2 with many
+    free columns, square of full rank, all zero, with a zero column and a
+    duplicated row, and 1 x N and N x 1 (nonzero and zero)."""
+    cases = []
+    for scalar in (int, lambda v: Fraction(v, rng.randrange(1, 5))):
+        def random_rows(m, n):
+            return [[scalar(rng.randrange(-4, 5)) for _ in range(n)] for _ in range(m)]
+
+        cases += [random_rows(9, 4), random_rows(4, 9)]
+        left, right = random_rows(7, 2), random_rows(2, 8)
+        cases.append([[sum((a * b for a, b in zip(row, col)), scalar(0))
+                       for col in zip(*right)] for row in left])
+        # unit lower triangular, rows shuffled: rank 6 of 6
+        full = [[scalar(1) if i == j else random_rows(1, 1)[0][0] if j < i else scalar(0)
+                 for j in range(6)] for i in range(6)]
+        rng.shuffle(full)
+        cases.append(full)
+        cases.append([[scalar(0)] * 5 for _ in range(3)])
+        zero_col = random_rows(5, 7)
+        for row in zero_col:
+            row[0] = scalar(0)
+        zero_col[3] = list(zero_col[1])
+        cases.append(zero_col)
+        cases += [random_rows(1, 8), random_rows(8, 1), [[scalar(0)]] * 4, [[scalar(0)] * 6]]
+    return cases
+
+
+def test_q_kernels_match_rref_kernel():
+    cases = _shaped_q_cases(random.Random(41))
+    free = 0
+    for rows in cases:
+        n = len(rows[0])
+        ker = linalg.kernel_basis(rows, n)
+        assert ker == rref_kernel(rows, n), rows
+        assert linalg.kernel_over(None, rows, n) == ker
+        free += len(ker)
+    assert [linalg.rank(cases[i]) for i in (2, 3, 12, 13)] == [2, 6, 2, 6]
+    assert free > 60
+
+
+def test_one_elimination_per_kernel(monkeypatch):
+    calls = []
+    for name in ("rref", "rref_mod"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    p = 101
+    rows = [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 0, 1, 5, 7]]
+    for kernel, expected in ((lambda: linalg.kernel_mod(rows, 5, p), "rref_mod"),
+                             (lambda: linalg.kernel_basis([[Fp(e, p) for e in row]
+                                                           for row in rows], 5), "rref_mod"),
+                             (lambda: linalg.kernel_over(None, rows, 5), "rref"),
+                             (lambda: linalg.kernel_basis([F(*row) for row in rows], 5), "rref")):
+        calls.clear()
+        assert len(kernel()) == 3
+        assert calls == [expected]
+    # no rows: the identity, with no elimination
+    calls.clear()
+    assert linalg.kernel_mod([], 3, p).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linalg.kernel_over(None, [], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert calls == []
+
+
+@pytest.mark.parametrize("num_cols", [0, 2, 4])
+def test_kernels_refuse_a_num_cols_that_is_not_the_width(num_cols):
+    p = 7
+    calls = [lambda: linalg.kernel_basis([[1, 2, 3]], num_cols),
+             lambda: linalg.kernel_basis([F(1, 2, 3), F(0, 1, 1)], num_cols),
+             lambda: linalg.kernel_basis([[Fp(1, p), 2, 3]], num_cols),
+             lambda: linalg.kernel_over(None, [(1, 2, 3)], num_cols),
+             lambda: linalg.kernel_mod([[1, 2, 3]], num_cols, p),
+             lambda: linalg.kernel_mod(np.array([[1, 2, 3]]), num_cols, p)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^a row has 3 columns, expected num_cols={num_cols}$"):
+            call()
+    # a short row among full-width ones
+    with pytest.raises(ValueError, match="^a row has 2 columns, expected num_cols=3$"):
+        linalg.kernel_basis([[1, 2, 3], [1, 2]], 3)
+    # with no rows there is no width to disagree with
+    assert len(linalg.kernel_basis([], num_cols)) == num_cols
+    assert linalg.kernel_mod([], num_cols, p).shape == (num_cols, num_cols)
 
 
 def test_solve_linear():
