@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -303,7 +304,10 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and never changes it, so repeated `main` calls share one."""
     parser = argparse.ArgumentParser(
         prog="starpolar",
         description="exact star-configuration apolarity toolkit")

@@ -8,14 +8,18 @@ power sum  sum_i alpha_i * L_i^d,  where the L_i are the configuration
 points built from the a's by signed minors.  Its exact Jacobian over F_p
 is assembled by the chain rule (the tangent directions of a sum of
 powers, as in Terracini's lemma) in int64 arrays mod p, from the points
-and signed cofactors of `starconfig.cramer_table`; `gamma_coefficients`
-stays the generic map, which the tests differentiate independently.  A
-draw whose hyperplanes fail general position raises
-`starconfig.GeneralPositionError`, and `starconfig.redraw` draws again.  A
-full-rank evaluation at one random point certifies that the map dominates
-the space of degree-d forms (a nonzero minor mod p certifies a nonzero
-minor in characteristic zero), while a rank deficit at one prime and seed
-is recorded as evidence only.
+and signed cofactors of `starconfig.cramer_table`, one batched cofactor
+pass mod p per draw; `gamma_coefficients` stays the generic map, which the
+tests differentiate independently.  The size rule `check_jacobian_size`
+refuses a triple before any array is allocated.  A draw whose hyperplanes
+fail general position raises `starconfig.GeneralPositionError`, and
+`starconfig.redraw` draws again.  A full-rank evaluation at one random
+point certifies that the map dominates the space of degree-d forms (a
+nonzero minor mod p certifies a nonzero minor in characteristic zero),
+while a rank deficit at one prime and seed is recorded as evidence only.
+No draw can exceed m - r, since the r hyperplane rescalings lie in the
+left kernel of every Jacobian, so the test stops at the first trial that
+reaches min(target, m - r).
 """
 
 from __future__ import annotations
@@ -209,21 +213,23 @@ def jacobian_matrix(d: int, r: int, n: int, values):
     int64 array of residues in [0, p) with one row per parameter
     (m x C(n+d,d)).
 
-    A prime p >= 2^31 raises ``ValueError``, and a point whose hyperplanes
-    fail general position raises `GeneralPositionError`, naming the witness
-    subset, before any Jacobian entry is formed.  The rows come from the
-    chain rule, in int64 arrays mod p for all C(r, n) points at once: the
-    row of the weight alpha_S is the coefficient vector of P_S^d, and the
-    row of the hyperplane coefficient a_{k,i} is
+    A triple over `check_jacobian_size` or a prime p >= 2^31 raises
+    ``ValueError`` before anything is allocated, and a point whose
+    hyperplanes fail general position raises `GeneralPositionError`, naming
+    the witness subset, before any Jacobian entry is formed.  The rows come
+    from the chain rule, in int64 arrays mod p for all C(r, n) points at
+    once: the row of the weight alpha_S is the coefficient vector of P_S^d,
+    and the row of the hyperplane coefficient a_{k,i} is
 
         sum over S containing k of  d alpha_S sum_j (d P_{S,j} / d a_{k,i})
                                                   * coeff(x_j P_S^(d-1)),
 
     with the cofactors d P_{S,j} / d a_{k,i} and the points P_S from the
-    int64 table `starconfig.cramer_table`, one `linalg.minors` pass per
-    (n-1)-subset.  General position is certified on the residues of the
-    rows and points (`general_position_violation`).
+    int64 table `starconfig.cramer_table`, one batched cofactor pass over
+    all (n-1)-subsets.  General position is certified on the residues of
+    the rows and points (`general_position_violation`).
     """
+    check_jacobian_size(d, r, n)
     p, (params,) = residue_rows([values])
     rows = _hyperplane_rows(d, r, n, params)
     if p is None:
@@ -252,14 +258,28 @@ def jacobian_matrix(d: int, r: int, n: int, values):
                            _power_table(points, d, p)])
 
 
+def _rank_ceiling(target: int, m: int, r: int) -> int:
+    """min(target, m - r), a bound on the rank of every Jacobian draw.
+
+    Rescaling a_k -> t a_k and alpha_S -> t^-d alpha_S for every S containing
+    k fixes the form, since P_S is linear in each row.  So the vector with
+    a_k on k's coefficient block and -d alpha_S on each such alpha_S is in
+    the left kernel of the Jacobian, over Z and mod p alike.  General
+    position allows no zero row, and these r vectors have disjoint blocks,
+    so they are independent.
+    """
+    return min(target, m - r)
+
+
 @dataclass
 class JacobianTestReport:
     """Outcome of the randomized rank test; records prime and seed so a
     verdict is reproducible and auditable, the rank of each trial that ran
-    (``trial_ranks``; full rank stops the test early) and the number of
-    degenerate draws redrawn over all trials (``resamples``).  It stores
-    only what was measured; ``verdict``, ``note``, ``expected_rank`` and
-    ``defect`` are derived from it."""
+    (``trial_ranks``; a trial that reaches ``expected_rank``, which no
+    trial can exceed, stops the test) and the number of degenerate draws
+    redrawn over all trials (``resamples``).  It stores only what was
+    measured; ``verdict``, ``note``, ``expected_rank`` and ``defect`` are
+    derived from it."""
 
     d: int
     r: int
@@ -287,8 +307,8 @@ class JacobianTestReport:
     @property
     def expected_rank(self) -> int:
         """Generic rank if nothing beyond the r hyperplane rescalings is lost:
-        min(target, m - r)."""
-        return min(self.target, self.m - self.r)
+        min(target, m - r) (`_rank_ceiling`)."""
+        return _rank_ceiling(self.target, self.m, self.r)
 
     @property
     def defect(self) -> int:
@@ -301,23 +321,33 @@ class JacobianTestReport:
                 "defect": self.defect, "verdict": self.verdict, "note": self.note}
 
 
-def check_rank_test(d: int, r: int, n: int, prime: int, trials: int):
-    """Raise ``ValueError`` unless `jacobian_rank_test` accepts these
-    inputs: a valid triple, a prime below 2^31, at least one trial, and a
-    Jacobian whose assembly stays within ``MAX_JACOBIAN_CELLS`` int64 cells."""
+def check_jacobian_size(d: int, r: int, n: int):
+    """Raise ``ValueError`` unless (d, r, n) is a valid triple whose Jacobian
+    assembly stays within ``MAX_JACOBIAN_CELLS`` int64 cells, the
+    C(r, n) * (n+1) * C(n+d, d) of its largest array."""
     _validate_triple(d, r, n)
-    linalg.check_modulus(prime)
-    if trials < 1:
-        raise ValueError("need at least one trial")
     cells = comb(r, n) * (n + 1) * comb(n + d, d)
     if cells > MAX_JACOBIAN_CELLS:
         raise ValueError(f"(d,r,n)=({d},{r},{n}) needs {cells} int64 cells for its "
                          f"Jacobian, over the limit of {MAX_JACOBIAN_CELLS}")
 
 
+def check_rank_test(d: int, r: int, n: int, prime: int, trials: int):
+    """Raise ``ValueError`` unless `jacobian_rank_test` accepts these
+    inputs: a valid triple, a prime below 2^31, at least one trial, and a
+    Jacobian within `check_jacobian_size`."""
+    _validate_triple(d, r, n)
+    linalg.check_modulus(prime)
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    check_jacobian_size(d, r, n)
+
+
 def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
                        seed: int = DEFAULT_SEED, trials: int = 3) -> JacobianTestReport:
-    """Max Jacobian rank over independently seeded random trials.
+    """Max Jacobian rank over independently seeded random trials, stopping
+    at the first trial that reaches ``expected_rank``: no trial exceeds it
+    (`_rank_ceiling`), so the later trials could not change the answer.
 
     Full rank at any trial certifies existence for the generic form (the
     witness minor is nonzero in characteristic zero as well); staying below
@@ -331,6 +361,7 @@ def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
     check_rank_test(d, r, n, prime, trials)
     m = parameter_count(d, r, n)
     target = comb(n + d, d)
+    ceiling = _rank_ceiling(target, m, r)
     start = time.perf_counter()
     what = f"(d,r,n)=({d},{r},{n}) over p={prime}"
     trial_ranks, resamples = [], 0
@@ -341,7 +372,7 @@ def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
         resamples += redrawn
         # an int64 array carries no modulus, so rank it with the mod-p kernel
         trial_ranks.append(linalg.rank_mod(rows, prime))
-        if trial_ranks[-1] == target:
+        if trial_ranks[-1] == ceiling:
             break
     return JacobianTestReport(
         d=d, r=r, n=n, m=m, target=target, prime=prime, seed=seed,

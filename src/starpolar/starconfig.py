@@ -7,14 +7,15 @@ independent, the configuration consists of the C(r, n) points cut out by
 the n-subsets.  Each point is the Cramer point of its subset, signed
 maximal minors polynomial in the coefficients.  Over F_p with p < 2^31
 every point is a row of one int64 table (`cramer_table`), built from one
-`linalg.minors` pass per (n-1)-subset; `HyperplaneSet` and the Jacobian
-of `existence` both read it.  Over Z, Q and larger primes, and in the
-generic map the tests differentiate, each n-subset takes its own pass
-(`_points_from_coeff_rows`).  General position is read off the points,
-and it is stated only here: `GeneralPositionError` names the first
-dependent (n+1)-subset, a zero row included, for a `HyperplaneSet` and
-for a Jacobian draw alike, and `redraw` is the one loop that redraws a
-random draw it refuses, up to ``RESAMPLE_BUDGET`` times.
+Laplace pass mod p over all (n-1)-subsets at once (`_cofactor_tables`);
+`HyperplaneSet` and the Jacobian of `existence` both read it.  Over Z, Q
+and larger primes, and in the generic map the tests differentiate, each
+n-subset takes its own `linalg.minors` pass (`_points_from_coeff_rows`).
+General position is read off the points, and it is stated only here:
+`GeneralPositionError` names the first dependent (n+1)-subset, a zero row
+included, for a `HyperplaneSet` and for a Jacobian draw alike, and
+`redraw` is the one loop that redraws a random draw it refuses, up to
+``RESAMPLE_BUDGET`` times.
 
 Over F_p the evaluation matrices of the Hilbert function, of
 `point_ideal_piece` and of route A are int64 residue arrays
@@ -210,17 +211,35 @@ def _cofactor_tables(rows, n: int, p: int):
     Let S = U + {k} have k in position q.  The Cramer coordinate P_{S,j} is
     multilinear in the rows, and d P_{S,j} / d a_{k,i} = (-1)^q E_U[i, j]:
     the signed maximal minor of U's rows on the columns other than i and j,
-    with E_U antisymmetric and zero on the diagonal.  One `linalg.minors`
-    pass per U, on Python ints, serves every set S that contains it.
+    with E_U antisymmetric and zero on the diagonal.  Every U is expanded
+    in one Laplace pass, level by level as in `linalg.minors`, keyed on the
+    columns used so far, with an int64 vector over all U per key.  Each
+    product is reduced mod p before it is added, and each level before the
+    next starts: a key sums at most n terms in (-p, p), far below 2^63.
     """
     full = (1 << (n + 1)) - 1
-    tables = np.zeros((comb(len(rows), n - 1), n + 1, n + 1), dtype=np.int64)
-    for u, sub in enumerate(combinations(range(len(rows)), n - 1)):
-        found = linalg.minors([rows[k] for k in sub])
-        for i, j in combinations(range(n + 1), 2):
-            minor = found.get(full ^ (1 << i) ^ (1 << j), 0) * (-1) ** (i + j)
-            tables[u, i, j] = minor % p
-            tables[u, j, i] = -minor % p
+    subsets = np.array(list(combinations(range(len(rows)), n - 1)), dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    cur = {0: np.ones(len(subsets), dtype=np.int64)}
+    for level in range(n - 1):
+        entries = rows[subsets[:, level]]
+        nxt = {}
+        for mask, v in cur.items():
+            for c in range(n + 1):
+                bit = 1 << c
+                if mask & bit:
+                    continue
+                term = entries[:, c] * v % p
+                if (level + (mask & (bit - 1)).bit_count()) % 2:
+                    term = -term
+                key = mask | bit
+                nxt[key] = nxt[key] + term if key in nxt else term
+        cur = {key: v % p for key, v in nxt.items()}
+    tables = np.zeros((len(subsets), n + 1, n + 1), dtype=np.int64)
+    for i, j in combinations(range(n + 1), 2):
+        minor = cur[full ^ (1 << i) ^ (1 << j)]
+        tables[:, i, j] = -minor % p if (i + j) % 2 else minor
+        tables[:, j, i] = -tables[:, i, j] % p
     return tables
 
 

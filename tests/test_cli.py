@@ -406,3 +406,32 @@ def test_exit_codes_follow_the_exception_type(tmp_path, capsys, monkeypatch,
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     if code == 2:  # a refused command leaves no file behind
         assert sorted(f.name for f in tmp_path.iterdir()) == sorted(inputs)
+
+
+def test_a_refused_call_leaves_the_shared_parser_as_it_was(tmp_path, capsys):
+    """`main` parses with one parser per process; a call that exits 2, by
+    a library ``ValueError`` or by an argparse error, must not change what
+    the next call prints."""
+    path = tmp_path / "lines.txt"
+    path.write_text(CUSPIDAL_LINES_TEXT)
+    good = [["star", "--forms", str(path), "--json"],
+            ["jactest", "--d", "3", "--r", "5", "--n", "2", "--seed", "4", "--json"]]
+
+    def outputs():
+        printed = []
+        for argv in good:
+            assert main(argv) == 0
+            data = json.loads(capsys.readouterr().out)
+            data.pop("elapsed_ms", None)
+            printed.append(data)
+        return printed
+
+    cli.build_parser.cache_clear()
+    assert main(["jactest", "--d", "3", "--r", "5", "--n", "2", "--prime", "9"]) == 2
+    with pytest.raises(SystemExit):
+        main(["star", "--no-such-flag"])
+    assert capsys.readouterr().out == ""
+    after_refusals = outputs()
+    assert cli.build_parser() is cli.build_parser()
+    cli.build_parser.cache_clear()
+    assert outputs() == after_refusals

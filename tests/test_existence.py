@@ -2,12 +2,13 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 
-from starpolar import existence, linalg
+from starpolar import existence, linalg, starconfig
 from starpolar.existence import (Verdict, classify,
                                  gamma_coefficients, jacobian_matrix,
                                  jacobian_rank_test, parameter_count, rho,
@@ -200,20 +201,26 @@ def test_jacobian_matches_nilpotent_epsilon_oracle_small():
 
 
 def test_one_cofactor_pass_per_draw(monkeypatch):
-    calls = []
-    real = linalg.minors
+    passes, minors = [], []
+    real_tables, real_minors = starconfig._cofactor_tables, linalg.minors
+
+    def tables(rows, n, p):
+        passes.append((len(rows), n, p))
+        return real_tables(rows, n, p)
 
     def counting(rows):
-        calls.append(len(rows))
-        return real(rows)
+        minors.append(len(rows))
+        return real_minors(rows)
 
+    monkeypatch.setattr(starconfig, "_cofactor_tables", tables)
     monkeypatch.setattr(linalg, "minors", counting)
     rng = random.Random(5)
     m = parameter_count(3, 7, 5)
     rows = jacobian_matrix(3, 7, 5, [random_scalar(rng) for _ in range(m)])
     assert len(rows) == m
-    # one pass per 4-subset; the certificate reads the points they give
-    assert calls == [4] * comb(7, 4)
+    # one batched pass over all 4-subsets; the certificate reads the points
+    # it gives, and no subset takes a pass of its own
+    assert passes == [(7, 5, DEFAULT_PRIME)] and minors == []
 
 
 def test_degenerate_draws_match_the_det_scan(monkeypatch):
@@ -269,9 +276,45 @@ def test_jactest_rank_bounds_and_monotonicity():
     r2 = jacobian_rank_test(3, 4, 3, seed=5, trials=3)
     assert r1.rank <= r2.rank
     assert r2.rank <= min(r2.m, r2.target)
-    # rho < 0: the r rescalings leave m - r = 16 < 20 directions, all used
+    # rho < 0: the r rescalings leave m - r = 16 < 20 directions, all used,
+    # and the first trial that reaches them ends the test
     assert r2.expected_rank == r2.m - r2.r == 16 < r2.target
-    assert r2.rank == 16 and r2.defect == 0
+    assert r2.rank == 16 and r2.defect == 0 and r2.trial_ranks == [16]
+    r3 = jacobian_rank_test(4, 5, 3, seed=5, trials=3)
+    assert r3.expected_rank == r3.m - r3.r == 25 < r3.target == 35
+    assert r3.trial_ranks == [25] and r3.verdict == "RankDeficient" and r3.defect == 0
+
+
+@pytest.mark.parametrize("d, r, n", [(3, 4, 1), (6, 3, 1), (2, 4, 2), (3, 4, 3),
+                                     (4, 5, 3), (3, 7, 5)])
+def test_rescalings_lie_in_the_left_kernel_of_every_draw(d, r, n):
+    # the ceiling m - r that stops the rank test: for each hyperplane k, the
+    # vector with a_k on k's block and -d alpha_S on each S containing k
+    # annihilates the Jacobian, checked here in Python ints
+    rng = random.Random(f"ceiling:{d}:{r}:{n}")
+    m = parameter_count(d, r, n)
+    sets = list(combinations(range(r), n))
+    checked = 0
+    for p in (7, 101, DEFAULT_PRIME):
+        for _ in range(4):
+            params = [rng.randrange(p) for _ in range(m)]
+            try:
+                jac = jacobian_matrix(d, r, n, [Fp(v, p) for v in params]).tolist()
+            except GeneralPositionError:
+                continue
+            for k in range(r):
+                v = [0] * m
+                v[k * (n + 1):(k + 1) * (n + 1)] = params[k * (n + 1):(k + 1) * (n + 1)]
+                for s, S in enumerate(sets):
+                    if k in S:
+                        v[(n + 1) * r + s] = -d * params[(n + 1) * r + s]
+                assert any(v)
+                for col in range(len(jac[0])):
+                    assert sum(c * row[col] for c, row in zip(v, jac)) % p == 0, \
+                        ((d, r, n), p, k, col)
+            assert linalg.rank_mod(jac, p) <= min(len(jac[0]), m - r)
+            checked += 1
+    assert checked >= 6, (d, r, n)
 
 
 def test_jactest_report_serialization():
@@ -330,7 +373,7 @@ def test_known_discrepancy_boundary_triple_3_7_5():
     rep = jacobian_rank_test(3, 7, 5)
     assert rep.target == 56
     assert rep.rank == 55
-    # a deficient test runs every trial; each one reaches 55
+    # no trial reaches the expected 56, so every trial runs; each reaches 55
     assert rep.trial_ranks == [55, 55, 55] and rep.resamples == 0
     assert rep.to_json_dict()["trial_ranks"] == [55, 55, 55]
     assert rep.verdict == "RankDeficient"
@@ -364,7 +407,8 @@ def test_jactest_streams_are_keyed_by_seed_triple_and_trial(monkeypatch):
         return draws[-1]
 
     monkeypatch.setattr(existence, "_draw_parameter_values", draw)
-    # (3, 3, 2) has rho < 0, so every trial runs
+    # a rank below every ceiling makes every trial run
+    monkeypatch.setattr(linalg, "rank_mod", lambda rows, p: 0)
     jacobian_rank_test(3, 3, 2, seed=1, trials=2)
     jacobian_rank_test(3, 3, 2, seed=2, trials=1)
     assert len(draws) == 3
@@ -401,6 +445,21 @@ def test_jactest_refuses_a_jacobian_over_the_cell_bound(monkeypatch):
         assert time.perf_counter() - start < 1
     with pytest.raises(AssertionError, match="reached Jacobian assembly"):
         jacobian_rank_test(80, 81, 2, trials=1)
+
+
+def test_jacobian_matrix_refuses_a_triple_over_the_cell_bound(monkeypatch):
+    def unguarded(*args):
+        raise AssertionError("an oversize triple reached Jacobian assembly")
+
+    monkeypatch.setattr(existence, "cramer_table", unguarded)
+    # refused on the triple alone, before the values are read
+    for d, r, n in ((81, 82, 2), (200, 201, 2), (8, 40, 6)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="over the limit"):
+            jacobian_matrix(d, r, n, [])
+        assert time.perf_counter() - start < 1
+    with pytest.raises(AssertionError, match="reached Jacobian assembly"):
+        jacobian_matrix(80, 81, 2, [Fp(1, DEFAULT_PRIME)] * parameter_count(80, 81, 2))
 
 
 @pytest.mark.parametrize("prime", [2**61 - 1, 2147483659])

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from starpolar import linalg
+from starpolar import linalg, starconfig
 from starpolar.apolar import ideal_piece_dimension, perp_piece
 from starpolar.field import DEFAULT_PRIME, Fp, residue_rows
 from starpolar.poly import DUAL, Form, evaluate, parse_form
@@ -104,18 +104,24 @@ def test_fp_cramer_points_match_minors_on_fp_objects():
     # the int64 table reads the points of F_p rows off the cofactors of
     # their (n-1)-subsets; the signed minors of each n-subset, taken on the
     # Fp objects themselves, must give the same points, also for dependent
-    # rows, for n = 1 (the one empty (n-1)-subset) and for r = n
+    # rows and zero rows, for n = 1 (the one empty (n-1)-subset) and for
+    # r = n.  At 2^31 - 1 the entries are drawn near p - 1 as well, where an
+    # expansion that skipped a reduction mod p would wrap int64 by n = 7.
     rng = random.Random(2026)
-    dependent = 0
+    dependent = zero_rows = 0
     for p in (3, 101, DEFAULT_PRIME):
-        for n in range(1, 5):
+        for n in range(1, 8):
             full = (1 << (n + 1)) - 1
             for r in range(n, n + 3):
-                for trial in range(8):
-                    rows = [[Fp(rng.randrange(p), p) for _ in range(n + 1)]
+                for trial in range(8 if n <= 4 else 4):
+                    low = p - 4 if p == DEFAULT_PRIME and trial % 4 < 2 else 0
+                    rows = [[Fp(rng.randrange(low, p), p) for _ in range(n + 1)]
                             for _ in range(r)]
                     if trial % 2 and r > 1:
                         rows[-1] = [Fp(2, p) * a + b for a, b in zip(rows[0], rows[1])]
+                    if trial % 4 == 2:
+                        rows[rng.randrange(r)] = [Fp(0, p)] * (n + 1)
+                        zero_rows += 1
                     dependent += det_scan_violation(rows) is not None
                     want = []
                     for tau in combinations(range(r), n):
@@ -125,7 +131,7 @@ def test_fp_cramer_points_match_minors_on_fp_objects():
                                      for j, c in enumerate(coords)])
                     got = cramer_table(residue_rows(rows)[1], p)[1]
                     assert got.dtype == np.int64 and got.tolist() == want, (p, rows)
-    assert dependent > 100
+    assert dependent > 150 and zero_rows == 3 * 3 * (4 * 2 + 3 * 1)
 
 
 def test_certify_r_equals_n_is_vacuous():
@@ -227,17 +233,24 @@ def test_one_cramer_pass_per_hyperplane_set(monkeypatch):
 
 
 def test_one_cofactor_pass_per_fp_hyperplane_set(monkeypatch):
-    calls = []
-    real = linalg.minors
+    passes, minors = [], []
+    real_tables, real_minors = starconfig._cofactor_tables, linalg.minors
+
+    def tables(rows, n, p):
+        passes.append((len(rows), n, p))
+        return real_tables(rows, n, p)
 
     def counting(rows):
-        calls.append(len(rows))
-        return real(rows)
+        minors.append(len(rows))
+        return real_minors(rows)
 
+    monkeypatch.setattr(starconfig, "_cofactor_tables", tables)
     monkeypatch.setattr(linalg, "minors", counting)
     hset = HyperplaneSet([[Fp(t ** e) for e in range(4)] for t in range(1, 7)])
-    # one pass per 2-subset: the int64 table reads every point off them
-    assert calls == [2] * comb(6, 2) and len(hset.points) == comb(6, 3)
+    # one batched pass over all 2-subsets: the int64 table reads every
+    # point off it, and no subset takes a pass of its own
+    assert passes == [(6, 3, DEFAULT_PRIME)] and minors == []
+    assert len(hset.points) == comb(6, 3)
     assert all(isinstance(c, Fp) for pt in hset.points for c in pt.coords)
 
 
