@@ -4,9 +4,11 @@
 Commands: rho, classify, jactest, star, perp, apolar-check, waring, sweep.
 Every command takes --json.  The rank-test commands (jactest, sweep) also
 take --seed / --prime / --trials; no environment variable changes an
-answer, so a run is reproducible from its flags.  All scalars serialize
-as decimal strings (rationals as "p/q") so nothing is lost to binary
-floating point.
+answer, so a run is reproducible from its flags.  The triple alone picks
+the matrix a rank test ranks: the incidence matrix below the degree bound
+(r <= d + n - 1, every sweep cell), the Jacobian at and above it.  All
+scalars serialize as decimal strings (rationals as "p/q") so nothing is
+lost to binary floating point.
 
 Input rules live in the library, and the exception type decides the exit
 code: `main` turns every ``ValueError`` (a bad flag, a bad file, or a
@@ -28,7 +30,8 @@ import sys
 from . import __version__
 from .apolar import (catalecticant, is_apolar_ideal_contained, perp_piece,
                      solve_waring)
-from .existence import check_rank_test, classify, jacobian_rank_test, rho
+from .existence import (check_incidence_test, classify, incidence_rank_test,
+                        jacobian_rank_test, rho)
 from .field import (DEFAULT_PRIME, DEFAULT_SEED, scalar_from_str,
                     scalar_to_str)
 from .poly import DUAL, PRIMAL, Form, format_form, parse_form
@@ -136,8 +139,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_jactest(args) -> int:
-    report = jacobian_rank_test(args.d, args.r, args.n, prime=args.prime,
-                                seed=args.seed, trials=args.trials)
+    # below the degree bound the incidence matrix gives the Jacobian's rank
+    # from the same draws; at and above it only the Jacobian is defined
+    test = (incidence_rank_test if args.r <= args.d + args.n - 1
+            else jacobian_rank_test)
+    report = test(args.d, args.r, args.n, prime=args.prime,
+                  seed=args.seed, trials=args.trials)
     payload = report.to_json_dict()
     _emit(args, payload,
           [f"({args.d},{args.r},{args.n}): {report.verdict}, "
@@ -242,8 +249,8 @@ def _cmd_sweep(args) -> int:
     if args.dmin < 3 or args.dmax < args.dmin:
         raise ValueError("need 3 <= dmin <= dmax")
     # refuse a bad prime, trial count or size before the output file exists;
-    # the largest cell bounds the others
-    check_rank_test(args.dmax, args.dmax + 1, 2, args.prime, args.trials)
+    # the largest cell bounds the others, and p > dmax covers every cell
+    check_incidence_test(args.dmax, args.dmax + 1, 2, args.prime, args.trials)
     done = set()
     if os.path.exists(args.out) and not args.force:
         try:
@@ -274,8 +281,8 @@ def _cmd_sweep(args) -> int:
             if (d, d + 1, 2, args.prime, args.seed) in done:
                 records.append({"d": d, "skipped": True})
                 continue
-            report = jacobian_rank_test(d, d + 1, 2, prime=args.prime,
-                                        seed=args.seed, trials=args.trials)
+            report = incidence_rank_test(d, d + 1, 2, prime=args.prime,
+                                         seed=args.seed, trials=args.trials)
             record = {
                 "d": d, "r": d + 1, "n": 2,
                 "source": "jactest",

@@ -18,8 +18,18 @@ point certifies that the map dominates the space of degree-d forms (a
 nonzero minor mod p certifies a nonzero minor in characteristic zero),
 while a rank deficit at one prime and seed is recorded as evidence only.
 No draw can exceed m - r, since the r hyperplane rescalings lie in the
-left kernel of every Jacobian, so the test stops at the first trial that
-reaches min(target, m - r).
+left kernel of every Jacobian, nor n + 1 when r = n, so the test stops at
+the first trial that reaches that ceiling (`_rank_ceiling`).
+
+Below the degree bound, r <= d + n - 1, the same draws are ranked through
+a much smaller matrix, `incidence_matrix` M.  The star configuration's ideal
+is generated by the C(r, n-1) products of r - n + 1 of the hyperplanes
+(Geramita-Harbourne-Migliore), and the configuration is apolar to the form
+iff every degree-d multiple mu * prod_{i in T} l_i kills it (the apolarity
+lemma; Iarrobino-Kanev).  Differentiating these conditions along the
+hyperplanes gives, at every draw with p > d, rank J = C(r, n) + rank M;
+`incidence_rank_test` reports that sum, with the same draws and the same
+early stop as `jacobian_rank_test`, which stays the oracle of the identity.
 """
 
 from __future__ import annotations
@@ -50,7 +60,8 @@ DEFECTIVE_TRIPLES = {(3, 7, 5): 55}
 # degree; acceptance criterion 4 checks the whole range
 PLANE_VERIFIED_DEGREE = 13
 # int64 cells C(r,n) * (n+1) * C(n+d,d) of the largest array the Jacobian
-# assembly holds (2^25 cells, 256 MiB); the plane family fits up to d = 80
+# assembly holds (2^25 cells, 256 MiB); the plane family fits up to d = 80.
+# The incidence matrix and its block table are held to the same bound.
 MAX_JACOBIAN_CELLS = 2**25
 
 
@@ -208,6 +219,28 @@ def _power_table(points, degree: int, p: int):
     return monomial_table(points, degree, p) * multinomials % p
 
 
+def _int64_point(d: int, r: int, n: int, values, matrix: str):
+    """(p, params, rows) of a parameter point over F_p with p < 2^31, read as
+    int residues; ``matrix`` names what is taken there, in the errors."""
+    p, (params,) = residue_rows([values])
+    rows = _hyperplane_rows(d, r, n, params)
+    if p is None:
+        raise ValueError(f"the {matrix} is taken at a point over F_p")
+    if p >= INT64_PRIME_LIMIT:
+        raise ValueError(f"prime {p} too large for the int64 {matrix} (need p < 2^31)")
+    return p, params, rows
+
+
+def _certified_table(rows, p: int):
+    """`cramer_table` of the residue rows, once its points certify general
+    position; otherwise `GeneralPositionError` names the witness subset."""
+    cofactor, points = cramer_table(rows, p)
+    violation = general_position_violation(p, rows, points.tolist())
+    if violation is not None:
+        raise GeneralPositionError(violation)
+    return cofactor, points
+
+
 def jacobian_matrix(d: int, r: int, n: int, values):
     """Exact Jacobian of the coefficient map at the given F_p point, as an
     int64 array of residues in [0, p) with one row per parameter
@@ -230,16 +263,8 @@ def jacobian_matrix(d: int, r: int, n: int, values):
     the rows and points (`general_position_violation`).
     """
     check_jacobian_size(d, r, n)
-    p, (params,) = residue_rows([values])
-    rows = _hyperplane_rows(d, r, n, params)
-    if p is None:
-        raise ValueError("the Jacobian is taken at a point over F_p")
-    if p >= INT64_PRIME_LIMIT:
-        raise ValueError(f"prime {p} too large for the int64 Jacobian (need p < 2^31)")
-    cofactor, points = cramer_table(rows, p)
-    violation = general_position_violation(p, rows, points.tolist())
-    if violation is not None:
-        raise GeneralPositionError(violation)
+    p, params, rows = _int64_point(d, r, n, values, "Jacobian")
+    cofactor, points = _certified_table(rows, p)
     sets = np.array(list(combinations(range(r), n)), dtype=np.int64)
     size = comb(n + d, d)
     # the tangent along P_j is d x_j P^(d-1); fold in the weight alpha_S too
@@ -258,8 +283,9 @@ def jacobian_matrix(d: int, r: int, n: int, values):
                            _power_table(points, d, p)])
 
 
-def _rank_ceiling(target: int, m: int, r: int) -> int:
-    """min(target, m - r), a bound on the rank of every Jacobian draw.
+def _rank_ceiling(target: int, m: int, r: int, n: int) -> int:
+    """A bound on the rank of every Jacobian draw: min(target, m - r), and
+    min(target, n + 1) when r = n.
 
     Rescaling a_k -> t a_k and alpha_S -> t^-d alpha_S for every S containing
     k fixes the form, since P_S is linear in each row.  So the vector with
@@ -267,8 +293,13 @@ def _rank_ceiling(target: int, m: int, r: int) -> int:
     the left kernel of the Jacobian, over Z and mod p alike.  General
     position allows no zero row, and these r vectors have disjoint blocks,
     so they are independent.
+
+    When r = n there is one point P and the form is alpha P^d.  The row of
+    alpha is P^d = sum_j P_j x_j P^(d-1), and the row of a_{k,i} is
+    d alpha sum_j (d P_j / d a_{k,i}) x_j P^(d-1), so every row lies in the
+    span of the n + 1 forms x_j P^(d-1), while m - r = n^2 + 1.
     """
-    return min(target, m - r)
+    return min(target, n + 1 if r == n else m - r)
 
 
 @dataclass
@@ -276,10 +307,14 @@ class JacobianTestReport:
     """Outcome of the randomized rank test; records prime and seed so a
     verdict is reproducible and auditable, the rank of each trial that ran
     (``trial_ranks``; a trial that reaches ``expected_rank``, which no
-    trial can exceed, stops the test) and the number of degenerate draws
-    redrawn over all trials (``resamples``).  It stores only what was
-    measured; ``verdict``, ``note``, ``expected_rank`` and ``defect`` are
-    derived from it."""
+    trial can exceed, stops the test), the number of degenerate draws
+    redrawn over all trials (``resamples``) and the matrix each draw ranked
+    (``route``): "jacobian", the tangent Jacobian of the coefficient map, or
+    "incidence", the incidence matrix M of `incidence_matrix`, whose rank
+    plus C(r, n) is the Jacobian's rank at the same draw, so both routes
+    report ranks of the Jacobian.  It stores only what was measured;
+    ``verdict``, ``note``, ``expected_rank`` and ``defect`` are derived
+    from it."""
 
     d: int
     r: int
@@ -293,6 +328,7 @@ class JacobianTestReport:
     elapsed_ms: int
     trial_ranks: list
     resamples: int
+    route: str
 
     @property
     def verdict(self) -> str:
@@ -307,8 +343,8 @@ class JacobianTestReport:
     @property
     def expected_rank(self) -> int:
         """Generic rank if nothing beyond the r hyperplane rescalings is lost:
-        min(target, m - r) (`_rank_ceiling`)."""
-        return _rank_ceiling(self.target, self.m, self.r)
+        min(target, m - r), or min(target, n + 1) when r = n (`_rank_ceiling`)."""
+        return _rank_ceiling(self.target, self.m, self.r, self.n)
 
     @property
     def defect(self) -> int:
@@ -343,6 +379,34 @@ def check_rank_test(d: int, r: int, n: int, prime: int, trials: int):
     check_jacobian_size(d, r, n)
 
 
+def _rank_test(d: int, r: int, n: int, prime: int, seed: int, trials: int,
+               route: str) -> JacobianTestReport:
+    """The trial loop both rank tests share: draw, rank through ``route``'s
+    matrix, and stop at the first trial that reaches the ceiling."""
+    build, offset = ((jacobian_matrix, 0) if route == "jacobian"
+                     else (incidence_matrix, comb(r, n)))
+    m = parameter_count(d, r, n)
+    target = comb(n + d, d)
+    ceiling = _rank_ceiling(target, m, r, n)
+    start = time.perf_counter()
+    what = f"(d,r,n)=({d},{r},{n}) over p={prime}"
+    trial_ranks, resamples = [], 0
+    for t in range(trials):
+        rng = random.Random(f"{seed}:{d}:{r}:{n}:{t}")
+        rows, redrawn = redraw(lambda: build(
+            d, r, n, _draw_parameter_values(d, r, n, prime, rng)), what)
+        resamples += redrawn
+        # an int64 array carries no modulus, so rank it with the mod-p kernel
+        trial_ranks.append(offset + linalg.rank_mod(rows, prime))
+        if trial_ranks[-1] == ceiling:
+            break
+    return JacobianTestReport(
+        d=d, r=r, n=n, m=m, target=target, prime=prime, seed=seed,
+        trials=trials, rank=max(trial_ranks),
+        elapsed_ms=int((time.perf_counter() - start) * 1000),
+        trial_ranks=trial_ranks, resamples=resamples, route=route)
+
+
 def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
                        seed: int = DEFAULT_SEED, trials: int = 3) -> JacobianTestReport:
     """Max Jacobian rank over independently seeded random trials, stopping
@@ -359,23 +423,94 @@ def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
     before the first draw.
     """
     check_rank_test(d, r, n, prime, trials)
-    m = parameter_count(d, r, n)
-    target = comb(n + d, d)
-    ceiling = _rank_ceiling(target, m, r)
-    start = time.perf_counter()
-    what = f"(d,r,n)=({d},{r},{n}) over p={prime}"
-    trial_ranks, resamples = [], 0
-    for t in range(trials):
-        rng = random.Random(f"{seed}:{d}:{r}:{n}:{t}")
-        rows, redrawn = redraw(lambda: jacobian_matrix(
-            d, r, n, _draw_parameter_values(d, r, n, prime, rng)), what)
-        resamples += redrawn
-        # an int64 array carries no modulus, so rank it with the mod-p kernel
-        trial_ranks.append(linalg.rank_mod(rows, prime))
-        if trial_ranks[-1] == ceiling:
-            break
-    return JacobianTestReport(
-        d=d, r=r, n=n, m=m, target=target, prime=prime, seed=seed,
-        trials=trials, rank=max(trial_ranks),
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
-        trial_ranks=trial_ranks, resamples=resamples)
+    return _rank_test(d, r, n, prime, seed, trials, "jacobian")
+
+
+# ---------------------------------------------------------------------------
+# the incidence matrix of the star ideal's generators
+
+
+def check_incidence_matrix(d: int, r: int, n: int, p: int):
+    """Raise ``ValueError`` unless `incidence_matrix` is defined for (d, r, n)
+    over F_p and fits: r <= d + n - 1 (above that `classify` answers in
+    closed form), p > d (the apolarity pairing carries d!), and M and its
+    table of C(r, n) * C(n+e, e) * (n+1) block entries each within
+    ``MAX_JACOBIAN_CELLS`` int64 cells.  At r = n, M can be larger than the
+    Jacobian; at (6, 6, 6) it is 18 times larger."""
+    _validate_triple(d, r, n)
+    if r >= d + n:
+        raise ValueError(f"(d,r,n)=({d},{r},{n}) has r >= d + n, where `classify` "
+                         "answers in closed form (ideal-degree-bound); the "
+                         "incidence rank test covers r <= d + n - 1")
+    if p <= d:
+        raise ValueError(f"the incidence rank test needs p > d, since the "
+                         f"apolarity pairing carries d!; got p={p}, d={d}")
+    e = d - r + n - 1
+    cells = comb(n + e, e) * (n + 1) * max(comb(r, n - 1) * r, comb(r, n))
+    if cells > MAX_JACOBIAN_CELLS:
+        raise ValueError(f"(d,r,n)=({d},{r},{n}) needs {cells} int64 cells for its "
+                         f"incidence matrix, over the limit of {MAX_JACOBIAN_CELLS}")
+
+
+def check_incidence_test(d: int, r: int, n: int, prime: int, trials: int):
+    """Raise ``ValueError`` unless `incidence_rank_test` accepts these
+    inputs: those of `check_rank_test`, the Jacobian cell rule included, so
+    the incidence route accepts no triple the Jacobian route refuses, then
+    `check_incidence_matrix`."""
+    check_rank_test(d, r, n, prime, trials)
+    check_incidence_matrix(d, r, n, prime)
+
+
+def incidence_matrix(d: int, r: int, n: int, values):
+    """The incidence matrix M of the star ideal's generators at the given
+    F_p point (same parameters as `jacobian_matrix`), as an int64 array of
+    residues in [0, p), for r <= d + n - 1 and p > d.
+
+    Let e = d - r + n - 1 and c_S = alpha_S * w_S, with one weight
+    w_S = prod_{i not in S} l_i(P_S) per point S.  The rows are the pairs
+    (U, mu), U an (n-1)-subset in `combinations` order and mu a degree-e
+    monomial; the columns are r blocks of n + 1, one per hyperplane j.  The
+    block ((U, mu), j) is c_S mu(P_S) P_S with S = U + {j} for j not in U,
+    and 0 for j in U: the derivative along l_j of the generator
+    mu * prod_{i not in U} l_i at P_S.  At every draw with p > d,
+    rank J = C(r, n) + rank M.  Inputs are checked by
+    `check_incidence_matrix`, and general position as in `jacobian_matrix`,
+    before any block is formed.
+    """
+    p, params, rows = _int64_point(d, r, n, values, "incidence matrix")
+    check_incidence_matrix(d, r, n, p)
+    _, points = _certified_table(rows, p)
+    point_sets = list(combinations(range(r), n))
+    sets = np.array(point_sets, dtype=np.int64)
+    coeffs = np.asarray(rows, dtype=np.int64)
+    # l_i(P_S) for every point and hyperplane, each product reduced before
+    # the n + 1 of them are summed; l_i(P_S) = 0 for i in S, so set it to 1
+    at = sum(points[:, None, k] * coeffs[None, :, k] % p for k in range(n + 1)) % p
+    at[np.arange(len(sets))[:, None], sets] = 1
+    weights = np.array(params[(n + 1) * r:], dtype=np.int64)
+    for i in range(r):
+        weights = weights * at[:, i] % p
+    e = d - r + n - 1
+    table = monomial_table(points, e, p) * weights[:, None] % p
+    blocks = table[:, :, None] * points[:, None, :] % p
+    where = {U: u for u, U in enumerate(combinations(range(r), n - 1))}
+    M = np.zeros((len(where), table.shape[1], r, n + 1), dtype=np.int64)
+    for q in range(n):
+        # each (U, j) names one point S = U + {j}, so no two blocks collide
+        u = [where[S[:q] + S[q + 1:]] for S in point_sets]
+        M[u, :, sets[:, q], :] = blocks
+    return M.reshape(-1, r * (n + 1))
+
+
+def incidence_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
+                        seed: int = DEFAULT_SEED, trials: int = 3) -> JacobianTestReport:
+    """The Jacobian rank test of `jacobian_rank_test`, with each draw ranked
+    through `incidence_matrix` as C(r, n) + rank M, for r <= d + n - 1.
+
+    The draws, the redraws and the early stop are those of
+    `jacobian_rank_test` at the same seed, so the report equals that one
+    apart from ``elapsed_ms`` and ``route``.  Inputs are checked by
+    `check_incidence_test` before the first draw.
+    """
+    check_incidence_test(d, r, n, prime, trials)
+    return _rank_test(d, r, n, prime, seed, trials, "incidence")

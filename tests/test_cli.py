@@ -6,7 +6,7 @@ import pytest
 
 from starpolar import cli, existence
 from starpolar.cli import main
-from starpolar.existence import ResampleBudgetError
+from starpolar.existence import ResampleBudgetError, jacobian_rank_test
 
 CUSPIDAL_LINES_TEXT = "y0\ny1\ny1 - y2\ny0 + y1 + y2\n"
 
@@ -300,6 +300,20 @@ def test_sweep_rejects_bad_mode_and_range(capsys):
                  "--out", "x"]) != 0
 
 
+def test_jactest_route_follows_the_triple(capsys):
+    # below the degree bound the incidence matrix is ranked, from the same
+    # draws as the Jacobian; at r = d + n only the Jacobian is defined
+    for (d, r, n), route in (((3, 4, 2), "incidence"), ((3, 7, 5), "incidence"),
+                             ((3, 5, 2), "jacobian"), ((2, 2, 2), "incidence")):
+        code, data = run_json(capsys, ["jactest", "--d", str(d), "--r", str(r),
+                                       "--n", str(n), "--seed", "3"])
+        assert code == 0 and data["route"] == route
+        oracle = jacobian_rank_test(d, r, n, seed=3).to_json_dict()
+        for key in ("route", "elapsed_ms"):
+            data.pop(key), oracle.pop(key)
+        assert data == oracle
+
+
 def test_rank_test_flags_alone_set_seed_and_prime(capsys, monkeypatch):
     code, data = run_json(capsys, ["jactest", "--d", "2", "--r", "3", "--n", "2",
                                    "--seed", "4"])
@@ -386,6 +400,11 @@ def _unreachable(*args):
     (["waring", "--form", "x0*x1", "--forms", "{tmp}/proportional.txt"], 2, False),
     (["jactest", "--d", "3", "--r", "4", "--n", "2"], 1, True),
     (SWEEP, 1, True),
+    # below the degree bound the pairing needs p > d, and a sweep refuses
+    # p <= dmax before its output file exists
+    (["jactest", "--d", "3", "--r", "4", "--n", "2", "--prime", "3"], 2, False),
+    (SWEEP + ["--prime", "3"], 2, False),
+    (["jactest", "--d", "19", "--r", "6", "--n", "6"], 2, False),
 ])
 def test_exit_codes_follow_the_exception_type(tmp_path, capsys, monkeypatch,
                                               argv, code, patched):
@@ -398,7 +417,10 @@ def test_exit_codes_follow_the_exception_type(tmp_path, capsys, monkeypatch,
     # an oversize triple must be refused, never assembled
     monkeypatch.setattr(existence, "cramer_table", _unreachable)
     if patched:
+        # the triple picks the route, so both rank tests fail alike; the
+        # tracer wraps `cli.jacobian_rank_test`, which stays a live name
         monkeypatch.setattr(cli, "jacobian_rank_test", _budget_spent)
+        monkeypatch.setattr(cli, "incidence_rank_test", _budget_spent)
     start = time.perf_counter()
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     assert time.perf_counter() - start < 1

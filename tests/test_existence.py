@@ -468,3 +468,93 @@ def test_jactest_rejects_oversized_prime_quickly(prime):
     with pytest.raises(ValueError, match="too large"):
         jacobian_rank_test(3, 4, 2, prime=prime)
     assert time.perf_counter() - start < 1
+
+
+# ---------------------------------------------------------------------------
+# the incidence route
+
+
+def _below_threshold(ns, degrees, prime=DEFAULT_PRIME):
+    """Every (d, r, n) with r <= d + n - 1 that both routes accept."""
+    triples = []
+    for n in ns:
+        for d in degrees:
+            for r in range(n, d + n):
+                try:
+                    existence.check_incidence_test(d, r, n, prime, 1)
+                except ValueError:
+                    continue
+                triples.append((d, r, n))
+    return triples
+
+
+def test_incidence_rank_plus_points_is_the_jacobian_rank_at_every_draw():
+    """rank J = C(r, n) + rank M at the same draw, over small and large
+    primes: the pointwise identity that lets the rank test rank M."""
+    checked = 0
+    for p in (7, 11, 101, DEFAULT_PRIME):
+        for d, r, n in _below_threshold(range(1, 6), range(1, 7), p):
+            rng = random.Random(f"identity:{p}:{d}:{r}:{n}")
+            values = existence._draw_parameter_values(d, r, n, p, rng)
+            try:
+                jac = jacobian_matrix(d, r, n, values)
+            except GeneralPositionError:
+                with pytest.raises(GeneralPositionError):
+                    existence.incidence_matrix(d, r, n, values)
+                continue
+            inc = existence.incidence_matrix(d, r, n, values)
+            e = d - r + n - 1
+            assert inc.shape == (comb(r, n - 1) * comb(n + e, e), (n + 1) * r)
+            assert linalg.rank_mod(jac, p) == comb(r, n) + linalg.rank_mod(inc, p), \
+                ((d, r, n), p)
+            checked += 1
+    assert checked >= 300, checked
+
+
+def test_incidence_route_reports_what_the_jacobian_route_reports():
+    # same draws, redraws and early stop: only the timing and the route differ
+    for seed in (1, 2):
+        for d, r, n in _below_threshold(range(1, 7), range(1, 7)):
+            inc = existence.incidence_rank_test(d, r, n, seed=seed).to_json_dict()
+            jac = jacobian_rank_test(d, r, n, seed=seed).to_json_dict()
+            assert (inc.pop("route"), jac.pop("route")) == ("incidence", "jacobian")
+            inc.pop("elapsed_ms"), jac.pop("elapsed_ms")
+            assert inc == jac, (d, r, n, seed)
+
+
+def test_one_point_reaches_its_ceiling_in_one_trial():
+    """At r = n the one point P spans n + 1 directions x_j P^(d-1), so the
+    ceiling is n + 1 and a generic draw reaches it: no false defect."""
+    for n in range(1, 7):
+        for d in range(1, 7):
+            for test in (jacobian_rank_test, existence.incidence_rank_test):
+                rep = test(d, n, n)
+                assert rep.expected_rank == n + 1 == rep.rank, (d, n, test)
+                assert rep.defect == 0 and rep.trial_ranks == [n + 1], (d, n, test)
+    # the one genuine defect below the degree bound is kept on both routes
+    for test in (jacobian_rank_test, existence.incidence_rank_test):
+        rep = test(3, 7, 5)
+        assert rep.trial_ranks == [55, 55, 55] and rep.defect == 1
+
+
+@pytest.mark.parametrize("d, r, n, prime, message", [
+    (3, 5, 2, DEFAULT_PRIME, "r >= d [+] n, where `classify`"),
+    (2, 9, 3, DEFAULT_PRIME, "r >= d [+] n, where `classify`"),
+    (7, 8, 2, 7, "needs p > d"),
+    (3, 5, 3, 2, "needs p > d"),
+    # these two fit the Jacobian's cell rule; at r = n, M is the larger matrix
+    (42, 16, 3, DEFAULT_PRIME, "incidence matrix, over the limit"),
+    (19, 6, 6, DEFAULT_PRIME, "incidence matrix, over the limit"),
+    (200, 201, 2, DEFAULT_PRIME, "Jacobian, over the limit"),
+    (3, 4, 2, 15, "not prime"),
+])
+def test_incidence_route_refuses_before_any_draw(monkeypatch, d, r, n, prime, message):
+    def unguarded(*args):
+        raise AssertionError("a refused triple reached the Cramer table")
+
+    monkeypatch.setattr(existence, "cramer_table", unguarded)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        existence.incidence_rank_test(d, r, n, prime=prime, trials=1)
+    assert time.perf_counter() - start < 1
+
