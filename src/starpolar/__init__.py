@@ -24,7 +24,7 @@ from .starconfig import (GeneralPositionError, HilbertFunctionTable,
                          star_ideal_graded_dimension,
                          star_ideal_product_generators)
 from .existence import (ClassificationVerdict, JacobianTestReport, Verdict,
-                        classify, gamma_coefficients, incidence_rank_test,
-                        jacobian_rank_test, parameter_count, rho, rho_n2)
+                        classify, gamma_coefficients, jacobian_rank_test,
+                        parameter_count, rho, rho_n2)
 
 __version__ = "0.1.0"

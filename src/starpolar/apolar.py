@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, groupby
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -26,6 +26,10 @@ from .poly import (DUAL, PRIMAL, Form, basis_index, coefficient_vector,
                    contract, contraction_row, field_terms, form_from_vector,
                    linear_power_coefficients, monomial_basis, format_form,
                    shift_table)
+
+# monomial cells a piece may list: a catalecticant's columns times its
+# rows, or the basis of a piece above the form's degree
+MAX_PIECE_CELLS = 2**16
 
 
 @dataclass
@@ -55,6 +59,16 @@ class CatalecticantMatrix:
         }
 
 
+def check_piece_size(num_vars: int, *degrees: int):
+    """Raise ``ValueError`` unless the monomial bases of these degrees have
+    at most ``MAX_PIECE_CELLS`` cells together, before any is listed."""
+    cells = prod(comb(num_vars - 1 + k, k) for k in degrees)
+    if cells > MAX_PIECE_CELLS:
+        raise ValueError(f"degrees {', '.join(map(str, degrees))} in {num_vars} "
+                         f"variables need {cells} monomial cells, over the "
+                         f"limit of {MAX_PIECE_CELLS}")
+
+
 def _mono_str(ring: str, mono) -> str:
     return format_form(Form.monomial(ring, mono))
 
@@ -72,6 +86,7 @@ def catalecticant(f: Form, i: int) -> CatalecticantMatrix:
     if not 0 <= i <= f.degree:
         raise ValueError(f"source degree {i} outside 0..{f.degree}")
     nv = f.num_vars
+    check_piece_size(nv, i, f.degree - i)
     col_basis = monomial_basis(nv, i)
     row_basis = monomial_basis(nv, f.degree - i)
     p, (terms,) = field_terms(f)
@@ -103,6 +118,7 @@ def perp_piece(f: Form, i: int) -> PerpGradedPiece:
         raise ValueError("degree must be nonnegative")
     nv = f.num_vars
     if i > f.degree:
+        check_piece_size(nv, i)
         basis = [Form.monomial(DUAL, m) for m in monomial_basis(nv, i)]
         return PerpGradedPiece(i, basis)
     cat = catalecticant(f, i)

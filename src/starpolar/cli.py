@@ -4,11 +4,10 @@
 Commands: rho, classify, jactest, star, perp, apolar-check, waring, sweep.
 Every command takes --json.  The rank-test commands (jactest, sweep) also
 take --seed / --prime / --trials; no environment variable changes an
-answer, so a run is reproducible from its flags.  The triple alone picks
-the matrix a rank test ranks: the incidence matrix below the degree bound
-(r <= d + n - 1, every sweep cell), the Jacobian at and above it.  All
-scalars serialize as decimal strings (rationals as "p/q") so nothing is
-lost to binary floating point.
+answer, so a run is reproducible from its flags.  Both run
+`jacobian_rank_test`, which picks from the triple alone the matrix it
+ranks.  All scalars serialize as decimal strings (rationals as "p/q") so
+nothing is lost to binary floating point.
 
 Input rules live in the library, and the exception type decides the exit
 code: `main` turns every ``ValueError`` (a bad flag, a bad file, or a
@@ -30,8 +29,7 @@ import sys
 from . import __version__
 from .apolar import (catalecticant, is_apolar_ideal_contained, perp_piece,
                      solve_waring)
-from .existence import (check_incidence_test, classify, incidence_rank_test,
-                        jacobian_rank_test, rho)
+from .existence import check_rank_test, classify, jacobian_rank_test, rho
 from .field import (DEFAULT_PRIME, DEFAULT_SEED, scalar_from_str,
                     scalar_to_str)
 from .poly import DUAL, PRIMAL, Form, format_form, parse_form
@@ -139,12 +137,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_jactest(args) -> int:
-    # below the degree bound the incidence matrix gives the Jacobian's rank
-    # from the same draws; at and above it only the Jacobian is defined
-    test = (incidence_rank_test if args.r <= args.d + args.n - 1
-            else jacobian_rank_test)
-    report = test(args.d, args.r, args.n, prime=args.prime,
-                  seed=args.seed, trials=args.trials)
+    report = jacobian_rank_test(args.d, args.r, args.n, prime=args.prime,
+                                seed=args.seed, trials=args.trials)
     payload = report.to_json_dict()
     _emit(args, payload,
           [f"({args.d},{args.r},{args.n}): {report.verdict}, "
@@ -250,7 +244,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError("need 3 <= dmin <= dmax")
     # refuse a bad prime, trial count or size before the output file exists;
     # the largest cell bounds the others, and p > dmax covers every cell
-    check_incidence_test(args.dmax, args.dmax + 1, 2, args.prime, args.trials)
+    check_rank_test(args.dmax, args.dmax + 1, 2, args.prime, args.trials)
     done = set()
     if os.path.exists(args.out) and not args.force:
         try:
@@ -267,7 +261,7 @@ def _cmd_sweep(args) -> int:
                 rep = rec.get("report") or {}
                 done.add((rec.get("d"), rec.get("r"), rec.get("n"),
                           rep.get("prime"), rep.get("seed")))
-            except (json.JSONDecodeError, AttributeError):
+            except (json.JSONDecodeError, AttributeError, TypeError):
                 continue  # damaged line; remaining lines stay valid
     records = []
     try:
@@ -281,8 +275,8 @@ def _cmd_sweep(args) -> int:
             if (d, d + 1, 2, args.prime, args.seed) in done:
                 records.append({"d": d, "skipped": True})
                 continue
-            report = incidence_rank_test(d, d + 1, 2, prime=args.prime,
-                                         seed=args.seed, trials=args.trials)
+            report = jacobian_rank_test(d, d + 1, 2, prime=args.prime,
+                                        seed=args.seed, trials=args.trials)
             record = {
                 "d": d, "r": d + 1, "n": 2,
                 "source": "jactest",

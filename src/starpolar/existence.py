@@ -27,9 +27,9 @@ is generated by the C(r, n-1) products of r - n + 1 of the hyperplanes
 (Geramita-Harbourne-Migliore), and the configuration is apolar to the form
 iff every degree-d multiple mu * prod_{i in T} l_i kills it (the apolarity
 lemma; Iarrobino-Kanev).  Differentiating these conditions along the
-hyperplanes gives, at every draw with p > d, rank J = C(r, n) + rank M;
-`incidence_rank_test` reports that sum, with the same draws and the same
-early stop as `jacobian_rank_test`, which stays the oracle of the identity.
+hyperplanes gives, at every draw with p > d, rank J = C(r, n) + rank M.
+So `jacobian_rank_test` ranks M below the bound and J at and above it
+(`_route`); J stays the oracle of the identity.
 """
 
 from __future__ import annotations
@@ -309,12 +309,11 @@ class JacobianTestReport:
     (``trial_ranks``; a trial that reaches ``expected_rank``, which no
     trial can exceed, stops the test), the number of degenerate draws
     redrawn over all trials (``resamples``) and the matrix each draw ranked
-    (``route``): "jacobian", the tangent Jacobian of the coefficient map, or
-    "incidence", the incidence matrix M of `incidence_matrix`, whose rank
-    plus C(r, n) is the Jacobian's rank at the same draw, so both routes
-    report ranks of the Jacobian.  It stores only what was measured;
-    ``verdict``, ``note``, ``expected_rank`` and ``defect`` are derived
-    from it."""
+    (``route``, `_route`): "incidence", the matrix M of `incidence_matrix`,
+    whose rank plus C(r, n) is the Jacobian's at the same draw, or
+    "jacobian", the tangent Jacobian itself.  It stores only what was
+    measured; ``verdict``, ``note``, ``expected_rank`` and ``defect`` are
+    derived from it."""
 
     d: int
     r: int
@@ -368,20 +367,28 @@ def check_jacobian_size(d: int, r: int, n: int):
                          f"Jacobian, over the limit of {MAX_JACOBIAN_CELLS}")
 
 
+def _route(d: int, r: int, n: int) -> str:
+    """The matrix the rank test ranks: M below the degree bound, else J."""
+    return "incidence" if r <= d + n - 1 else "jacobian"
+
+
 def check_rank_test(d: int, r: int, n: int, prime: int, trials: int):
     """Raise ``ValueError`` unless `jacobian_rank_test` accepts these
-    inputs: a valid triple, a prime below 2^31, at least one trial, and a
-    Jacobian within `check_jacobian_size`."""
+    inputs: a valid triple, a prime below 2^31, at least one trial, a
+    Jacobian within `check_jacobian_size`, and, where M is ranked,
+    `check_incidence_matrix`."""
     _validate_triple(d, r, n)
     linalg.check_modulus(prime)
     if trials < 1:
         raise ValueError("need at least one trial")
     check_jacobian_size(d, r, n)
+    if _route(d, r, n) == "incidence":
+        check_incidence_matrix(d, r, n, prime)
 
 
 def _rank_test(d: int, r: int, n: int, prime: int, seed: int, trials: int,
                route: str) -> JacobianTestReport:
-    """The trial loop both rank tests share: draw, rank through ``route``'s
+    """The trial loop of the rank test: draw, rank through ``route``'s
     matrix, and stop at the first trial that reaches the ceiling."""
     build, offset = ((jacobian_matrix, 0) if route == "jacobian"
                      else (incidence_matrix, comb(r, n)))
@@ -413,17 +420,19 @@ def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
     at the first trial that reaches ``expected_rank``: no trial exceeds it
     (`_rank_ceiling`), so the later trials could not change the answer.
 
-    Full rank at any trial certifies existence for the generic form (the
-    witness minor is nonzero in characteristic zero as well); staying below
-    the target is one-sided evidence of nonexistence, never proof, which is
-    why the report carries the prime and seed.  Trial t owns the stream
-    seeded with the string "seed:d:r:n:t", which `random.Random` hashes
-    with SHA-512, so no two (seed, triple, trial) share a stream and no
-    draw depends on PYTHONHASHSEED.  Inputs are checked by `check_rank_test`
-    before the first draw.
+    Below the degree bound, r <= d + n - 1, each draw's Jacobian rank is
+    read as C(r, n) + rank M (`incidence_matrix`).  Full rank at any trial
+    certifies existence for the generic form (the witness minor is nonzero
+    in characteristic zero as well); staying below the target is one-sided
+    evidence of nonexistence, never proof, which is why the report carries
+    the prime and seed.  Trial t owns the stream seeded with the string
+    "seed:d:r:n:t", which `random.Random` hashes with SHA-512, so no two
+    (seed, triple, trial) share a stream and no draw depends on
+    PYTHONHASHSEED.  Inputs are checked by `check_rank_test` before the
+    first draw.
     """
     check_rank_test(d, r, n, prime, trials)
-    return _rank_test(d, r, n, prime, seed, trials, "jacobian")
+    return _rank_test(d, r, n, prime, seed, trials, _route(d, r, n))
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +459,6 @@ def check_incidence_matrix(d: int, r: int, n: int, p: int):
     if cells > MAX_JACOBIAN_CELLS:
         raise ValueError(f"(d,r,n)=({d},{r},{n}) needs {cells} int64 cells for its "
                          f"incidence matrix, over the limit of {MAX_JACOBIAN_CELLS}")
-
-
-def check_incidence_test(d: int, r: int, n: int, prime: int, trials: int):
-    """Raise ``ValueError`` unless `incidence_rank_test` accepts these
-    inputs: those of `check_rank_test`, the Jacobian cell rule included, so
-    the incidence route accepts no triple the Jacobian route refuses, then
-    `check_incidence_matrix`."""
-    check_rank_test(d, r, n, prime, trials)
-    check_incidence_matrix(d, r, n, prime)
 
 
 def incidence_matrix(d: int, r: int, n: int, values):
@@ -501,16 +501,3 @@ def incidence_matrix(d: int, r: int, n: int, values):
         M[u, :, sets[:, q], :] = blocks
     return M.reshape(-1, r * (n + 1))
 
-
-def incidence_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
-                        seed: int = DEFAULT_SEED, trials: int = 3) -> JacobianTestReport:
-    """The Jacobian rank test of `jacobian_rank_test`, with each draw ranked
-    through `incidence_matrix` as C(r, n) + rank M, for r <= d + n - 1.
-
-    The draws, the redraws and the early stop are those of
-    `jacobian_rank_test` at the same seed, so the report equals that one
-    apart from ``elapsed_ms`` and ``route``.  Inputs are checked by
-    `check_incidence_test` before the first draw.
-    """
-    check_incidence_test(d, r, n, prime, trials)
-    return _rank_test(d, r, n, prime, seed, trials, "incidence")

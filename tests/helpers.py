@@ -6,7 +6,10 @@ lists with convolution products (no product rule anywhere), and the
 dict polynomials expand and differentiate symbolically.  Agreement with
 the package is therefore a genuine cross-check.  `eps_jacobian`, the
 oracle for the chain-rule Jacobian, runs the generic coefficient map
-(`gamma_coefficients`) on epsilon scalars.
+(`gamma_coefficients`) on epsilon scalars, and `jacobian_route_rank_test`
+is the oracle of the rank test: its trial loop forced onto the tangent
+Jacobian, which `jacobian_rank_test` replaces by the incidence matrix
+below the degree bound.
 `rref_kernel` is the exact reference for the kernels over Q and the int64
 mod-p kernels: the generic `rref` alone, run a second time on the
 free-column basis in natural column order, and `det_scan_violation` the one for the
@@ -27,8 +30,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial, perm, prod
 
-from starpolar.existence import gamma_coefficients
-from starpolar.field import Fp
+from starpolar.existence import _rank_test, gamma_coefficients
+from starpolar.field import DEFAULT_PRIME, DEFAULT_SEED, Fp
 from starpolar.linalg import det, kernel_basis, rank, rref
 from starpolar.poly import (DUAL, PRIMAL, Form, coefficient_vector, form_from_vector,
                             monomial_basis, shift_table)
@@ -108,6 +111,22 @@ def eps_jacobian(d, r, n, values, p):
         rows.append([int(c.eps_coefficient()) if isinstance(c, EpsPoly) else 0
                      for c in out])
     return rows
+
+
+def jacobian_route_rank_test(d, r, n, prime=DEFAULT_PRIME, seed=DEFAULT_SEED,
+                             trials=3):
+    """The rank test with every draw ranked through the tangent Jacobian,
+    whatever the triple.  Its draws, redraws and early stop are those of
+    `jacobian_rank_test`, so the two reports agree apart from the keys
+    `without_route_and_timing` drops."""
+    return _rank_test(d, r, n, prime, seed, trials, "jacobian")
+
+
+def without_route_and_timing(report):
+    """A rank-test report's JSON dict (or a report) without ``route`` and
+    ``elapsed_ms``, the only keys in which two routes may differ."""
+    data = report if isinstance(report, dict) else report.to_json_dict()
+    return {k: v for k, v in data.items() if k not in ("route", "elapsed_ms")}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from starpolar.apolar import solve_waring
 from starpolar.poly import coefficient_vector, monomial_basis, parse_form
 from starpolar.starconfig import (RESAMPLE_BUDGET, GeneralPositionError, HyperplaneSet,
                                   ResampleBudgetError, intersection_points)
-from helpers import det_scan_violation, eps_jacobian
+from helpers import (det_scan_violation, eps_jacobian, jacobian_route_rank_test,
+                     without_route_and_timing)
 
 
 def test_rho_examples():
@@ -475,13 +476,13 @@ def test_jactest_rejects_oversized_prime_quickly(prime):
 
 
 def _below_threshold(ns, degrees, prime=DEFAULT_PRIME):
-    """Every (d, r, n) with r <= d + n - 1 that both routes accept."""
+    """Every (d, r, n) with r <= d + n - 1 that the rank test accepts."""
     triples = []
     for n in ns:
         for d in degrees:
             for r in range(n, d + n):
                 try:
-                    existence.check_incidence_test(d, r, n, prime, 1)
+                    existence.check_rank_test(d, r, n, prime, 1)
                 except ValueError:
                     continue
                 triples.append((d, r, n))
@@ -515,11 +516,11 @@ def test_incidence_route_reports_what_the_jacobian_route_reports():
     # same draws, redraws and early stop: only the timing and the route differ
     for seed in (1, 2):
         for d, r, n in _below_threshold(range(1, 7), range(1, 7)):
-            inc = existence.incidence_rank_test(d, r, n, seed=seed).to_json_dict()
-            jac = jacobian_rank_test(d, r, n, seed=seed).to_json_dict()
-            assert (inc.pop("route"), jac.pop("route")) == ("incidence", "jacobian")
-            inc.pop("elapsed_ms"), jac.pop("elapsed_ms")
-            assert inc == jac, (d, r, n, seed)
+            inc = jacobian_rank_test(d, r, n, seed=seed)
+            jac = jacobian_route_rank_test(d, r, n, seed=seed)
+            assert (inc.route, jac.route) == ("incidence", "jacobian")
+            assert without_route_and_timing(inc) == without_route_and_timing(jac), \
+                (d, r, n, seed)
 
 
 def test_one_point_reaches_its_ceiling_in_one_trial():
@@ -527,19 +528,17 @@ def test_one_point_reaches_its_ceiling_in_one_trial():
     ceiling is n + 1 and a generic draw reaches it: no false defect."""
     for n in range(1, 7):
         for d in range(1, 7):
-            for test in (jacobian_rank_test, existence.incidence_rank_test):
+            for test in (jacobian_route_rank_test, jacobian_rank_test):
                 rep = test(d, n, n)
                 assert rep.expected_rank == n + 1 == rep.rank, (d, n, test)
                 assert rep.defect == 0 and rep.trial_ranks == [n + 1], (d, n, test)
     # the one genuine defect below the degree bound is kept on both routes
-    for test in (jacobian_rank_test, existence.incidence_rank_test):
+    for test in (jacobian_route_rank_test, jacobian_rank_test):
         rep = test(3, 7, 5)
         assert rep.trial_ranks == [55, 55, 55] and rep.defect == 1
 
 
 @pytest.mark.parametrize("d, r, n, prime, message", [
-    (3, 5, 2, DEFAULT_PRIME, "r >= d [+] n, where `classify`"),
-    (2, 9, 3, DEFAULT_PRIME, "r >= d [+] n, where `classify`"),
     (7, 8, 2, 7, "needs p > d"),
     (3, 5, 3, 2, "needs p > d"),
     # these two fit the Jacobian's cell rule; at r = n, M is the larger matrix
@@ -555,6 +554,20 @@ def test_incidence_route_refuses_before_any_draw(monkeypatch, d, r, n, prime, me
     monkeypatch.setattr(existence, "cramer_table", unguarded)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=message):
-        existence.incidence_rank_test(d, r, n, prime=prime, trials=1)
+        jacobian_rank_test(d, r, n, prime=prime, trials=1)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("d, r, n", [(3, 5, 2), (2, 9, 3)])
+def test_incidence_matrix_is_refused_at_and_above_the_degree_bound(monkeypatch,
+                                                                   d, r, n):
+    def reached(*args):
+        raise AssertionError("the rank test drew a point")
+
+    monkeypatch.setattr(existence, "cramer_table", reached)
+    with pytest.raises(ValueError, match="r >= d [+] n, where `classify`"):
+        existence.check_incidence_matrix(d, r, n, DEFAULT_PRIME)
+    # the rank test ranks the Jacobian there, so it accepts the triple
+    with pytest.raises(AssertionError, match="drew a point"):
+        jacobian_rank_test(d, r, n, trials=1)
 
