@@ -9,7 +9,10 @@ linear algebra (no Groebner bases anywhere).  The degree-t piece of an
 ideal is the span of the generators' monomial multiples; over F_p their
 rows are one int64 residue array, the residues of an echelon basis of
 each degree's generators scattered to their `shift_table` positions,
-ranked by the mod-p kernel.
+ranked by the mod-p kernel.  Over F_p an annihilator piece is also read
+off the mod-p kernel's int64 rows, which become forms directly
+(`poly.form_from_vector`), and a Waring solve runs on residues
+(`solve_waring`).
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from math import comb, prod
 import numpy as np
 
 from . import linalg
-from .field import Fp, scalar_to_str
+from .field import INT64_PRIME_LIMIT, Fp, residue_rows, scalar_to_str
 from .poly import (DUAL, PRIMAL, Form, basis_index, coefficient_vector,
                    contract, contraction_row, field_terms, form_from_vector,
-                   linear_power_coefficients, monomial_basis, format_form,
-                   shift_table)
+                   linear_power_coefficients, linear_power_table, monomial_basis,
+                   format_form, shift_table)
 
 # monomial cells a piece may list: a catalecticant's columns times its
 # rows, or the basis of a piece above the form's degree
@@ -81,22 +84,30 @@ def catalecticant(f: Form, i: int) -> CatalecticantMatrix:
     `contraction_row`, the same entries `contract` forms for y^b (over F_p
     on int residues, wrapped back into `Fp`; a zero entry is the int 0).
     """
+    p, rows = _catalecticant_rows(f, i)
+    if p is not None:
+        rows = [[Fp(v, p) if v else 0 for v in row] for row in rows]
+    nv = f.num_vars
+    return CatalecticantMatrix(i, f.degree - i, [list(row) for row in rows],
+                               monomial_basis(nv, f.degree - i), monomial_basis(nv, i))
+
+
+def _catalecticant_rows(f: Form, i: int):
+    """(p, rows) of the catalecticant over the field of F's coefficients
+    (`field_terms`): int residues in [0, p) over F_p, else F's scalars."""
     if f.ring != PRIMAL:
         raise ValueError("catalecticant expects a primal form")
     if not 0 <= i <= f.degree:
         raise ValueError(f"source degree {i} outside 0..{f.degree}")
     nv = f.num_vars
     check_piece_size(nv, i, f.degree - i)
-    col_basis = monomial_basis(nv, i)
-    row_basis = monomial_basis(nv, f.degree - i)
     p, (terms,) = field_terms(f)
     get = terms.get
     cols = [[get(a, 0) * u for a, u in zip(*contraction_row(nv, b, f.degree - i))]
-            for b in col_basis]
+            for b in monomial_basis(nv, i)]
     if p is not None:
-        cols = [[Fp(v, p) if v % p else 0 for v in col] for col in cols]
-    entries = [list(row) for row in zip(*cols)]
-    return CatalecticantMatrix(i, f.degree - i, entries, row_basis, col_basis)
+        cols = [[v % p for v in col] for col in cols]
+    return p, list(zip(*cols))
 
 
 @dataclass
@@ -121,10 +132,9 @@ def perp_piece(f: Form, i: int) -> PerpGradedPiece:
         check_piece_size(nv, i)
         basis = [Form.monomial(DUAL, m) for m in monomial_basis(nv, i)]
         return PerpGradedPiece(i, basis)
-    cat = catalecticant(f, i)
-    kernel = linalg.kernel_basis(cat.entries, len(cat.col_basis))
-    basis = [form_from_vector(DUAL, nv, i, v) for v in kernel]
-    return PerpGradedPiece(i, basis)
+    p, rows = _catalecticant_rows(f, i)
+    kernel = linalg.kernel_over(p, rows, comb(nv - 1 + i, i))
+    return PerpGradedPiece(i, [form_from_vector(DUAL, nv, i, v, p) for v in kernel])
 
 
 def annihilates(op: Form, f: Form) -> bool:
@@ -300,6 +310,14 @@ def solve_waring(points, f: Form):
     is inconsistent (F is outside the span of the supplied powers).  The
     system is solved with free variables pinned to zero under the canonical
     column order, so the output is reproducible.
+
+    Over F_p with p < 2^31 (an `Fp` among the points or F's coefficients)
+    the columns are rows of `poly.linear_power_table` on the residues and
+    the system is solved by `linalg.rref_mod`; the weights come back as
+    `Fp`, free ones included.  Otherwise the columns are
+    `linear_power_coefficients` on the scalars as given, solved by
+    `linalg.solve_linear`.  `WaringDecomposition.residual` rebuilds F by
+    sparse multiplication, a different path from either.
     """
     if f.ring != PRIMAL:
         raise ValueError("Waring decomposition expects a primal form")
@@ -312,10 +330,14 @@ def solve_waring(points, f: Form):
         raise ValueError(
             f"linear forms {dup[0]} and {dup[1]} are proportional; "
             "the apolarity setup requires pairwise independent points")
-    cols = [linear_power_coefficients(c, d) for c in coords]
-    rows = [[col[r] for col in cols] for r in range(len(cols[0]))]
-    rhs = coefficient_vector(f)
-    alphas = linalg.solve_linear(rows, rhs)
+    p, residues = residue_rows([*coords, coefficient_vector(f)])
+    if p is not None and p < INT64_PRIME_LIMIT:
+        *pts, rhs = residues
+        alphas = linalg.solve_over(p, np.column_stack([linear_power_table(pts, d, p).T, rhs]))
+    else:
+        cols = [linear_power_coefficients(c, d) for c in coords]
+        rows = [[col[r] for col in cols] for r in range(len(cols[0]))]
+        alphas = linalg.solve_linear(rows, coefficient_vector(f))
     if alphas is None:
         return None
     forms = [Form.linear(PRIMAL, c) for c in coords]

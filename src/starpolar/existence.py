@@ -46,8 +46,8 @@ import numpy as np
 from . import linalg
 from .field import (DEFAULT_PRIME, DEFAULT_SEED, INT64_PRIME_LIMIT,
                     random_scalar, residue_rows)
-from .poly import (linear_power_coefficients, monomial_basis, monomial_table,
-                   multinomial, shift_table)
+from .poly import (linear_power_coefficients, linear_power_table, monomial_basis,
+                   monomial_table, shift_table)
 from .starconfig import (GeneralPositionError, ResampleBudgetError,  # noqa: F401, re-export
                          _points_from_coeff_rows, cramer_table,
                          general_position_violation, redraw)
@@ -209,16 +209,6 @@ def _draw_parameter_values(d, r, n, prime, rng):
     return [random_scalar(rng, prime) for _ in range(parameter_count(d, r, n))]
 
 
-def _power_table(points, degree: int, p: int):
-    """Coefficient vectors of (P_0 x_0 + ... + P_n x_n)^degree mod p, one row
-    per row P of the int64 residue array ``points``: the multinomials times
-    the monomial values (`poly.monomial_table`)."""
-    multinomials = np.array([multinomial(degree, e) % p
-                             for e in monomial_basis(points.shape[1], degree)],
-                            dtype=np.int64)
-    return monomial_table(points, degree, p) * multinomials % p
-
-
 def _int64_point(d: int, r: int, n: int, values, matrix: str):
     """(p, params, rows) of a parameter point over F_p with p < 2^31, read as
     int residues; ``matrix`` names what is taken there, in the errors."""
@@ -269,7 +259,7 @@ def jacobian_matrix(d: int, r: int, n: int, values):
     size = comb(n + d, d)
     # the tangent along P_j is d x_j P^(d-1); fold in the weight alpha_S too
     weights = d * np.array(params[(n + 1) * r:], dtype=np.int64) % p
-    lower = _power_table(points, d - 1, p) * weights[:, None] % p
+    lower = linear_power_table(points, d - 1, p) * weights[:, None] % p
     shifts = shift_table(n + 1, 1, d - 1)
     # an entry of grads sums one residue per point through k, far fewer
     # than 2^32 for any point set that fits in memory, so int64 holds it
@@ -280,7 +270,7 @@ def jacobian_matrix(d: int, r: int, n: int, values):
             block[:, :, cols] += cofactor[q][:, :, j, None] * lower[:, None, :] % p
         np.add.at(grads, sets[:, q], block % p)
     return np.concatenate([grads.reshape(-1, size) % p,
-                           _power_table(points, d, p)])
+                           linear_power_table(points, d, p)])
 
 
 def _rank_ceiling(target: int, m: int, r: int, n: int) -> int:

@@ -8,11 +8,30 @@ entries: if any entry is an `Fp` they run the int64 kernels
 `rank_mod`/`kernel_mod`/`rref_mod` on the entries' residues mod its prime
 (`field.residue_rows`; kernel rows and solutions come back as `Fp`), otherwise
 `rref` over Q.  `solve_linear` alone also takes a prime of 2^31 or more,
-which it solves by `rref` on the `Fp` entries.  The division-free `minors`
+which it solves by `rref` on the `Fp` entries.  The `*_over` forms take the
+pair (p, rows) that `residue_rows` returns and answer in its representation:
+int residues over F_p, scalars with p None.  The division-free `minors`
 takes any scalars: it returns every maximal minor of a k x m matrix from
 one Laplace pass, and `det` is its square case.  `echelon_basis_over`
 returns a basis of a row span over either field; the ideal layer reduces
 generators with it before multiplying them out.
+
+Over Q, `rref` runs on Python ints.  Scaling a row by a nonzero number
+leaves its span alone, so every row is kept as a primitive int row: its
+denominators are cleared by their lcm, and the gcd of its entries, the
+row's content, is divided out.  At a pivot a in column c, a row whose
+entry there is f becomes (a * row - f * pivot row) / gcd(a, f), then
+primitive again; both divisions are by common divisors, so they are
+exact, and only the rows with a nonzero entry in c are touched, as in
+elimination by division.  At the end each pivot row is divided by its
+pivot entry: an entry is a `Fraction` only where the pivot does not
+divide it, an int otherwise.  Fraction-free elimination by Bareiss's
+rule, dividing each update by the previous pivot, is also exact, but it
+carries the minors of the matrix: on the product rows of an ideal piece
+it ran slower than elimination over `Fraction`, while primitive rows
+stay as small as the rows' lines allow.  Any other scalars (`Fp` with
+p >= 2^31, say) go through `rref_generic`, which divides in their field;
+the tests keep it as the reference.
 
 A kernel is read off one elimination R of the matrix with its columns
 reversed.  The vector of a free column f of R has a 1 at f and -R[i, f] at
@@ -41,6 +60,7 @@ division gives the residue in [0, p) for negative x too.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -67,7 +87,68 @@ def rref(rows):
     Returns:
         (R, pivots): the reduced rows (new lists; input untouched) and the
         list of pivot column indices (its length is the rank).
+
+    Rows of ints and `Fraction`s are reduced fraction-free on Python ints
+    (module docstring), and an entry of R is an int when it is integral;
+    any other scalars go through `rref_generic`.
     """
+    R = [list(r) for r in rows]
+    if all(isinstance(e, (int, Fraction)) for row in R for e in row):
+        return _rref_fraction_free(R)
+    return rref_generic(R)
+
+
+def _rref_fraction_free(R):
+    """`rref` of int/`Fraction` rows by Gauss-Jordan on primitive int rows
+    (module docstring); a `Fraction` is made only for a returned entry
+    that is not integral."""
+    pivots = []
+    if not R:
+        return R, pivots
+    R = [_primitive(_integer_row(row)) for row in R]
+    nrows, ncols = len(R), len(R[0])
+    pr = 0
+    for c in range(ncols):
+        pl = next((i for i in range(pr, nrows) if R[i][c]), None)
+        if pl is None:
+            continue
+        R[pr], R[pl] = R[pl], R[pr]
+        prow = R[pr]
+        a = prow[c]
+        for i, row in enumerate(R):
+            f = row[c]
+            if f and i != pr:
+                g = gcd(a, f)
+                u, v = a // g, f // g
+                R[i] = _primitive([u * x - v * y for x, y in zip(row, prow)])
+        pivots.append(c)
+        pr += 1
+        if pr == nrows:
+            break
+    for i, c in enumerate(pivots):
+        a = R[i][c]
+        R[i] = [x // a if x % a == 0 else Fraction(x, a) for x in R[i]]
+    return R, pivots
+
+
+def _integer_row(row):
+    """A row of ints and `Fraction`s times the lcm of its denominators, as ints."""
+    den = lcm(*(e.denominator for e in row))
+    return [e.numerator * (den // e.denominator) for e in row]
+
+
+def _primitive(row):
+    """An int row divided by the gcd of its entries (a zero row as it is)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def rref_generic(rows):
+    """`rref` by division in the field of the entries, for any exact
+    scalars: every pivot row is scaled to a leading 1 and cleared from the
+    others.  `rref` runs it on scalars other than ints and `Fraction`s,
+    such as the `Fp`s that `solve_over` builds for a prime of 2^31 or
+    more; the tests keep it as the reference of the fraction-free path."""
     R = [list(r) for r in rows]
     pivots = []
     if not R:
@@ -121,11 +202,14 @@ def kernel_basis(rows, num_cols: int):
     The field is chosen as in `rank`; over F_p the rows hold `Fp` entries.
     ``num_cols`` is required so the kernel of an empty matrix is well defined.
     """
-    return kernel_over(*residue_rows(rows), num_cols)
+    p, rows = residue_rows(rows)
+    kernel = kernel_over(p, rows, num_cols)
+    return kernel if p is None else [[Fp(e, p) for e in row] for row in kernel]
 
 
 def kernel_over(p, rows, num_cols: int):
-    """`kernel_basis` over the field that ``p`` names, as in `rank_over`.
+    """`kernel_basis` over the field that ``p`` names, as in `rank_over`,
+    with rows of int residues over F_p (`kernel_mod`, as lists).
 
     Over Q, one `rref` of the rows with their columns reversed: a
     free-column vector ends in its own 1 at f, which leads once reversed
@@ -133,7 +217,7 @@ def kernel_over(p, rows, num_cols: int):
     the reduced echelon basis.  ``ValueError`` if a row is not ``num_cols`` wide.
     """
     if p is not None:
-        return [[Fp(e, p) for e in row] for row in kernel_mod(rows, num_cols, p).tolist()]
+        return kernel_mod(rows, num_cols, p).tolist()
     rows = [list(row)[::-1] for row in rows]
     for row in rows:
         _check_width(len(row), num_cols)
@@ -163,23 +247,32 @@ def solve_linear(rows, rhs):
     """One exact solution of ``rows @ x = rhs`` or None if inconsistent.
 
     Free variables are set to zero under the column order, so the returned
-    solution is canonical.  The field is chosen as in `rank`; over F_p with
-    p < 2^31 the solution holds `Fp` entries.
+    solution is canonical.  The field is chosen as in `rank`; over F_p the
+    solution holds `Fp` entries, free variables included.
     """
     if not rows:
         return []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    p, res = residue_rows(aug)
-    if p is not None and p < INT64_PRIME_LIMIT:
-        R, pivots = rref_mod(res, p)
-        last = [Fp(v, p) for v in R[:len(pivots), -1].tolist()]
-    else:
+    return solve_over(*residue_rows([list(r) + [b] for r, b in zip(rows, rhs)]))
+
+
+def solve_over(p, aug):
+    """`solve_linear` of the augmented rows [A | b] over the field that ``p``
+    names, as in `rank_over`: int residues over F_p (lists or an int64
+    array), solved by `rref_mod` below 2^31 and by `rref` on their `Fp`s
+    above it, and scalars of Q with p None."""
+    ncols = len(aug[0]) - 1
+    if p is None:
         R, pivots = rref(aug)
-        last = [row[-1] for row in R]
+        last, zero = [row[-1] for row in R], 0
+    elif p < INT64_PRIME_LIMIT:
+        R, pivots = rref_mod(aug, p)
+        last, zero = [Fp(v, p) for v in R[:len(pivots), -1].tolist()], Fp(0, p)
+    else:
+        R, pivots = rref([[Fp(e, p) for e in row] for row in aug])
+        last, zero = [row[-1] for row in R], Fp(0, p)
     if ncols in pivots:
         return None
-    x = [0] * ncols
+    x = [zero] * ncols
     for pcol, v in zip(pivots, last):
         x[pcol] = v
     return x

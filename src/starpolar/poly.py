@@ -17,10 +17,23 @@ shorter of its row and F's terms, so no dense table is ever built.  When
 any coefficient is an `Fp`, the contraction loop and the term-pair loop
 of a product of forms run on plain int residues mod its prime
 (`field.residue_rows`, the convention of the mod-p kernels in `linalg`),
-and only the result is wrapped back into `Fp`.  Over F_p, the values of
-the degree-t monomials at a set of points come as one int64 residue
-array (`monomial_table`), which the ideal layer and the Jacobian's
-power table hand straight to the mod-p kernels.
+and only the result is wrapped back into `Fp`.  A power f^e runs its e
+term-pair passes on those residues and wraps once, so f^0 over F_p is
+the `Fp` one.
+
+`Form(...)` validates every exponent tuple and degree, as outside input
+needs.  The forms this module derives, namely sums, negations, products,
+scalar multiples, powers, contractions and `form_from_vector` over a
+canonical basis, are built by `Form._trusted`.  Their exponent tuples
+are valid by construction, and zero coefficients are dropped as they
+are formed.
+
+Over F_p, the values of the degree-t monomials at a set of points come
+as one int64 residue array (`monomial_table`).  The ideal layer hands it
+straight to the mod-p kernels.  `linear_power_table` multiplies it by
+the multinomials mod p, cached per (num_vars, degree, p), and so gives
+the coefficients of the powers of linear forms.  It is the one mod-p
+power evaluator: the Jacobian and the F_p Waring solve both read it.
 
 Text grammar (whitespace-insensitive)::
 
@@ -123,6 +136,32 @@ def field_terms(*forms):
     return p, [dict(zip(f.terms, v)) for f, v in zip(forms, values)]
 
 
+def _term_products(left: dict, right: dict, p) -> dict:
+    """The term map of the product of two term maps of `field_terms`
+    values, each sum reduced mod p over F_p and dropped once it is zero."""
+    terms = {}
+    get = terms.get
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            mono = tuple(map(add, m1, m2))
+            s = get(mono, 0) + c1 * c2
+            if p is not None:
+                s %= p
+            if s:
+                terms[mono] = s
+            else:
+                terms.pop(mono, None)
+    return terms
+
+
+def _wrapped(terms: dict, p) -> dict:
+    """A term map of `field_terms` values as coefficients: over F_p each
+    residue that is nonzero mod p as its `Fp`, else the map itself."""
+    if p is None:
+        return terms
+    return {m: Fp(v, p) for m, v in terms.items() if v % p}
+
+
 def multinomial(d: int, exponents) -> int:
     out = math.factorial(d)
     for e in exponents:
@@ -167,7 +206,8 @@ class Form:
     def _trusted(cls, ring: str, num_vars: int, degree: int, terms: dict) -> "Form":
         """A form from parts already known valid, with no check: nonzero
         coefficients on exponent tuples of ``num_vars`` entries summing to
-        ``degree``.  Only products of forms are built this way."""
+        ``degree``.  Only forms this module derives from valid forms or from
+        a canonical basis are built this way (module docstring)."""
         f = object.__new__(cls)
         f.ring, f.num_vars, f.degree, f.terms = ring, num_vars, degree, terms
         return f
@@ -229,7 +269,7 @@ class Form:
                 terms[mono] = s
             else:
                 terms.pop(mono, None)
-        return Form(self.ring, self.num_vars, self.degree, terms)
+        return Form._trusted(self.ring, self.num_vars, self.degree, terms)
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -237,44 +277,32 @@ class Form:
         return self + (-other)
 
     def __neg__(self):
-        return Form(self.ring, self.num_vars, self.degree,
-                    {m: -c for m, c in self.terms.items()})
+        return Form._trusted(self.ring, self.num_vars, self.degree,
+                             {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Form):
             self._check_ring(other)
             p, (left, right) = field_terms(self, other)
-            terms = {}
-            for m1, c1 in left.items():
-                for m2, c2 in right.items():
-                    mono = tuple(map(add, m1, m2))
-                    s = terms.get(mono, 0) + c1 * c2
-                    if p is not None:
-                        s %= p
-                    if s:
-                        terms[mono] = s
-                    else:
-                        terms.pop(mono, None)
-            if p is not None:
-                terms = {m: Fp(v, p) for m, v in terms.items()}
-            # sums of valid exponent tuples, and zero sums were dropped
-            return Form._trusted(self.ring, self.num_vars, self.degree + other.degree, terms)
-        # scalar scaling
-        if not other:
-            return Form.zero(self.ring, self.num_vars, self.degree)
-        return Form(self.ring, self.num_vars, self.degree,
-                    {m: c * other for m, c in self.terms.items()})
+            return Form._trusted(self.ring, self.num_vars, self.degree + other.degree,
+                                 _wrapped(_term_products(left, right, p), p))
+        # scalar scaling; a product can vanish (an F_p form times p)
+        return Form._trusted(self.ring, self.num_vars, self.degree,
+                             {m: s for m, c in self.terms.items() if (s := c * other)})
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __pow__(self, e: int):
+        """The e-th power, by e term-pair passes against this form's terms,
+        on residues over F_p (`field_terms`); the result is wrapped once."""
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        out = Form(self.ring, self.num_vars, 0, {(0,) * self.num_vars: 1})
+        p, (terms,) = field_terms(self)
+        out = {(0,) * self.num_vars: 1}
         for _ in range(e):
-            out = out * self
-        return out
+            out = _term_products(out, terms, p)
+        return Form._trusted(self.ring, self.num_vars, self.degree * e, _wrapped(out, p))
 
     def __str__(self):
         return format_form(self)
@@ -293,10 +321,13 @@ def coefficient_vector(f: Form, degree: int | None = None):
     return vec
 
 
-def form_from_vector(ring: str, num_vars: int, degree: int, vec) -> Form:
+def form_from_vector(ring: str, num_vars: int, degree: int, vec, p=None) -> Form:
+    """The form with coordinates ``vec`` over the canonical basis of its
+    degree.  With a prime p, ``vec`` holds int residues mod p (a row of the
+    mod-p kernels) and the coefficients are their `Fp`s."""
     basis = monomial_basis(num_vars, degree)
-    return Form(ring, num_vars, degree,
-                {basis[i]: c for i, c in enumerate(vec) if c})
+    return Form._trusted(ring, num_vars, degree,
+                         _wrapped({basis[i]: c for i, c in enumerate(vec) if c}, p))
 
 
 def monomial_values(coords, degree: int):
@@ -400,9 +431,26 @@ def contract(op: Form, f: Form) -> Form:
                     gamma = tuple(map(sub, alpha, beta))
                     out[gamma] = out.get(gamma, 0) + c * v * factor
         terms = out.items()
-    if p is not None:
-        terms = ((g, Fp(v, p)) for g, v in terms if v % p)
-    return Form(PRIMAL, nv, m, dict(terms))
+    return Form._trusted(PRIMAL, nv, m, _wrapped({g: v for g, v in terms if v}, p))
+
+
+@lru_cache(maxsize=None)
+def _multinomial_row(num_vars: int, degree: int, p: int):
+    """The multinomials of the degree-t basis mod p, a read-only int64 array."""
+    row = np.array([multinomial(degree, e) % p for e in monomial_basis(num_vars, degree)],
+                   dtype=np.int64)
+    row.flags.writeable = False
+    return row
+
+
+def linear_power_table(points, degree: int, p: int):
+    """Coefficient vectors of (P_0 x_0 + ... + P_n x_n)^degree mod p over the
+    canonical basis, one int64 row per point P of ``points`` (int residues,
+    as `monomial_table` takes them): the monomial values times the
+    multinomials, reduced mod p.  The package's one mod-p power evaluator;
+    `linear_power_coefficients` evaluates on the scalars as given."""
+    points = residue_array(points, p)
+    return monomial_table(points, degree, p) * _multinomial_row(points.shape[1], degree, p) % p
 
 
 def linear_power_coefficients(coords, degree: int):

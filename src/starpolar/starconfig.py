@@ -359,7 +359,7 @@ def point_ideal_piece(points, degree: int, num_vars: int | None = None):
     nv = num_vars if num_vars is not None else len(coords[0])
     kernel = linalg.kernel_over(p, _evaluation(p, coords, degree),
                                 comb(nv - 1 + degree, degree))
-    return [form_from_vector(DUAL, nv, degree, v) for v in kernel]
+    return [form_from_vector(DUAL, nv, degree, v, p) for v in kernel]
 
 
 def star_ideal_dimension_by_intersection(hset: HyperplaneSet, t: int) -> int:

@@ -11,7 +11,8 @@ is the oracle of the rank test: its trial loop forced onto the tangent
 Jacobian, which `jacobian_rank_test` replaces by the incidence matrix
 below the degree bound.
 `rref_kernel` is the exact reference for the kernels over Q and the int64
-mod-p kernels: the generic `rref` alone, run a second time on the
+mod-p kernels: the generic `rref` loop alone (`linalg.rref_generic`, not
+the fraction-free path that the Q kernels run), run a second time on the
 free-column basis in natural column order, and `det_scan_violation` the one for the
 general-position certificate: every maximal minor by `linalg.det`.
 `contract_by_pairs` is the reference for `poly.contract`: every pair of
@@ -32,7 +33,7 @@ from math import factorial, perm, prod
 
 from starpolar.existence import _rank_test, gamma_coefficients
 from starpolar.field import DEFAULT_PRIME, DEFAULT_SEED, Fp
-from starpolar.linalg import det, kernel_basis, rank, rref
+from starpolar.linalg import det, kernel_basis, rank, rref_generic
 from starpolar.poly import (DUAL, PRIMAL, Form, coefficient_vector, form_from_vector,
                             monomial_basis, shift_table)
 from starpolar.starconfig import evaluation_matrix
@@ -188,8 +189,9 @@ def dp_eval(p, point):
 
 
 def rref_kernel(rows, n):
-    """Right kernel in reduced echelon form, by `rref` alone (the reference)."""
-    R, pivots = rref(rows)
+    """Right kernel in reduced echelon form, by the generic `rref` loop alone
+    (the reference)."""
+    R, pivots = rref_generic(rows)
     basis = []
     for fcol in (c for c in range(n) if c not in pivots):
         v = [0] * n
@@ -197,7 +199,7 @@ def rref_kernel(rows, n):
         for prow, pcol in enumerate(pivots):
             v[pcol] = -R[prow][fcol]
         basis.append(v)
-    return [row for row in rref(basis)[0] if any(row)] if basis else []
+    return [row for row in rref_generic(basis)[0] if any(row)] if basis else []
 
 
 def det_scan_violation(rows):

@@ -226,13 +226,13 @@ def test_one_cofactor_pass_per_draw(monkeypatch):
 
 def test_degenerate_draws_match_the_det_scan(monkeypatch):
     tables = []
-    real = existence._power_table
+    real = existence.linear_power_table
 
     def power_table(*args):
         tables.append(args)
         return real(*args)
 
-    monkeypatch.setattr(existence, "_power_table", power_table)
+    monkeypatch.setattr(existence, "linear_power_table", power_table)
     p = 7
     rng = random.Random(61)
     for d, r, n in [(2, 2, 2), (3, 4, 3), (2, 5, 3), (3, 7, 5)]:

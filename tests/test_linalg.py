@@ -23,6 +23,64 @@ def test_rref_known_example():
     assert all(not e for e in R[2])
 
 
+def _integral_cases(rng):
+    """Random int and `Fraction` matrices: full and rank-deficient, with zero
+    rows and zero columns, one row, wide and tall, with small entries and
+    with entries above 2^64."""
+    cases = []
+    for kind in ("Z", "Q"):
+        for bound in (6, 2**70):
+            def entry():
+                v = rng.randrange(-bound, bound + 1) if rng.random() < 0.8 else 0
+                return Fraction(v, rng.randrange(1, bound)) if kind == "Q" else v
+
+            def random_rows(m, n):
+                return [[entry() for _ in range(n)] for _ in range(m)]
+
+            for _ in range(12):
+                m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+                cases.append(random_rows(m, n))
+                # a tall factor times a wide one has rank at most k
+                k = rng.randrange(1, min(m, n) + 1)
+                left, right = random_rows(m, k), random_rows(k, n)
+                cases.append([[sum((a * b for a, b in zip(row, col)), 0)
+                               for col in zip(*right)] for row in left])
+            zeros = random_rows(5, 4)
+            zeros[2] = [0] * 4
+            for row in zeros:
+                row[1] = 0
+            cases += [zeros, random_rows(1, 6), random_rows(9, 3), random_rows(2, 9),
+                      [[0] * 3 for _ in range(2)]]
+    return cases
+
+
+def test_fraction_free_rref_matches_the_generic_loop(monkeypatch):
+    cases = _integral_cases(random.Random(43))
+    generic = linalg.rref_generic
+
+    def refuse(rows):
+        raise AssertionError("int and Fraction rows take the fraction-free path")
+
+    monkeypatch.setattr(linalg, "rref_generic", refuse)
+    deficient = integral = 0
+    for rows in cases:
+        before = [list(row) for row in rows]
+        R, pivots = linalg.rref(rows)
+        assert rows == before  # the input is untouched
+        assert (R, pivots) == generic(rows), rows
+        deficient += len(pivots) < min(len(rows), len(rows[0]))
+        for e in (e for row in R for e in row):
+            assert e.__class__ in (int, Fraction)
+            # an integral entry is an int: `Fp(1, p) == Fraction(1)` is False
+            if e.denominator == 1:
+                assert e.__class__ is int
+                integral += 1
+    assert deficient > 30 and integral > 500
+    # other scalars still go through the generic loop
+    monkeypatch.setattr(linalg, "rref_generic", generic)
+    assert linalg.rref([[Fp(2, 7), Fp(3, 7)]]) == ([[Fp(1, 7), Fp(5, 7)]], [0])
+
+
 def test_rank_and_kernel_dimensions():
     rng = random.Random(3)
     for _ in range(30):
@@ -324,9 +382,9 @@ def test_rank_and_kernel_over_rationals_stay_on_rref():
 
 
 def _solve_by_rref(rows, rhs):
-    """`solve_linear`'s read-off on the generic `rref` of the augmented rows."""
+    """`solve_linear`'s read-off on the generic loop's rref of the augmented rows."""
     ncols = len(rows[0])
-    R, pivots = linalg.rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    R, pivots = linalg.rref_generic([list(r) + [b] for r, b in zip(rows, rhs)])
     if ncols in pivots:
         return None
     x = [0] * ncols
@@ -347,8 +405,16 @@ def test_solve_linear_over_fp_matches_rref_on_fp_objects(monkeypatch):
         for _ in range(60):
             m, n = rng.randrange(1, 7), rng.randrange(1, 7)
             rows = [[Fp(rng.randrange(p), p) for _ in range(n)] for _ in range(m)]
-            shape = rng.randrange(3)
-            if shape == 0:
+            shape = rng.randrange(4)
+            if shape == 3:
+                # consistent, with a zero column and more columns than rows:
+                # every such column is free
+                n = m + rng.randrange(1, 3)
+                rows = [[Fp(rng.randrange(p), p) for _ in range(n)] for _ in range(m)]
+                for row in rows:
+                    row[rng.randrange(n)] = Fp(0, p)
+                rhs = [sum(row[:m], Fp(0, p)) for row in rows]
+            elif shape == 0:
                 # consistent: the right side is a combination of the columns
                 x0 = [Fp(rng.randrange(p), p) for _ in range(n)]
                 rhs = [sum((a * b for a, b in zip(row, x0)), Fp(0, p)) for row in rows]
@@ -368,7 +434,8 @@ def test_solve_linear_over_fp_matches_rref_on_fp_objects(monkeypatch):
                 kinds["inconsistent"] += 1
                 continue
             kinds["solved"] += 1
-            assert all(isinstance(v, Fp) and v.p == p for v in got if v)
+            # free variables too are zeros of F_p, not the int 0
+            assert all(isinstance(v, Fp) and v.p == p for v in got)
             assert [sum((a * b for a, b in zip(row, got)), Fp(0, p))
                     for row in rows] == rhs
             # free columns (no pivot in the rref) are pinned to zero

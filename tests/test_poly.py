@@ -9,12 +9,14 @@ import pytest
 
 from starpolar import poly
 from starpolar.field import DEFAULT_PRIME, Fp
+from starpolar.starconfig import point_ideal_piece
 from starpolar.poly import (DUAL, MAX_EXPONENT, MAX_VARIABLE_INDEX, PRIMAL,
                             Form, HomogeneityError, ParseError,
                             coefficient_vector, contract, contraction_row,
-                            evaluate, format_form, linear_power_coefficients,
-                            monomial_basis, monomial_table, monomial_values,
-                            multinomial, parse_form)
+                            evaluate, form_from_vector, format_form,
+                            linear_power_coefficients, monomial_basis,
+                            monomial_table, monomial_values, multinomial,
+                            parse_form)
 from helpers import (contract_by_pairs, dp_add, dp_diff, form_mul_on_scalars,
                      random_form_over)
 
@@ -474,7 +476,7 @@ def test_form_products_match_the_term_pair_loop(field):
         # built without the constructor's checks, a product still passes them
         assert (prod.ring, prod.num_vars, prod.degree) == \
             (want.ring, want.num_vars, want.degree)
-        # an int scalar form times an F_p form, as `Form.__pow__` starts
+        # an int scalar form times an F_p form
         one = Form(PRIMAL, nv, 0, {(0,) * nv: 1})
         assert _term_items(one * g) == _term_items(form_mul_on_scalars(one, g))
     if isinstance(field, int):
@@ -500,3 +502,50 @@ def test_form_products_drop_cancelled_terms_and_keep_the_loop_order(one):
 def test_form_products_over_f2_drop_the_cross_term():
     s = Form.linear(PRIMAL, [Fp(1, 2), Fp(1, 2)])
     assert (s * s).terms == {(2, 0): Fp(1, 2), (0, 2): Fp(1, 2)}
+
+
+def test_zeroth_power_over_fp_is_the_fp_one():
+    f = Form.linear(PRIMAL, [Fp(3, 7), Fp(2, 7)])
+    assert _term_items(f ** 0) == [((0, 0), Fp, Fp(1, 7))]
+    assert (f ** 0).degree == 0
+    # over Q the empty product is the int 1
+    assert _term_items(Form.linear(PRIMAL, [3, 2]) ** 0) == [((0, 0), int, 1)]
+
+
+def _assert_built_right(f, p):
+    """``f`` equals its terms rebuilt through the validating constructor,
+    and every stored coefficient is a nonzero `Fp` of the prime p."""
+    rebuilt = Form(f.ring, f.num_vars, f.degree, f.terms)
+    assert f == rebuilt and f.terms == rebuilt.terms and f.degree == rebuilt.degree
+    assert all(c.__class__ is Fp and c.p == p and c.value for c in f.terms.values()), f
+
+
+@pytest.mark.parametrize("p", [2, 7, 101, DEFAULT_PRIME])
+def test_fp_forms_are_built_right(p):
+    """Every form the arithmetic, `contract`, `form_from_vector` and
+    `point_ideal_piece` build without the constructor's checks passes them."""
+    rng = random.Random(p + 1)
+    built = 0
+    for _ in range(25):
+        nv, d = rng.randrange(1, 4), rng.randrange(4)
+        f = random_form_over(rng, PRIMAL, nv, d, p, rng.random())
+        g = random_form_over(rng, PRIMAL, nv, d, p, rng.random())
+        h = random_form_over(rng, PRIMAL, nv, rng.randrange(3), p, 0.8)
+        op = random_form_over(rng, DUAL, nv, rng.randrange(d + 1), p, 0.8)
+        lf = Form.linear(PRIMAL, [Fp(rng.randrange(1, p), p) for _ in range(nv)])
+        c = Fp(rng.randrange(1, p), p)
+        # multiplying by p or an F_p zero drops every product
+        assert (f * p).is_zero() and (f * Fp(0, p)).is_zero() and (p * f).is_zero()
+        results = [lf ** e for e in range(4)]
+        results += [f * g, f * h, f * c, c * f, f * 3, f * Fraction(1, 3), f * p,
+                    f + g, f - g, -f, f + (-f), f - f, contract(op, f)]
+        vec = [rng.randrange(p) if rng.random() < 0.6 else 0 for _ in monomial_basis(nv, d)]
+        results += [form_from_vector(DUAL, nv, d, vec, p),
+                    form_from_vector(DUAL, nv, d, [Fp(v, p) for v in vec])]
+        points = [[Fp(rng.randrange(p), p) for _ in range(nv)]
+                  for _ in range(rng.randrange(1, 5))]
+        results += point_ideal_piece(points, d, nv)
+        for form in results:
+            _assert_built_right(form, p)
+            built += 1
+    assert built > 400
