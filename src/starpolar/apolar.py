@@ -24,7 +24,7 @@ from math import comb, prod
 import numpy as np
 
 from . import linalg
-from .field import INT64_PRIME_LIMIT, Fp, residue_rows, scalar_to_str
+from .field import Fp, residue_rows, scalar_to_str
 from .poly import (DUAL, PRIMAL, Form, basis_index, coefficient_vector,
                    contract, contraction_row, field_terms, form_from_vector,
                    linear_power_coefficients, linear_power_table, monomial_basis,
@@ -216,8 +216,8 @@ def ideal_piece_dimension(generators, t: int) -> int:
     The piece is spanned by the products m * g with m a monomial of degree
     t - deg g, so its dimension is the rank of their coefficient rows over
     the field of the coefficients.  Each run of generators of one degree
-    e < t is first replaced by an echelon basis of its span
-    (`linalg.echelon_basis_over`): the products of a basis span the same
+    e < t is first replaced by an echelon basis of its span, the nonzero
+    rows of its `linalg.rref_over`: the products of a basis span the same
     piece from no more rows, and reduced echelon rows are zero at each
     other's pivot columns, so the rank's sparse elimination touches fewer
     rows and entries.
@@ -228,8 +228,10 @@ def ideal_piece_dimension(generators, t: int) -> int:
     if not gens:
         return 0
     p, runs = _coefficient_runs(gens, t)
-    runs = [(e, np.asarray(linalg.echelon_basis_over(p, coeffs), dtype=coeffs.dtype)
-             if e < t else coeffs) for e, coeffs in runs]
+    for k, (e, coeffs) in enumerate(runs):
+        if e < t:
+            R, pivots = linalg.rref_over(p, coeffs)
+            runs[k] = (e, R[:len(pivots)])
     return linalg.rank_over(p, _scatter(gens[0].num_vars, runs, t))
 
 
@@ -293,11 +295,13 @@ def _as_coords(item, num_vars: int):
     return coords
 
 
-def _pairwise_independent(coord_list) -> tuple | None:
+def _pairwise_independent(p, coord_list) -> tuple | None:
+    """First pair (i, j) of proportional points, or None; over F_p (``p``)
+    the coordinates are residues and each 2 x 2 minor is reduced mod p."""
     for i, j in combinations(range(len(coord_list)), 2):
         u, v = coord_list[i], coord_list[j]
-        if all(not (u[a] * v[b] - u[b] * v[a])
-               for a, b in combinations(range(len(u)), 2)):
+        minors = (u[a] * v[b] - u[b] * v[a] for a, b in combinations(range(len(u)), 2))
+        if not any(m % p if p else m for m in minors):
             return (i, j)
     return None
 
@@ -311,13 +315,14 @@ def solve_waring(points, f: Form):
     system is solved with free variables pinned to zero under the canonical
     column order, so the output is reproducible.
 
-    Over F_p with p < 2^31 (an `Fp` among the points or F's coefficients)
-    the columns are rows of `poly.linear_power_table` on the residues and
-    the system is solved by `linalg.rref_mod`; the weights come back as
-    `Fp`, free ones included.  Otherwise the columns are
-    `linear_power_coefficients` on the scalars as given, solved by
-    `linalg.solve_linear`.  `WaringDecomposition.residual` rebuilds F by
-    sparse multiplication, a different path from either.
+    Over F_p (an `Fp` among the points or F's coefficients) everything
+    runs on the residues: two points are refused when they are proportional
+    mod p, the columns are rows of `poly.linear_power_table`, the system is
+    solved by `linalg.solve_over`, and the weights come back as `Fp`, free
+    ones included; F_p needs p < 2^31, as every F_p matrix does.  Over Q
+    the columns are `linear_power_coefficients` on the scalars as given,
+    solved by `linalg.solve_linear`.  `WaringDecomposition.residual`
+    rebuilds F by sparse multiplication, a different path from either.
     """
     if f.ring != PRIMAL:
         raise ValueError("Waring decomposition expects a primal form")
@@ -325,19 +330,19 @@ def solve_waring(points, f: Form):
     coords = [_as_coords(item, nv) for item in points]
     if not coords:
         return None
-    dup = _pairwise_independent(coords)
+    p, (*pts, rhs) = residue_rows([*coords, coefficient_vector(f)])
+    dup = _pairwise_independent(p, pts)
     if dup is not None:
         raise ValueError(
             f"linear forms {dup[0]} and {dup[1]} are proportional; "
             "the apolarity setup requires pairwise independent points")
-    p, residues = residue_rows([*coords, coefficient_vector(f)])
-    if p is not None and p < INT64_PRIME_LIMIT:
-        *pts, rhs = residues
-        alphas = linalg.solve_over(p, np.column_stack([linear_power_table(pts, d, p).T, rhs]))
-    else:
-        cols = [linear_power_coefficients(c, d) for c in coords]
+    if p is None:
+        cols = [linear_power_coefficients(c, d) for c in pts]
         rows = [[col[r] for col in cols] for r in range(len(cols[0]))]
-        alphas = linalg.solve_linear(rows, coefficient_vector(f))
+        alphas = linalg.solve_linear(rows, rhs)
+    else:
+        alphas = linalg.solve_over(p, np.column_stack([linear_power_table(pts, d, p).T, rhs]))
+        alphas = None if alphas is None else [Fp(a, p) for a in alphas]
     if alphas is None:
         return None
     forms = [Form.linear(PRIMAL, c) for c in coords]

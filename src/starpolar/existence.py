@@ -44,8 +44,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .field import (DEFAULT_PRIME, DEFAULT_SEED, INT64_PRIME_LIMIT,
-                    random_scalar, residue_rows)
+from .field import DEFAULT_PRIME, DEFAULT_SEED, random_scalar, residue_rows
 from .poly import (linear_power_coefficients, linear_power_table, monomial_basis,
                    monomial_table, shift_table)
 from .starconfig import (GeneralPositionError, ResampleBudgetError,  # noqa: F401, re-export
@@ -210,15 +209,13 @@ def _draw_parameter_values(d, r, n, prime, rng):
 
 
 def _int64_point(d: int, r: int, n: int, values, matrix: str):
-    """(p, params, rows) of a parameter point over F_p with p < 2^31, read as
-    int residues; ``matrix`` names what is taken there, in the errors."""
+    """(p, params, rows) of a parameter point over F_p, read as int
+    residues; ``matrix`` names what is taken there, in the error.  A prime
+    of 2^31 or more is refused by `cramer_table`, before any product."""
     p, (params,) = residue_rows([values])
-    rows = _hyperplane_rows(d, r, n, params)
     if p is None:
         raise ValueError(f"the {matrix} is taken at a point over F_p")
-    if p >= INT64_PRIME_LIMIT:
-        raise ValueError(f"prime {p} too large for the int64 {matrix} (need p < 2^31)")
-    return p, params, rows
+    return p, params, _hyperplane_rows(d, r, n, params)
 
 
 def _certified_table(rows, p: int):

@@ -10,10 +10,8 @@ Three kinds of scalars are used throughout the package:
   would be prohibitive;
 * jets -- :class:`Jet`, an `Fp` value plus a fixed-length int64 numpy
   gradient of residues mod the same p, which evaluates partial
-  derivatives of polynomial maps over F_p exactly.  The rank test no
-  longer uses it (its Jacobian is assembled by the chain rule); it is a
-  test-side scalar, kept for the tests and the benchmark tracer's jet
-  counters.
+  derivatives of polynomial maps over F_p exactly.  It is a test-side
+  scalar, kept for the tests and the benchmark tracer's jet counters.
 
 All scalars are immutable values and all operations are pure functions,
 so they are safe to copy and share freely.  Plain Python integers mix
@@ -255,7 +253,8 @@ def residue_array(rows, p: int):
 
     A prime of 2^31 or more raises ``ValueError`` before any entry is
     converted: below it, a product of two residues fits in int64, which
-    the mod-p kernels and tables need.
+    the mod-p kernels and tables need.  Every F_p matrix and point table
+    of the package is read through here, so this is their one prime rule.
     """
     if p >= INT64_PRIME_LIMIT:
         raise ValueError(f"prime {p} too large for the int64 mod-p kernel")

@@ -4,17 +4,16 @@ Matrices are lists of rows of exact scalars of one field: `Fraction` or
 `Fp`, with plain ints as the image of Z.  No floating point occurs.
 
 `rank`, `kernel_basis` and `solve_linear` pick the field from their own
-entries: if any entry is an `Fp` they run the int64 kernels
-`rank_mod`/`kernel_mod`/`rref_mod` on the entries' residues mod its prime
-(`field.residue_rows`; kernel rows and solutions come back as `Fp`), otherwise
-`rref` over Q.  `solve_linear` alone also takes a prime of 2^31 or more,
-which it solves by `rref` on the `Fp` entries.  The `*_over` forms take the
-pair (p, rows) that `residue_rows` returns and answer in its representation:
-int residues over F_p, scalars with p None.  The division-free `minors`
-takes any scalars: it returns every maximal minor of a k x m matrix from
-one Laplace pass, and `det` is its square case.  `echelon_basis_over`
-returns a basis of a row span over either field; the ideal layer reduces
-generators with it before multiplying them out.
+entries: F_p if any entry is an `Fp`, else Q.  They read the entries
+through `field.residue_rows`, whose pair (p, rows) holds int residues in
+[0, p) over F_p and the scalars as given with p None, and they wrap an
+F_p answer into `Fp`s.  The `*_over` forms take that pair and answer in
+its representation.  `rref_over` is the one place that picks an
+elimination, `rref_mod` over F_p and `rref` over Q, and every kernel,
+solution and echelon basis is read off it the same way for both fields.
+The division-free `minors` takes any scalars: it returns every maximal
+minor of a k x m matrix from one Laplace pass, and `det` is its square
+case.
 
 Over Q, `rref` runs on Python ints.  Scaling a row by a nonzero number
 leaves its span alone, so every row is kept as a primitive int row: its
@@ -25,30 +24,32 @@ primitive again; both divisions are by common divisors, so they are
 exact, and only the rows with a nonzero entry in c are touched, as in
 elimination by division.  At the end each pivot row is divided by its
 pivot entry: an entry is a `Fraction` only where the pivot does not
-divide it, an int otherwise.  Fraction-free elimination by Bareiss's
-rule, dividing each update by the previous pivot, is also exact, but it
-carries the minors of the matrix: on the product rows of an ideal piece
-it ran slower than elimination over `Fraction`, while primitive rows
-stay as small as the rows' lines allow.  Any other scalars (`Fp` with
-p >= 2^31, say) go through `rref_generic`, which divides in their field;
-the tests keep it as the reference.
+divide it, an int otherwise.  Any other scalars, such as `Fp` objects,
+go through `rref_generic`, which divides in their field; the tests keep
+it as the reference.
 
 A kernel is read off one elimination R of the matrix with its columns
-reversed.  The vector of a free column f of R has a 1 at f and -R[i, f] at
-the i-th pivot, and R[i, f] = 0 for every pivot right of f, so it ends in
-its own 1.  Reversed back, that 1 leads, and every other vector is 0 there
-(f is free): listed by descending f, the vectors are the reduced echelon
-basis, which is unique.
+reversed, by one array read-off: on an object array of scalars over Q,
+on the int64 residue array over F_p.  The vector of a free column f of R
+has a 1 at f and -R[i, f] at the i-th pivot, and R[i, f] = 0 for every
+pivot right of f, so it ends in its own 1.  Reversed back, that 1 leads,
+and every other vector is 0 there (f is free): listed by descending f,
+the vectors are the reduced echelon basis, which is unique.  A solution
+is read off the elimination of the augmented rows [A | b]: x takes the
+last column's entry at each pivot and 0 at each free column, and a pivot
+in the last column (the row 0 = 1) means there is none.
 
 The `*_mod` kernels reduce integer rows mod p with numpy int64
-vectorization.  They require p < 2^31 (`INT64_PRIME_LIMIT`) so that a
-product of two reduced residues fits in a signed 64-bit word; the package
-default prime 2^31 - 1 is the largest prime satisfying this.  Elimination
-at a pivot in column c touches only the rows with a nonzero entry in c,
-and only their columns from c on: every other row would receive 0 times
-the pivot row, and the pivot row is zero left of c.  So sparse matrices
-(the product rows of an ideal piece) cost little, and the result is the
-same array as full-row elimination.
+vectorization.  They require p < 2^31 so that a product of two reduced
+residues fits in a signed 64-bit word; the package default prime
+2^31 - 1 is the largest prime satisfying this.  Every F_p matrix is read
+through `field.residue_array`, which refuses a larger prime before any
+entry is converted.  Elimination at a pivot in column c touches only
+the rows with a nonzero entry in c, and only their columns from c on:
+every other row would receive 0 times the pivot row, and the pivot row
+is zero left of c.  So sparse matrices (the product rows of an ideal
+piece) cost little, and the result is the same array as full-row
+elimination.
 
 An update x = a - b * q with a, b, q residues in [0, p) lies in
 [-(p - 1)^2, p), inside (-2^62, 2^31) for p < 2^31, so it is exact in
@@ -147,8 +148,8 @@ def rref_generic(rows):
     """`rref` by division in the field of the entries, for any exact
     scalars: every pivot row is scaled to a leading 1 and cleared from the
     others.  `rref` runs it on scalars other than ints and `Fraction`s,
-    such as the `Fp`s that `solve_over` builds for a prime of 2^31 or
-    more; the tests keep it as the reference of the fraction-free path."""
+    such as `Fp` objects; the tests keep it as the reference of the
+    fraction-free path and of the mod-p kernels."""
     R = [list(r) for r in rows]
     pivots = []
     if not R:
@@ -176,24 +177,26 @@ def rref_generic(rows):
     return R, pivots
 
 
+def rref_over(p, rows):
+    """(R, pivots) of the rows over the field that ``p`` names, the pair
+    `field.residue_rows` returns: over F_p the rows hold int residues
+    (lists or an int64 array) and R is `rref_mod`'s int64 array; with p
+    None they are scalars of Q and R is `rref`'s rows as an object array."""
+    if p is not None:
+        return rref_mod(rows, p)
+    R, pivots = rref(rows)
+    return np.array(R, dtype=object), pivots
+
+
 def rank(rows) -> int:
     """Rank over the field of the entries: F_p if any entry is an `Fp`, else Q."""
     return rank_over(*residue_rows(rows))
 
 
 def rank_over(p, rows) -> int:
-    """Rank over the field that ``p`` names, the pair `field.residue_rows`
-    returns: over F_p the rows hold int residues (lists or an int64 array,
-    `rank_mod`), and with p None they are scalars of Q (`rref`)."""
+    """Rank over the field that ``p`` names, as in `rref_over`: by the
+    echelon pass alone over F_p (`rank_mod`), by `rref` over Q."""
     return len(rref(rows)[1]) if p is None else rank_mod(rows, p)
-
-
-def echelon_basis_over(p, rows):
-    """A basis of the row span over the field that ``p`` names, as in
-    `rank_over`: the nonzero rows of the reduced echelon form, an int64
-    array over F_p (`rref_mod`) and lists of scalars of Q (`rref`)."""
-    R, pivots = rref(rows) if p is None else rref_mod(rows, p)
-    return R[:len(pivots)]
 
 
 def kernel_basis(rows, num_cols: int):
@@ -208,33 +211,32 @@ def kernel_basis(rows, num_cols: int):
 
 
 def kernel_over(p, rows, num_cols: int):
-    """`kernel_basis` over the field that ``p`` names, as in `rank_over`,
-    with rows of int residues over F_p (`kernel_mod`, as lists).
-
-    Over Q, one `rref` of the rows with their columns reversed: a
-    free-column vector ends in its own 1 at f, which leads once reversed
-    back and is 0 in every other vector, so listed by descending f they are
-    the reduced echelon basis.  ``ValueError`` if a row is not ``num_cols`` wide.
-    """
+    """`kernel_basis` over the field that ``p`` names, as in `rref_over`, as
+    lists: int residues over F_p (`kernel_mod`), scalars of Q with p None.
+    ``ValueError`` if a row is not ``num_cols`` wide."""
     if p is not None:
         return kernel_mod(rows, num_cols, p).tolist()
-    rows = [list(row)[::-1] for row in rows]
     for row in rows:
         _check_width(len(row), num_cols)
-    if not rows:
-        return [[1 if j == i else 0 for j in range(num_cols)] for i in range(num_cols)]
-    R, pivots = rref(rows)
+    M = np.array(rows, dtype=object).reshape(len(rows), num_cols)
+    return _read_kernel(None, M, num_cols).tolist()
+
+
+def _read_kernel(p, M, num_cols: int):
+    """Right-kernel basis of the 2-D array M over the field that ``p``
+    names, as an array of M's dtype in reduced echelon form, read off one
+    `rref_over` of M with its columns reversed (module docstring)."""
+    if not len(M):
+        return np.eye(num_cols, dtype=M.dtype)
+    _check_width(M.shape[1], num_cols)
+    R, pivots = rref_over(p, M[:, ::-1])
     pivot_set = set(pivots)
-    basis = []
-    for fcol in (c for c in reversed(range(num_cols)) if c not in pivot_set):
-        v = [0] * num_cols
-        v[fcol] = 1
-        for prow, pcol in enumerate(pivots):
-            e = R[prow][fcol]
-            if e:
-                v[pcol] = -e
-        basis.append(v[::-1])
-    return basis
+    free = [c for c in reversed(range(num_cols)) if c not in pivot_set]
+    basis = np.zeros((len(free), num_cols), dtype=M.dtype)
+    basis[range(len(free)), free] = 1
+    entries = -R[:len(pivots), free].T
+    basis[:, pivots] = entries if p is None else entries % p
+    return basis[:, ::-1]
 
 
 def _check_width(width: int, num_cols: int) -> None:
@@ -252,30 +254,24 @@ def solve_linear(rows, rhs):
     """
     if not rows:
         return []
-    return solve_over(*residue_rows([list(r) + [b] for r, b in zip(rows, rhs)]))
+    p, aug = residue_rows([list(r) + [b] for r, b in zip(rows, rhs)])
+    x = solve_over(p, aug)
+    return x if p is None or x is None else [Fp(v, p) for v in x]
 
 
 def solve_over(p, aug):
-    """`solve_linear` of the augmented rows [A | b] over the field that ``p``
-    names, as in `rank_over`: int residues over F_p (lists or an int64
-    array), solved by `rref_mod` below 2^31 and by `rref` on their `Fp`s
-    above it, and scalars of Q with p None."""
-    ncols = len(aug[0]) - 1
-    if p is None:
-        R, pivots = rref(aug)
-        last, zero = [row[-1] for row in R], 0
-    elif p < INT64_PRIME_LIMIT:
-        R, pivots = rref_mod(aug, p)
-        last, zero = [Fp(v, p) for v in R[:len(pivots), -1].tolist()], Fp(0, p)
-    else:
-        R, pivots = rref([[Fp(e, p) for e in row] for row in aug])
-        last, zero = [row[-1] for row in R], Fp(0, p)
-    if ncols in pivots:
-        return None
-    x = [zero] * ncols
-    for pcol, v in zip(pivots, last):
-        x[pcol] = v
-    return x
+    """`solve_linear` of the augmented rows [A | b] over the field that
+    ``p`` names, as in `rref_over`, as a list: int residues over F_p,
+    scalars of Q with p None; None if there is no solution.
+
+    x holds the last column of the reduced rows at the pivots and 0 at the
+    free columns.  Read off at the last column too, it ends in 1 exactly
+    when that column is a pivot, the row 0 = 1 of an inconsistent system.
+    """
+    R, pivots = rref_over(p, aug)
+    x = np.zeros(R.shape[1], dtype=R.dtype)
+    x[pivots] = R[:len(pivots), -1]
+    return None if x[-1] else x[:-1].tolist()
 
 
 def minors(rows):
@@ -403,22 +399,7 @@ def rref_mod(rows, p: int):
 
 
 def kernel_mod(rows, num_cols: int, p: int):
-    """Right-kernel basis mod p, rows in reduced echelon form (int64 array).
-
-    Read off one `rref_mod` of the matrix with its columns reversed: the
-    vector for free column f has a 1 at f and -R[i, f] at the i-th pivot,
-    ends in that 1, which leads once reversed back and is 0 in every other
-    vector, so listed by descending f they are the reduced echelon basis
-    (module docstring).  ``ValueError`` if the rows are not ``num_cols`` wide.
-    """
-    if not len(rows):
-        return np.eye(num_cols, dtype=np.int64)
-    M = residue_array(rows, p)
-    _check_width(M.shape[1], num_cols)
-    R, pivots = rref_mod(M[:, ::-1], p)
-    pivot_set = set(pivots)
-    free = [c for c in reversed(range(num_cols)) if c not in pivot_set]
-    basis = np.zeros((len(free), num_cols), dtype=np.int64)
-    basis[range(len(free)), free] = 1
-    basis[:, pivots] = -R[:len(pivots), free].T % p
-    return basis[:, ::-1]
+    """Right-kernel basis mod p, rows in reduced echelon form (int64 array),
+    read off one `rref_mod` of the matrix with its columns reversed (module
+    docstring).  ``ValueError`` if the rows are not ``num_cols`` wide."""
+    return _read_kernel(p, residue_array(rows, p), num_cols)

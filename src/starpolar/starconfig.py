@@ -5,12 +5,13 @@ configuration ideal, and Hilbert functions of point sets.
 Given r linear forms in the dual ring with every (n+1)-subset linearly
 independent, the configuration consists of the C(r, n) points cut out by
 the n-subsets.  Each point is the Cramer point of its subset, signed
-maximal minors polynomial in the coefficients.  Over F_p with p < 2^31
-every point is a row of one int64 table (`cramer_table`), built from one
-Laplace pass mod p over all (n-1)-subsets at once (`_cofactor_tables`);
-`HyperplaneSet` and the Jacobian of `existence` both read it.  Over Z, Q
-and larger primes, and in the generic map the tests differentiate, each
-n-subset takes its own `linalg.minors` pass (`_points_from_coeff_rows`).
+maximal minors polynomial in the coefficients.  Over F_p every point is
+a row of one int64 table (`cramer_table`), built from one Laplace pass
+mod p over all (n-1)-subsets at once (`_cofactor_tables`); `HyperplaneSet`
+and the Jacobian of `existence` both read it, and it refuses a prime of
+2^31 or more before any product.  Over Z and Q, and in the generic map
+the tests differentiate, each n-subset takes its own `linalg.minors`
+pass (`_points_from_coeff_rows`).
 General position is read off the points, and it is stated only here:
 `GeneralPositionError` names the first dependent (n+1)-subset, a zero row
 included, for a `HyperplaneSet` and for a Jacobian draw alike, and
@@ -36,7 +37,7 @@ from operator import mul
 import numpy as np
 
 from . import linalg
-from .field import DEFAULT_PRIME, INT64_PRIME_LIMIT, Fp, random_scalar, residue_rows
+from .field import DEFAULT_PRIME, Fp, random_scalar, residue_array, residue_rows
 from .poly import (DUAL, Form, coefficient_vector, evaluate, form_from_vector,
                    monomial_table, monomial_values)
 from .apolar import ideal_piece_dimension
@@ -116,9 +117,8 @@ class HyperplaneSet:
         if self.r < self.n:
             raise ValueError(f"need r >= n, got r={self.r}, n={self.n}")
         p, residues = residue_rows(rows)
-        if p is None or p >= INT64_PRIME_LIMIT:
-            coords = [[c % p for c in pt] if p else pt
-                      for pt in _points_from_coeff_rows(residues, self.n)]
+        if p is None:
+            coords = _points_from_coeff_rows(residues, self.n)
         else:
             coords = cramer_table(residues, p)[1].tolist()
         violation = general_position_violation(p, residues, coords)
@@ -205,8 +205,8 @@ def _points_from_coeff_rows(rows, n: int):
 
 
 def _cofactor_tables(rows, n: int, p: int):
-    """The tables E_U mod p of the (n-1)-subsets U of the int rows, in
-    `combinations` order.
+    """The tables E_U mod p of the (n-1)-subsets U of the rows, an int64
+    residue array, in `combinations` order.
 
     Let S = U + {k} have k in position q.  The Cramer coordinate P_{S,j} is
     multilinear in the rows, and d P_{S,j} / d a_{k,i} = (-1)^q E_U[i, j]:
@@ -219,7 +219,6 @@ def _cofactor_tables(rows, n: int, p: int):
     """
     full = (1 << (n + 1)) - 1
     subsets = np.array(list(combinations(range(len(rows)), n - 1)), dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
     cur = {0: np.ones(len(subsets), dtype=np.int64)}
     for level in range(n - 1):
         entries = rows[subsets[:, level]]
@@ -244,15 +243,17 @@ def _cofactor_tables(rows, n: int, p: int):
 
 
 def cramer_table(rows, p: int):
-    """(cofactor, points) for the n-subsets S of r residue rows mod p < 2^31,
-    in `combinations` order, from the rows' `_cofactor_tables`: cofactor[q]
+    """(cofactor, points) for the n-subsets S of r int rows mod p, in
+    `combinations` order, from the rows' `_cofactor_tables`: cofactor[q]
     holds the (i, j) table of d P_S / d a_k for k = S[q], and points the
     (C(r, n), n+1) int64 residues P_S = a_k . (d P_S / d a_k) for k = S[0],
-    the points of `_points_from_coeff_rows` reduced mod p.
+    the points of `_points_from_coeff_rows` reduced mod p.  The rows are
+    read through `field.residue_array`, which refuses p >= 2^31 before any
+    product is formed.
     """
-    n = len(rows[0]) - 1
+    rows = residue_array(rows, p)
+    n = rows.shape[1] - 1
     tables = _cofactor_tables(rows, n, p)
-    rows = np.asarray(rows, dtype=np.int64)
     where = {sub: u for u, sub in enumerate(combinations(range(len(rows)), n - 1))}
     point_sets = list(combinations(range(len(rows)), n))
     cofactor = []

@@ -263,6 +263,17 @@ def test_solve_waring_infeasible():
 def test_solve_waring_rejects_proportional_points():
     with pytest.raises(ValueError):
         solve_waring([(1, 2), (2, 4)], parse_form("x0^2", num_vars=2))
+    # (1, 2) and (1, 9) are one point of F_7: refused over F_7 whether they
+    # come as ints or as `Fp`s, and independent over Q; (3, 2) is 3 * (1, 3)
+    # in F_7, though its minor with (1, 3) is -7 on the residues
+    p = 7
+    f = Form.linear(PRIMAL, [Fp(1, p), Fp(3, p)]) ** 2
+    for pts in ([(1, 2), (1, 9)], [(Fp(1, p), Fp(2, p)), (Fp(1, p), Fp(9, p))],
+                [(1, 3), (3, 2)]):
+        with pytest.raises(ValueError, match="linear forms 0 and 1 are proportional"):
+            solve_waring(pts, f)
+    g = Form.linear(PRIMAL, [1, 2]) ** 2 - Form.linear(PRIMAL, [1, 9]) ** 2
+    assert solve_waring([(1, 2), (1, 9)], g).coefficients == [1, -1]
 
 
 def test_perp_dimension_complements_catalecticant_rank():

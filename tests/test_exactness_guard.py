@@ -7,6 +7,10 @@ from ``math`` or numpy, numpy's true division ``divide``/``true_divide``
 (``np.float64``, or a dtype string such as ``"float32"`` or ``"f8"``).
 Every answer of the package is exact, so none of these has a place in it.
 
+It fails on any use of ``numpy.linalg`` (an attribute chain, a
+``from``-import or a module import), whose routines compute in float64,
+and on ``np.mean``/``np.average``, which return floats.
+
 It also fails on a numpy contraction: the ``@`` operator, ``np.dot``,
 ``np.matmul``, ``np.einsum``, ``np.tensordot``, ``np.inner``, ``np.vdot``
 and the ``.dot`` method.  On int64 residues mod p < 2^31 each product is
@@ -23,7 +27,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "starpolar"
 FLOAT_FUNCTIONS = {"sqrt", "log", "log2", "log10", "log1p", "exp", "exp2", "expm1"}
 FLOAT_MODULES = {"math", "np", "numpy"}
-NUMPY_FLOAT_FUNCTIONS = {"divide", "true_divide"}
+NUMPY_FLOAT_NAMES = {"divide", "true_divide", "mean", "average", "linalg"}
 FLOAT_DTYPE = re.compile(r"float\d*|floating|double|half|single|longdouble|f\d+")
 NUMPY_CONTRACTIONS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
 
@@ -41,12 +45,18 @@ def violations(source: str, filename: str = "<snippet>"):
             module, attr = node.value.id, node.attr
             if module in FLOAT_MODULES and attr in FLOAT_FUNCTIONS:
                 found.append((node.lineno, f"{module}.{attr}"))
-            elif module in ("np", "numpy") and (attr in NUMPY_FLOAT_FUNCTIONS | NUMPY_CONTRACTIONS
+            elif module in ("np", "numpy") and (attr in NUMPY_FLOAT_NAMES | NUMPY_CONTRACTIONS
                                                 or FLOAT_DTYPE.fullmatch(attr.rstrip("_"))):
                 found.append((node.lineno, f"{module}.{attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found.append((node.lineno, "from numpy.linalg import"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy.linalg":
+                    found.append((node.lineno, "import numpy.linalg"))
         elif isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy"):
             for alias in node.names:
-                if (alias.name in FLOAT_FUNCTIONS | NUMPY_FLOAT_FUNCTIONS | NUMPY_CONTRACTIONS
+                if (alias.name in FLOAT_FUNCTIONS | NUMPY_FLOAT_NAMES | NUMPY_CONTRACTIONS
                         or FLOAT_DTYPE.fullmatch(alias.name)):
                     found.append((node.lineno, f"from {node.module} import {alias.name}"))
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
@@ -89,6 +99,16 @@ def test_package_has_no_floating_point():
     "x = np.divide(a, p)",
     "x = numpy.true_divide(a, p)",
     "from numpy import divide",
+    "r = np.linalg.matrix_rank(M)",
+    "x = np.linalg.det(M)",
+    "x = numpy.linalg.solve(A, b)",
+    "from numpy.linalg import solve",
+    "import numpy.linalg as la",
+    "import numpy.linalg",
+    "from numpy import linalg",
+    "x = np.mean(M)",
+    "x = np.average(M)",
+    "from numpy import mean",
 ])
 def test_guard_flags_floating_point(snippet):
     assert violations(snippet)
@@ -123,6 +143,8 @@ def test_guard_flags_int64_contractions(snippet):
     "np.add.at(grads, rows, block % p)",
     "x = sum(map(mul, row, point)) % p",
     "@cached_property\ndef f(self):\n    return 1",
+    "from . import linalg\nr = linalg.rank(rows)",
+    "x = linalg.det(rows)",
 ])
 def test_guard_passes_exact_code(snippet):
     assert violations(snippet) == []

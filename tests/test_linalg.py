@@ -5,8 +5,12 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from starpolar import linalg
+from starpolar import linalg, starconfig
+from starpolar.apolar import catalecticant, ideal_piece_dimension, perp_piece, solve_waring
+from starpolar.existence import incidence_matrix, jacobian_matrix, parameter_count
 from starpolar.field import DEFAULT_PRIME, Fp, Jet
+from starpolar.poly import DUAL, PRIMAL, Form, contract
+from starpolar.starconfig import HyperplaneSet, cramer_table, hilbert_function, point_ideal_piece
 
 from helpers import rref_kernel
 
@@ -141,6 +145,14 @@ def test_q_kernels_match_rref_kernel():
         assert ker == rref_kernel(rows, n), rows
         assert linalg.kernel_over(None, rows, n) == ker
         free += len(ker)
+        # a consistent system: x = (1, ..., 1) solves it
+        rhs = [sum(row, 0) for row in rows]
+        x = linalg.solve_linear(rows, rhs)
+        assert [sum(a * b for a, b in zip(row, x)) for row in rows] == rhs
+        assert linalg.solve_over(None, [list(r) + [b] for r, b in zip(rows, rhs)]) == x
+        # exact scalars only, from the shared read-off: no numpy int64 and
+        # no object-array leftovers
+        assert all(e.__class__ in (int, Fraction) for row in ker + [x] for e in row)
     assert [linalg.rank(cases[i]) for i in (2, 3, 12, 13)] == [2, 6, 2, 6]
     assert free > 60
 
@@ -340,6 +352,47 @@ def test_mod_path_rejects_oversized_prime():
         linalg.rank_mod([[1]], 2**31 + 11)
 
 
+@pytest.mark.parametrize("p", [2147483659, 2**61 - 1])
+def test_fp_matrices_refuse_a_prime_past_int64(monkeypatch, p):
+    """Every entry point that builds an F_p matrix or point table refuses a
+    prime of 2^31 or more before any elimination or product runs; forms,
+    their products and contraction still work at such a prime."""
+    def unreachable(*args):
+        raise AssertionError("an elimination or product ran")
+
+    monkeypatch.setattr(linalg, "_echelon_mod", unreachable)
+    monkeypatch.setattr(linalg, "rref", unreachable)
+    monkeypatch.setattr(starconfig, "_cofactor_tables", unreachable)
+    ints = [(1, 2, 3), (0, 1, 5), (4, 0, 1)]
+    rows = [[Fp(c, p) for c in row] for row in ints]
+    lin = Form.linear(PRIMAL, [Fp(1, p), Fp(p - 2, p), Fp(5, p)])
+    cube = lin ** 3
+    params = [Fp(k + 1, p) for k in range(parameter_count(3, 4, 2))]
+    calls = [lambda: HyperplaneSet(rows),
+             lambda: linalg.rank(rows),
+             lambda: linalg.kernel_basis(rows, 3),
+             lambda: linalg.solve_linear(rows, rows[0]),
+             lambda: solve_waring(rows, cube),
+             lambda: catalecticant(cube, 1).rank(),
+             lambda: perp_piece(cube, 1),
+             lambda: point_ideal_piece(rows, 2),
+             lambda: hilbert_function(rows, 2),
+             lambda: ideal_piece_dimension([Form.linear(DUAL, rows[0])], 2),
+             lambda: jacobian_matrix(3, 4, 2, params),
+             lambda: incidence_matrix(3, 4, 2, params),
+             lambda: cramer_table(ints, p)]
+    for call in calls:
+        with pytest.raises(ValueError, match="too large"):
+            call()
+    # x0 - 2 x1 + 5 x2 times 3 x0 - x2 has 15 - 1 = 14 at x0 x2
+    prod = lin * Form.linear(PRIMAL, [Fp(3, p), 0, Fp(p - 1, p)])
+    assert prod.terms[(1, 0, 1)] == Fp(14, p)
+    assert all(c.__class__ is Fp and c.p == p for c in (prod * cube).terms.values())
+    assert cube == lin * lin * lin
+    # y0 differentiates along x0, whose coefficient in lin is 1
+    assert contract(Form.linear(DUAL, [1, 0, 0]), cube) == (lin * lin) * 3
+
+
 def test_rank_and_kernel_pick_the_field_from_fp_entries():
     p = 101
     rng = random.Random(29)
@@ -349,6 +402,7 @@ def test_rank_and_kernel_pick_the_field_from_fp_entries():
         cases.append([[rng.randrange(p) for _ in range(n)] for _ in range(m)])
     # no pivot at all, and ten free columns against two pivots
     cases += [[[0] * 4] * 3, [[rng.randrange(p) for _ in range(12)] for _ in range(2)]]
+    frees = 0
     for rows in cases:
         n = len(rows[0])
         # one plain int per row still counts as the image of Z in F_p
@@ -356,10 +410,23 @@ def test_rank_and_kernel_pick_the_field_from_fp_entries():
         assert linalg.rank(frows) == linalg.rank_mod(rows, p)
         assert linalg.rank(frows) == len(linalg.rref(frows)[1])
         ker = linalg.kernel_basis(frows, n)
-        assert all(isinstance(e, Fp) and e.p == p for row in ker for e in row)
+        assert all(e.__class__ is Fp and e.p == p for row in ker for e in row)
         assert [[e.value for e in row] for row in ker] == \
             linalg.kernel_mod(rows, n, p).tolist()
         assert ker == rref_kernel(frows, n)
+        # the residue representation: Python ints in [0, p), no numpy int64
+        residues = linalg.kernel_over(p, rows, n)
+        assert residues == [[e.value for e in row] for row in ker]
+        rhs = [sum(row) % p for row in rows]
+        x = linalg.solve_over(p, [row + [b] for row, b in zip(rows, rhs)])
+        assert all(e.__class__ is int and 0 <= e < p for row in residues + [x] for e in row)
+        # consistent (x = (1, ..., 1) solves it), free variables are Fp(0, p)
+        fx = linalg.solve_linear(frows, [Fp(b, p) for b in rhs])
+        assert all(e.__class__ is Fp and e.p == p for e in fx)
+        assert [e.value for e in fx] == x
+        assert [sum(a * b for a, b in zip(row, fx)) for row in frows] == rhs
+        frees += n - linalg.rank(frows)
+    assert frees > 40
 
 
 def test_fp_dispatch_reads_every_entry_in_the_field():
@@ -395,7 +462,7 @@ def _solve_by_rref(rows, rhs):
 
 def test_solve_linear_over_fp_matches_rref_on_fp_objects(monkeypatch):
     rng = random.Random(37)
-    big = 2147483659  # prime, above the int64 kernel's limit
+    big = 2147483659  # prime, above the int64 kernel's limit: refused
     calls = []
     real = linalg.rref_mod
     monkeypatch.setattr(linalg, "rref_mod",
@@ -426,8 +493,14 @@ def test_solve_linear_over_fp_matches_rref_on_fp_objects(monkeypatch):
             else:
                 rhs = [Fp(rng.randrange(p), p) for _ in range(m)]
             calls.clear()
+            if p == big:
+                # refused by the mod-p elimination before it reduces a row
+                with pytest.raises(ValueError, match="too large"):
+                    linalg.solve_linear(rows, rhs)
+                assert calls == [p]
+                continue
             got = linalg.solve_linear(rows, rhs)
-            assert calls == ([p] if p < 2**31 else [])
+            assert calls == [p]
             want = _solve_by_rref(rows, rhs)
             assert got == want, (p, rows, rhs)
             if got is None:

@@ -157,8 +157,10 @@ def test_certify_rejects_zero_form_and_small_r():
 def test_certify_names_a_zero_row(p):
     """A zero row, raw or zero only mod p such as (7, 0, Fp(0, 7)), is refused
     by the certificate itself, at r = n and r > n and in every position,
-    with a subset that holds it; the other rows are in general position."""
+    with a subset that holds it; the other rows are in general position.
+    A prime of 2^31 or more is refused before the certificate runs."""
     rng = random.Random(11)
+    big = p is not None and p >= 2**31
 
     def draw():
         return rng.randint(-3, 3) if p is None else Fp(rng.randrange(p), p)
@@ -172,16 +174,22 @@ def test_certify_names_a_zero_row(p):
             while True:
                 rest = [[draw() for _ in range(n + 1)] for _ in range(r - 1)]
                 try:
-                    if r > n:
+                    if r > n and not big:
                         HyperplaneSet(rest)
                     break
                 except GeneralPositionError:
                     continue
             for zero in zeros:
                 for k in range(r):
-                    with pytest.raises(GeneralPositionError) as err:
-                        HyperplaneSet(rest[:k] + [zero] + rest[k:])
-                    assert k in err.value.subset, (zero, k, rest)
+                    rows = rest[:k] + [zero] + rest[k:]
+                    # the int zero row alone (r = n = 1) lies over Q
+                    if big and residue_rows(rows)[0] == p:
+                        with pytest.raises(ValueError, match="too large"):
+                            HyperplaneSet(rows)
+                    else:
+                        with pytest.raises(GeneralPositionError) as err:
+                            HyperplaneSet(rows)
+                        assert k in err.value.subset, (zero, k, rest)
                     checked += 1
     assert checked == len(zeros) * sum(r for n in range(1, 5) for r in range(n, n + 4))
 
@@ -501,7 +509,7 @@ def _hyperplane_set(rng, field, r, n):
                  for _ in range(n + 1)] for _ in range(r)]
         try:
             return HyperplaneSet(rows)
-        except ValueError:
+        except GeneralPositionError:
             continue
 
 
@@ -554,12 +562,10 @@ def test_ideal_layer_refuses_a_prime_past_int64():
         hilbert_function(pts, 2)
     with pytest.raises(ValueError, match="too large"):
         point_ideal_piece(pts, 2)
-    hset = _hyperplane_set(random.Random(3), p, 4, 2)
+    # no hyperplane set, and so no route, exists at such a prime: its
+    # Cramer table refuses the rows before the certificate runs
     with pytest.raises(ValueError, match="too large"):
-        star_ideal_dimension_by_intersection(hset, 2)
-    with pytest.raises(ValueError, match="too large"):
-        star_ideal_dimension_by_products(hset, 3)
-    assert star_ideal_dimension_by_products(hset, 2) == 0  # below the generators
+        _hyperplane_set(random.Random(3), p, 4, 2)
     with pytest.raises(ValueError, match="too large"):
         ideal_piece_dimension([Form.linear(DUAL, [Fp(1, p), Fp(2, p), 0])], 2)
 
