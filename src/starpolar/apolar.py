@@ -24,7 +24,7 @@ from math import comb, prod
 import numpy as np
 
 from . import linalg
-from .field import Fp, residue_rows, scalar_to_str
+from .field import Fp, residue_array, residue_rows, scalar_to_str
 from .poly import (DUAL, PRIMAL, Form, basis_index, coefficient_vector,
                    contract, contraction_row, field_terms, form_from_vector,
                    linear_power_coefficients, linear_power_table, monomial_basis,
@@ -173,22 +173,21 @@ def _coefficient_runs(gens, t: int):
     order, as (e, their coefficient rows over the degree-e basis).
 
     The rows are one array per run, over the field of the coefficients
-    (`field_terms`): int64 residues over F_p, else the coefficients as
-    given in an object array.
+    (`field_terms`): int64 residues over F_p, read through
+    `field.residue_array`, else the coefficients as given in an object array.
     """
     nv = gens[0].num_vars
     p, term_maps = field_terms(*gens)
-    dtype = object if p is None else np.int64
     runs = []
     for e, run in groupby(zip(gens, term_maps), key=lambda pair: pair[0].degree):
         if e > t:
             continue
-        idx = basis_index(nv, e)
-        run = [terms for _, terms in run]
-        coeffs = np.zeros((len(run), len(idx)), dtype=dtype)
-        for k, terms in enumerate(run):
-            coeffs[k, [idx[m] for m in terms]] = list(terms.values())
-        runs.append((e, coeffs))
+        idx, rows = basis_index(nv, e), []
+        for _, terms in run:
+            rows.append([0] * len(idx))
+            for m, c in terms.items():
+                rows[-1][idx[m]] = c
+        runs.append((e, np.array(rows, dtype=object) if p is None else residue_array(rows, p)))
     return p, runs
 
 

@@ -7,16 +7,17 @@ and mixing weights (a, alpha) to the coefficient vector of the weighted
 power sum  sum_i alpha_i * L_i^d,  where the L_i are the configuration
 points built from the a's by signed minors.  Its exact Jacobian over F_p
 is assembled by the chain rule (the tangent directions of a sum of
-powers, as in Terracini's lemma) in int64 arrays mod p, from the points
-and signed cofactors of `starconfig.cramer_table`, one batched cofactor
-pass mod p per draw; `gamma_coefficients` stays the generic map, which the
-tests differentiate independently.  The size rule `check_jacobian_size`
-refuses a triple before any array is allocated.  A draw whose hyperplanes
-fail general position raises `starconfig.GeneralPositionError`, and
-`starconfig.redraw` draws again.  A full-rank evaluation at one random
-point certifies that the map dominates the space of degree-d forms (a
-nonzero minor mod p certifies a nonzero minor in characteristic zero),
-while a rank deficit at one prime and seed is recorded as evidence only.
+powers, as in Terracini's lemma) in int64 arrays mod p, from the points,
+cofactor tables and face index of `starconfig.cramer_table`, one batched
+cofactor pass mod p per draw; `gamma_coefficients` stays the generic map,
+which the tests differentiate independently.  The size rule
+`check_jacobian_size` refuses a triple before any array is allocated.  A
+draw whose hyperplanes fail general position raises
+`starconfig.GeneralPositionError`, and `starconfig.redraw` draws again.
+A full-rank evaluation at one random point certifies that the map
+dominates the space of degree-d forms (a nonzero minor mod p certifies a
+nonzero minor in characteristic zero), while a rank deficit at one prime
+and seed is recorded as evidence only.
 No draw can exceed m - r, since the r hyperplane rescalings lie in the
 left kernel of every Jacobian, nor n + 1 when r = n, so the test stops at
 the first trial that reaches that ceiling (`_rank_ceiling`).
@@ -38,7 +39,6 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from enum import Enum
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -49,7 +49,7 @@ from .poly import (linear_power_coefficients, linear_power_table, monomial_basis
                    monomial_table, shift_table)
 from .starconfig import (GeneralPositionError, ResampleBudgetError,  # noqa: F401, re-export
                          _points_from_coeff_rows, cramer_table,
-                         general_position_violation, redraw)
+                         general_position_violation, hyperplane_values, redraw)
 
 # the below-threshold triples (d, r, n) with rho >= 0: four existence cases,
 # and one defective case with the generic Jacobian rank of its map
@@ -221,11 +221,11 @@ def _int64_point(d: int, r: int, n: int, values, matrix: str):
 def _certified_table(rows, p: int):
     """`cramer_table` of the residue rows, once its points certify general
     position; otherwise `GeneralPositionError` names the witness subset."""
-    cofactor, points = cramer_table(rows, p)
-    violation = general_position_violation(p, rows, points.tolist())
+    table = cramer_table(rows, p)
+    violation = general_position_violation(p, rows, table[1])
     if violation is not None:
         raise GeneralPositionError(violation)
-    return cofactor, points
+    return table
 
 
 def jacobian_matrix(d: int, r: int, n: int, values):
@@ -244,15 +244,14 @@ def jacobian_matrix(d: int, r: int, n: int, values):
         sum over S containing k of  d alpha_S sum_j (d P_{S,j} / d a_{k,i})
                                                   * coeff(x_j P_S^(d-1)),
 
-    with the cofactors d P_{S,j} / d a_{k,i} and the points P_S from the
-    int64 table `starconfig.cramer_table`, one batched cofactor pass over
-    all (n-1)-subsets.  General position is certified on the residues of
-    the rows and points (`general_position_violation`).
+    with the points P_S and, for k = S[q], the cofactors d P_{S,j} / d a_{k,i}
+    gathered from the face tables of the int64 `starconfig.cramer_table`.
+    General position is certified on the residues of the rows and points
+    (`general_position_violation`).
     """
     check_jacobian_size(d, r, n)
     p, params, rows = _int64_point(d, r, n, values, "Jacobian")
-    cofactor, points = _certified_table(rows, p)
-    sets = np.array(list(combinations(range(r), n)), dtype=np.int64)
+    tables, points, sets, faces = _certified_table(rows, p)
     size = comb(n + d, d)
     # the tangent along P_j is d x_j P^(d-1); fold in the weight alpha_S too
     weights = d * np.array(params[(n + 1) * r:], dtype=np.int64) % p
@@ -262,9 +261,12 @@ def jacobian_matrix(d: int, r: int, n: int, values):
     # than 2^32 for any point set that fits in memory, so int64 holds it
     grads = np.zeros((r, n + 1, size), dtype=np.int64)
     for q in range(n):
+        cofactor = tables[faces[:, q]]
+        if q % 2:
+            cofactor = -cofactor % p
         block = np.zeros((len(sets), n + 1, size), dtype=np.int64)
         for j, cols in enumerate(shifts):
-            block[:, :, cols] += cofactor[q][:, :, j, None] * lower[:, None, :] % p
+            block[:, :, cols] += cofactor[:, :, j, None] * lower[:, None, :] % p
         np.add.at(grads, sets[:, q], block % p)
     return np.concatenate([grads.reshape(-1, size) % p,
                            linear_power_table(points, d, p)])
@@ -460,31 +462,25 @@ def incidence_matrix(d: int, r: int, n: int, values):
     block ((U, mu), j) is c_S mu(P_S) P_S with S = U + {j} for j not in U,
     and 0 for j in U: the derivative along l_j of the generator
     mu * prod_{i not in U} l_i at P_S.  At every draw with p > d,
-    rank J = C(r, n) + rank M.  Inputs are checked by
-    `check_incidence_matrix`, and general position as in `jacobian_matrix`,
-    before any block is formed.
+    rank J = C(r, n) + rank M.  The points, the faces U = S minus S[q] and
+    l_i(P_S) come from `starconfig` (`cramer_table`, `hyperplane_values`).
+    Inputs are checked by `check_incidence_matrix`, and general position as
+    in `jacobian_matrix`, before any block is formed.
     """
     p, params, rows = _int64_point(d, r, n, values, "incidence matrix")
     check_incidence_matrix(d, r, n, p)
-    _, points = _certified_table(rows, p)
-    point_sets = list(combinations(range(r), n))
-    sets = np.array(point_sets, dtype=np.int64)
-    coeffs = np.asarray(rows, dtype=np.int64)
-    # l_i(P_S) for every point and hyperplane, each product reduced before
-    # the n + 1 of them are summed; l_i(P_S) = 0 for i in S, so set it to 1
-    at = sum(points[:, None, k] * coeffs[None, :, k] % p for k in range(n + 1)) % p
-    at[np.arange(len(sets))[:, None], sets] = 1
+    tables, points, sets, faces = _certified_table(rows, p)
+    # C(r, n) * r values, fewer cells than the Jacobian's as r <= C(n+d, d)
+    at = hyperplane_values(p, rows, points)
+    at[np.arange(len(sets))[:, None], sets] = 1  # l_i(P_S) = 0 for i in S: not in w_S
     weights = np.array(params[(n + 1) * r:], dtype=np.int64)
     for i in range(r):
         weights = weights * at[:, i] % p
     e = d - r + n - 1
     table = monomial_table(points, e, p) * weights[:, None] % p
     blocks = table[:, :, None] * points[:, None, :] % p
-    where = {U: u for u, U in enumerate(combinations(range(r), n - 1))}
-    M = np.zeros((len(where), table.shape[1], r, n + 1), dtype=np.int64)
+    M = np.zeros((len(tables), table.shape[1], r, n + 1), dtype=np.int64)
     for q in range(n):
         # each (U, j) names one point S = U + {j}, so no two blocks collide
-        u = [where[S[:q] + S[q + 1:]] for S in point_sets]
-        M[u, :, sets[:, q], :] = blocks
+        M[faces[:, q], :, sets[:, q], :] = blocks
     return M.reshape(-1, r * (n + 1))
-

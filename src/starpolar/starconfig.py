@@ -7,12 +7,12 @@ independent, the configuration consists of the C(r, n) points cut out by
 the n-subsets.  Each point is the Cramer point of its subset, signed
 maximal minors polynomial in the coefficients.  Over F_p every point is
 a row of one int64 table (`cramer_table`), built from one Laplace pass
-mod p over all (n-1)-subsets at once (`_cofactor_tables`); `HyperplaneSet`
-and the Jacobian of `existence` both read it, and it refuses a prime of
-2^31 or more before any product.  Over Z and Q, and in the generic map
-the tests differentiate, each n-subset takes its own `linalg.minors`
-pass (`_points_from_coeff_rows`).
-General position is read off the points, and it is stated only here:
+mod p over all (n-1)-subsets U at once, with the face index of U in each
+point's subset; `HyperplaneSet` and both matrices of `existence` read it.
+Over Z and Q, and in the generic map the tests differentiate, each
+n-subset takes its own `linalg.minors` pass (`_points_from_coeff_rows`).
+`hyperplane_values` is the one table of l_k(P_S), over F_p and Q, and
+general position is read off it, and stated only here:
 `GeneralPositionError` names the first dependent (n+1)-subset, a zero row
 included, for a `HyperplaneSet` and for a Jacobian draw alike, and
 `redraw` is the one loop that redraws a random draw it refuses, up to
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
-from operator import mul
 
 import numpy as np
 
@@ -44,6 +43,8 @@ from .apolar import ideal_piece_dimension
 
 # random draws (hyperplane sets, parameter points) tried before giving up
 RESAMPLE_BUDGET = 32
+# points the certificate evaluates at once: POINT_BLOCK * r values, not C(r, n) * r
+POINT_BLOCK = 128
 
 
 class GeneralPositionError(ValueError):
@@ -79,24 +80,40 @@ def redraw(draw, what: str):
 
 
 def general_position_violation(p, rows, points):
-    """First (n+1)-subset of coefficient rows with vanishing maximal minor.
-
-    ``points`` holds the Cramer points of every n-subset of the rows, in
-    `combinations` order.  ``p`` names the field as in `linalg.rank_over`:
-    over F_p rows and points are residues in [0, p), and each dot product
-    is reduced mod p.  The minor of S + (k,) is +-l_k(P_S), so each row
-    k > max S is evaluated at P_S.  With r = n the one point is zero exactly
-    when the rows are dependent.  Returns the violating index subset or None.
+    """First (n+1)-subset of coefficient rows with vanishing maximal minor,
+    or None.  ``points`` are the Cramer points of the n-subsets of the rows
+    in `combinations` order, over the field ``p`` names (`linalg.rank_over`).
+    The minor of S + (k,) is +-l_k(P_S), so the witness is the first zero of
+    `hyperplane_values` at k > max S in (point, k) order, ``POINT_BLOCK``
+    points at a time; with r = n, the one point being zero.
     """
-    subsets = combinations(range(len(rows)), len(rows[0]) - 1)
+    sets = list(combinations(range(len(rows)), len(rows[0]) - 1))
     if len(points) == 1:
-        return None if any(points[0]) else next(subsets)
-    for S, pt in zip(subsets, points):
-        for k in range(S[-1] + 1, len(rows)):
-            dot = sum(map(mul, rows[k], pt))
-            if not (dot if p is None else dot % p):
-                return S + (k,)
+        return None if any(points[0]) else sets[0]
+    rows = _field_array(p, rows)  # rows[lo:] keeps its width when empty
+    for start in range(0, len(sets), POINT_BLOCK):
+        last = np.array([S[-1] for S in sets[start:start + POINT_BLOCK]])
+        lo = last.min() + 1  # no point of the block needs an earlier row
+        zero = hyperplane_values(p, rows[lo:], points[start:start + POINT_BLOCK]) == 0
+        s, k = np.nonzero(zero & (np.arange(lo, len(rows)) > last[:, None]))
+        if len(s):
+            return sets[start + s[0]] + (int(lo + k[0]),)
     return None
+
+
+def _field_array(p, rows):
+    """2-D int64 residues (`field.residue_array`) over F_p, objects with p None."""
+    return residue_array(rows, p) if p is not None else np.array(rows, dtype=object)
+
+
+def hyperplane_values(p, rows, points):
+    """The table of l_k(P), one row per point and one column per hyperplane
+    row: int64 residues over F_p, each product reduced mod p before the
+    n + 1 are summed, or exact scalars with p None, as in `_field_array`."""
+    rows, points = _field_array(p, rows), _field_array(p, points)
+    if p is None:
+        return sum(points[:, i, None] * rows[None, :, i] for i in range(rows.shape[1]))
+    return sum(points[:, i, None] * rows[None, :, i] % p for i in range(rows.shape[1])) % p
 
 
 class HyperplaneSet:
@@ -117,15 +134,14 @@ class HyperplaneSet:
         if self.r < self.n:
             raise ValueError(f"need r >= n, got r={self.r}, n={self.n}")
         p, residues = residue_rows(rows)
-        if p is None:
-            coords = _points_from_coeff_rows(residues, self.n)
-        else:
-            coords = cramer_table(residues, p)[1].tolist()
+        coords = (_points_from_coeff_rows(residues, self.n) if p is None
+                  else cramer_table(residues, p)[1])
         violation = general_position_violation(p, residues, coords)
         if violation is not None:
             raise GeneralPositionError(violation)
         self.points = tuple(StarPoint(S, tuple(Fp(c, p) for c in pt) if p else tuple(pt))
-                            for S, pt in zip(combinations(range(self.r), self.n), coords))
+                            for S, pt in zip(combinations(range(self.r), self.n),
+                                             coords if p is None else coords.tolist()))
         self.coeffs = rows
 
     @classmethod
@@ -243,27 +259,24 @@ def _cofactor_tables(rows, n: int, p: int):
 
 
 def cramer_table(rows, p: int):
-    """(cofactor, points) for the n-subsets S of r int rows mod p, in
-    `combinations` order, from the rows' `_cofactor_tables`: cofactor[q]
-    holds the (i, j) table of d P_S / d a_k for k = S[q], and points the
-    (C(r, n), n+1) int64 residues P_S = a_k . (d P_S / d a_k) for k = S[0],
-    the points of `_points_from_coeff_rows` reduced mod p.  The rows are
-    read through `field.residue_array`, which refuses p >= 2^31 before any
-    product is formed.
-    """
+    """(tables, points, sets, faces) of r int rows mod p, in `combinations`
+    order: the rows' `_cofactor_tables`, one per (n-1)-subset U; the int64
+    residues P_S = a_k . (d P_S / d a_k), k = S[0], the points of
+    `_points_from_coeff_rows` mod p; the n-subsets S; and faces[s, q], the
+    index of S minus S[q] among the U, so d P_S / d a_{S[q]} is (-1)^q
+    tables[faces[s, q]].  The rows are read through `field.residue_array`,
+    which refuses p >= 2^31 before any product."""
     rows = residue_array(rows, p)
-    n = rows.shape[1] - 1
+    r, n = len(rows), rows.shape[1] - 1
     tables = _cofactor_tables(rows, n, p)
-    where = {sub: u for u, sub in enumerate(combinations(range(len(rows)), n - 1))}
-    point_sets = list(combinations(range(len(rows)), n))
-    cofactor = []
-    for q in range(n):
-        table = tables[[where[S[:q] + S[q + 1:]] for S in point_sets]]
-        cofactor.append(-table % p if q % 2 else table)
-    first = rows[[S[0] for S in point_sets]]
+    where = {U: u for u, U in enumerate(combinations(range(r), n - 1))}
+    sets = list(combinations(range(r), n))
+    faces = np.array([[where[S[:q] + S[q + 1:]] for S in sets] for q in range(n)], np.int64).T
+    sets = np.array(sets, dtype=np.int64)
+    first, cofactor = rows[sets[:, 0]], tables[faces[:, 0]]
     # a sum of n + 1 residues before its reduction, far below 2^63
-    points = sum(first[:, i, None] * cofactor[0][:, i, :] % p for i in range(n + 1)) % p
-    return cofactor, points
+    points = sum(first[:, i, None] * cofactor[:, i, :] % p for i in range(n + 1)) % p
+    return tables, points, sets, faces
 
 
 def intersection_points(hset: HyperplaneSet):

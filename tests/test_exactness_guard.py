@@ -15,7 +15,10 @@ It also fails on a numpy contraction: the ``@`` operator, ``np.dot``,
 ``np.matmul``, ``np.einsum``, ``np.tensordot``, ``np.inner``, ``np.vdot``
 and the ``.dot`` method.  On int64 residues mod p < 2^31 each product is
 below 2^62, so a sum of three or more of them can wrap silently; every
-mod-p sum in the package reduces its products before adding them.
+mod-p sum in the package reduces its products before adding them.  For
+the same reason it fails on a reduction by ``.sum``, ``np.sum`` or
+``np.add.reduce`` whose operand is a bare product, as in
+``(a * b).sum(axis=1) % p``; ``(a * b % p).sum(axis=1) % p`` passes.
 """
 
 import ast
@@ -30,6 +33,25 @@ FLOAT_MODULES = {"math", "np", "numpy"}
 NUMPY_FLOAT_NAMES = {"divide", "true_divide", "mean", "average", "linalg"}
 FLOAT_DTYPE = re.compile(r"float\d*|floating|double|half|single|longdouble|f\d+")
 NUMPY_CONTRACTIONS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
+
+
+def _is_product(node) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+
+def _unreduced_sum(call: ast.Call) -> bool:
+    """A ``.sum`` of a bare product, or ``np.sum``/``np.add.reduce`` of one."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return False
+    if func.attr == "sum" and _is_product(func.value):
+        return True
+    numpy_sum = (func.attr == "sum" and isinstance(func.value, ast.Name)
+                 and func.value.id in ("np", "numpy"))
+    add_reduce = (func.attr == "reduce" and isinstance(func.value, ast.Attribute)
+                  and func.value.attr == "add" and isinstance(func.value.value, ast.Name)
+                  and func.value.value.id in ("np", "numpy"))
+    return (numpy_sum or add_reduce) and bool(call.args) and _is_product(call.args[0])
 
 
 def violations(source: str, filename: str = "<snippet>"):
@@ -64,6 +86,8 @@ def violations(source: str, filename: str = "<snippet>"):
         elif isinstance(node, ast.Call):
             if isinstance(node.func, ast.Attribute) and node.func.attr == "dot":
                 found.append((node.lineno, "contraction by .dot"))
+            if _unreduced_sum(node):
+                found.append((node.lineno, "sum of unreduced products"))
             for arg in [*node.args, *(k.value for k in node.keywords)]:
                 if (isinstance(arg, ast.Constant) and isinstance(arg.value, str)
                         and FLOAT_DTYPE.fullmatch(arg.value)):
@@ -127,6 +151,10 @@ def test_guard_flags_floating_point(snippet):
     "from numpy import einsum",
     "from numpy import dot as d",
     "x = a.dot(b)",
+    "x = (a * b).sum(axis=1) % p",
+    "x = np.sum(a * b, axis=-1)",
+    "x = numpy.sum(a * b) % p",
+    "x = np.add.reduce(a * b, axis=1)",
 ])
 def test_guard_flags_int64_contractions(snippet):
     assert violations(snippet)
@@ -140,6 +168,9 @@ def test_guard_flags_int64_contractions(snippet):
     "x = 'float'.upper()",
     "np.floor_divide(a, p, out=b)",
     "x = (a * b % p).sum(axis=1) % p",
+    "x = np.sum(a * b % p, axis=-1) % p",
+    "x = np.add.reduce(a * b % p, axis=1) % p",
+    "x = (a + b).sum()",
     "np.add.at(grads, rows, block % p)",
     "x = sum(map(mul, row, point)) % p",
     "@cached_property\ndef f(self):\n    return 1",

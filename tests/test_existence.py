@@ -217,11 +217,15 @@ def test_one_cofactor_pass_per_draw(monkeypatch):
     monkeypatch.setattr(linalg, "minors", counting)
     rng = random.Random(5)
     m = parameter_count(3, 7, 5)
-    rows = jacobian_matrix(3, 7, 5, [random_scalar(rng) for _ in range(m)])
+    values = [random_scalar(rng) for _ in range(m)]
+    rows = jacobian_matrix(3, 7, 5, values)
     assert len(rows) == m
     # one batched pass over all 4-subsets; the certificate reads the points
     # it gives, and no subset takes a pass of its own
     assert passes == [(7, 5, DEFAULT_PRIME)] and minors == []
+    # the incidence matrix reads the same table, once per draw
+    assert existence.incidence_matrix(3, 7, 5, values).shape == (comb(7, 4), 7 * 6)
+    assert passes == [(7, 5, DEFAULT_PRIME)] * 2 and minors == []
 
 
 def test_degenerate_draws_match_the_det_scan(monkeypatch):

@@ -10,7 +10,8 @@ from starpolar.apolar import catalecticant, ideal_piece_dimension, perp_piece, s
 from starpolar.existence import incidence_matrix, jacobian_matrix, parameter_count
 from starpolar.field import DEFAULT_PRIME, Fp, Jet
 from starpolar.poly import DUAL, PRIMAL, Form, contract
-from starpolar.starconfig import HyperplaneSet, cramer_table, hilbert_function, point_ideal_piece
+from starpolar.starconfig import (HyperplaneSet, cramer_table, general_position_violation,
+                                  hilbert_function, point_ideal_piece)
 
 from helpers import rref_kernel
 
@@ -352,11 +353,12 @@ def test_mod_path_rejects_oversized_prime():
         linalg.rank_mod([[1]], 2**31 + 11)
 
 
-@pytest.mark.parametrize("p", [2147483659, 2**61 - 1])
+@pytest.mark.parametrize("p", [2147483659, 2**61 - 1, 2**89 - 1])
 def test_fp_matrices_refuse_a_prime_past_int64(monkeypatch, p):
     """Every entry point that builds an F_p matrix or point table refuses a
-    prime of 2^31 or more before any elimination or product runs; forms,
-    their products and contraction still work at such a prime."""
+    prime of 2^31 or more before any elimination or product runs, also
+    past 2^63, where a residue no longer fits in int64; forms, their
+    products and contraction still work at such a prime."""
     def unreachable(*args):
         raise AssertionError("an elimination or product ran")
 
@@ -378,9 +380,12 @@ def test_fp_matrices_refuse_a_prime_past_int64(monkeypatch, p):
              lambda: point_ideal_piece(rows, 2),
              lambda: hilbert_function(rows, 2),
              lambda: ideal_piece_dimension([Form.linear(DUAL, rows[0])], 2),
+             lambda: ideal_piece_dimension(
+                 [Form.linear(DUAL, [Fp(p - 1, p), Fp(2, p), Fp(3, p)])], 1),
              lambda: jacobian_matrix(3, 4, 2, params),
              lambda: incidence_matrix(3, 4, 2, params),
-             lambda: cramer_table(ints, p)]
+             lambda: cramer_table(ints, p),
+             lambda: general_position_violation(p, ints, ints)]
     for call in calls:
         with pytest.raises(ValueError, match="too large"):
             call()

@@ -10,7 +10,7 @@ from starpolar import linalg, starconfig
 from starpolar.apolar import ideal_piece_dimension, perp_piece
 from starpolar.field import DEFAULT_PRIME, Fp, residue_rows
 from starpolar.poly import DUAL, Form, evaluate, parse_form
-from starpolar.starconfig import (RESAMPLE_BUDGET, GeneralPositionError,
+from starpolar.starconfig import (POINT_BLOCK, RESAMPLE_BUDGET, GeneralPositionError,
                                   HilbertFunctionTable, ResampleBudgetError,
                                   HyperplaneSet, build_star_configuration,
                                   general_position_violation, hilbert_function,
@@ -59,7 +59,7 @@ def test_certify_concurrent_lines_fails_with_witness():
     assert err.value.subset == (0, 1, 2)
 
 
-def test_general_position_witness_matches_det_scan():
+def test_general_position_witness_matches_det_scan(monkeypatch):
     rng = random.Random(2024)
     big = DEFAULT_PRIME
     # field: (entry draw, smallest n, draws per shape (n, r)); over F_p the
@@ -76,27 +76,37 @@ def test_general_position_witness_matches_det_scan():
     cases, violations = {}, {}
     for field, (draw, low, draws) in fields.items():
         cases[field] = violations[field] = 0
-        for n in range(low, 5):
-            for r in range(n, n + 4):
-                for _ in range(draws):
-                    rows = [[draw() for _ in range(n + 1)] for _ in range(r)]
-                    if r > 1 and rng.random() < 0.2:
-                        # force a dependency: one row a combination of two others
-                        i, j, k = (rng.randrange(r) for _ in range(3))
-                        a, b = draw(), draw()
-                        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
-                    expected = det_scan_violation(rows)
-                    p, residues = residue_rows(rows)
-                    points = _points_from_coeff_rows(residues, n)
-                    if p is not None:  # the table, checked against the minors
-                        table = cramer_table(residues, p)[1].tolist()
-                        assert table == [[c % p for c in pt] for pt in points]
-                        points = table
-                    assert general_position_violation(p, residues, points) == expected, \
-                        (field, rows)
-                    cases[field] += 1
-                    violations[field] += expected is not None
-    assert cases == {"Z": 3520, "F_3": 3520, "Q": 3520, "F_big": 720}
+        shapes = [(n, r, draws) for n in range(low, 5) for r in range(n, n + 4)]
+        if field in ("Z", "F_3"):
+            # up to r = n + 10 on the line and in the plane, where many
+            # (S, k) compete for the first witness
+            shapes += [(n, r, 20) for n in (1, 2) for r in range(n + 4, n + 11)]
+        for n, r, count in shapes:
+            for _ in range(count):
+                rows = [[draw() for _ in range(n + 1)] for _ in range(r)]
+                if r > 1 and rng.random() < 0.2:
+                    # force a dependency: one row a combination of two others
+                    i, j, k = (rng.randrange(r) for _ in range(3))
+                    a, b = draw(), draw()
+                    rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+                expected = det_scan_violation(rows)
+                p, residues = residue_rows(rows)
+                points = _points_from_coeff_rows(residues, n)
+                if p is not None:  # the table, checked against the minors
+                    table = cramer_table(residues, p)[1]
+                    assert table.tolist() == [[c % p for c in pt] for pt in points]
+                    points = table
+                # the certificate reads its table in blocks of points, so
+                # each case is also read one and three points at a time
+                for block in (POINT_BLOCK, 1, 3):
+                    monkeypatch.setattr(starconfig, "POINT_BLOCK", block)
+                    got = general_position_violation(p, residues, points)
+                    # plain ints, as the error message prints them
+                    assert got == expected and str(got) == str(expected), \
+                        (field, rows, block)
+                cases[field] += 1
+                violations[field] += expected is not None
+    assert cases == {"Z": 3520 + 280, "F_3": 3520 + 280, "Q": 3520, "F_big": 720}
     assert all(0 < violations[f] < cases[f] for f in fields), violations
 
 
