@@ -10,10 +10,9 @@ is assembled by the chain rule (the tangent directions of a sum of
 powers, as in Terracini's lemma) in int64 arrays mod p, from the points,
 cofactor tables and face index of `starconfig.cramer_table`, one batched
 cofactor pass mod p per draw; `gamma_coefficients` stays the generic map,
-which the tests differentiate independently.  The size rule
-`check_jacobian_size` refuses a triple before any array is allocated.  A
-draw whose hyperplanes fail general position raises
-`starconfig.GeneralPositionError`, and `starconfig.redraw` draws again.
+which the tests differentiate independently.  A draw whose hyperplanes
+fail general position raises `starconfig.GeneralPositionError`, and
+`starconfig.redraw` draws again.
 A full-rank evaluation at one random point certifies that the map
 dominates the space of degree-d forms (a nonzero minor mod p certifies a
 nonzero minor in characteristic zero), while a rank deficit at one prime
@@ -30,7 +29,10 @@ iff every degree-d multiple mu * prod_{i in T} l_i kills it (the apolarity
 lemma; Iarrobino-Kanev).  Differentiating these conditions along the
 hyperplanes gives, at every draw with p > d, rank J = C(r, n) + rank M.
 So `jacobian_rank_test` ranks M below the bound and J at and above it
-(`_route`); J stays the oracle of the identity.
+(`_route`), each under its own size rule (`check_incidence_matrix`,
+`check_jacobian_size`); J stays the oracle of the identity.  M takes its
+weights w_S from `starconfig.star_weights`, the scan that certifies the
+draw, and this module evaluates no hyperplane itself.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .poly import (linear_power_coefficients, linear_power_table, monomial_basis
                    monomial_table, shift_table)
 from .starconfig import (GeneralPositionError, ResampleBudgetError,  # noqa: F401, re-export
                          _points_from_coeff_rows, cramer_table,
-                         general_position_violation, hyperplane_values, redraw)
+                         general_position_violation, redraw, star_weights)
 
 # the below-threshold triples (d, r, n) with rho >= 0: four existence cases,
 # and one defective case with the generic Jacobian rank of its map
@@ -58,9 +60,9 @@ DEFECTIVE_TRIPLES = {(3, 7, 5): 55}
 # the plane family (d, d+1, 2) reaches full Jacobian rank for 3 <= d <= this
 # degree; acceptance criterion 4 checks the whole range
 PLANE_VERIFIED_DEGREE = 13
-# int64 cells C(r,n) * (n+1) * C(n+d,d) of the largest array the Jacobian
-# assembly holds (2^25 cells, 256 MiB); the plane family fits up to d = 80.
-# The incidence matrix and its block table are held to the same bound.
+# int64 cells of the largest array a draw holds (2^25 cells, 256 MiB): the
+# Jacobian's C(r,n) * (n+1) * C(n+d,d), or for M `check_incidence_matrix`'s
+# count; the plane family (d, d+1, 2), ranked through M, fits up to d = 405.
 MAX_JACOBIAN_CELLS = 2**25
 
 
@@ -218,16 +220,6 @@ def _int64_point(d: int, r: int, n: int, values, matrix: str):
     return p, params, _hyperplane_rows(d, r, n, params)
 
 
-def _certified_table(rows, p: int):
-    """`cramer_table` of the residue rows, once its points certify general
-    position; otherwise `GeneralPositionError` names the witness subset."""
-    table = cramer_table(rows, p)
-    violation = general_position_violation(p, rows, table[1])
-    if violation is not None:
-        raise GeneralPositionError(violation)
-    return table
-
-
 def jacobian_matrix(d: int, r: int, n: int, values):
     """Exact Jacobian of the coefficient map at the given F_p point, as an
     int64 array of residues in [0, p) with one row per parameter
@@ -235,23 +227,25 @@ def jacobian_matrix(d: int, r: int, n: int, values):
 
     A triple over `check_jacobian_size` or a prime p >= 2^31 raises
     ``ValueError`` before anything is allocated, and a point whose
-    hyperplanes fail general position raises `GeneralPositionError`, naming
-    the witness subset, before any Jacobian entry is formed.  The rows come
-    from the chain rule, in int64 arrays mod p for all C(r, n) points at
-    once: the row of the weight alpha_S is the coefficient vector of P_S^d,
-    and the row of the hyperplane coefficient a_{k,i} is
+    hyperplanes fail general position (`general_position_violation`, on
+    the residues of the rows and points) raises `GeneralPositionError`,
+    naming the witness subset, before any Jacobian entry is formed.  The
+    rows come from the chain rule, in int64 arrays mod p for all C(r, n)
+    points at once: the row of the weight alpha_S is the coefficient vector
+    of P_S^d, and the row of the hyperplane coefficient a_{k,i} is
 
         sum over S containing k of  d alpha_S sum_j (d P_{S,j} / d a_{k,i})
                                                   * coeff(x_j P_S^(d-1)),
 
     with the points P_S and, for k = S[q], the cofactors d P_{S,j} / d a_{k,i}
     gathered from the face tables of the int64 `starconfig.cramer_table`.
-    General position is certified on the residues of the rows and points
-    (`general_position_violation`).
     """
     check_jacobian_size(d, r, n)
     p, params, rows = _int64_point(d, r, n, values, "Jacobian")
-    tables, points, sets, faces = _certified_table(rows, p)
+    tables, points, sets, faces = cramer_table(rows, p)
+    violation = general_position_violation(p, rows, points)
+    if violation is not None:
+        raise GeneralPositionError(violation)
     size = comb(n + d, d)
     # the tangent along P_j is d x_j P^(d-1); fold in the weight alpha_S too
     weights = d * np.array(params[(n + 1) * r:], dtype=np.int64) % p
@@ -363,16 +357,17 @@ def _route(d: int, r: int, n: int) -> str:
 
 def check_rank_test(d: int, r: int, n: int, prime: int, trials: int):
     """Raise ``ValueError`` unless `jacobian_rank_test` accepts these
-    inputs: a valid triple, a prime below 2^31, at least one trial, a
-    Jacobian within `check_jacobian_size`, and, where M is ranked,
-    `check_incidence_matrix`."""
+    inputs: a valid triple, a prime below 2^31, at least one trial, and the
+    size rule of the matrix `_route` ranks: `check_incidence_matrix` below
+    the degree bound, `check_jacobian_size` at and above it."""
     _validate_triple(d, r, n)
     linalg.check_modulus(prime)
     if trials < 1:
         raise ValueError("need at least one trial")
-    check_jacobian_size(d, r, n)
     if _route(d, r, n) == "incidence":
         check_incidence_matrix(d, r, n, prime)
+    else:
+        check_jacobian_size(d, r, n)
 
 
 def _rank_test(d: int, r: int, n: int, prime: int, seed: int, trials: int,
@@ -431,10 +426,10 @@ def jacobian_rank_test(d: int, r: int, n: int, prime: int = DEFAULT_PRIME,
 def check_incidence_matrix(d: int, r: int, n: int, p: int):
     """Raise ``ValueError`` unless `incidence_matrix` is defined for (d, r, n)
     over F_p and fits: r <= d + n - 1 (above that `classify` answers in
-    closed form), p > d (the apolarity pairing carries d!), and M and its
-    table of C(r, n) * C(n+e, e) * (n+1) block entries each within
-    ``MAX_JACOBIAN_CELLS`` int64 cells.  At r = n, M can be larger than the
-    Jacobian; at (6, 6, 6) it is 18 times larger."""
+    closed form), p > d (the apolarity pairing carries d!), and within
+    ``MAX_JACOBIAN_CELLS`` int64 cells both M, C(r, n-1) C(n+e, e) r (n+1),
+    and the C(r, n) r values `starconfig.star_weights` evaluates.  At r = n,
+    M can be larger than the Jacobian; at (6, 6, 6) it is 18 times larger."""
     _validate_triple(d, r, n)
     if r >= d + n:
         raise ValueError(f"(d,r,n)=({d},{r},{n}) has r >= d + n, where `classify` "
@@ -444,7 +439,7 @@ def check_incidence_matrix(d: int, r: int, n: int, p: int):
         raise ValueError(f"the incidence rank test needs p > d, since the "
                          f"apolarity pairing carries d!; got p={p}, d={d}")
     e = d - r + n - 1
-    cells = comb(n + e, e) * (n + 1) * max(comb(r, n - 1) * r, comb(r, n))
+    cells = max(comb(n + e, e) * (n + 1) * comb(r, n - 1) * r, comb(r, n) * r)
     if cells > MAX_JACOBIAN_CELLS:
         raise ValueError(f"(d,r,n)=({d},{r},{n}) needs {cells} int64 cells for its "
                          f"incidence matrix, over the limit of {MAX_JACOBIAN_CELLS}")
@@ -463,21 +458,15 @@ def incidence_matrix(d: int, r: int, n: int, values):
     and 0 for j in U: the derivative along l_j of the generator
     mu * prod_{i not in U} l_i at P_S.  At every draw with p > d,
     rank J = C(r, n) + rank M.  The points, the faces U = S minus S[q] and
-    l_i(P_S) come from `starconfig` (`cramer_table`, `hyperplane_values`).
-    Inputs are checked by `check_incidence_matrix`, and general position as
-    in `jacobian_matrix`, before any block is formed.
+    the w_S come from `starconfig` (`cramer_table`, `star_weights`, which
+    certifies general position as it goes), and the inputs are checked by
+    `check_incidence_matrix`, before any block is formed.
     """
     p, params, rows = _int64_point(d, r, n, values, "incidence matrix")
     check_incidence_matrix(d, r, n, p)
-    tables, points, sets, faces = _certified_table(rows, p)
-    # C(r, n) * r values, fewer cells than the Jacobian's as r <= C(n+d, d)
-    at = hyperplane_values(p, rows, points)
-    at[np.arange(len(sets))[:, None], sets] = 1  # l_i(P_S) = 0 for i in S: not in w_S
-    weights = np.array(params[(n + 1) * r:], dtype=np.int64)
-    for i in range(r):
-        weights = weights * at[:, i] % p
-    e = d - r + n - 1
-    table = monomial_table(points, e, p) * weights[:, None] % p
+    tables, points, sets, faces = cramer_table(rows, p)
+    weights = np.array(params[(n + 1) * r:], dtype=np.int64) * star_weights(p, rows, points) % p
+    table = monomial_table(points, d - r + n - 1, p) * weights[:, None] % p
     blocks = table[:, :, None] * points[:, None, :] % p
     M = np.zeros((len(tables), table.shape[1], r, n + 1), dtype=np.int64)
     for q in range(n):

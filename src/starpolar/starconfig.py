@@ -11,12 +11,12 @@ mod p over all (n-1)-subsets U at once, with the face index of U in each
 point's subset; `HyperplaneSet` and both matrices of `existence` read it.
 Over Z and Q, and in the generic map the tests differentiate, each
 n-subset takes its own `linalg.minors` pass (`_points_from_coeff_rows`).
-`hyperplane_values` is the one table of l_k(P_S), over F_p and Q, and
-general position is read off it, and stated only here:
-`GeneralPositionError` names the first dependent (n+1)-subset, a zero row
-included, for a `HyperplaneSet` and for a Jacobian draw alike, and
-`redraw` is the one loop that redraws a random draw it refuses, up to
-``RESAMPLE_BUDGET`` times.
+One blocked scan is the only evaluation of l_k(P_S), over F_p and Q: the
+certificate drains it, and `star_weights` multiplies it into an incidence
+draw's weights.  General position is stated only here: its error names
+the first dependent (n+1)-subset, a zero row included, for a
+`HyperplaneSet` and both draws of `existence`, and `redraw` is the one
+loop that redraws a refused random draw, up to ``RESAMPLE_BUDGET`` times.
 
 Over F_p the evaluation matrices of the Hilbert function, of
 `point_ideal_piece` and of route A are int64 residue arrays
@@ -43,7 +43,7 @@ from .apolar import ideal_piece_dimension
 
 # random draws (hyperplane sets, parameter points) tried before giving up
 RESAMPLE_BUDGET = 32
-# points the certificate evaluates at once: POINT_BLOCK * r values, not C(r, n) * r
+# points the scan evaluates at once: POINT_BLOCK * r values, not C(r, n) * r
 POINT_BLOCK = 128
 
 
@@ -81,39 +81,55 @@ def redraw(draw, what: str):
 
 def general_position_violation(p, rows, points):
     """First (n+1)-subset of coefficient rows with vanishing maximal minor,
-    or None.  ``points`` are the Cramer points of the n-subsets of the rows
-    in `combinations` order, over the field ``p`` names (`linalg.rank_over`).
-    The minor of S + (k,) is +-l_k(P_S), so the witness is the first zero of
-    `hyperplane_values` at k > max S in (point, k) order, ``POINT_BLOCK``
-    points at a time; with r = n, the one point being zero.
-    """
-    sets = list(combinations(range(len(rows)), len(rows[0]) - 1))
-    if len(points) == 1:
-        return None if any(points[0]) else sets[0]
-    rows = _field_array(p, rows)  # rows[lo:] keeps its width when empty
-    for start in range(0, len(sets), POINT_BLOCK):
-        last = np.array([S[-1] for S in sets[start:start + POINT_BLOCK]])
-        lo = last.min() + 1  # no point of the block needs an earlier row
-        zero = hyperplane_values(p, rows[lo:], points[start:start + POINT_BLOCK]) == 0
-        s, k = np.nonzero(zero & (np.arange(lo, len(rows)) > last[:, None]))
-        if len(s):
-            return sets[start + s[0]] + (int(lo + k[0]),)
+    or None, read off `_checked_values` (the minor of S + (k,) is +-l_k(P_S)).
+    ``points`` are the Cramer points of the n-subsets of the rows in
+    `combinations` order, over the field ``p`` names (`linalg.rank_over`)."""
+    try:
+        for _ in _checked_values(p, rows, points):
+            pass
+    except GeneralPositionError as err:
+        return err.subset
     return None
 
 
-def _field_array(p, rows):
-    """2-D int64 residues (`field.residue_array`) over F_p, objects with p None."""
-    return residue_array(rows, p) if p is not None else np.array(rows, dtype=object)
+def star_weights(p, rows, points):
+    """w_S = prod_{k not in S} l_k(P_S) of every point, in `combinations`
+    order: each block of `_checked_values` (which raises on a dependent
+    draw) with its columns multiplied pairwise, each level reduced mod p."""
+    weights = []
+    for block in _checked_values(p, rows, points):
+        while block.shape[1] > 1:
+            half = block.shape[1] // 2
+            pairs = block[:, :half] * block[:, half:2 * half]
+            block = np.concatenate([pairs if p is None else pairs % p, block[:, 2 * half:]], axis=1)
+        weights.append(block[:, 0])
+    return np.concatenate(weights)
 
 
-def hyperplane_values(p, rows, points):
-    """The table of l_k(P), one row per point and one column per hyperplane
-    row: int64 residues over F_p, each product reduced mod p before the
-    n + 1 are summed, or exact scalars with p None, as in `_field_array`."""
-    rows, points = _field_array(p, rows), _field_array(p, points)
-    if p is None:
-        return sum(points[:, i, None] * rows[None, :, i] for i in range(rows.shape[1]))
-    return sum(points[:, i, None] * rows[None, :, i] % p for i in range(rows.shape[1])) % p
+def _checked_values(p, rows, points):
+    """The one evaluation of the hyperplanes at the star points: yield the
+    table of l_k(P_S), a row per point and a column per hyperplane, with
+    l_i(P_S) read as 1 for i in S, ``POINT_BLOCK`` points at a time: int64
+    residues over F_p (`field.residue_array`), each product reduced mod p
+    before the n + 1 are summed, exact scalars in object arrays with p None.
+    A block holding a zero raises `GeneralPositionError` instead, naming
+    S + (k,) for its first zero in (point, k) order.  That k exceeds max S:
+    a zero at k < max S makes the earlier point S + (k,) minus max S zero
+    at max S.  With r = n the one point must not be zero."""
+    rows, points = (residue_array(a, p) if p is not None else np.array(a, dtype=object)
+                    for a in (rows, points))
+    sets = np.array(list(combinations(range(len(rows)), rows.shape[1] - 1)), dtype=np.int64)
+    if len(sets) == 1 and not any(points[0]):
+        raise GeneralPositionError(sets[0].tolist())
+    for start in range(0, len(sets), POINT_BLOCK):
+        at, own = points[start:start + POINT_BLOCK], sets[start:start + POINT_BLOCK]
+        terms = (at[:, i, None] * rows[None, :, i] for i in range(rows.shape[1]))
+        values = sum(terms) if p is None else sum(t % p for t in terms) % p
+        values[np.arange(len(own))[:, None], own] = 1
+        s, k = np.nonzero(values == 0)
+        if len(s):
+            raise GeneralPositionError(own[s[0]].tolist() + [int(k[0])])
+        yield values
 
 
 class HyperplaneSet:

@@ -9,7 +9,8 @@ oracle for the chain-rule Jacobian, runs the generic coefficient map
 (`gamma_coefficients`) on epsilon scalars, and `jacobian_route_rank_test`
 is the oracle of the rank test: its trial loop forced onto the tangent
 Jacobian, which `jacobian_rank_test` replaces by the incidence matrix
-below the degree bound.
+below the degree bound.  `incidence_matrix_on_scalars` builds that matrix
+entry by entry from its definition, on `Fp` objects.
 `rref_kernel` is the exact reference for the kernels over Q and the int64
 mod-p kernels: the generic `rref` loop alone (`linalg.rref_generic`, not
 the fraction-free path that the Q kernels run), run a second time on the
@@ -33,7 +34,7 @@ from math import factorial, perm, prod
 
 from starpolar.existence import _rank_test, gamma_coefficients
 from starpolar.field import DEFAULT_PRIME, DEFAULT_SEED, Fp
-from starpolar.linalg import det, kernel_basis, rank, rref_generic
+from starpolar.linalg import det, kernel_basis, minors, rank, rref_generic
 from starpolar.poly import (DUAL, PRIMAL, Form, coefficient_vector, form_from_vector,
                             monomial_basis, shift_table)
 from starpolar.starconfig import evaluation_matrix
@@ -121,6 +122,39 @@ def jacobian_route_rank_test(d, r, n, prime=DEFAULT_PRIME, seed=DEFAULT_SEED,
     `jacobian_rank_test`, so the two reports agree apart from the keys
     `without_route_and_timing` drops."""
     return _rank_test(d, r, n, prime, seed, trials, "jacobian")
+
+
+def incidence_matrix_on_scalars(d, r, n, values):
+    """The incidence matrix M at an F_p parameter point (`Fp` objects), as
+    lists of ints, from its definition and with no package table: the
+    points P_S are the signed maximal minors of `linalg.minors`, each
+    weight w_S = prod_{i not in S} l_i(P_S) a Python product, and row
+    (U, mu), in `combinations` x `monomial_basis` order, holds in column
+    block j not in U the vector alpha_S w_S mu(P_S) P_S, S = U + {j}, and
+    zeros in the blocks j in U."""
+    rows = [values[k * (n + 1):(k + 1) * (n + 1)] for k in range(r)]
+    alphas = dict(zip(combinations(range(r), n), values[(n + 1) * r:]))
+    full, zero = (1 << (n + 1)) - 1, values[0] * 0
+    scaled = {}
+    for S, alpha in alphas.items():
+        found = minors([rows[k] for k in S])
+        point = [(-1) ** j * found.get(full ^ (1 << j), zero) for j in range(n + 1)]
+        weight = prod((sum((a * c for a, c in zip(rows[i], point)), zero)
+                       for i in range(r) if i not in S), start=alpha)
+        scaled[S] = (point, weight)
+    matrix = []
+    for U in combinations(range(r), n - 1):
+        for mu in monomial_basis(n + 1, d - r + n - 1):
+            row = []
+            for j in range(r):
+                if j in U:
+                    row += [0] * (n + 1)
+                    continue
+                point, weight = scaled[tuple(sorted(U + (j,)))]
+                c = prod((x ** e for x, e in zip(point, mu)), start=weight)
+                row += [int(c * x) for x in point]
+            matrix.append(row)
+    return matrix
 
 
 def without_route_and_timing(report):

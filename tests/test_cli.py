@@ -405,10 +405,10 @@ def _unreachable(*args):
 @pytest.mark.parametrize("argv, code, patched", [
     (["rho", "--d", "2", "--r", "1", "--n", "2"], 2, False),
     (["classify", "--d", "0", "--r", "3", "--n", "2"], 2, False),
-    (["jactest", "--d", "200", "--r", "201", "--n", "2"], 2, False),
+    (["jactest", "--d", "406", "--r", "407", "--n", "2"], 2, False),
     (SWEEP + ["--prime", "15"], 2, False),
     (SWEEP + ["--trials", "0"], 2, False),
-    (["sweep", "--dmin", "200", "--dmax", "200", "--out", "{tmp}/sweep.jsonl"], 2, False),
+    (["sweep", "--dmin", "406", "--dmax", "406", "--out", "{tmp}/sweep.jsonl"], 2, False),
     (["sweep", "--dmax", "4", "--out", "{tmp}"], 2, False),
     (["star", "--forms", "{tmp}/missing.txt"], 2, False),
     (["perp", "--form", "x0^2", "--degree", "-1"], 2, False),

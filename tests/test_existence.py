@@ -17,9 +17,9 @@ from starpolar.field import DEFAULT_PRIME, Fp, random_scalar
 from starpolar.apolar import solve_waring
 from starpolar.poly import coefficient_vector, monomial_basis, parse_form
 from starpolar.starconfig import (RESAMPLE_BUDGET, GeneralPositionError, HyperplaneSet,
-                                  ResampleBudgetError, intersection_points)
-from helpers import (det_scan_violation, eps_jacobian, jacobian_route_rank_test,
-                     without_route_and_timing)
+                                  ResampleBudgetError, intersection_points, redraw)
+from helpers import (det_scan_violation, eps_jacobian, incidence_matrix_on_scalars,
+                     jacobian_route_rank_test, without_route_and_timing)
 
 
 def test_rho_examples():
@@ -440,16 +440,18 @@ def test_jactest_refuses_a_jacobian_over_the_cell_bound(monkeypatch):
         raise AssertionError("an oversize triple reached Jacobian assembly")
 
     monkeypatch.setattr(existence, "cramer_table", unguarded)
-    # the plane family fits up to d = 80: C(d+1, 2) * 3 * C(d+2, 2) cells
-    assert comb(81, 2) * 3 * comb(82, 2) <= existence.MAX_JACOBIAN_CELLS
-    for d, r, n in ((81, 82, 2), (200, 201, 2), (8, 40, 6)):
+    # on the Jacobian route (r >= d + n) the plane triples (d, d+2, 2) fit
+    # up to d = 80: C(d+2, 2) * 3 * C(d+2, 2) cells
+    assert comb(82, 2) * 3 * comb(82, 2) <= existence.MAX_JACOBIAN_CELLS
+    for d, r, n in ((81, 83, 2), (200, 202, 2), (8, 40, 6)):
+        assert existence._route(d, r, n) == "jacobian"
         assert comb(r, n) * (n + 1) * comb(n + d, d) > existence.MAX_JACOBIAN_CELLS
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="over the limit"):
+        with pytest.raises(ValueError, match="Jacobian, over the limit"):
             jacobian_rank_test(d, r, n, trials=1)
         assert time.perf_counter() - start < 1
     with pytest.raises(AssertionError, match="reached Jacobian assembly"):
-        jacobian_rank_test(80, 81, 2, trials=1)
+        jacobian_rank_test(80, 82, 2, trials=1)
 
 
 def test_jacobian_matrix_refuses_a_triple_over_the_cell_bound(monkeypatch):
@@ -545,10 +547,11 @@ def test_one_point_reaches_its_ceiling_in_one_trial():
 @pytest.mark.parametrize("d, r, n, prime, message", [
     (7, 8, 2, 7, "needs p > d"),
     (3, 5, 3, 2, "needs p > d"),
-    # these two fit the Jacobian's cell rule; at r = n, M is the larger matrix
+    # these two would fit the Jacobian's cell rule; at r = n, M is the larger matrix
     (42, 16, 3, DEFAULT_PRIME, "incidence matrix, over the limit"),
     (19, 6, 6, DEFAULT_PRIME, "incidence matrix, over the limit"),
-    (200, 201, 2, DEFAULT_PRIME, "Jacobian, over the limit"),
+    # the first plane triple over the scan's C(r, n) r values
+    (406, 407, 2, DEFAULT_PRIME, "incidence matrix, over the limit"),
     (3, 4, 2, 15, "not prime"),
 ])
 def test_incidence_route_refuses_before_any_draw(monkeypatch, d, r, n, prime, message):
@@ -560,6 +563,35 @@ def test_incidence_route_refuses_before_any_draw(monkeypatch, d, r, n, prime, me
     with pytest.raises(ValueError, match=message):
         jacobian_rank_test(d, r, n, prime=prime, trials=1)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("p", [101, DEFAULT_PRIME])
+@pytest.mark.parametrize("d, r, n", [(3, 4, 2), (5, 6, 2), (6, 5, 2), (3, 5, 3), (4, 6, 3),
+                                     (3, 7, 5), (3, 4, 3), (2, 2, 2), (4, 3, 1), (3, 2, 1)])
+def test_incidence_matrix_entries_match_their_definition(d, r, n, p):
+    """Every entry of M, weights w_S included: the rank identity cannot see
+    a wrong weight, since c_S = alpha_S w_S is as random as alpha_S."""
+    rng = random.Random(f"entries:{p}:{d}:{r}:{n}")
+
+    def draw():
+        values = existence._draw_parameter_values(d, r, n, p, rng)
+        return values, existence.incidence_matrix(d, r, n, values)
+
+    (values, matrix), _ = redraw(draw, "an entry check")
+    assert matrix.tolist() == incidence_matrix_on_scalars(d, r, n, values)
+
+
+def test_plane_family_runs_to_the_incidence_bound():
+    """The incidence route counts M and the C(r, n) r hyperplane values a
+    draw evaluates, never the Jacobian it does not build."""
+    def count(d):
+        return max(3 * comb(d + 1, 1) * (d + 1), comb(d + 1, 2) * (d + 1))
+
+    assert count(405) <= existence.MAX_JACOBIAN_CELLS < count(406)
+    existence.check_rank_test(405, 406, 2, DEFAULT_PRIME, 1)
+    rep = jacobian_rank_test(200, 201, 2, trials=1)
+    assert rep.route == "incidence" and rep.rank == comb(202, 2) == 20301
+    assert rep.trial_ranks == [20301] and rep.defect == 0
 
 
 @pytest.mark.parametrize("d, r, n", [(3, 5, 2), (2, 9, 3)])

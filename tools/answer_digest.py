@@ -1,0 +1,108 @@
+"""Print one sha256 over the answers of a fixed, seeded set of computations.
+
+A refactor that must not change any answer is checked by running this
+script on the commit before it and on the commit after it; the two
+digests must be equal.  Timings are left out.  The records cover:
+
+- `jacobian_rank_test` reports for n = 1..5, d <= 5, r = n..d+n+1, at
+  p = 101 and 2^31 - 1, with a `ResampleBudgetError` or `ValueError`
+  recorded as its message;
+- the bytes of `jacobian_matrix` and `incidence_matrix` at seeded
+  parameter draws over p = 7, 101 and 2^31 - 1, or the error a draw raises;
+- `HyperplaneSet` points, or the general-position witness, over Z, Q,
+  F_3, F_7 and F_(2^31 - 1);
+- the (40, 41, 2) and (80, 81, 2) rank-test reports.
+
+Run from the repository root, with the package under test on the path:
+
+    PYTHONPATH=src python tools/answer_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from fractions import Fraction
+
+from starpolar import existence
+from starpolar.existence import (GeneralPositionError, ResampleBudgetError,
+                                 incidence_matrix, jacobian_matrix, jacobian_rank_test)
+from starpolar.field import DEFAULT_PRIME, Fp
+from starpolar.starconfig import HyperplaneSet
+
+PRIMES = (7, 101, DEFAULT_PRIME)
+
+
+def report(d, r, n, prime):
+    try:
+        rep = jacobian_rank_test(d, r, n, prime=prime)
+    except (ResampleBudgetError, ValueError) as err:
+        return ["report", d, r, n, prime, type(err).__name__, str(err)]
+    data = rep.to_json_dict()
+    data.pop("elapsed_ms")
+    return ["report", data]
+
+
+def matrix(build, d, r, n, values):
+    try:
+        a = build(d, r, n, values)
+    except (GeneralPositionError, ValueError) as err:
+        return [build.__name__, type(err).__name__, str(err)]
+    return [build.__name__, list(a.shape), hashlib.sha256(a.tobytes()).hexdigest()]
+
+
+def records():
+    for prime in (101, DEFAULT_PRIME):
+        for n in range(1, 6):
+            for d in range(1, 6):
+                for r in range(n, d + n + 2):
+                    yield report(d, r, n, prime)
+    for p in PRIMES:
+        for n in range(1, 5):
+            for d in range(1, 6):
+                for r in range(n, d + n + 1):
+                    for draw in range(6):
+                        rng = random.Random(f"digest:{p}:{d}:{r}:{n}:{draw}")
+                        values = existence._draw_parameter_values(d, r, n, p, rng)
+                        yield [d, r, n, p, draw, matrix(jacobian_matrix, d, r, n, values),
+                               matrix(incidence_matrix, d, r, n, values)]
+    rng = random.Random("digest:hyperplanes")
+    fields = {
+        "Z": lambda: rng.randint(-2, 2),
+        "Q": lambda: Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+        "F_3": lambda: Fp(rng.randrange(3), 3),
+        "F_7": lambda: Fp(rng.randrange(7), 7),
+        "F_big": lambda: Fp(rng.randrange(DEFAULT_PRIME), DEFAULT_PRIME),
+    }
+    for field, scalar in fields.items():
+        for n in range(1, 5):
+            for r in range(n, n + 9):
+                for _ in range(8):
+                    rows = [[scalar() for _ in range(n + 1)] for _ in range(r)]
+                    if r > 2 and rng.random() < 0.3:
+                        i, j, k = (rng.randrange(r) for _ in range(3))
+                        rows[k] = [x + y for x, y in zip(rows[i], rows[j])]
+                    try:
+                        hset = HyperplaneSet(rows)
+                    except (GeneralPositionError, ValueError) as err:
+                        yield [field, n, r, type(err).__name__, str(err)]
+                        continue
+                    yield [field, n, r, [[list(pt.tag), [str(c) for c in pt.coords]]
+                                         for pt in hset.points]]
+    for d in (40, 80):
+        yield report(d, d + 1, 2, DEFAULT_PRIME)
+
+
+def main():
+    digest, count = hashlib.sha256(), 0
+    for record in records():
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        count += 1
+    print(f"{count} records, sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
