@@ -9,10 +9,12 @@ linear algebra (no Groebner bases anywhere).  The degree-t piece of an
 ideal is the span of the generators' monomial multiples; over F_p their
 rows are one int64 residue array, the residues of an echelon basis of
 each degree's generators scattered to their `shift_table` positions,
-ranked by the mod-p kernel.  Over F_p an annihilator piece is also read
-off the mod-p kernel's int64 rows, which become forms directly
-(`poly.form_from_vector`), and a Waring solve runs on residues
-(`solve_waring`).
+ranked by the mod-p kernel.  Over F_p a form holds int residues
+(`poly.Form`), so contraction, membership and containment tests run on
+ints and make no `Fp`; an annihilator piece is read off the mod-p
+kernel's int64 rows, which become forms directly
+(`poly.form_from_vector`); and a Waring solve runs on residues
+(`solve_waring`), whose `Fp` weights are the only `Fp`s it makes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import comb, prod
 import numpy as np
 
 from . import linalg
-from .field import Fp, residue_array, residue_rows, scalar_to_str
+from .field import Fp, residue_array, scalar_to_str
 from .poly import (DUAL, PRIMAL, Form, basis_index, coefficient_vector,
                    contract, contraction_row, field_terms, form_from_vector,
                    linear_power_coefficients, linear_power_table, monomial_basis,
@@ -82,7 +84,7 @@ def catalecticant(f: Form, i: int) -> CatalecticantMatrix:
 
     The column of y^b is F's coefficients read through b's
     `contraction_row`, the same entries `contract` forms for y^b (over F_p
-    on int residues, wrapped back into `Fp`; a zero entry is the int 0).
+    on F's int residues, shown as `Fp`s; a zero entry is the int 0).
     """
     p, rows = _catalecticant_rows(f, i)
     if p is not None:
@@ -314,8 +316,9 @@ def solve_waring(points, f: Form):
     system is solved with free variables pinned to zero under the canonical
     column order, so the output is reproducible.
 
-    Over F_p (an `Fp` among the points or F's coefficients) everything
-    runs on the residues: two points are refused when they are proportional
+    The points, as linear forms, and F are read over their common field
+    (`poly.field_terms`).  Over F_p (an `Fp` among the points or F's
+    coefficients) everything runs on the residues: two points are refused when they are proportional
     mod p, the columns are rows of `poly.linear_power_table`, the system is
     solved by `linalg.solve_over`, and the weights come back as `Fp`, free
     ones included; F_p needs p < 2^31, as every F_p matrix does.  Over Q
@@ -329,7 +332,10 @@ def solve_waring(points, f: Form):
     coords = [_as_coords(item, nv) for item in points]
     if not coords:
         return None
-    p, (*pts, rhs) = residue_rows([*coords, coefficient_vector(f)])
+    forms = [Form.linear(PRIMAL, c) for c in coords]
+    p, (*lines, terms) = field_terms(*forms, f)
+    pts = [[line.get(e, 0) for e in monomial_basis(nv, 1)] for line in lines]
+    rhs = [terms.get(m, 0) for m in monomial_basis(nv, d)]
     dup = _pairwise_independent(p, pts)
     if dup is not None:
         raise ValueError(
@@ -344,5 +350,4 @@ def solve_waring(points, f: Form):
         alphas = None if alphas is None else [Fp(a, p) for a in alphas]
     if alphas is None:
         return None
-    forms = [Form.linear(PRIMAL, c) for c in coords]
     return WaringDecomposition(forms, alphas, d)

@@ -62,21 +62,8 @@ class Fp:
         self.value = value % p
         self.p = p
 
-    def residue(self, other):
-        """``other`` (int, `Fraction` or `Fp` of this p) as an int in [0, p), else None."""
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise ValueError(f"mixed prime-field moduli {self.p} and {other.p}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.p
-        if isinstance(other, Fraction):
-            # reduction of a/b mod p, defined whenever p does not divide b
-            return other.numerator * pow(other.denominator, -1, self.p) % self.p
-        return None
-
     def __add__(self, other):
-        v = self.residue(other)
+        v = residue(other, self.p)
         if v is None:
             return NotImplemented
         return Fp(self.value + v, self.p)
@@ -84,19 +71,19 @@ class Fp:
     __radd__ = __add__
 
     def __sub__(self, other):
-        v = self.residue(other)
+        v = residue(other, self.p)
         if v is None:
             return NotImplemented
         return Fp(self.value - v, self.p)
 
     def __rsub__(self, other):
-        v = self.residue(other)
+        v = residue(other, self.p)
         if v is None:
             return NotImplemented
         return Fp(v - self.value, self.p)
 
     def __mul__(self, other):
-        v = self.residue(other)
+        v = residue(other, self.p)
         if v is None:
             return NotImplemented
         return Fp(self.value * v, self.p)
@@ -112,13 +99,13 @@ class Fp:
         return Fp(pow(self.value, -1, self.p), self.p)
 
     def __truediv__(self, other):
-        v = self.residue(other)
+        v = residue(other, self.p)
         if v is None:
             return NotImplemented
         return self * Fp(v, self.p).inverse()
 
     def __rtruediv__(self, other):
-        v = self.residue(other)
+        v = residue(other, self.p)
         if v is None:
             return NotImplemented
         return Fp(v, self.p) * self.inverse()
@@ -151,6 +138,21 @@ class Fp:
 
     def __str__(self):
         return str(self.value)
+
+
+def residue(value, p: int):
+    """``value`` (int, `Fraction` or `Fp` of modulus p) as an int in [0, p),
+    else None; an `Fp` of another modulus raises ``ValueError``."""
+    if isinstance(value, Fp):
+        if value.p != p:
+            raise ValueError(f"mixed prime-field moduli {p} and {value.p}")
+        return value.value
+    if isinstance(value, int):
+        return value % p
+    if isinstance(value, Fraction):
+        # reduction of a/b mod p, defined whenever p does not divide b
+        return value.numerator * pow(value.denominator, -1, p) % p
+    return None
 
 
 def random_scalar(rng, p: int = DEFAULT_PRIME) -> Fp:
@@ -216,7 +218,7 @@ class Jet:
             self._check(other)
             v, w = self.value, other.value
             return Jet(v * w, v.value * other.grad + w.value * self.grad)
-        c = self.value.residue(other)
+        c = residue(other, self.value.p)
         if c is None:
             return NotImplemented
         return Jet(self.value * c, self.grad * c)
@@ -234,18 +236,18 @@ def residue_rows(rows):
     """(p, rows) for rows of scalars of one field, which may be any re-iterables.
 
     If an entry is an `Fp`, p is its prime and each entry is read in F_p as
-    an int in [0, p) (`Fp.residue`); otherwise (None, rows) unchanged.  This
-    is the package's one mod-p representation: the int64 kernels, the
-    contraction loop and the Cramer points of `Fp` rows all run on these
-    ints and wrap results back into `Fp` only at the end.  Ints and `Fp`s of
-    modulus p, nearly all entries, skip the method call.
+    an int in [0, p) (`residue`), and an `Fp` of another modulus raises
+    ``ValueError``; otherwise (None, rows) unchanged.  This is the
+    package's one mod-p representation: the int64 kernels, the forms of
+    `poly` and the Cramer points of `Fp` rows all hold these ints, and
+    `Fp` objects appear only where a caller reads a result.  Ints and
+    `Fp`s of modulus p, nearly all entries, skip the function call.
     """
     p = modulus_of(e for row in rows for e in row)
     if p is None:
         return None, rows
-    residue = Fp(0, p).residue
     return p, [[e % p if e.__class__ is int else e.value if e.__class__ is Fp and e.p == p
-                else residue(e) for e in row] for row in rows]
+                else residue(e, p) for e in row] for row in rows]
 
 
 def residue_array(rows, p: int):

@@ -13,20 +13,18 @@ Contraction reads F through index rows (`contraction_row`), cached per
 (num_vars, beta, d - e) like `shift_table`: for the operator term y^beta
 and each degree-(d - e) monomial gamma, the monomial beta + gamma and the
 falling factorial (beta + gamma)!/gamma!.  An operator term walks the
-shorter of its row and F's terms, so no dense table is ever built.  When
-any coefficient is an `Fp`, the contraction loop and the term-pair loop
-of a product of forms run on plain int residues mod its prime
-(`field.residue_rows`, the convention of the mod-p kernels in `linalg`),
-and only the result is wrapped back into `Fp`.  A power f^e runs its e
-term-pair passes on those residues and wraps once, so f^0 over F_p is
-the `Fp` one.
+shorter of its row and F's terms, so no dense table is ever built.
 
-`Form(...)` validates every exponent tuple and degree, as outside input
-needs.  The forms this module derives, namely sums, negations, products,
-scalar multiples, powers, contractions and `form_from_vector` over a
-canonical basis, are built by `Form._trusted`.  Their exponent tuples
-are valid by construction, and zero coefficients are dropped as they
-are formed.
+Over F_p a form holds its prime and one map of int residues in [1, p),
+as the mod-p kernels of `linalg` do; `Form.terms` shows them as `Fp`s,
+built on first read.  The forms this module derives (sums, negations,
+scalar multiples, products, powers, contractions, `form_from_vector`)
+are built on residues by `Form._trusted`, with no check and no `Fp`:
+their exponent tuples are valid by construction, and zero coefficients
+are dropped as they are formed.  `field_terms` hands the loops the maps
+of forms over their common field.  `Form(...)` validates every exponent
+tuple and degree, as outside input needs, and reduces every coefficient
+to a residue once when any of them is an `Fp`.
 
 Over F_p, the values of the degree-t monomials at a set of points come
 as one int64 residue array (`monomial_table`).  The ideal layer hands it
@@ -60,7 +58,7 @@ from operator import add, sub
 
 import numpy as np
 
-from .field import Fp, residue_array, residue_rows
+from .field import Fp, residue, residue_array
 
 PRIMAL = "x"
 DUAL = "y"
@@ -126,14 +124,37 @@ def contraction_row(num_vars: int, beta: tuple, degree: int):
 
 
 def field_terms(*forms):
-    """(p, term maps) of the forms, as the contraction loop reads them.
+    """(p, term maps) of the forms, as the loops of this module read them.
 
-    If any coefficient is an `Fp`, p is its prime and every coefficient is
-    replaced by its int residue mod p (`field.residue_rows`); otherwise p
-    is None and the coefficients are the forms' own.
+    p is the forms' common prime, None when no form has one; two primes
+    raise ``ValueError``.  Over F_p a form of that prime gives its own
+    residue map, not a copy, and a form with no prime gives its int or
+    `Fraction` coefficients reduced mod p (`field.residue`), nonzero ones
+    only.  With p None each map is the form's own scalars.  Callers only
+    read the maps.
     """
-    p, values = residue_rows([f.terms.values() for f in forms])
-    return p, [dict(zip(f.terms, v)) for f, v in zip(forms, values)]
+    p = None
+    for f in forms:
+        q = f.prime
+        if q is not None and q != p:
+            if p is not None:
+                raise ValueError(f"mixed prime-field moduli {p} and {q}")
+            p = q
+    if p is None:
+        return None, [f._map for f in forms]
+    return p, [f._map if f.prime == p else _residue_map(f._map, p) for f in forms]
+
+
+def _residue_map(terms: dict, p: int) -> dict:
+    """The nonzero residues mod p of a term map's coefficients."""
+    out = {}
+    for mono, c in terms.items():
+        v = residue(c, p)
+        if v is None:
+            raise TypeError(f"cannot read a {type(c).__name__} coefficient in F_{p}")
+        if v:
+            out[mono] = v
+    return out
 
 
 def _term_products(left: dict, right: dict, p) -> dict:
@@ -154,14 +175,6 @@ def _term_products(left: dict, right: dict, p) -> dict:
     return terms
 
 
-def _wrapped(terms: dict, p) -> dict:
-    """A term map of `field_terms` values as coefficients: over F_p each
-    residue that is nonzero mod p as its `Fp`, else the map itself."""
-    if p is None:
-        return terms
-    return {m: Fp(v, p) for m, v in terms.items() if v % p}
-
-
 def multinomial(d: int, exponents) -> int:
     out = math.factorial(d)
     for e in exponents:
@@ -173,10 +186,14 @@ class Form:
     """A homogeneous form: ring tag, variable count, degree, sparse terms.
 
     Zero coefficients are never stored; the zero form has an empty term
-    map but keeps its declared degree.  Forms are immutable by convention.
+    map but keeps its declared degree.  Over F_p the form holds its
+    ``prime`` and one map of int residues in [1, p); `terms` shows them as
+    `Fp`s.  Over Z and Q ``prime`` is None and the map holds the scalars
+    as given.  A form with no terms has no prime.  Forms are immutable by
+    convention.
     """
 
-    __slots__ = ("ring", "num_vars", "degree", "terms")
+    __slots__ = ("ring", "num_vars", "degree", "prime", "_map", "_view")
 
     def __init__(self, ring: str, num_vars: int, degree: int, terms: dict):
         if ring not in (PRIMAL, DUAL):
@@ -185,7 +202,7 @@ class Form:
             raise ValueError("need at least one variable")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        clean = {}
+        clean, p = {}, None
         for mono, c in terms.items():
             if not c:
                 continue
@@ -194,22 +211,41 @@ class Form:
             if sum(mono) != degree:
                 raise ValueError(
                     f"term {mono} has degree {sum(mono)}, expected {degree}")
+            if p is None and isinstance(c, Fp):
+                p = c.p
             clean[mono] = c
-        self.ring = ring
-        self.num_vars = num_vars
-        self.degree = degree
-        self.terms = clean
+        if p is not None:
+            clean = _residue_map(clean, p)
+        self._set(ring, num_vars, degree, clean, p)
+
+    def _set(self, ring, num_vars, degree, terms, p):
+        self.ring, self.num_vars, self.degree = ring, num_vars, degree
+        self.prime = p if terms else None
+        self._map, self._view = terms, None
+
+    @property
+    def terms(self) -> dict:
+        """The term map: the coefficients as given over Z and Q; over F_p
+        their `Fp`s, built on first read and kept.  Read only."""
+        if self.prime is None:
+            return self._map
+        if self._view is None:
+            p = self.prime
+            self._view = {m: Fp(v, p) for m, v in self._map.items()}
+        return self._view
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, ring: str, num_vars: int, degree: int, terms: dict) -> "Form":
+    def _trusted(cls, ring: str, num_vars: int, degree: int, terms: dict,
+                 p=None) -> "Form":
         """A form from parts already known valid, with no check: nonzero
         coefficients on exponent tuples of ``num_vars`` entries summing to
-        ``degree``.  Only forms this module derives from valid forms or from
-        a canonical basis are built this way (module docstring)."""
+        ``degree``, residues in [1, p) with a prime p, else scalars of Z or
+        Q.  Only forms this module derives from valid forms or from a
+        canonical basis are built this way (module docstring)."""
         f = object.__new__(cls)
-        f.ring, f.num_vars, f.degree, f.terms = ring, num_vars, degree, terms
+        f._set(ring, num_vars, degree, terms, p)
         return f
 
     @classmethod
@@ -231,7 +267,7 @@ class Form:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._map
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
@@ -239,11 +275,15 @@ class Form:
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return (self.ring == other.ring and self.num_vars == other.num_vars
-                and self.terms == other.terms)
+        try:
+            # beside an F_p form, a form with no prime is read mod p
+            _, (mine, theirs) = field_terms(self, other)
+        except (ValueError, TypeError):
+            return False
+        return self.ring == other.ring and self.num_vars == other.num_vars and mine == theirs
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._map)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -262,14 +302,18 @@ class Form:
         if self.degree != other.degree:
             raise ValueError(
                 f"cannot add forms of degrees {self.degree} and {other.degree}")
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono, 0) + c
+        p, (left, right) = field_terms(self, other)
+        terms = dict(left)
+        get = terms.get
+        for mono, c in right.items():
+            s = get(mono, 0) + c
+            if p is not None:
+                s %= p
             if s:
                 terms[mono] = s
             else:
                 terms.pop(mono, None)
-        return Form._trusted(self.ring, self.num_vars, self.degree, terms)
+        return Form._trusted(self.ring, self.num_vars, self.degree, terms, p)
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -277,32 +321,41 @@ class Form:
         return self + (-other)
 
     def __neg__(self):
+        p = self.prime
         return Form._trusted(self.ring, self.num_vars, self.degree,
-                             {m: -c for m, c in self.terms.items()})
+                             {m: -c if p is None else p - c for m, c in self._map.items()}, p)
 
     def __mul__(self, other):
         if isinstance(other, Form):
             self._check_ring(other)
             p, (left, right) = field_terms(self, other)
             return Form._trusted(self.ring, self.num_vars, self.degree + other.degree,
-                                 _wrapped(_term_products(left, right, p), p))
+                                 _term_products(left, right, p), p)
         # scalar scaling; a product can vanish (an F_p form times p)
+        p = other.p if self.prime is None and isinstance(other, Fp) else self.prime
+        if p is None:
+            return Form._trusted(self.ring, self.num_vars, self.degree,
+                                 {m: s for m, c in self._map.items() if (s := c * other)})
+        v = residue(other, p)
+        if v is None:
+            return NotImplemented
+        terms = self._map if self.prime else _residue_map(self._map, p)
         return Form._trusted(self.ring, self.num_vars, self.degree,
-                             {m: s for m, c in self.terms.items() if (s := c * other)})
+                             {m: s for m, c in terms.items() if (s := c * v % p)}, p)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __pow__(self, e: int):
         """The e-th power, by e term-pair passes against this form's terms,
-        on residues over F_p (`field_terms`); the result is wrapped once."""
+        on its residues over F_p, so f^0 over F_p is the one of F_p."""
         if not isinstance(e, int) or e < 0:
             return NotImplemented
         p, (terms,) = field_terms(self)
         out = {(0,) * self.num_vars: 1}
         for _ in range(e):
             out = _term_products(out, terms, p)
-        return Form._trusted(self.ring, self.num_vars, self.degree * e, _wrapped(out, p))
+        return Form._trusted(self.ring, self.num_vars, self.degree * e, out, p)
 
     def __str__(self):
         return format_form(self)
@@ -323,11 +376,14 @@ def coefficient_vector(f: Form, degree: int | None = None):
 
 def form_from_vector(ring: str, num_vars: int, degree: int, vec, p=None) -> Form:
     """The form with coordinates ``vec`` over the canonical basis of its
-    degree.  With a prime p, ``vec`` holds int residues mod p (a row of the
-    mod-p kernels) and the coefficients are their `Fp`s."""
+    degree.  With a prime p, ``vec`` holds ints read mod p (a row of the
+    mod-p kernels), which become the form's residues; without one, the
+    coordinates are its scalars (`Fp`s among them give a form over F_p)."""
     basis = monomial_basis(num_vars, degree)
+    if p is None:
+        return Form(ring, num_vars, degree, {basis[i]: c for i, c in enumerate(vec) if c})
     return Form._trusted(ring, num_vars, degree,
-                         _wrapped({basis[i]: c for i, c in enumerate(vec) if c}, p))
+                         {basis[i]: v for i, c in enumerate(vec) if (v := c % p)}, p)
 
 
 def monomial_values(coords, degree: int):
@@ -431,7 +487,9 @@ def contract(op: Form, f: Form) -> Form:
                     gamma = tuple(map(sub, alpha, beta))
                     out[gamma] = out.get(gamma, 0) + c * v * factor
         terms = out.items()
-    return Form._trusted(PRIMAL, nv, m, _wrapped({g: v for g, v in terms if v}, p))
+    if p is not None:
+        terms = ((g, v % p) for g, v in terms)
+    return Form._trusted(PRIMAL, nv, m, {g: v for g, v in terms if v}, p)
 
 
 @lru_cache(maxsize=None)

@@ -134,7 +134,8 @@ def _checked_values(p, rows, points):
 
 class HyperplaneSet:
     """An ordered list of r (>= n) linear forms in the dual ring, certified
-    in general position at construction; keeps its Cramer ``points``."""
+    in general position at construction; keeps the coordinates of its
+    Cramer ``points``, which become `StarPoint`s on first read."""
 
     def __init__(self, coeff_rows):
         rows = [tuple(r) for r in coeff_rows]
@@ -155,9 +156,7 @@ class HyperplaneSet:
         violation = general_position_violation(p, residues, coords)
         if violation is not None:
             raise GeneralPositionError(violation)
-        self.points = tuple(StarPoint(S, tuple(Fp(c, p) for c in pt) if p else tuple(pt))
-                            for S, pt in zip(combinations(range(self.r), self.n),
-                                             coords if p is None else coords.tolist()))
+        self._certified = p, coords
         self.coeffs = rows
 
     @classmethod
@@ -168,6 +167,18 @@ class HyperplaneSet:
                 raise ValueError("hyperplanes must be linear forms in the dual ring")
             rows.append(coefficient_vector(f))
         return cls(rows)
+
+    @cached_property
+    def points(self) -> tuple:
+        """The `StarPoint` of every n-subset, in `combinations` order, built
+        on first read from the certified coordinates: the `Fp`s of the int64
+        `cramer_table` rows over F_p, the scalars of `_points_from_coeff_rows`
+        over Z and Q."""
+        p, coords = self._certified
+        if p is not None:
+            coords = [tuple(Fp(c, p) for c in pt) for pt in coords.tolist()]
+        return tuple(StarPoint(S, tuple(pt))
+                     for S, pt in zip(combinations(range(self.r), self.n), coords))
 
     @property
     def forms(self):

@@ -11,7 +11,12 @@ digests must be equal.  Timings are left out.  The records cover:
   parameter draws over p = 7, 101 and 2^31 - 1, or the error a draw raises;
 - `HyperplaneSet` points, or the general-position witness, over Z, Q,
   F_3, F_7 and F_(2^31 - 1);
-- the (40, 41, 2) and (80, 81, 2) rank-test reports.
+- the (40, 41, 2) and (80, 81, 2) rank-test reports;
+- the apolarity layer on seeded power sums over F_7, F_101, F_(2^31 - 1)
+  and Q: the forms, `perp_piece` bases, `point_ideal_piece` bases,
+  `contract` results, `solve_waring` weights and whether the residual is
+  zero, `ideal_piece_dimension` of a star configuration's product
+  generators and `is_apolar_ideal_contained` against them.
 
 Run from the repository root, with the package under test on the path:
 
@@ -26,11 +31,12 @@ import random
 import sys
 from fractions import Fraction
 
-from starpolar import existence
+from starpolar import apolar, existence
 from starpolar.existence import (GeneralPositionError, ResampleBudgetError,
                                  incidence_matrix, jacobian_matrix, jacobian_rank_test)
-from starpolar.field import DEFAULT_PRIME, Fp
-from starpolar.starconfig import HyperplaneSet
+from starpolar.field import DEFAULT_PRIME, Fp, scalar_to_str
+from starpolar.poly import DUAL, PRIMAL, Form, format_form, monomial_basis
+from starpolar.starconfig import HyperplaneSet, point_ideal_piece
 
 PRIMES = (7, 101, DEFAULT_PRIME)
 
@@ -51,6 +57,54 @@ def matrix(build, d, r, n, values):
     except (GeneralPositionError, ValueError) as err:
         return [build.__name__, type(err).__name__, str(err)]
     return [build.__name__, list(a.shape), hashlib.sha256(a.tobytes()).hexdigest()]
+
+
+def power_sum(points, weights, d):
+    total = Form.zero(PRIMAL, len(points[0]), d)
+    for pt, w in zip(points, weights):
+        total = total + (Form.linear(PRIMAL, pt) ** d) * w
+    return total
+
+
+def error(err):
+    return [type(err).__name__, str(err)]
+
+
+def apolar_records(field, scalar, rng):
+    """Power sums over the star points of seeded hyperplane sets, and over
+    random points, each read by every apolarity entry point."""
+    for n in (1, 2, 3):
+        for r in range(n, n + 4):
+            try:
+                hset = HyperplaneSet([[scalar() for _ in range(n + 1)] for _ in range(r)])
+            except (GeneralPositionError, ValueError) as err:
+                yield [field, n, r, error(err)]
+                continue
+            gens = hset.product_generators
+            star = [pt.coords for pt in hset.points]
+            loose = [tuple(scalar() for _ in range(n + 1)) for _ in range(rng.randrange(1, 6))]
+            for d in (2, 3, 4):
+                for pts in (star, loose):
+                    F = power_sum(pts, [scalar() for _ in pts], d)
+                    ops = [Form(DUAL, n + 1, e, {m: scalar() for m in monomial_basis(n + 1, e)
+                                                 if rng.random() < 0.5}) for e in range(d + 2)]
+                    try:
+                        deco = apolar.solve_waring(pts, F)
+                        waring = None if deco is None else [
+                            [scalar_to_str(a) for a in deco.coefficients],
+                            deco.residual(F).is_zero()]
+                    except ValueError as err:
+                        waring = error(err)
+                    check = apolar.is_apolar_ideal_contained(gens, F)
+                    yield [field, n, r, d, format_form(F),
+                           [[format_form(b) for b in apolar.perp_piece(F, i).basis]
+                            for i in range(d + 2)],
+                           [[format_form(g) for g in point_ideal_piece(pts, j, n + 1)]
+                            for j in range(d + 1)],
+                           [format_form(apolar.contract(op, F)) for op in ops],
+                           waring,
+                           [apolar.ideal_piece_dimension(gens, t) for t in range(r - n + 3)],
+                           [check.contained, str(check.failing_generator), str(check.residual)]]
 
 
 def records():
@@ -93,6 +147,11 @@ def records():
                                          for pt in hset.points]]
     for d in (40, 80):
         yield report(d, d + 1, 2, DEFAULT_PRIME)
+    rng = random.Random("digest:apolar")
+    for p in PRIMES:
+        yield from apolar_records(f"F_{p}", lambda p=p: Fp(rng.randrange(p), p), rng)
+    yield from apolar_records(
+        "Q", lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng)
 
 
 def main():
