@@ -17,8 +17,7 @@ from .apolar import (CatalecticantMatrix, PerpGradedPiece, WaringDecomposition,
                      is_apolar_ideal_contained, perp_piece, solve_waring,
                      verify_perp_generators)
 from .starconfig import (GeneralPositionError, HilbertFunctionTable,
-                         HyperplaneSet, StarConfiguration, StarPoint,
-                         build_star_configuration, general_position_violation,
+                         HyperplaneSet, StarPoint, general_position_violation,
                          hilbert_function, intersection_points,
                          point_ideal_piece, random_hyperplanes,
                          star_ideal_graded_dimension,

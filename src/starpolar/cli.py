@@ -33,8 +33,7 @@ from .existence import check_rank_test, classify, jacobian_rank_test, rho
 from .field import (DEFAULT_PRIME, DEFAULT_SEED, scalar_from_str,
                     scalar_to_str)
 from .poly import DUAL, PRIMAL, Form, format_form, parse_form
-from .starconfig import (HyperplaneSet, build_star_configuration,
-                         hilbert_function, star_ideal_product_generators)
+from .starconfig import HyperplaneSet, hilbert_function
 
 
 def _json_flag(parser: argparse.ArgumentParser):
@@ -153,23 +152,22 @@ def _cmd_star(args) -> int:
     forms = load_forms_file(args.forms, ring=DUAL,
                             num_vars=args.n + 1 if args.n is not None else None)
     hset = HyperplaneSet.from_forms(forms)
-    config = build_star_configuration(hset)
-    table = hilbert_function(config.points, hset.r)
+    table = hilbert_function(hset.points, hset.r)
     payload = {
         "r": hset.r, "n": hset.n,
         "points": [{"tag": list(pt.tag),
                     "coords": [scalar_to_str(c) for c in pt.coords]}
-                   for pt in config.points],
-        "ideal_generators": [format_form(g) for g in config.ideal_generators],
+                   for pt in hset.points],
+        "ideal_generators": [format_form(g) for g in hset.product_generators],
         "hilbert_function": list(table.values),
     }
     lines = [f"star configuration of {hset.r} hyperplanes in P^{hset.n}: "
-             f"{len(config.points)} points"]
-    for pt in config.points:
+             f"{len(hset.points)} points"]
+    for pt in hset.points:
         coords = ":".join(scalar_to_str(c) for c in pt.coords)
         lines.append(f"  {pt.tag}: [{coords}]")
     lines.append(f"ideal generators (degree {hset.r - hset.n + 1}):")
-    lines.extend(f"  {format_form(g)}" for g in config.ideal_generators)
+    lines.extend(f"  {format_form(g)}" for g in hset.product_generators)
     lines.append("Hilbert function: " + ", ".join(str(v) for v in table.values))
     _emit(args, payload, lines)
     return 0
@@ -197,7 +195,7 @@ def _cmd_apolar_check(args) -> int:
     forms = load_forms_file(args.forms, ring=DUAL, num_vars=f.num_vars)
     star_mode = all(g.degree == 1 for g in forms)
     if star_mode:
-        generators = star_ideal_product_generators(HyperplaneSet.from_forms(forms))
+        generators = HyperplaneSet.from_forms(forms).product_generators
     else:
         generators = forms
     check = is_apolar_ideal_contained(generators, f)

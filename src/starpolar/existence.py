@@ -355,15 +355,24 @@ def _route(d: int, r: int, n: int) -> str:
     return "incidence" if r <= d + n - 1 else "jacobian"
 
 
+def _check_pairing_prime(d: int, p: int):
+    """Refuse p <= d, where a rank deficit could come from the prime."""
+    if p <= d:
+        raise ValueError(f"the rank test needs p > d, since the apolarity "
+                         f"pairing carries d!; got p={p}, d={d}")
+
+
 def check_rank_test(d: int, r: int, n: int, prime: int, trials: int):
     """Raise ``ValueError`` unless `jacobian_rank_test` accepts these
-    inputs: a valid triple, a prime below 2^31, at least one trial, and the
-    size rule of the matrix `_route` ranks: `check_incidence_matrix` below
-    the degree bound, `check_jacobian_size` at and above it."""
+    inputs: a valid triple, a prime below 2^31 and above d on both routes,
+    at least one trial, and the size rule of the matrix `_route` ranks:
+    `check_incidence_matrix` below the degree bound, `check_jacobian_size`
+    at and above it."""
     _validate_triple(d, r, n)
     linalg.check_modulus(prime)
     if trials < 1:
         raise ValueError("need at least one trial")
+    _check_pairing_prime(d, prime)
     if _route(d, r, n) == "incidence":
         check_incidence_matrix(d, r, n, prime)
     else:
@@ -435,9 +444,7 @@ def check_incidence_matrix(d: int, r: int, n: int, p: int):
         raise ValueError(f"(d,r,n)=({d},{r},{n}) has r >= d + n, where `classify` "
                          "answers in closed form (ideal-degree-bound); the "
                          "incidence rank test covers r <= d + n - 1")
-    if p <= d:
-        raise ValueError(f"the incidence rank test needs p > d, since the "
-                         f"apolarity pairing carries d!; got p={p}, d={d}")
+    _check_pairing_prime(d, p)
     e = d - r + n - 1
     cells = max(comb(n + e, e) * (n + 1) * comb(r, n - 1) * r, comb(r, n) * r)
     if cells > MAX_JACOBIAN_CELLS:

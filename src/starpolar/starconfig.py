@@ -2,6 +2,12 @@
 the n-wise intersection points, two independent constructions of the
 configuration ideal, and Hilbert functions of point sets.
 
+A certified `HyperplaneSet` is the configuration: its points and the
+product generators of its ideal (Geramita-Harbourne-Migliore).  Nothing
+evaluates a generator at a point: the one of an (n-1)-subset U is the
+product of the l_k, k not in U, and each n-subset S holds such a k, where
+l_k(P_S) is a determinant with a repeated row, 0 over Z, Q and F_p alike.
+
 Given r linear forms in the dual ring with every (n+1)-subset linearly
 independent, the configuration consists of the C(r, n) points cut out by
 the n-subsets.  Each point is the Cramer point of its subset, signed
@@ -23,7 +29,9 @@ Over F_p the evaluation matrices of the Hilbert function, of
 (`poly.monomial_table`) ranked by the mod-p kernels; over Q they are
 `evaluation_matrix` lists under exact RREF.  Route A's own points, the
 kernel vectors of the coefficient blocks, are found once per set on first
-use (`HyperplaneSet.kernel_points`), as route B's generators are.
+use (`HyperplaneSet.kernel_points`), as route B's generators are.  The
+Hilbert function ranks no degree past the first t >= 1 where it is the
+number of points: every later value is that number too.
 """
 
 from __future__ import annotations
@@ -37,8 +45,8 @@ import numpy as np
 
 from . import linalg
 from .field import DEFAULT_PRIME, Fp, random_scalar, residue_array, residue_rows
-from .poly import (DUAL, Form, coefficient_vector, evaluate, form_from_vector,
-                   monomial_table, monomial_values)
+from .poly import (DUAL, Form, coefficient_vector, form_from_vector, monomial_table,
+                   monomial_values)
 from .apolar import ideal_piece_dimension
 
 # random draws (hyperplane sets, parameter points) tried before giving up
@@ -186,13 +194,9 @@ class HyperplaneSet:
 
     @cached_property
     def product_generators(self) -> tuple:
-        """The C(r, n-1) products of all forms outside an (n-1)-subset,
-        expanded on first use and kept for the life of the set.
-
-        Each generator has degree r - n + 1 and vanishes on every point of
-        the configuration: any n-subset tau misses at most n - 1 of the
-        omitted indices, so the product retains a form from tau.
-        """
+        """The C(r, n-1) products of all forms outside an (n-1)-subset, of
+        degree r - n + 1, expanded on first use and kept for the life of
+        the set; each vanishes at every point (module docstring)."""
         forms = self.forms
         return tuple(
             reduce(Form.__mul__, [f for k, f in enumerate(forms) if k not in sigma])
@@ -317,29 +321,6 @@ def star_ideal_product_generators(hset: HyperplaneSet):
     return list(hset.product_generators)
 
 
-@dataclass
-class StarConfiguration:
-    """A certified hyperplane set with its points and ideal generators."""
-
-    hyperplanes: HyperplaneSet
-    points: list
-    ideal_generators: list
-
-
-def build_star_configuration(hset: HyperplaneSet) -> StarConfiguration:
-    """Construct points and generators and check that every generator
-    vanishes at every point.  A point on an extra hyperplane, or two equal
-    points, would be a vanishing (n+1)-minor, which `hset` excludes."""
-    points = intersection_points(hset)
-    gens = star_ideal_product_generators(hset)
-    for g in gens:
-        for pt in points:
-            if evaluate(g, pt.coords):
-                raise DegenerateIntersectionError(
-                    f"generator for subset complement fails at point {pt.tag}")
-    return StarConfiguration(hset, points, gens)
-
-
 # ---------------------------------------------------------------------------
 # Hilbert functions and graded ideal dimensions
 
@@ -383,15 +364,23 @@ def hilbert_function(points, t_max: int) -> HilbertFunctionTable:
     """HF(t) = rank of the evaluation matrix of the point set in degree t.
 
     Row scaling cannot change the rank, so the raw minor coordinates of
-    star points are fine as-is.
+    star points are fine as-is.  From the first t >= 1 where HF(t) is the
+    number of points given, no matrix is formed: the rows are independent,
+    so each point P has a degree-t form that is 1 at P and 0 at the others,
+    and times an x_i with P_i != 0 it does the same in degree t + 1.  (At
+    t = 0 a zero point still has the row 1.)
     """
     if t_max < 0:
         raise ValueError("degree must be nonnegative")
     p, coords = residue_rows(_point_coords(points))
     if not coords:
         raise ValueError("need at least one point")
-    return HilbertFunctionTable([linalg.rank_over(p, _evaluation(p, coords, t))
-                                 for t in range(t_max + 1)])
+    values = []
+    for t in range(t_max + 1):
+        separated = t >= 2 and values[-1] == len(coords)
+        values.append(len(coords) if separated
+                      else linalg.rank_over(p, _evaluation(p, coords, t)))
+    return HilbertFunctionTable(values)
 
 
 def point_ideal_piece(points, degree: int, num_vars: int | None = None):
@@ -407,7 +396,7 @@ def star_ideal_dimension_by_intersection(hset: HyperplaneSet, t: int) -> int:
     """dim of the degree-t piece of the intersection ideal, by evaluation at
     the points taken as kernel vectors (`HyperplaneSet.kernel_points`,
     found once per set and independent of the Cramer minors of
-    `intersection_points`): the degree-t forms vanishing at every point
+    `HyperplaneSet.points`): the degree-t forms vanishing at every point
     are the kernel of the evaluation matrix.
     """
     if t < 0:

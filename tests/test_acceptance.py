@@ -21,7 +21,6 @@ from starpolar.field import DEFAULT_PRIME, Fp, random_scalar
 from starpolar.poly import (DUAL, Form, coefficient_vector, monomial_basis,
                             parse_form)
 from starpolar.starconfig import (GeneralPositionError, HyperplaneSet,
-                                  build_star_configuration,
                                   hilbert_function, intersection_points,
                                   point_ideal_piece, random_hyperplanes,
                                   star_ideal_dimension_by_intersection,

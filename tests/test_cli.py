@@ -446,6 +446,23 @@ def test_exit_codes_follow_the_exception_type(tmp_path, capsys, monkeypatch,
         assert sorted(f.name for f in tmp_path.iterdir()) == sorted(inputs)
 
 
+@pytest.mark.parametrize("d, r, prime", [(2, 4, 2), (3, 5, 3)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_jacobian_route_refuses_a_prime_at_most_d(capsys, monkeypatch, d, r, prime, seed):
+    """At or above the degree bound (r >= d + n) the rank test refuses
+    p <= d as below it: the multinomials of P_S^d vanish mod p there, so a
+    deficit or a run of refused draws would come from the prime."""
+    monkeypatch.setattr(existence, "cramer_table", _unreachable)
+    argv = ["jactest", "--d", str(d), "--r", str(r), "--n", "2",
+            "--prime", str(prime), "--seed", str(seed)]
+    assert existence._route(d, r, 2) == "jacobian"
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and "needs p > d" in err and err.count("\n") == 1
+
+
 def test_a_refused_call_leaves_the_shared_parser_as_it_was(tmp_path, capsys):
     """`main` parses with one parser per process; a call that exits 2, by
     a library ``ValueError`` or by an argparse error, must not change what

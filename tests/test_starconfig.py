@@ -12,9 +12,8 @@ from starpolar.field import DEFAULT_PRIME, Fp, residue_rows
 from starpolar.poly import DUAL, Form, evaluate, parse_form
 from starpolar.starconfig import (POINT_BLOCK, RESAMPLE_BUDGET, GeneralPositionError,
                                   HilbertFunctionTable, ResampleBudgetError,
-                                  HyperplaneSet, build_star_configuration,
-                                  general_position_violation, hilbert_function,
-                                  intersection_points, point_ideal_piece,
+                                  HyperplaneSet, general_position_violation,
+                                  hilbert_function, intersection_points, point_ideal_piece,
                                   random_hyperplanes,
                                   star_ideal_dimension_by_intersection,
                                   star_ideal_dimension_by_products,
@@ -343,8 +342,7 @@ def test_graded_dimension_cuspidal_lines():
 
 
 def test_hilbert_function_cuspidal_lines():
-    config = build_star_configuration(_cuspidal_set())
-    table = hilbert_function(config.points, 4)
+    table = hilbert_function(_cuspidal_set().points, 4)
     assert list(table.values) == [1, 3, 6, 6, 6]
 
 
@@ -359,6 +357,50 @@ def test_hilbert_function_x5():
 def test_hilbert_function_single_point():
     table = hilbert_function([(1, 2, 3)], 3)
     assert list(table.values) == [1, 1, 1, 1]
+
+
+def _degenerate_point_sets(scalar, nv):
+    """A single zero point, a zero point among others, repeated,
+    proportional and collinear points, and random points, each
+    coordinate made by ``scalar`` from an int."""
+    rng = random.Random(f"degenerate:{nv}")
+
+    def point():
+        return tuple(scalar(rng.randint(-4, 4)) for _ in range(nv))
+
+    zero = tuple(scalar(0) for _ in range(nv))
+    a, b, c = point(), point(), point()
+    yield [zero]
+    yield [a]
+    yield [zero, a, b]
+    yield [a, b, a, c, b]
+    yield [a, tuple(x * 3 for x in a), b, tuple(-x for x in c), c]
+    yield [tuple(x + y * scalar(k) for x, y in zip(a, b)) for k in range(5)]
+    yield [point() for _ in range(comb(nv + 1, 2) + 1)]
+
+
+@pytest.mark.parametrize("field", ["Z", "Q", 7, DEFAULT_PRIME])
+def test_hilbert_function_stops_at_the_point_count(field, monkeypatch):
+    """The early stop against `hilbert_on_scalars`, which ranks every
+    degree: the same values on degenerate point sets, and no matrix past
+    the first t >= 1 at which HF(t) is the number of points."""
+    scalar = {"Z": int, "Q": lambda v: Fraction(v, 3)}.get(field, lambda v: Fp(v, field))
+    degrees = []
+    real = starconfig._evaluation
+
+    def counting(p, coords, degree):
+        degrees.append(degree)
+        return real(p, coords, degree)
+
+    monkeypatch.setattr(starconfig, "_evaluation", counting)
+    for nv in (2, 3, 4):
+        for pts in _degenerate_point_sets(scalar, nv):
+            t_max = len(pts) + 2
+            degrees.clear()
+            values = hilbert_function(pts, t_max).values
+            assert values == hilbert_on_scalars(pts, t_max), (nv, pts)
+            full = next((t for t in range(1, t_max + 1) if values[t] == len(pts)), t_max)
+            assert degrees == list(range(full + 1)), (nv, pts)
 
 
 def test_point_ideal_piece_vanishes_on_points():
@@ -415,13 +457,20 @@ def test_ideal_routes_agree_random_shapes():
 
 
 def test_generators_vanish_and_points_lie_exactly_on_tags():
+    """Every product generator is exactly 0 at every point, over F_p and
+    over Q: the package never evaluates one, so only this test checks it."""
     rng = random.Random(27)
-    for r, n in [(5, 2), (5, 3), (6, 4)]:
-        hset = random_hyperplanes(n, r, rng)
-        config = build_star_configuration(hset)  # build validates everything
-        assert len(config.points) == comb(r, n)
-        assert len({pt.normalized() for pt in config.points}) == comb(r, n)
-        for pt in config.points:
+    sets = [random_hyperplanes(n, r, rng) for r, n in [(5, 2), (5, 3), (6, 4)]]
+    sets += [_hyperplane_set(rng, "Q", r, n) for r, n in [(4, 2), (5, 2), (5, 3), (4, 1)]]
+    for hset in sets:
+        r, n = hset.r, hset.n
+        assert len(hset.points) == comb(r, n)
+        assert len({pt.normalized() for pt in hset.points}) == comb(r, n)
+        assert len(hset.product_generators) == comb(r, n - 1)
+        for g in hset.product_generators:
+            for pt in hset.points:
+                assert evaluate(g, pt.coords) == 0, (r, n, pt.tag)
+        for pt in hset.points:
             for k, row in enumerate(hset.coeffs):
                 value = sum(a * b for a, b in zip(row, pt.coords))
                 assert (not value) == (k in pt.tag)

@@ -16,7 +16,13 @@ digests must be equal.  Timings are left out.  The records cover:
   and Q: the forms, `perp_piece` bases, `point_ideal_piece` bases,
   `contract` results, `solve_waring` weights and whether the residual is
   zero, `ideal_piece_dimension` of a star configuration's product
-  generators and `is_apolar_ideal_contained` against them.
+  generators and `is_apolar_ideal_contained` against them;
+- the `star --json` and `apolar-check --json` output and exit code of
+  `cli.main` on seeded line sets over Z and Q, n = 2, 3 and r = n..n+4,
+  one of them dependent, read from files in a temporary directory;
+- `hilbert_function` on degenerate point sets over Z, Q, F_7 and
+  F_(2^31 - 1): a single zero point, repeated, proportional and collinear
+  points.
 
 Run from the repository root, with the package under test on the path:
 
@@ -25,18 +31,22 @@ Run from the repository root, with the package under test on the path:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
-from starpolar import apolar, existence
+from starpolar import apolar, cli, existence
 from starpolar.existence import (GeneralPositionError, ResampleBudgetError,
                                  incidence_matrix, jacobian_matrix, jacobian_rank_test)
-from starpolar.field import DEFAULT_PRIME, Fp, scalar_to_str
+from starpolar.field import DEFAULT_PRIME, Fp, scalar_from_str, scalar_to_str
 from starpolar.poly import DUAL, PRIMAL, Form, format_form, monomial_basis
-from starpolar.starconfig import HyperplaneSet, point_ideal_piece
+from starpolar.starconfig import HyperplaneSet, hilbert_function, point_ideal_piece
 
 PRIMES = (7, 101, DEFAULT_PRIME)
 
@@ -107,6 +117,66 @@ def apolar_records(field, scalar, rng):
                            [check.contained, str(check.failing_generator), str(check.residual)]]
 
 
+def run_cli(argv):
+    """Exit code, stdout and stderr of one `cli.main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def cli_records(rng):
+    """`star` and `apolar-check` on seeded line sets over Z and Q, each
+    checked against a power sum over its own star points and a random form."""
+    fields = {"Z": lambda: rng.randint(-6, 6),
+              "Q": lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 4))}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lines.json")
+        for field, scalar in fields.items():
+            for n in (2, 3):
+                for r in range(n, n + 5):
+                    rows = [[scalar() for _ in range(n + 1)] for _ in range(r)]
+                    if r == n + 4:  # one dependent set per field and n
+                        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+                    with open(path, "w", encoding="utf-8") as fh:
+                        json.dump([[scalar_to_str(c) for c in row] for row in rows], fh)
+                    star = run_cli(["star", "--forms", path, "--json"])
+                    forms = [format_form(Form(PRIMAL, n + 1, 3, {
+                        m: rng.randint(-3, 3) for m in monomial_basis(n + 1, 3)}))]
+                    if star[0] == 0:
+                        points = [[scalar_from_str(c) for c in pt["coords"]]
+                                  for pt in json.loads(star[1])["points"]]
+                        forms.append(format_form(power_sum(points, [1] * len(points), r - n + 1)))
+                    yield [field, n, r, star] + [
+                        run_cli(["apolar-check", "--form", f, "--forms", path, "--json"])
+                        for f in forms]
+
+
+def degenerate_point_sets(scalar, nv, rng):
+    def point():
+        return tuple(scalar(rng.randint(-4, 4)) for _ in range(nv))
+
+    zero = tuple(scalar(0) for _ in range(nv))
+    a, b, c = point(), point(), point()
+    yield [zero]
+    yield [a]
+    yield [zero, a, b]
+    yield [a, b, a, c, b]
+    yield [a, tuple(x * 3 for x in a), b, tuple(-x for x in c), c]
+    yield [tuple(x + y * scalar(k) for x, y in zip(a, b)) for k in range(6)]
+    yield [point() for _ in range(nv * (nv + 1) // 2 + 1)]
+
+
+def hilbert_records(rng):
+    fields = {"Z": int, "Q": lambda v: Fraction(v, 3),
+              "F_7": lambda v: Fp(v, 7), "F_big": lambda v: Fp(v, DEFAULT_PRIME)}
+    for field, scalar in fields.items():
+        for nv in (2, 3, 4):
+            for pts in degenerate_point_sets(scalar, nv, rng):
+                yield [field, [[str(c) for c in pt] for pt in pts],
+                       hilbert_function(pts, len(pts) + 2).values]
+
+
 def records():
     for prime in (101, DEFAULT_PRIME):
         for n in range(1, 6):
@@ -152,6 +222,8 @@ def records():
         yield from apolar_records(f"F_{p}", lambda p=p: Fp(rng.randrange(p), p), rng)
     yield from apolar_records(
         "Q", lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng)
+    yield from cli_records(random.Random("digest:cli"))
+    yield from hilbert_records(random.Random("digest:hilbert"))
 
 
 def main():
