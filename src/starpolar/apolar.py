@@ -174,9 +174,9 @@ def _coefficient_runs(gens, t: int):
     """(p, runs): each run of generators of one degree e <= t, in generator
     order, as (e, their coefficient rows over the degree-e basis).
 
-    The rows are one array per run, over the field of the coefficients
-    (`field_terms`): int64 residues over F_p, read through
-    `field.residue_array`, else the coefficients as given in an object array.
+    The rows are one `field.residue_array` per run, over the field of the
+    coefficients (`field_terms`): int64 residues over F_p, else the
+    coefficients as given in an object array.
     """
     nv = gens[0].num_vars
     p, term_maps = field_terms(*gens)
@@ -189,7 +189,7 @@ def _coefficient_runs(gens, t: int):
             rows.append([0] * len(idx))
             for m, c in terms.items():
                 rows[-1][idx[m]] = c
-        runs.append((e, np.array(rows, dtype=object) if p is None else residue_array(rows, p)))
+        runs.append((e, residue_array(rows, p)))
     return p, runs
 
 

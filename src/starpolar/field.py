@@ -250,20 +250,22 @@ def residue_rows(rows):
                 else residue(e, p) for e in row] for row in rows]
 
 
-def residue_array(rows, p: int):
-    """Int rows (lists or an array) as a 2-D int64 array reduced mod p.
-
-    A prime of 2^31 or more raises ``ValueError`` before any entry is
-    converted: below it, a product of two residues fits in int64, which
-    the mod-p kernels and tables need.  Every F_p matrix and point table
-    of the package is read through here, so this is their one prime rule.
+def residue_array(rows, p):
+    """Rows (lists or an array) as a 2-D array over the field ``p`` names,
+    as in `residue_rows`: int rows reduced mod p into int64, or the exact
+    scalars of Z and Q in an object array with p None.  Every matrix and
+    point table of the package is read through here.  A prime of 2^31 or
+    more raises ``ValueError`` before any entry is converted: below it, a
+    product of two residues fits in int64, as the mod-p kernels need.
     """
-    if p >= INT64_PRIME_LIMIT:
+    if p is not None and p >= INT64_PRIME_LIMIT:
         raise ValueError(f"prime {p} too large for the int64 mod-p kernel")
-    M = np.asarray(rows, dtype=np.int64)
+    M = np.array(rows, dtype=object) if p is None else np.asarray(rows, dtype=np.int64)
     if M.ndim == 1:
+        if M.size and np.ndim(M[0]):  # an object array of rows of unequal widths
+            raise ValueError("rows of unequal widths")
         M = M.reshape(0, 0) if M.size == 0 else M.reshape(1, -1)
-    return M % p
+    return M if p is None else M % p
 
 
 def modulus_of(values):

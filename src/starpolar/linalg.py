@@ -185,7 +185,7 @@ def rref_over(p, rows):
     if p is not None:
         return rref_mod(rows, p)
     R, pivots = rref(rows)
-    return np.array(R, dtype=object), pivots
+    return residue_array(R, None), pivots
 
 
 def rank(rows) -> int:
@@ -211,15 +211,14 @@ def kernel_basis(rows, num_cols: int):
 
 
 def kernel_over(p, rows, num_cols: int):
-    """`kernel_basis` over the field that ``p`` names, as in `rref_over`, as
-    lists: int residues over F_p (`kernel_mod`), scalars of Q with p None.
-    ``ValueError`` if a row is not ``num_cols`` wide."""
+    """`kernel_basis` over the field that ``p`` names, as lists, read off the
+    rows' `field.residue_array`: int residues over F_p (`kernel_mod`),
+    scalars of Q with p None.  ``ValueError`` if a row is not ``num_cols`` wide."""
     if p is not None:
         return kernel_mod(rows, num_cols, p).tolist()
     for row in rows:
         _check_width(len(row), num_cols)
-    M = np.array(rows, dtype=object).reshape(len(rows), num_cols)
-    return _read_kernel(None, M, num_cols).tolist()
+    return _read_kernel(None, residue_array(rows, None), num_cols).tolist()
 
 
 def _read_kernel(p, M, num_cols: int):

@@ -26,12 +26,12 @@ of forms over their common field.  `Form(...)` validates every exponent
 tuple and degree, as outside input needs, and reduces every coefficient
 to a residue once when any of them is an `Fp`.
 
-Over F_p, the values of the degree-t monomials at a set of points come
-as one int64 residue array (`monomial_table`).  The ideal layer hands it
-straight to the mod-p kernels.  `linear_power_table` multiplies it by
-the multinomials mod p, cached per (num_vars, degree, p), and so gives
-the coefficients of the powers of linear forms.  It is the one mod-p
-power evaluator: the Jacobian and the F_p Waring solve both read it.
+The values of the degree-t monomials at a set of points come as one
+array (`monomial_table`): int64 residues over F_p, exact scalars over Z
+and Q.  The ideal layer hands it straight to `linalg`.  Over F_p,
+`linear_power_table` multiplies it by the multinomials mod p, cached per
+(num_vars, degree, p), and so gives the coefficients of the powers of
+linear forms: the Jacobian and the F_p Waring solve both read it.
 
 Text grammar (whitespace-insensitive)::
 
@@ -419,26 +419,27 @@ def _exponent_array(num_vars: int, degree: int):
     return exps
 
 
-def monomial_table(points, degree: int, p: int):
-    """Values mod p of the degree-t basis monomials at each point, in
-    canonical order: an int64 array with one row per point.
+def monomial_table(points, degree: int, p):
+    """Values of the degree-t basis monomials at each point, in canonical
+    order, one row per point, over the field that ``p`` names.
 
-    ``points`` holds int residues mod p, one point per row (an int64 array
-    or lists; `field.residue_array` raises ``ValueError`` for p >= 2^31).
-    Each coordinate's powers are formed once, and every product is reduced
-    mod p before the next is taken, so no entry leaves int64; the exponent
-    rows are built once per shape (`_exponent_array`).  This is the
-    package's one mod-p evaluator; `monomial_values` evaluates on the
-    scalars as given.
+    ``points`` (an array or lists; an empty set shaped (0, num_vars)) and
+    the table are `field.residue_array`s: int64 residues mod p, or the
+    scalars of Z and Q with p None.  Each coordinate's powers are formed
+    once, and over F_p every product is reduced before the next is taken,
+    so no entry leaves int64; the exponent rows are built once per shape
+    (`_exponent_array`).  This is the package's one evaluator of point
+    sets; `monomial_values` evaluates one point on any scalars as given.
     """
     points = residue_array(points, p)
     exps = _exponent_array(points.shape[1], degree)
-    pows = np.ones(points.shape + (degree + 1,), dtype=np.int64)
+    pows = np.ones(points.shape + (degree + 1,), dtype=points.dtype)
+    # each product stays unnamed, so numpy reduces it mod p in its own buffer
     for e in range(1, degree + 1):
-        pows[:, :, e] = pows[:, :, e - 1] * points % p
-    table = np.ones(len(exps), dtype=np.int64)
+        pows[:, :, e] = pows[:, :, e - 1] * points % p if p else pows[:, :, e - 1] * points
+    table = np.ones(len(exps), dtype=points.dtype)
     for j in range(points.shape[1]):
-        table = table * pows[:, j, exps[:, j]] % p
+        table = table * pows[:, j, exps[:, j]] % p if p else table * pows[:, j, exps[:, j]]
     return table
 
 

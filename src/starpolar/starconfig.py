@@ -17,21 +17,20 @@ mod p over all (n-1)-subsets U at once, with the face index of U in each
 point's subset; `HyperplaneSet` and both matrices of `existence` read it.
 Over Z and Q, and in the generic map the tests differentiate, each
 n-subset takes its own `linalg.minors` pass (`_points_from_coeff_rows`).
-One blocked scan is the only evaluation of l_k(P_S), over F_p and Q: the
-certificate drains it, and `star_weights` multiplies it into an incidence
-draw's weights.  General position is stated only here: its error names
-the first dependent (n+1)-subset, a zero row included, for a
-`HyperplaneSet` and both draws of `existence`, and `redraw` is the one
-loop that redraws a refused random draw, up to ``RESAMPLE_BUDGET`` times.
+One blocked scan is the only evaluation of l_k(P_S), over F_p and on int
+rows over Q: the certificate drains it, and `star_weights` multiplies it
+into an incidence draw's weights mod p.  General position is stated only
+here: its error names the first dependent (n+1)-subset, a zero row
+included, for a `HyperplaneSet` and both draws of `existence`, and
+`redraw` is the one loop that redraws a refused random draw, up to
+``RESAMPLE_BUDGET`` times.
 
-Over F_p the evaluation matrices of the Hilbert function, of
-`point_ideal_piece` and of route A are int64 residue arrays
-(`poly.monomial_table`) ranked by the mod-p kernels; over Q they are
-`evaluation_matrix` lists under exact RREF.  Route A's own points, the
-kernel vectors of the coefficient blocks, are found once per set on first
-use (`HyperplaneSet.kernel_points`), as route B's generators are.  The
-Hilbert function ranks no degree past the first t >= 1 where it is the
-number of points: every later value is that number too.
+The evaluation matrices of the Hilbert function, of `point_ideal_piece`
+and of route A are `poly.monomial_table`s over Z, Q and F_p alike, and a
+rank over Z or Q is tried mod `DEFAULT_PRIME` first (`_rank_in_degree`).
+Route A's points, the kernel vectors of the coefficient blocks, and route
+B's generators are found once per set on first use.  The Hilbert function
+ranks no degree past the first t >= 1 where it is the number of points.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ import numpy as np
 
 from . import linalg
 from .field import DEFAULT_PRIME, Fp, random_scalar, residue_array, residue_rows
-from .poly import (DUAL, Form, coefficient_vector, form_from_vector, monomial_table,
-                   monomial_values)
+from .poly import DUAL, Form, coefficient_vector, form_from_vector, monomial_table
 from .apolar import ideal_piece_dimension
 
 # random draws (hyperplane sets, parameter points) tried before giving up
@@ -91,7 +89,11 @@ def general_position_violation(p, rows, points):
     """First (n+1)-subset of coefficient rows with vanishing maximal minor,
     or None, read off `_checked_values` (the minor of S + (k,) is +-l_k(P_S)).
     ``points`` are the Cramer points of the n-subsets of the rows in
-    `combinations` order, over the field ``p`` names (`linalg.rank_over`)."""
+    `combinations` order, over the field ``p`` names (`linalg.rank_over`).
+    Rows over Q that are not all ints are scanned with the points as int
+    rows (`linalg._integer_row`): l_k(cP) = c l_k(P) keeps every zero."""
+    if p is None and not all(isinstance(e, int) for row in rows for e in row):
+        rows, points = ([linalg._integer_row(row) for row in a] for a in (rows, points))
     try:
         for _ in _checked_values(p, rows, points):
             pass
@@ -101,15 +103,15 @@ def general_position_violation(p, rows, points):
 
 
 def star_weights(p, rows, points):
-    """w_S = prod_{k not in S} l_k(P_S) of every point, in `combinations`
-    order: each block of `_checked_values` (which raises on a dependent
-    draw) with its columns multiplied pairwise, each level reduced mod p."""
+    """w_S = prod_{k not in S} l_k(P_S) mod the prime p of every point, in
+    `combinations` order: each block of `_checked_values` (which raises on a
+    dependent draw) with its columns multiplied pairwise, each level reduced."""
     weights = []
     for block in _checked_values(p, rows, points):
         while block.shape[1] > 1:
             half = block.shape[1] // 2
-            pairs = block[:, :half] * block[:, half:2 * half]
-            block = np.concatenate([pairs if p is None else pairs % p, block[:, 2 * half:]], axis=1)
+            pairs = block[:, :half] * block[:, half:2 * half] % p
+            block = np.concatenate([pairs, block[:, 2 * half:]], axis=1)
         weights.append(block[:, 0])
     return np.concatenate(weights)
 
@@ -117,22 +119,20 @@ def star_weights(p, rows, points):
 def _checked_values(p, rows, points):
     """The one evaluation of the hyperplanes at the star points: yield the
     table of l_k(P_S), a row per point and a column per hyperplane, with
-    l_i(P_S) read as 1 for i in S, ``POINT_BLOCK`` points at a time: int64
-    residues over F_p (`field.residue_array`), each product reduced mod p
-    before the n + 1 are summed, exact scalars in object arrays with p None.
+    l_i(P_S) read as 1 for i in S, ``POINT_BLOCK`` points at a time, as
+    `field.residue_array`s (over F_p each product is reduced before the sum).
     A block holding a zero raises `GeneralPositionError` instead, naming
     S + (k,) for its first zero in (point, k) order.  That k exceeds max S:
     a zero at k < max S makes the earlier point S + (k,) minus max S zero
     at max S.  With r = n the one point must not be zero."""
-    rows, points = (residue_array(a, p) if p is not None else np.array(a, dtype=object)
-                    for a in (rows, points))
+    rows, points = residue_array(rows, p), residue_array(points, p)
     sets = np.array(list(combinations(range(len(rows)), rows.shape[1] - 1)), dtype=np.int64)
     if len(sets) == 1 and not any(points[0]):
         raise GeneralPositionError(sets[0].tolist())
     for start in range(0, len(sets), POINT_BLOCK):
         at, own = points[start:start + POINT_BLOCK], sets[start:start + POINT_BLOCK]
         terms = (at[:, i, None] * rows[None, :, i] for i in range(rows.shape[1]))
-        values = sum(terms) if p is None else sum(t % p for t in terms) % p
+        values = reduce(np.add, terms) if p is None else sum(t % p for t in terms) % p
         values[np.arange(len(own))[:, None], own] = 1
         s, k = np.nonzero(values == 0)
         if len(s):
@@ -345,19 +345,18 @@ def _point_coords(points, num_vars: int | None = None):
     return coords
 
 
-def evaluation_matrix(points, degree: int):
-    """Rows = points, columns = the degree-t monomial basis evaluated there,
-    on the coordinates as given."""
-    return [monomial_values(c, degree) for c in _point_coords(points)]
-
-
-def _evaluation(p, coords, degree: int):
-    """The degree-t evaluation matrix of the `field.residue_rows` pair
-    (p, coords): an int64 residue array (`poly.monomial_table`) over F_p,
-    `evaluation_matrix` lists with p None."""
+def _rank_in_degree(p, coords, degree: int) -> int:
+    """Rank of the degree-t `poly.monomial_table` of the `field.residue_rows`
+    pair (p, coords).  Over Q it is of the int rows (`linalg._integer_row`)
+    mod `DEFAULT_PRIME` when that is min(points, monomials), since a minor
+    nonzero mod p is nonzero over Z; `rref` settles any smaller one."""
     if p is None:
-        return evaluation_matrix(coords, degree)
-    return monomial_table(coords, degree, p)
+        coords = [linalg._integer_row(c) for c in coords]
+        full = min(len(coords), comb(len(coords[0]) - 1 + degree, degree))
+        residues = [[e % DEFAULT_PRIME for e in row] for row in coords]
+        if _rank_in_degree(DEFAULT_PRIME, residues, degree) == full:
+            return full
+    return linalg.rank_over(p, monomial_table(coords, degree, p))
 
 
 def hilbert_function(points, t_max: int) -> HilbertFunctionTable:
@@ -378,31 +377,28 @@ def hilbert_function(points, t_max: int) -> HilbertFunctionTable:
     values = []
     for t in range(t_max + 1):
         separated = t >= 2 and values[-1] == len(coords)
-        values.append(len(coords) if separated
-                      else linalg.rank_over(p, _evaluation(p, coords, t)))
+        values.append(len(coords) if separated else _rank_in_degree(p, coords, t))
     return HilbertFunctionTable(values)
 
 
 def point_ideal_piece(points, degree: int, num_vars: int | None = None):
-    """Basis of the degree-t dual forms vanishing on the point set."""
+    """Basis of the degree-t dual forms vanishing on the points, of width ``num_vars`` if given."""
     p, coords = residue_rows(_point_coords(points, num_vars))
+    if not coords and num_vars is None:
+        raise ValueError("an empty point set needs num_vars")
     nv = num_vars if num_vars is not None else len(coords[0])
-    kernel = linalg.kernel_over(p, _evaluation(p, coords, degree),
-                                comb(nv - 1 + degree, degree))
+    table = monomial_table(coords or np.zeros((0, nv), dtype=np.int64), degree, p)
+    kernel = linalg.kernel_over(p, table, comb(nv - 1 + degree, degree))
     return [form_from_vector(DUAL, nv, degree, v, p) for v in kernel]
 
 
 def star_ideal_dimension_by_intersection(hset: HyperplaneSet, t: int) -> int:
-    """dim of the degree-t piece of the intersection ideal, by evaluation at
-    the points taken as kernel vectors (`HyperplaneSet.kernel_points`,
-    found once per set and independent of the Cramer minors of
-    `HyperplaneSet.points`): the degree-t forms vanishing at every point
-    are the kernel of the evaluation matrix.
-    """
+    """dim of the degree-t piece of the intersection ideal: the kernel of the
+    evaluation matrix at the points taken as kernel vectors
+    (`HyperplaneSet.kernel_points`, independent of the Cramer minors)."""
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    p, coords = residue_rows(hset.kernel_points)
-    return comb(hset.n + t, t) - linalg.rank_over(p, _evaluation(p, coords, t))
+    return comb(hset.n + t, t) - _rank_in_degree(*residue_rows(hset.kernel_points), t)
 
 
 def star_ideal_dimension_by_products(hset: HyperplaneSet, t: int) -> int:

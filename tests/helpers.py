@@ -18,10 +18,12 @@ free-column basis in natural column order, and `det_scan_violation` the one for 
 general-position certificate: every maximal minor by `linalg.det`.
 `contract_by_pairs` is the reference for `poly.contract`: every pair of
 operator and form terms, on the scalars as given (`Fp` objects over F_p).
-The `*_on_scalars` functions are the same kind of reference for the int64
-residue tables of the ideal layer and for `Form.__mul__` over F_p: the
-evaluation matrices, product rows and term products built from the
-scalars as given, then ranked by `linalg.rank`/`kernel_basis`.
+The `*_on_scalars` functions are the same kind of reference for the
+tables of the ideal layer (`poly.monomial_table` over Z, Q and F_p) and
+for `Form.__mul__` over F_p: the evaluation matrices (`evaluation_matrix`,
+one `poly.monomial_values` list per point), product rows and term
+products built from the scalars as given, then ranked by
+`linalg.rank`/`kernel_basis`.
 The (3, 7, 5) certificate at the end checks its identity over the
 integers with plain dict polynomials, using no Cramer or jet code.
 """
@@ -36,8 +38,8 @@ from starpolar.existence import _rank_test, gamma_coefficients
 from starpolar.field import DEFAULT_PRIME, DEFAULT_SEED, Fp
 from starpolar.linalg import det, kernel_basis, minors, rank, rref_generic
 from starpolar.poly import (DUAL, PRIMAL, Form, coefficient_vector, form_from_vector,
-                            monomial_basis, shift_table)
-from starpolar.starconfig import evaluation_matrix
+                            monomial_basis, monomial_values, shift_table)
+from starpolar.starconfig import StarPoint
 
 
 class EpsPoly:
@@ -461,6 +463,14 @@ def contract_by_pairs(op, f):
 # ---------------------------------------------------------------------------
 # the ideal layer and form products on the scalars as given (references for
 # the int64 residue tables and the residue product loop)
+
+
+def evaluation_matrix(points, degree):
+    """Rows = points (`StarPoint`s or coordinate tuples), columns = the
+    degree-t monomial basis evaluated there (`poly.monomial_values`), as
+    lists on the coordinates as given."""
+    return [monomial_values(pt.coords if isinstance(pt, StarPoint) else pt, degree)
+            for pt in points]
 
 
 def hilbert_on_scalars(points, t_max):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from starpolar.field import (DEFAULT_PRIME, Fp, Jet, is_prime,
-                             modulus_of, random_scalar, scalar_from_str,
+                             modulus_of, random_scalar, residue_array, scalar_from_str,
                              scalar_to_str)
 from helpers import dp_add, dp_const, dp_diff, dp_eval, dp_mul, dp_var
 
@@ -187,3 +187,30 @@ def test_scalar_serialization_round_trip():
     assert scalar_to_str(7) == "7"
     assert scalar_from_str("47/132") == Fraction(47, 132)
     assert scalar_from_str("-5") == Fraction(-5)
+
+
+@pytest.mark.parametrize("p", [None, 7, DEFAULT_PRIME])
+def test_residue_array_reads_every_field(p):
+    """One 2-D reader: int64 residues for a prime, the exact scalars of Z
+    and Q in an object array with p None; an empty input is 0 x 0, a flat
+    row 1 x m, and rows of unequal widths are refused."""
+    big = 2**70 + 3
+    rows = [[12, -1, 0], [5, 30, 9]] if p else [[big, Fraction(1, 2), 0], [-5, 2 * big, 9]]
+    M = residue_array(rows, p)
+    assert M.shape == (2, 3)
+    if p is None:
+        assert M.dtype == object and M.tolist() == rows
+        assert all(type(a) is type(b) for a, b in zip(M.flat, sum(rows, [])))
+    else:
+        assert M.dtype == np.int64 and M.tolist() == [[c % p for c in row] for row in rows]
+    assert residue_array([], p).shape == (0, 0)
+    assert residue_array([1, 2, 3], p).tolist() == [[1, 2, 3]]
+    for ragged in ([[1, 2, 3], [4, 5]], [(1, 2), (3, 4, 5)]):
+        with pytest.raises(ValueError):
+            residue_array(ragged, p)
+
+
+def test_residue_array_refuses_a_prime_past_int64():
+    with pytest.raises(ValueError, match="too large"):
+        residue_array([[1, 2]], 2**31 + 11)
+

@@ -428,22 +428,42 @@ def test_parse_zero():
         assert (z.num_vars, z.degree) == (width, 0)
 
 
-@pytest.mark.parametrize("p", [2, 7, 101, DEFAULT_PRIME])
+@pytest.mark.parametrize("p", [2, 7, 101, DEFAULT_PRIME, "Z", "Q"])
 def test_monomial_table_matches_monomial_values_on_fp(p):
+    """Over F_p against `monomial_values` on `Fp` objects; over Z and Q
+    (p None) against it on the scalars as given, with no reduction."""
     rng = random.Random(p)
+    field, p = p, (None if p in ("Z", "Q") else p)
+    # over Z and Q, entries of both signs whose powers pass 2^63
+    top, low = (p, 0) if p else (2**40, -2**40)
     for nv in range(1, 6):
         # zero coordinates, a zero point, and the largest residue p - 1
-        points = [[0] * nv, [p - 1] * nv]
-        points += [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(nv)]
+        points = [[0] * nv, [top - 1] * nv]
+        points += [[rng.randrange(low, top) if rng.random() < 0.6 else 0 for _ in range(nv)]
                    for _ in range(4)]
+        if field == "Q":
+            points = [[Fraction(c, rng.randint(1, 2**35)) for c in pt] for pt in points]
         for degree in range(7):
+            width = comb(nv - 1 + degree, degree)
+            expected = [monomial_values(pt if p is None else [Fp(c, p) for c in pt], degree)
+                        for pt in points]
+            if p is None:
+                table = monomial_table(points, degree, None)
+                assert table.dtype == object
+                assert table.shape == (len(points), width)
+                assert table.tolist() == expected
+                assert all(isinstance(v, (int, Fraction)) for row in table for v in row)
+                empty = monomial_table(np.zeros((0, nv), dtype=np.int64), degree, None)
+                assert (empty.dtype, empty.shape) == (object, (0, width))
+                continue
+            expected = [[int(v) % p for v in row] for row in expected]
             table = monomial_table(np.array(points, dtype=np.int64), degree, p)
             assert table.dtype == np.int64
-            assert table.shape == (len(points), comb(nv - 1 + degree, degree))
-            expected = [[int(v) % p for v in monomial_values([Fp(c, p) for c in pt], degree)]
-                        for pt in points]
+            assert table.shape == (len(points), width)
             assert table.tolist() == expected
             assert monomial_table(points, degree, p).tolist() == expected
+            empty = monomial_table(np.zeros((0, nv), dtype=np.int64), degree, p)
+            assert (empty.dtype, empty.shape) == (np.int64, (0, width))
             # the exponent rows are built once per shape and are read-only
             exps = poly._exponent_array(nv, degree)
             assert exps is poly._exponent_array(nv, degree)

@@ -379,28 +379,61 @@ def _degenerate_point_sets(scalar, nv):
     yield [point() for _ in range(comb(nv + 1, 2) + 1)]
 
 
+def _counting_tables(monkeypatch):
+    """The (degree, p) of every evaluation table `starconfig` forms."""
+    tables = []
+    real = starconfig.monomial_table
+
+    def counting(points, degree, p):
+        tables.append((degree, p))
+        return real(points, degree, p)
+
+    monkeypatch.setattr(starconfig, "monomial_table", counting)
+    return tables
+
+
 @pytest.mark.parametrize("field", ["Z", "Q", 7, DEFAULT_PRIME])
 def test_hilbert_function_stops_at_the_point_count(field, monkeypatch):
     """The early stop against `hilbert_on_scalars`, which ranks every
-    degree: the same values on degenerate point sets, and no matrix past
-    the first t >= 1 at which HF(t) is the number of points."""
+    degree: the same values on degenerate point sets, and no table past
+    the first t >= 1 at which HF(t) is the number of points.  Each degree
+    forms at most one table per path: exactly one over F_p; over Z and Q
+    one mod `DEFAULT_PRIME` and at most one exact."""
     scalar = {"Z": int, "Q": lambda v: Fraction(v, 3)}.get(field, lambda v: Fp(v, field))
-    degrees = []
-    real = starconfig._evaluation
-
-    def counting(p, coords, degree):
-        degrees.append(degree)
-        return real(p, coords, degree)
-
-    monkeypatch.setattr(starconfig, "_evaluation", counting)
+    tables = _counting_tables(monkeypatch)
+    first = field if isinstance(field, int) else DEFAULT_PRIME
+    paths = {first} if isinstance(field, int) else {first, None}
     for nv in (2, 3, 4):
         for pts in _degenerate_point_sets(scalar, nv):
             t_max = len(pts) + 2
-            degrees.clear()
+            tables.clear()
             values = hilbert_function(pts, t_max).values
             assert values == hilbert_on_scalars(pts, t_max), (nv, pts)
             full = next((t for t in range(1, t_max + 1) if values[t] == len(pts)), t_max)
-            assert degrees == list(range(full + 1)), (nv, pts)
+            assert sorted({t for t, _ in tables}) == list(range(full + 1)), (nv, pts)
+            assert len(set(tables)) == len(tables), (nv, pts)
+            assert {p for _, p in tables} <= paths, (nv, pts)
+            assert [t for t, p in tables if p == first] == list(range(full + 1)), (nv, pts)
+
+
+def test_hilbert_function_over_q_settles_mod_p_collisions_exactly(monkeypatch):
+    """Points distinct over Q but equal mod `DEFAULT_PRIME`, and entries or
+    denominators of 2^63 or more: the values of `hilbert_on_scalars`, with
+    an exact table wherever the mod-p rank falls short."""
+    q, big = DEFAULT_PRIME, 2**63
+    tables = _counting_tables(monkeypatch)
+    for pts, collides in [([(1, 0), (1, q)], True),
+                          ([(1, 2, 3), (1, 2 + q, 3), (1 + q, 2, 3 - q), (0, 1, 1)], True),
+                          ([(Fraction(1, q + 1), 1, 0), (1, 1, 0), (0, 0, 1)], True),
+                          ([(2**70, 1, 3), (1, 0, 0), (0, 1, 0)], False),
+                          ([(big, big + 1, 1), (big - 1, 2, big), (1, 1, 1), (5, -big, 7)], False),
+                          ([(Fraction(1, big), 1, 2), (Fraction(3, 2**64 + 1), Fraction(1, 7), 1),
+                            (1, Fraction(big + 5, 2**65), 0), (2, 3, 5)], False)]:
+        tables.clear()
+        values = hilbert_function(pts, len(pts) + 2).values
+        assert values == hilbert_on_scalars(pts, len(pts) + 2), pts
+        assert values[-1] == len(pts)
+        assert any(p is None for _, p in tables) == collides, pts
 
 
 def test_point_ideal_piece_vanishes_on_points():
@@ -420,8 +453,13 @@ def test_point_sets_have_one_width(one):
     with pytest.raises(ValueError, match="one width"):
         point_ideal_piece(pts, 2, 2)
     assert len(point_ideal_piece(pts, 2, 3)) == 3
-    # an empty set takes its width from num_vars alone
+    # an empty set takes its width from num_vars alone, and has none without it
     assert len(point_ideal_piece([], 2, 2)) == 3
+    assert point_ideal_piece([], 1, 3) == [Form.linear(DUAL, row)
+                                           for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    for degree in (0, 2):
+        with pytest.raises(ValueError, match="num_vars"):
+            point_ideal_piece([], degree)
     for mixed in ([(one, 0, 0), (0, one)], [(one, 0), (0, one, 0)]):
         with pytest.raises(ValueError, match="one width"):
             hilbert_function(mixed, 2)

@@ -22,7 +22,14 @@ digests must be equal.  Timings are left out.  The records cover:
   one of them dependent, read from files in a temporary directory;
 - `hilbert_function` on degenerate point sets over Z, Q, F_7 and
   F_(2^31 - 1): a single zero point, repeated, proportional and collinear
-  points.
+  points;
+- both ideal-dimension routes for every t <= r on seeded line sets over
+  Z, Q, F_7, F_101 and F_(2^31 - 1), n = 2, 3 and r = n..n+3, or the
+  error a set raises;
+- `hilbert_function` of general integer and rational line sets in P^2,
+  r = 10..14, of points with an entry or a denominator of 2^63 or more,
+  and of points that are distinct but equal mod 2^31 - 1;
+- `point_ideal_piece` of the empty point set with a declared width.
 
 Run from the repository root, with the package under test on the path:
 
@@ -46,7 +53,9 @@ from starpolar.existence import (GeneralPositionError, ResampleBudgetError,
                                  incidence_matrix, jacobian_matrix, jacobian_rank_test)
 from starpolar.field import DEFAULT_PRIME, Fp, scalar_from_str, scalar_to_str
 from starpolar.poly import DUAL, PRIMAL, Form, format_form, monomial_basis
-from starpolar.starconfig import HyperplaneSet, hilbert_function, point_ideal_piece
+from starpolar.starconfig import (HyperplaneSet, hilbert_function, point_ideal_piece,
+                                  star_ideal_dimension_by_intersection,
+                                  star_ideal_dimension_by_products)
 
 PRIMES = (7, 101, DEFAULT_PRIME)
 
@@ -177,6 +186,55 @@ def hilbert_records(rng):
                        hilbert_function(pts, len(pts) + 2).values]
 
 
+def route_records(rng):
+    """Route A and route B in every degree t <= r on seeded line sets."""
+    fields = {"Z": lambda: rng.randint(-5, 5),
+              "Q": lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))}
+    fields.update({f"F_{p}": lambda p=p: Fp(rng.randrange(p), p) for p in PRIMES})
+    for field, scalar in fields.items():
+        for n in (2, 3):
+            for r in range(n, n + 4):
+                try:
+                    hset = HyperplaneSet([[scalar() for _ in range(n + 1)] for _ in range(r)])
+                except (GeneralPositionError, ValueError) as err:
+                    yield [field, n, r, error(err)]
+                    continue
+                yield [field, n, r,
+                       [star_ideal_dimension_by_intersection(hset, t) for t in range(r + 1)],
+                       [star_ideal_dimension_by_products(hset, t) for t in range(r + 1)]]
+
+
+def hilbert_wide_records(rng):
+    """Hilbert functions of general line sets in P^2, of points with huge
+    entries or denominators, and of points equal mod the default prime."""
+    fields = {"Z": lambda: rng.randint(-99, 99),
+              "Q": lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 9))}
+    for field, scalar in fields.items():
+        for r in range(10, 15):
+            while True:
+                try:
+                    hset = HyperplaneSet([[scalar() for _ in range(3)] for _ in range(r)])
+                    break
+                except (GeneralPositionError, ValueError):
+                    continue
+            yield [field, r, hilbert_function(hset.points, r).values]
+    big, q = 2**63, DEFAULT_PRIME
+    sets = [[(2**70, 1, 3), (1, 0, 0), (0, 1, 0)],
+            [(big, big + 1, 1), (big - 1, 2, big), (1, 1, 1), (5, -big, 7)],
+            [(Fraction(1, big), 1, 2), (Fraction(3, 2**64 + 1), Fraction(1, 7), 1),
+             (1, Fraction(big + 5, 2**65), 0), (2, 3, 5)],
+            [(1, 0), (1, q)],
+            [(1, 2, 3), (1, 2 + q, 3), (1 + q, 2, 3 - q), (0, 1, 1)],
+            [(Fraction(1, q + 1), 1, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)],
+            [(rng.randint(-9, 9) + q * rng.randint(-3, 3), rng.randint(-9, 9), 1)
+             for _ in range(8)]]
+    for pts in sets:
+        yield [[[str(c) for c in pt] for pt in pts], hilbert_function(pts, len(pts) + 2).values]
+    for nv in (1, 2, 3, 4):
+        for t in range(4):
+            yield [nv, t, [format_form(g) for g in point_ideal_piece([], t, nv)]]
+
+
 def records():
     for prime in (101, DEFAULT_PRIME):
         for n in range(1, 6):
@@ -224,6 +282,8 @@ def records():
         "Q", lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng)
     yield from cli_records(random.Random("digest:cli"))
     yield from hilbert_records(random.Random("digest:hilbert"))
+    yield from route_records(random.Random("digest:routes"))
+    yield from hilbert_wide_records(random.Random("digest:hilbert-wide"))
 
 
 def main():
