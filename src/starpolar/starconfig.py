@@ -13,8 +13,9 @@ independent, the configuration consists of the C(r, n) points cut out by
 the n-subsets.  Each point is the Cramer point of its subset, signed
 maximal minors polynomial in the coefficients.  Over F_p every point is
 a row of one int64 table (`cramer_table`), built from one Laplace pass
-mod p over all (n-1)-subsets U at once, with the face index of U in each
-point's subset; `HyperplaneSet` and both matrices of `existence` read it.
+mod p over all (n-1)-subsets U at once, run from a per-n index plan, with
+the face index of U in each point's subset (`_star_index`, which the scan
+below reads too); `HyperplaneSet` and both matrices of `existence` read it.
 Over Z and Q, and in the generic map the tests differentiate, each
 n-subset takes its own `linalg.minors` pass (`_points_from_coeff_rows`).
 One blocked scan is the only evaluation of l_k(P_S), over F_p and on int
@@ -36,8 +37,8 @@ ranks no degree past the first t >= 1 where it is the number of points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import combinations
+from functools import cached_property, lru_cache, reduce
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -126,7 +127,7 @@ def _checked_values(p, rows, points):
     a zero at k < max S makes the earlier point S + (k,) minus max S zero
     at max S.  With r = n the one point must not be zero."""
     rows, points = residue_array(rows, p), residue_array(points, p)
-    sets = np.array(list(combinations(range(len(rows)), rows.shape[1] - 1)), dtype=np.int64)
+    sets = _star_index(len(rows), rows.shape[1] - 1)[1]
     if len(sets) == 1 and not any(points[0]):
         raise GeneralPositionError(sets[0].tolist())
     for start in range(0, len(sets), POINT_BLOCK):
@@ -251,6 +252,52 @@ def _points_from_coeff_rows(rows, n: int):
     return points
 
 
+def _star_index(r: int, n: int):
+    """(subsets, sets, faces) of r hyperplanes in P^n, read-only int64
+    arrays in `combinations` order: the (n-1)-subsets U, the n-subsets S,
+    and faces[s, q], the index of S minus S[q] among the U.  Kept when the
+    two counts, C(r + 1, n) together, are at most ``POINT_BLOCK``, so for
+    finitely many shapes; built afresh per call above that."""
+    return (_kept_star_index if comb(r + 1, n) <= POINT_BLOCK else _build_star_index)(r, n)
+
+
+def _build_star_index(r: int, n: int):
+    subsets, sets = (np.fromiter(chain.from_iterable(combinations(range(r), k)), np.int64,
+                                 comb(r, k) * k).reshape(comb(r, k), k) for k in (n - 1, n))
+    # U = (u_0 < ... < u_{n-2}) is number C(r, n-1) - 1 - sum_i C(r-1-u_i, n-1-i)
+    binom = np.array([[comb(a, b) for b in range(n)] for a in range(r)], dtype=np.int64)
+    faces = np.stack([len(subsets) - 1 - binom[r - 1 - np.delete(sets, q, axis=1),
+                                                np.arange(n - 1, 0, -1)].sum(axis=1)
+                      for q in range(n)], axis=1)
+    for a in (subsets, sets, faces):
+        a.flags.writeable = False
+    return subsets, sets, faces
+
+
+_kept_star_index = lru_cache(maxsize=None)(_build_star_index)
+
+
+@lru_cache(maxsize=None)
+def _laplace_plan(n: int):
+    """The pass of `_cofactor_tables` on rows of width n + 1, in read-only
+    int64 arrays.  Keys are column masks, by size and then value.  Level L
+    holds (key minus c, c + n + 1 if `linalg.minors` negates the term else c)
+    for each column c of each key of size L; ``final`` (key, sign) per E_U[i, j]."""
+    full = (1 << (n + 1)) - 1
+    masks = [[m for m in range(full + 1) if m.bit_count() == size] for size in range(n)]
+    where = [{m: k for k, m in enumerate(keys)} for keys in masks]
+    levels = [np.array([(where[size - 1][m ^ 1 << c],
+                         c + (n + 1) * ((size - 1 + (m & (1 << c) - 1).bit_count()) % 2))
+                        for m in masks[size] for c in range(n + 1) if m >> c & 1],
+                       dtype=np.int64).T for size in range(1, n)]
+    final = np.array([(where[n - 1].get(full ^ 1 << i ^ 1 << j, 0),
+                       (i != j) * (-1) ** (i + j + (i > j)))
+                      for i in range(n + 1) for j in range(n + 1)], dtype=np.int64).T
+    for a in levels + [final]:
+        a.flags.writeable = False
+    return levels, final
+
+
 def _cofactor_tables(rows, n: int, p: int):
     """The tables E_U mod p of the (n-1)-subsets U of the rows, an int64
     residue array, in `combinations` order.
@@ -260,50 +307,33 @@ def _cofactor_tables(rows, n: int, p: int):
     the signed maximal minor of U's rows on the columns other than i and j,
     with E_U antisymmetric and zero on the diagonal.  Every U is expanded
     in one Laplace pass, level by level as in `linalg.minors`, keyed on the
-    columns used so far, with an int64 vector over all U per key.  Each
-    product is reduced mod p before it is added, and each level before the
-    next starts: a key sums at most n terms in (-p, p), far below 2^63.
+    columns used so far, with an int64 vector over all U per key, from the
+    `_laplace_plan` of n: per level one gather, one product mod p with the
+    signed columns of row U[L], one sum of each key's L residues (far below
+    2^63) and one reduction.
     """
-    full = (1 << (n + 1)) - 1
-    subsets = np.array(list(combinations(range(len(rows)), n - 1)), dtype=np.int64)
-    cur = {0: np.ones(len(subsets), dtype=np.int64)}
-    for level in range(n - 1):
-        entries = rows[subsets[:, level]]
-        nxt = {}
-        for mask, v in cur.items():
-            for c in range(n + 1):
-                bit = 1 << c
-                if mask & bit:
-                    continue
-                term = entries[:, c] * v % p
-                if (level + (mask & (bit - 1)).bit_count()) % 2:
-                    term = -term
-                key = mask | bit
-                nxt[key] = nxt[key] + term if key in nxt else term
-        cur = {key: v % p for key, v in nxt.items()}
-    tables = np.zeros((len(subsets), n + 1, n + 1), dtype=np.int64)
-    for i, j in combinations(range(n + 1), 2):
-        minor = cur[full ^ (1 << i) ^ (1 << j)]
-        tables[:, i, j] = -minor % p if (i + j) % 2 else minor
-        tables[:, j, i] = -tables[:, i, j] % p
-    return tables
+    subsets = _star_index(len(rows), n)[0]
+    levels, (keys, signs) = _laplace_plan(n)
+    values = np.ones((1, len(subsets)), dtype=np.int64)
+    for level, (source, column) in enumerate(levels):
+        entries = rows[subsets[:, level]].T
+        terms = values[source] * np.concatenate([entries, -entries])[column] % p
+        values = terms.reshape(-1, level + 1, len(subsets)).sum(axis=1) % p
+    return (signs[:, None] * values[keys] % p).T.reshape(-1, n + 1, n + 1)
 
 
 def cramer_table(rows, p: int):
     """(tables, points, sets, faces) of r int rows mod p, in `combinations`
     order: the rows' `_cofactor_tables`, one per (n-1)-subset U; the int64
     residues P_S = a_k . (d P_S / d a_k), k = S[0], the points of
-    `_points_from_coeff_rows` mod p; the n-subsets S; and faces[s, q], the
-    index of S minus S[q] among the U, so d P_S / d a_{S[q]} is (-1)^q
-    tables[faces[s, q]].  The rows are read through `field.residue_array`,
-    which refuses p >= 2^31 before any product."""
+    `_points_from_coeff_rows` mod p; and the n-subsets S and faces of the
+    `_star_index`, so d P_S / d a_{S[q]} is (-1)^q tables[faces[s, q]].
+    The rows are read through `field.residue_array`, which refuses
+    p >= 2^31 before any product."""
     rows = residue_array(rows, p)
     r, n = len(rows), rows.shape[1] - 1
     tables = _cofactor_tables(rows, n, p)
-    where = {U: u for u, U in enumerate(combinations(range(r), n - 1))}
-    sets = list(combinations(range(r), n))
-    faces = np.array([[where[S[:q] + S[q + 1:]] for S in sets] for q in range(n)], np.int64).T
-    sets = np.array(sets, dtype=np.int64)
+    _, sets, faces = _star_index(r, n)
     first, cofactor = rows[sets[:, 0]], tables[faces[:, 0]]
     # a sum of n + 1 residues before its reduction, far below 2^63
     points = sum(first[:, i, None] * cofactor[:, i, :] % p for i in range(n + 1)) % p

@@ -16,6 +16,9 @@ mod-p kernels: the generic `rref` loop alone (`linalg.rref_generic`, not
 the fraction-free path that the Q kernels run), run a second time on the
 free-column basis in natural column order, and `det_scan_violation` the one for the
 general-position certificate: every maximal minor by `linalg.det`.
+`cofactor_tables_by_masks` is the reference for the planned Laplace pass of
+`starconfig._cofactor_tables`: the same expansion walked as a dict of
+column masks, with numpy vectors over all (n-1)-subsets.
 `contract_by_pairs` is the reference for `poly.contract`: every pair of
 operator and form terms, on the scalars as given (`Fp` objects over F_p).
 The `*_on_scalars` functions are the same kind of reference for the
@@ -33,6 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial, perm, prod
+
+import numpy as np
 
 from starpolar.existence import _rank_test, gamma_coefficients
 from starpolar.field import DEFAULT_PRIME, DEFAULT_SEED, Fp
@@ -251,6 +256,37 @@ def det_scan_violation(rows):
         if not det([rows[j] for j in subset]):
             return subset
     return None
+
+
+def cofactor_tables_by_masks(rows, n, p):
+    """The tables E_U mod p of `starconfig._cofactor_tables`, expanded level
+    by level as in `linalg.minors`, keyed on the columns used so far, with
+    an int64 vector over all (n-1)-subsets U per key; each product and each
+    level is reduced mod p."""
+    rows = np.asarray(rows, dtype=np.int64)
+    full = (1 << (n + 1)) - 1
+    subsets = np.array(list(combinations(range(len(rows)), n - 1)), dtype=np.int64)
+    cur = {0: np.ones(len(subsets), dtype=np.int64)}
+    for level in range(n - 1):
+        entries = rows[subsets[:, level]]
+        nxt = {}
+        for mask, v in cur.items():
+            for c in range(n + 1):
+                bit = 1 << c
+                if mask & bit:
+                    continue
+                term = entries[:, c] * v % p
+                if (level + (mask & (bit - 1)).bit_count()) % 2:
+                    term = -term
+                key = mask | bit
+                nxt[key] = nxt[key] + term if key in nxt else term
+        cur = {key: v % p for key, v in nxt.items()}
+    tables = np.zeros((len(subsets), n + 1, n + 1), dtype=np.int64)
+    for i, j in combinations(range(n + 1), 2):
+        minor = cur[full ^ (1 << i) ^ (1 << j)]
+        tables[:, i, j] = -minor % p if (i + j) % 2 else minor
+        tables[:, j, i] = -tables[:, i, j] % p
+    return tables
 
 
 # ---------------------------------------------------------------------------

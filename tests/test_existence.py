@@ -2,6 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -213,8 +214,17 @@ def test_one_cofactor_pass_per_draw(monkeypatch):
         minors.append(len(rows))
         return real_minors(rows)
 
+    builds = []
+    real_build = starconfig._build_star_index
+
+    def build(r, n):
+        builds.append((r, n))
+        return real_build(r, n)
+
     monkeypatch.setattr(starconfig, "_cofactor_tables", tables)
     monkeypatch.setattr(linalg, "minors", counting)
+    # an empty memo of star indexes, so the first draw builds its own
+    monkeypatch.setattr(starconfig, "_kept_star_index", lru_cache(maxsize=None)(build))
     rng = random.Random(5)
     m = parameter_count(3, 7, 5)
     values = [random_scalar(rng) for _ in range(m)]
@@ -226,6 +236,11 @@ def test_one_cofactor_pass_per_draw(monkeypatch):
     # the incidence matrix reads the same table, once per draw
     assert existence.incidence_matrix(3, 7, 5, values).shape == (comb(7, 4), 7 * 6)
     assert passes == [(7, 5, DEFAULT_PRIME)] * 2 and minors == []
+    # the tables, the points and the certificate of every draw read one index
+    assert builds == [(7, 5)]
+    rep = jacobian_rank_test(3, 7, 5, trials=3)
+    assert rep.trial_ranks == [55] * 3 and rep.resamples == 0
+    assert passes == [(7, 5, DEFAULT_PRIME)] * 5 and minors == [] and builds == [(7, 5)]
 
 
 def test_degenerate_draws_match_the_det_scan(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 from starpolar import linalg, starconfig
 from starpolar.apolar import ideal_piece_dimension, perp_piece
-from starpolar.field import DEFAULT_PRIME, Fp, residue_rows
+from starpolar.field import DEFAULT_PRIME, Fp, residue_array, residue_rows
 from starpolar.poly import DUAL, Form, evaluate, parse_form
 from starpolar.starconfig import (POINT_BLOCK, RESAMPLE_BUDGET, GeneralPositionError,
                                   HilbertFunctionTable, ResampleBudgetError,
@@ -20,7 +20,7 @@ from starpolar.starconfig import (POINT_BLOCK, RESAMPLE_BUDGET, GeneralPositionE
                                   star_ideal_graded_dimension,
                                   star_ideal_product_generators,
                                   _points_from_coeff_rows, cramer_table, redraw)
-from helpers import (det_scan_violation, hilbert_on_scalars,
+from helpers import (cofactor_tables_by_masks, det_scan_violation, hilbert_on_scalars,
                      ideal_piece_dimension_on_scalars, point_ideal_piece_on_scalars,
                      random_form_over, route_a_on_scalars)
 
@@ -141,6 +141,74 @@ def test_fp_cramer_points_match_minors_on_fp_objects():
                     got = cramer_table(residue_rows(rows)[1], p)[1]
                     assert got.dtype == np.int64 and got.tolist() == want, (p, rows)
     assert dependent > 150 and zero_rows == 3 * 3 * (4 * 2 + 3 * 1)
+
+
+def test_planned_cofactor_pass_matches_the_mask_walk_and_the_minors():
+    # the pass runs from a per-n plan of index arrays; the dict-of-masks
+    # walk it replaced and the exact minors of each (n-1)-subset, taken one
+    # at a time on Python ints, must give the same tables, also where
+    # minors vanish: zero entries, zero rows and a row that is a combination
+    # of two others
+    rng = random.Random(3030)
+    cases = vanishing = 0
+    for p in (2, 3, 7, DEFAULT_PRIME):
+        for n in range(1, 8):
+            full = (1 << (n + 1)) - 1
+            off_diagonal = ~np.eye(n + 1, dtype=bool)
+            for r in range(n, n + (3 if n <= 4 else 2)):
+                for trial in range(3):
+                    rows = [[rng.randrange(p) if rng.random() < 0.8 else 0
+                             for _ in range(n + 1)] for _ in range(r)]
+                    if trial == 1 and r > 2:
+                        rows[-1] = [(2 * a + b) % p for a, b in zip(rows[0], rows[1])]
+                    if trial == 2:
+                        rows[rng.randrange(r)] = [0] * (n + 1)
+                    got = starconfig._cofactor_tables(residue_array(rows, p), n, p)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, cofactor_tables_by_masks(rows, n, p)), (p, rows)
+                    want = []
+                    for U in combinations(range(r), n - 1):
+                        found = linalg.minors([rows[j] for j in U])
+                        table = [[0] * (n + 1) for _ in range(n + 1)]
+                        for i, j in combinations(range(n + 1), 2):
+                            minor = (-1) ** (i + j) * found.get(full ^ 1 << i ^ 1 << j, 0)
+                            table[i][j], table[j][i] = minor % p, -minor % p
+                        want.append(table)
+                    assert got.tolist() == want, (p, rows)
+                    cases += 1
+                    vanishing += bool((got[:, off_diagonal] == 0).any())
+    assert cases == 4 * (4 * 3 + 3 * 2) * 3 and vanishing > 100
+
+
+@pytest.mark.parametrize("r, n", [(1, 1), (5, 1), (3, 3), (7, 7), (6, 3), (7, 5),
+                                  (9, 4), (20, 2), (12, 5)])
+def test_star_index_matches_combinations(r, n):
+    # (n-1)-subsets, n-subsets and faces, with the empty (n-1)-subset at
+    # n = 1, the one n-subset at r = n, and shapes past one scan block
+    subsets, sets, faces = starconfig._star_index(r, n)
+    where = {U: u for u, U in enumerate(combinations(range(r), n - 1))}
+    full = list(combinations(range(r), n))
+    assert subsets.dtype == sets.dtype == faces.dtype == np.int64
+    assert subsets.shape == (len(where), n - 1)
+    assert [tuple(U) for U in subsets.tolist()] == list(where)
+    assert [tuple(S) for S in sets.tolist()] == full
+    assert faces.tolist() == [[where[S[:q] + S[q + 1:]] for q in range(n)] for S in full]
+
+
+def test_star_index_memo_is_read_only_and_bounded():
+    # shapes of at most one scan block are built once and kept, read-only
+    # like the plan of the Laplace pass; a larger shape is built per call
+    kept = starconfig._star_index(7, 5)
+    assert starconfig._star_index(7, 5) is kept
+    levels, final = starconfig._laplace_plan(5)
+    for a in list(kept) + levels + [final]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1
+    held = starconfig._kept_star_index.cache_info().currsize
+    assert comb(20, 2) + comb(20, 1) > POINT_BLOCK
+    big = starconfig._star_index(20, 2)
+    assert big is not starconfig._star_index(20, 2)
+    assert starconfig._kept_star_index.cache_info().currsize == held
 
 
 def test_certify_r_equals_n_is_vacuous():

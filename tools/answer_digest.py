@@ -29,7 +29,13 @@ digests must be equal.  Timings are left out.  The records cover:
 - `hilbert_function` of general integer and rational line sets in P^2,
   r = 10..14, of points with an entry or a denominator of 2^63 or more,
   and of points that are distinct but equal mod 2^31 - 1;
-- `point_ideal_piece` of the empty point set with a declared width.
+- `point_ideal_piece` of the empty point set with a declared width;
+- the bytes of the four `cramer_table` arrays and of `star_weights`, or
+  the error, on seeded rows over F_7, F_101 and F_(2^31 - 1) for n = 1..7
+  and r = n..n+4, with draws that hold a zero row or a dependent
+  (n+1)-subset;
+- the bytes of `jacobian_matrix` and `incidence_matrix` for n = 5, 6 and
+  d <= 4, or the error a draw raises.
 
 Run from the repository root, with the package under test on the path:
 
@@ -53,9 +59,9 @@ from starpolar.existence import (GeneralPositionError, ResampleBudgetError,
                                  incidence_matrix, jacobian_matrix, jacobian_rank_test)
 from starpolar.field import DEFAULT_PRIME, Fp, scalar_from_str, scalar_to_str
 from starpolar.poly import DUAL, PRIMAL, Form, format_form, monomial_basis
-from starpolar.starconfig import (HyperplaneSet, hilbert_function, point_ideal_piece,
-                                  star_ideal_dimension_by_intersection,
-                                  star_ideal_dimension_by_products)
+from starpolar.starconfig import (HyperplaneSet, cramer_table, hilbert_function,
+                                  point_ideal_piece, star_ideal_dimension_by_intersection,
+                                  star_ideal_dimension_by_products, star_weights)
 
 PRIMES = (7, 101, DEFAULT_PRIME)
 
@@ -235,6 +241,35 @@ def hilbert_wide_records(rng):
             yield [nv, t, [format_form(g) for g in point_ideal_piece([], t, nv)]]
 
 
+def arrays(*named):
+    return [[name, list(a.shape), hashlib.sha256(a.tobytes()).hexdigest()]
+            for name, a in named]
+
+
+def cramer_records(rng):
+    """`cramer_table` and `star_weights` on seeded int rows mod p: a
+    general draw, one with a zero row, and one whose last row is a
+    combination of the first n (a dependent (n+1)-subset)."""
+    for p in PRIMES:
+        for n in range(1, 8):
+            for r in range(n, n + 5):
+                for kind in ("general", "zero-row", "dependent"):
+                    rows = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(r)]
+                    if kind == "zero-row":
+                        rows[rng.randrange(r)] = [0] * (n + 1)
+                    elif kind == "dependent" and r > n:
+                        scales = [rng.randrange(1, p) for _ in range(n)]
+                        rows[-1] = [sum(c * row[i] for c, row in zip(scales, rows)) % p
+                                    for i in range(n + 1)]
+                    tables, points, sets, faces = cramer_table(rows, p)
+                    try:
+                        weights = arrays(("weights", star_weights(p, rows, points)))
+                    except GeneralPositionError as err:
+                        weights = error(err)
+                    yield [p, n, r, kind, arrays(("tables", tables), ("points", points),
+                                                 ("sets", sets), ("faces", faces)), weights]
+
+
 def records():
     for prime in (101, DEFAULT_PRIME):
         for n in range(1, 6):
@@ -284,6 +319,16 @@ def records():
     yield from hilbert_records(random.Random("digest:hilbert"))
     yield from route_records(random.Random("digest:routes"))
     yield from hilbert_wide_records(random.Random("digest:hilbert-wide"))
+    yield from cramer_records(random.Random("digest:cramer"))
+    for p in PRIMES:
+        for n in (5, 6):
+            for d in range(1, 5):
+                for r in range(n, d + n + 1):
+                    for draw in range(2):
+                        rng = random.Random(f"digest-wide:{p}:{d}:{r}:{n}:{draw}")
+                        values = existence._draw_parameter_values(d, r, n, p, rng)
+                        yield [d, r, n, p, draw, matrix(jacobian_matrix, d, r, n, values),
+                               matrix(incidence_matrix, d, r, n, values)]
 
 
 def main():
