@@ -6,10 +6,19 @@ killing F under contraction.  Its degree-i piece is the kernel of the
 catalecticant matrix of the contraction map T_i -> S_{d-i}, so every
 ideal-theoretic question here is answered degree by degree with exact
 linear algebra (no Groebner bases anywhere).  The degree-t piece of an
-ideal is the span of the generators' monomial multiples; over F_p their
-rows are one int64 residue array, the residues of an echelon basis of
-each degree's generators scattered to their `shift_table` positions,
-ranked by the mod-p kernel.  Over F_p a form holds int residues
+ideal is the span of the generators' monomial multiples, with the
+monomials in degrevlex order; over F_p their rows are int64 residues of
+an echelon basis of each degree's generators placed at their products'
+positions.  Each basis row is 1 at its leading monomial, and a monomial
+multiple leads at 1 at the product of the two, so one multiple per
+distinct leading column gives k0 rows S, unit upper triangular on those
+columns P.  With F the f other columns and N the other rows,
+rank = k0 + rank(N_F - N_P S_P^-1 S_F), exactly, over any field.  By
+Bayer-Stillman (generic coordinates, degrevlex) the leading terms of the
+generators give almost all of the rank, so f is near HF(t) and only that
+small Schur complement meets the mod-p kernel.  Its products cost each
+row's nonzeros times f, so the block is taken when 4f <= k0; otherwise
+the rows are ranked whole.  Over F_p a form holds int residues
 (`poly.Form`), so contraction, membership and containment tests run on
 ints and make no `Fp`; an annihilator piece is read off the mod-p
 kernel's int64 rows, which become forms directly
@@ -20,6 +29,7 @@ kernel's int64 rows, which become forms directly
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, groupby
 from math import comb, prod
 
@@ -193,22 +203,103 @@ def _coefficient_runs(gens, t: int):
     return p, runs
 
 
-def _scatter(nv: int, runs, t: int):
-    """The rows of every (monomial x row) product of degree t, one array.
+@lru_cache(maxsize=None)
+def _degrevlex_plan(num_vars: int, shift: int, degree: int):
+    """(order, where), read-only int64 arrays.  ``order`` lists the
+    canonical positions of the degree-``degree`` basis in degrevlex order
+    (x0 > x1 > ..., monomials of one degree ranked by their reversed
+    exponents); row m of ``where`` holds the degrevlex position in degree
+    ``shift + degree`` of m times each of them, in that order, for the m of
+    `shift_table`.  Multiplying by m keeps a monomial order, so each row of
+    ``where`` increases."""
+    def ranked(e):
+        basis = monomial_basis(num_vars, e)
+        return np.array(sorted(range(len(basis)), key=lambda i: basis[i][::-1]), dtype=np.int64)
 
-    The row of m * g holds g's coefficients at the positions `shift_table`
-    gives for m, zeros elsewhere: no product is expanded and no scalar is
-    multiplied.  Each run is scattered at once, in order; with no run the
-    result is an empty int64 array.
+    order, top = ranked(degree), ranked(shift + degree)
+    position = np.empty_like(top)
+    position[top] = np.arange(len(top))
+    where = position[np.array(shift_table(num_vars, shift, degree), dtype=np.int64)[:, order]]
+    order.flags.writeable = where.flags.writeable = False
+    return order, where
+
+
+def _scatter(runs, width: int):
+    """The rows of every (monomial x row) product, one array ``width`` wide.
+
+    For each run (rows, where), the row of m * b holds b's entries at the
+    positions ``where[m]``, zeros elsewhere: no product is expanded and no
+    scalar is multiplied.  Each run is scattered at once, in order; with no
+    run the result is an empty int64 array.
     """
-    width = comb(nv - 1 + t, t)
     blocks = []
-    for e, coeffs in runs:
-        where = np.array(shift_table(nv, t - e, e), dtype=np.int64)
+    for coeffs, where in runs:
         block = np.zeros((len(coeffs), len(where), width), dtype=coeffs.dtype)
         block[:, np.arange(len(where))[:, None], where] = coeffs[:, None, :]
         blocks.append(block.reshape(-1, width))
     return np.concatenate(blocks) if blocks else np.zeros((0, width), dtype=np.int64)
+
+
+def _sparse_rows(runs):
+    """(cols, vals): each product row of `_scatter`'s runs as its nonzero
+    entries, leftmost first, padded with zeros to the longest row."""
+    q = max(int(np.count_nonzero(rows, axis=1).max()) for rows, _ in runs)
+    cols, vals = [], []
+    for rows, where in runs:
+        nz = np.argsort(rows == 0, axis=1, kind="stable")[:, :q]
+        c = np.zeros((len(where), len(rows), q), dtype=np.int64)
+        v = np.zeros_like(c)
+        c[..., :nz.shape[1]] = where[:, nz]
+        v[..., :nz.shape[1]] = np.take_along_axis(rows, nz, 1)
+        cols.append(c.reshape(-1, q))
+        vals.append(v.reshape(-1, q))
+    return np.concatenate(cols), np.concatenate(vals)
+
+
+def _sparse_products(cols, vals, Z, p: int):
+    """The rows sum_j vals[:, j] * Z[cols[:, j]] mod p, each product
+    reduced before it is added."""
+    out = np.zeros((len(cols), Z.shape[1]), dtype=np.int64)
+    for c, v in zip(cols.T, vals.T):
+        out += v[:, None] * Z[c] % p
+    return out % p
+
+
+def _schur_rank(p: int, reduced, full, lead, first, width: int) -> int:
+    """rank M - k0 mod p, for M the product rows of the runs ``reduced``
+    and ``full`` (`_scatter`).  Each product row of a reduced run leads at
+    1; ``first`` names, in their `_sparse_rows` order, k0 of them S that
+    lead at the distinct columns P = ``lead``, in increasing order.
+
+    With F the other f columns and N the other rows, T = S_P is unit upper
+    triangular, and rank M = k0 + rank(N_F - N_P T^-1 S_F).  X = T^-1 S_F
+    is the fixed point of X <- S_F - (T - I) X, unique because T - I is
+    strictly upper triangular, so the first sweep that changes nothing has
+    found it.  A row is read at its nonzeros only: against Z, which holds X
+    at P and -I at F, the rows of S give their residual T X - S_F, and the
+    rows of N the negated Schur complement, of the same rank.  The rows of
+    a full run (t = e) are padded apart, so that their length does not
+    widen the sparse product rows.
+    """
+    cols, vals = _sparse_rows(reduced)
+    free = np.ones(width, dtype=bool)
+    free[lead] = False
+    f = int(free.sum())
+    Z = np.zeros((width, f), dtype=np.int64)
+    Z[free] = (p - 1) * np.eye(f, dtype=np.int64)
+    X = np.zeros((len(lead), f), dtype=np.int64)
+    while True:
+        Z[lead] = X
+        resid = _sparse_products(cols[first], vals[first], Z, p)
+        if not resid.any():
+            break
+        X = (X - resid) % p
+    rest = np.ones(len(cols), dtype=bool)
+    rest[first] = False
+    schur = [_sparse_products(cols[rest], vals[rest], Z, p)]
+    if full:
+        schur.append(_sparse_products(*_sparse_rows(full), Z, p))
+    return linalg.rank_over(p, np.concatenate(schur))
 
 
 def ideal_piece_dimension(generators, t: int) -> int:
@@ -216,24 +307,55 @@ def ideal_piece_dimension(generators, t: int) -> int:
 
     The piece is spanned by the products m * g with m a monomial of degree
     t - deg g, so its dimension is the rank of their coefficient rows over
-    the field of the coefficients.  Each run of generators of one degree
-    e < t is first replaced by an echelon basis of its span, the nonzero
-    rows of its `linalg.rref_over`: the products of a basis span the same
-    piece from no more rows, and reduced echelon rows are zero at each
-    other's pivot columns, so the rank's sparse elimination touches fewer
-    rows and entries.
+    the field of the coefficients, with the columns in degrevlex order
+    (`_degrevlex_plan`; a rank does not depend on the column order).  Each
+    run of generators of one degree e < t is first replaced by an echelon
+    basis of its span, the nonzero rows of its `linalg.rref_over`: the
+    products of a basis span the same piece from no more rows, and each
+    basis row b is 1 at its leading monomial LM(b) and 0 at the others'.
+
+    Over F_p the leading terms then settle most of the rank without an
+    elimination.  Multiplying by a monomial keeps the order, so m * b leads
+    at m * LM(b) with coefficient 1; one product per distinct leading
+    column gives k0 rows that are unit upper triangular on those columns,
+    and rank = k0 + the rank of a Schur complement on the f = width - k0
+    other columns (`_schur_rank`), exactly, however far the leading terms
+    fall short.  By Bayer-Stillman the degrevlex initial ideal in generic
+    coordinates is generated in degrees up to the regularity, so for a
+    star configuration's product generators f is close to HF(t).  The
+    products cost each row's nonzeros times f, more than the elimination
+    they replace once f is large, so this block is taken when 4f <= k0;
+    otherwise, over Q, and at t = e with no product rows, the rows are
+    ranked by one elimination, as `_scatter` places them.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return 0
+    nv = gens[0].num_vars
     p, runs = _coefficient_runs(gens, t)
-    for k, (e, coeffs) in enumerate(runs):
+    reduced, full, leads = [], [], []
+    for e, coeffs in runs:
+        order, where = _degrevlex_plan(nv, t - e, e)
+        coeffs = coeffs[:, order]
         if e < t:
             R, pivots = linalg.rref_over(p, coeffs)
-            runs[k] = (e, R[:len(pivots)])
-    return linalg.rank_over(p, _scatter(gens[0].num_vars, runs, t))
+            reduced.append((R[:len(pivots)], where))
+            leads.append(where[:, pivots].ravel())
+        else:
+            full.append((coeffs, where))
+    width = comb(nv - 1 + t, t)
+    # k0 <= the reduced runs' product rows, so 4f <= k0 needs 5 rows >= 4 width
+    if p is not None and 5 * sum(map(len, leads)) >= 4 * width:
+        # one product row per distinct leading column (any one will do)
+        leading = np.concatenate(leads)
+        pick = np.full(width, -1, dtype=np.int64)
+        pick[leading] = np.arange(len(leading))
+        lead = np.flatnonzero(pick >= 0)
+        if 4 * (width - len(lead)) <= len(lead):
+            return len(lead) + _schur_rank(p, reduced, full, lead, pick[lead], width)
+    return linalg.rank_over(p, _scatter(reduced + full, width))
 
 
 def verify_perp_generators(f: Form, generators) -> bool:

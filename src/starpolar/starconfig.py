@@ -125,8 +125,11 @@ def _checked_values(p, rows, points):
     A block holding a zero raises `GeneralPositionError` instead, naming
     S + (k,) for its first zero in (point, k) order.  That k exceeds max S:
     a zero at k < max S makes the earlier point S + (k,) minus max S zero
-    at max S.  With r = n the one point must not be zero."""
+    at max S.  With r = n the one point must not be zero.  Rows of one
+    coordinate (n = 0) raise ``ValueError``."""
     rows, points = residue_array(rows, p), residue_array(points, p)
+    if rows.shape[1] < 2:
+        raise ValueError(f"need n >= 1, got n={rows.shape[1] - 1}")
     sets = _star_index(len(rows), rows.shape[1] - 1)[1]
     if len(sets) == 1 and not any(points[0]):
         raise GeneralPositionError(sets[0].tolist())

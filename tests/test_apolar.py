@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from starpolar import linalg
-from starpolar.apolar import (CatalecticantMatrix, _coefficient_runs, _scatter,
-                              annihilates, catalecticant, ideal_piece_dimension,
+from starpolar.apolar import (CatalecticantMatrix, _coefficient_runs, _degrevlex_plan,
+                              _scatter, annihilates, catalecticant, ideal_piece_dimension,
                               is_apolar_ideal_contained, perp_piece,
                               solve_waring, verify_perp_generators)
 from starpolar.field import DEFAULT_PRIME, Fp, random_scalar
@@ -190,7 +190,8 @@ def test_ideal_piece_dimension_matches_hand_count():
 
 
 def test_product_rows_match_form_products():
-    """Rows placed by `shift_table` against rows expanded by `Form.__mul__`."""
+    """Rows placed by `_degrevlex_plan` against rows expanded by
+    `Form.__mul__`, both read with their columns in degrevlex order."""
     rng = random.Random(41)
     fields = (lambda: Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)),
               lambda: Fp(rng.randrange(7), 7),
@@ -207,13 +208,17 @@ def test_product_rows_match_form_products():
         gens.append(Form.zero(DUAL, nv, rng.randrange(4)))
         nonzero = [g for g in gens if not g.is_zero()]
         for t in range(5):
-            expanded = [coefficient_vector(Form.monomial(DUAL, m) * g)
+            top = _degrevlex_plan(nv, 0, t)[0]
+            expanded = [[row[i] for i in top]
                         for g in nonzero if g.degree <= t
-                        for m in monomial_basis(nv, t - g.degree)]
+                        for m in monomial_basis(nv, t - g.degree)
+                        for row in [coefficient_vector(Form.monomial(DUAL, m) * g)]]
             p, rows = None, []
             if nonzero:
                 p, runs = _coefficient_runs(nonzero, t)
-                rows = _scatter(nv, runs, t)
+                runs = [(coeffs[:, order], where) for e, coeffs in runs
+                        for order, where in [_degrevlex_plan(nv, t - e, e)]]
+                rows = _scatter(runs, len(top))
                 rows = rows if p is not None else rows.tolist()
             if trial % 3 and nonzero:  # over F_p: one int64 array of residues
                 assert p == (7, DEFAULT_PRIME)[trial % 3 - 1]
@@ -239,6 +244,34 @@ def test_shift_table_matches_monomial_products():
                                       strict=True):
                         product = Form.monomial(DUAL, m) * Form.monomial(DUAL, b)
                         assert list(product.terms) == [target[pos]]
+
+
+def _degrevlex_greater(a, b) -> bool:
+    """a > b in degrevlex with x0 > x1 > ..., for a != b of one degree:
+    the last nonzero entry of a - b is negative."""
+    diff = [x - y for x, y in zip(a, b) if x != y]
+    return diff[-1] < 0
+
+
+def test_degrevlex_plan_orders_and_places_products():
+    """`_degrevlex_plan` lists each degree in degrevlex order, read off its
+    definition, and places m * b at its product's degrevlex position, in
+    increasing positions; its arrays are read-only."""
+    for nv in range(1, 5):
+        for shift in range(4):
+            for degree in range(4):
+                order, where = _degrevlex_plan(nv, shift, degree)
+                basis = [monomial_basis(nv, degree)[i] for i in order]
+                assert all(_degrevlex_greater(a, b) for a, b in zip(basis, basis[1:]))
+                top_order = _degrevlex_plan(nv, 0, shift + degree)[0]
+                target = [monomial_basis(nv, shift + degree)[i] for i in top_order]
+                assert where.shape == (comb(nv - 1 + shift, shift), len(basis))
+                for m, positions in zip(monomial_basis(nv, shift), where, strict=True):
+                    assert list(positions) == sorted(positions)
+                    for b, pos in zip(basis, positions, strict=True):
+                        product = Form.monomial(DUAL, m) * Form.monomial(DUAL, b)
+                        assert list(product.terms) == [target[pos]]
+                assert not order.flags.writeable and not where.flags.writeable
 
 
 def test_solve_waring_cuspidal_star():

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from starpolar import linalg, starconfig
+from starpolar import apolar, linalg, starconfig
 from starpolar.apolar import ideal_piece_dimension, perp_piece
 from starpolar.field import DEFAULT_PRIME, Fp, residue_array, residue_rows
 from starpolar.poly import DUAL, Form, evaluate, parse_form
@@ -56,6 +56,16 @@ def test_certify_concurrent_lines_fails_with_witness():
     with pytest.raises(GeneralPositionError) as err:
         HyperplaneSet(rows)
     assert err.value.subset == (0, 1, 2)
+
+
+@pytest.mark.parametrize("p", [7, None])
+def test_certificate_refuses_rows_of_one_coordinate(p):
+    """n = 0 has no star points to scan: the certificate and the weights
+    refuse it by name, not from deep inside the star index."""
+    with pytest.raises(ValueError, match="need n >= 1"):
+        general_position_violation(p, [[1], [2]], [[1]])
+    with pytest.raises(ValueError, match="need n >= 1"):
+        starconfig.star_weights(7, [[1], [2]], [[1]])
 
 
 def test_general_position_witness_matches_det_scan(monkeypatch):
@@ -679,10 +689,23 @@ def _hyperplane_set(rng, field, r, n):
 
 
 @pytest.mark.parametrize("field", [7, 101, DEFAULT_PRIME, "Q"])
-def test_ideal_layer_matches_the_path_on_scalars(field):
+def test_ideal_layer_matches_the_path_on_scalars(field, monkeypatch):
     """Hilbert function, point ideal pieces, both routes and
     `ideal_piece_dimension` against the evaluation matrices and product
-    rows built on the scalars as given (`Fp` objects over F_p)."""
+    rows built on the scalars as given (`Fp` objects over F_p).
+
+    Over F_p, (6, 4) and, at the default prime, (7, 4) take route B's
+    leading-term block; over F_7 and F_101 its leading terms fall short, so
+    some Schur complement has positive rank.  Over Q the block is never
+    taken."""
+    blocks = []  # (Schur complement rank, whether generators of degree t joined)
+    schur_rank = apolar._schur_rank
+
+    def spy(p, reduced, full, *rest):
+        blocks.append((schur_rank(p, reduced, full, *rest), bool(full)))
+        return blocks[-1][0]
+
+    monkeypatch.setattr(apolar, "_schur_rank", spy)
     rng = random.Random(str(field))
     if isinstance(field, int):
         for nv in (2, 3, 4):
@@ -695,7 +718,7 @@ def test_ideal_layer_matches_the_path_on_scalars(field):
                         [list(w.terms.items()) for w in want]
     # exact rref over Q grows fast in the product rows, so Q stops at (5, 2)
     shapes = ((2, 1), (3, 1), (4, 2), (5, 2)) + ((5, 3), (6, 4)) * isinstance(field, int)
-    for r, n in shapes:
+    for r, n in shapes + ((7, 4),) * (field == DEFAULT_PRIME):
         hset = _hyperplane_set(rng, field, r, n)
         for t in range(r + 2):
             assert star_ideal_dimension_by_intersection(hset, t) == \
@@ -713,11 +736,34 @@ def test_ideal_layer_matches_the_path_on_scalars(field):
         lin = random_form_over(rng, DUAL, n + 1, 1, over, 1.0)
         high = random_form_over(rng, DUAL, n + 1, 5, over, 0.5)
         scale = Fp(3, field) if isinstance(field, int) else Fraction(-2, 3)
+        # in 3 variables, two lines' products lead at all quadrics but one,
+        # so at t = 2 the quadric a joins route B's block
+        lin2 = random_form_over(rng, DUAL, n + 1, 1, over, 1.0)
         for gens in (gens, [a, b, a], [a, b * scale, b], [a, b, a + b, c],
-                     [lin, a, b, a + b, high, lin * lin, c, lin * scale]):
+                     [lin, a, b, a + b, high, lin * lin, c, lin * scale], [lin, lin2, a]):
             for t in range(5):
                 assert ideal_piece_dimension(gens, t) == \
                     ideal_piece_dimension_on_scalars(gens, t)
+    if field == "Q":
+        assert not blocks
+        return
+    assert any(joined for _, joined in blocks)
+    if field != DEFAULT_PRIME:
+        assert any(rank for rank, _ in blocks)
+    else:
+        # (6, 4) at t = 6 ranks only its Schur complement, on f = HF(6) = 15
+        # columns; a wide plane set, (14, 2) at t = 14, ranks its full rows
+        widths = []
+        rank_mod = linalg.rank_mod
+        monkeypatch.setattr(linalg, "rank_mod",
+                            lambda rows, p: widths.append(np.shape(rows)) or rank_mod(rows, p))
+        gens = _hyperplane_set(rng, field, 6, 4).product_generators
+        assert ideal_piece_dimension(gens, 6) == comb(10, 4) - comb(6, 4)
+        assert widths and all(w <= 15 for _, w in widths)
+        widths.clear()
+        gens = _hyperplane_set(rng, field, 14, 2).product_generators
+        assert ideal_piece_dimension(gens, 14) == comb(16, 2) - comb(14, 2)
+        assert widths == [(3 * 14, comb(16, 2))]
 
 
 def test_ideal_layer_refuses_a_prime_past_int64():

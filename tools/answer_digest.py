@@ -35,7 +35,19 @@ digests must be equal.  Timings are left out.  The records cover:
   and r = n..n+4, with draws that hold a zero row or a dependent
   (n+1)-subset;
 - the bytes of `jacobian_matrix` and `incidence_matrix` for n = 5, 6 and
-  d <= 4, or the error a draw raises.
+  d <= 4, or the error a draw raises;
+- route B (`star_ideal_dimension_by_products`, `ideal_piece_dimension`)
+  where its leading-term block has edges: seeded (6, 4), (7, 4) and (7, 5)
+  sets over F_(2^31 - 1) for every t <= r + 1; seeded (6, 4) and (7, 4)
+  sets over F_7, F_11 and F_101, whose leading terms fall short of the
+  rank; the two-variable set y0^2, y0*y1 + y1^2 and the cuspidal cubic's
+  mixed-degree annihilator generators over Q and over F_p; and one wide
+  (14, 2) set at t = 14, 15.
+
+Arrays are hashed as little-endian int64 bytes, the same on every
+platform.  `quick_records` is a subset of the records with at least one of
+each kind; a tier-1 test pins its digest, so a change that alters an
+answer must update that pin and say which records changed and why.
 
 Run from the repository root, with the package under test on the path:
 
@@ -58,7 +70,7 @@ from starpolar import apolar, cli, existence
 from starpolar.existence import (GeneralPositionError, ResampleBudgetError,
                                  incidence_matrix, jacobian_matrix, jacobian_rank_test)
 from starpolar.field import DEFAULT_PRIME, Fp, scalar_from_str, scalar_to_str
-from starpolar.poly import DUAL, PRIMAL, Form, format_form, monomial_basis
+from starpolar.poly import DUAL, PRIMAL, Form, format_form, monomial_basis, parse_form
 from starpolar.starconfig import (HyperplaneSet, cramer_table, hilbert_function,
                                   point_ideal_piece, star_ideal_dimension_by_intersection,
                                   star_ideal_dimension_by_products, star_weights)
@@ -76,12 +88,24 @@ def report(d, r, n, prime):
     return ["report", data]
 
 
+def _sha(a):
+    return hashlib.sha256(a.astype("<i8").tobytes()).hexdigest()
+
+
 def matrix(build, d, r, n, values):
     try:
         a = build(d, r, n, values)
     except (GeneralPositionError, ValueError) as err:
         return [build.__name__, type(err).__name__, str(err)]
-    return [build.__name__, list(a.shape), hashlib.sha256(a.tobytes()).hexdigest()]
+    return [build.__name__, list(a.shape), _sha(a)]
+
+
+def draw_record(tag, p, d, r, n, draw):
+    """Both matrices of (d, r, n) at one seeded parameter draw mod p."""
+    rng = random.Random(f"{tag}:{p}:{d}:{r}:{n}:{draw}")
+    values = existence._draw_parameter_values(d, r, n, p, rng)
+    return [d, r, n, p, draw, matrix(jacobian_matrix, d, r, n, values),
+            matrix(incidence_matrix, d, r, n, values)]
 
 
 def power_sum(points, weights, d):
@@ -95,10 +119,10 @@ def error(err):
     return [type(err).__name__, str(err)]
 
 
-def apolar_records(field, scalar, rng):
+def apolar_records(field, scalar, rng, ns=(1, 2, 3)):
     """Power sums over the star points of seeded hyperplane sets, and over
     random points, each read by every apolarity entry point."""
-    for n in (1, 2, 3):
+    for n in ns:
         for r in range(n, n + 4):
             try:
                 hset = HyperplaneSet([[scalar() for _ in range(n + 1)] for _ in range(r)])
@@ -140,7 +164,7 @@ def run_cli(argv):
     return [code, out.getvalue(), err.getvalue()]
 
 
-def cli_records(rng):
+def cli_records(rng, ns=(2, 3)):
     """`star` and `apolar-check` on seeded line sets over Z and Q, each
     checked against a power sum over its own star points and a random form."""
     fields = {"Z": lambda: rng.randint(-6, 6),
@@ -148,7 +172,7 @@ def cli_records(rng):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "lines.json")
         for field, scalar in fields.items():
-            for n in (2, 3):
+            for n in ns:
                 for r in range(n, n + 5):
                     rows = [[scalar() for _ in range(n + 1)] for _ in range(r)]
                     if r == n + 4:  # one dependent set per field and n
@@ -182,23 +206,23 @@ def degenerate_point_sets(scalar, nv, rng):
     yield [point() for _ in range(nv * (nv + 1) // 2 + 1)]
 
 
-def hilbert_records(rng):
+def hilbert_records(rng, nvs=(2, 3, 4)):
     fields = {"Z": int, "Q": lambda v: Fraction(v, 3),
               "F_7": lambda v: Fp(v, 7), "F_big": lambda v: Fp(v, DEFAULT_PRIME)}
     for field, scalar in fields.items():
-        for nv in (2, 3, 4):
+        for nv in nvs:
             for pts in degenerate_point_sets(scalar, nv, rng):
                 yield [field, [[str(c) for c in pt] for pt in pts],
                        hilbert_function(pts, len(pts) + 2).values]
 
 
-def route_records(rng):
+def route_records(rng, ns=(2, 3)):
     """Route A and route B in every degree t <= r on seeded line sets."""
     fields = {"Z": lambda: rng.randint(-5, 5),
               "Q": lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))}
     fields.update({f"F_{p}": lambda p=p: Fp(rng.randrange(p), p) for p in PRIMES})
     for field, scalar in fields.items():
-        for n in (2, 3):
+        for n in ns:
             for r in range(n, n + 4):
                 try:
                     hset = HyperplaneSet([[scalar() for _ in range(n + 1)] for _ in range(r)])
@@ -210,13 +234,13 @@ def route_records(rng):
                        [star_ideal_dimension_by_products(hset, t) for t in range(r + 1)]]
 
 
-def hilbert_wide_records(rng):
+def hilbert_wide_records(rng, rs=range(10, 15)):
     """Hilbert functions of general line sets in P^2, of points with huge
     entries or denominators, and of points equal mod the default prime."""
     fields = {"Z": lambda: rng.randint(-99, 99),
               "Q": lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 9))}
     for field, scalar in fields.items():
-        for r in range(10, 15):
+        for r in rs:
             while True:
                 try:
                     hset = HyperplaneSet([[scalar() for _ in range(3)] for _ in range(r)])
@@ -242,16 +266,15 @@ def hilbert_wide_records(rng):
 
 
 def arrays(*named):
-    return [[name, list(a.shape), hashlib.sha256(a.tobytes()).hexdigest()]
-            for name, a in named]
+    return [[name, list(a.shape), _sha(a)] for name, a in named]
 
 
-def cramer_records(rng):
+def cramer_records(rng, ns=range(1, 8)):
     """`cramer_table` and `star_weights` on seeded int rows mod p: a
     general draw, one with a zero row, and one whose last row is a
     combination of the first n (a dependent (n+1)-subset)."""
     for p in PRIMES:
-        for n in range(1, 8):
+        for n in ns:
             for r in range(n, n + 5):
                 for kind in ("general", "zero-row", "dependent"):
                     rows = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(r)]
@@ -270,22 +293,9 @@ def cramer_records(rng):
                                                  ("sets", sets), ("faces", faces)), weights]
 
 
-def records():
-    for prime in (101, DEFAULT_PRIME):
-        for n in range(1, 6):
-            for d in range(1, 6):
-                for r in range(n, d + n + 2):
-                    yield report(d, r, n, prime)
-    for p in PRIMES:
-        for n in range(1, 5):
-            for d in range(1, 6):
-                for r in range(n, d + n + 1):
-                    for draw in range(6):
-                        rng = random.Random(f"digest:{p}:{d}:{r}:{n}:{draw}")
-                        values = existence._draw_parameter_values(d, r, n, p, rng)
-                        yield [d, r, n, p, draw, matrix(jacobian_matrix, d, r, n, values),
-                               matrix(incidence_matrix, d, r, n, values)]
-    rng = random.Random("digest:hyperplanes")
+def hyperplane_records(rng, ns=range(1, 5), extra=9, draws=8):
+    """`HyperplaneSet` points, or the general-position witness, on seeded
+    rows over Z, Q, F_3, F_7 and F_(2^31 - 1), some with a dependent row."""
     fields = {
         "Z": lambda: rng.randint(-2, 2),
         "Q": lambda: Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
@@ -294,9 +304,9 @@ def records():
         "F_big": lambda: Fp(rng.randrange(DEFAULT_PRIME), DEFAULT_PRIME),
     }
     for field, scalar in fields.items():
-        for n in range(1, 5):
-            for r in range(n, n + 9):
-                for _ in range(8):
+        for n in ns:
+            for r in range(n, n + extra):
+                for _ in range(draws):
                     rows = [[scalar() for _ in range(n + 1)] for _ in range(r)]
                     if r > 2 and rng.random() < 0.3:
                         i, j, k = (rng.randrange(r) for _ in range(3))
@@ -308,6 +318,58 @@ def records():
                         continue
                     yield [field, n, r, [[list(pt.tag), [str(c) for c in pt.coords]]
                                          for pt in hset.points]]
+
+
+def _seeded_set(rng, r, n, p):
+    """The first seeded draw of r rows mod p in general position."""
+    while True:
+        try:
+            return HyperplaneSet([[Fp(rng.randrange(p), p) for _ in range(n + 1)]
+                                  for _ in range(r)])
+        except (GeneralPositionError, ValueError):
+            continue
+
+
+def route_b_records(rng, big=((6, 4), (7, 4), (7, 5)), small=((6, 4), (7, 4)), draws=3):
+    """Route B where its leading-term block has edges: star sets over
+    F_(2^31 - 1) up to t = r + 1, star sets over small primes, where the
+    leading terms of the generators fall short of the rank, generators in
+    two variables and of mixed degrees over Q and F_p, and a wide plane set."""
+    for r, n in big:
+        hset = _seeded_set(rng, r, n, DEFAULT_PRIME)
+        yield ["route-b", DEFAULT_PRIME, r, n,
+               [star_ideal_dimension_by_products(hset, t) for t in range(r + 2)]]
+    for p in (7, 11, 101):
+        for r, n in small:
+            for _ in range(draws):
+                hset = _seeded_set(rng, r, n, p)
+                yield ["route-b", p, r, n, [[str(c) for c in row] for row in hset.coeffs],
+                       [star_ideal_dimension_by_products(hset, t) for t in range(r + 2)]]
+    plain = {"two-variable": ["y0^2", "y0*y1 + y1^2"],
+             "cuspidal-perp": ["y2^2", "y0*y2", "y0*y1", "y1^3", "y0^3 + 3*y1^2*y2"]}
+    for name, texts in plain.items():
+        gens = [parse_form(s, num_vars=2 if name == "two-variable" else 3) for s in texts]
+        for p in (None, 7, 101, DEFAULT_PRIME):
+            over = gens if p is None else [g * Fp(1, p) for g in gens]
+            yield ["route-b", name, p, [apolar.ideal_piece_dimension(over, t) for t in range(7)]]
+    hset = _seeded_set(rng, 14, 2, DEFAULT_PRIME)
+    yield ["route-b", DEFAULT_PRIME, 14, 2,
+           [star_ideal_dimension_by_products(hset, t) for t in (14, 15)]]
+
+
+def records():
+    for prime in (101, DEFAULT_PRIME):
+        for n in range(1, 6):
+            for d in range(1, 6):
+                for r in range(n, d + n + 2):
+                    yield report(d, r, n, prime)
+    for p in PRIMES:
+        for n in range(1, 5):
+            for d in range(1, 6):
+                for r in range(n, d + n + 1):
+                    for draw in range(6):
+                        yield draw_record("digest", p, d, r, n, draw)
+    yield from hyperplane_records(random.Random("digest:hyperplanes"))
     for d in (40, 80):
         yield report(d, d + 1, 2, DEFAULT_PRIME)
     rng = random.Random("digest:apolar")
@@ -325,18 +387,45 @@ def records():
             for d in range(1, 5):
                 for r in range(n, d + n + 1):
                     for draw in range(2):
-                        rng = random.Random(f"digest-wide:{p}:{d}:{r}:{n}:{draw}")
-                        values = existence._draw_parameter_values(d, r, n, p, rng)
-                        yield [d, r, n, p, draw, matrix(jacobian_matrix, d, r, n, values),
-                               matrix(incidence_matrix, d, r, n, values)]
+                        yield draw_record("digest-wide", p, d, r, n, draw)
+    yield from route_b_records(random.Random("digest:route-b"))
+
+
+def quick_records():
+    """A few records of every kind, in a second or two: rank reports on
+    both routes, matrix bytes, certificate points and witnesses, the
+    apolarity layer with Waring weights, CLI JSON, Hilbert functions, both
+    ideal routes, Cramer tables, and route B on its block and off it."""
+    for d, r, n in ((2, 3, 2), (3, 6, 2), (2, 5, 1)):
+        yield report(d, r, n, DEFAULT_PRIME)
+    for p in PRIMES:
+        yield draw_record("quick", p, 3, 4, 2, 0)
+    yield from hyperplane_records(random.Random("quick:hyperplanes"), ns=(2,), extra=3, draws=2)
+    rng = random.Random("quick:apolar")
+    yield from apolar_records("F_7", lambda: Fp(rng.randrange(7), 7), rng, ns=(1,))
+    yield from apolar_records(
+        "Q", lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng, ns=(1,))
+    yield from cli_records(random.Random("quick:cli"), ns=(2,))
+    yield from hilbert_records(random.Random("quick:hilbert"), nvs=(3,))
+    yield from route_records(random.Random("quick:routes"), ns=(2,))
+    yield from hilbert_wide_records(random.Random("quick:hilbert-wide"), rs=(10,))
+    yield from cramer_records(random.Random("quick:cramer"), ns=(2, 3))
+    yield from route_b_records(random.Random("quick:route-b"), big=((6, 4),),
+                               small=((6, 4),), draws=1)
+
+
+def digest(recs):
+    """(count, sha256 hex) over the JSON lines of the records."""
+    sha, count = hashlib.sha256(), 0
+    for record in recs:
+        sha.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        count += 1
+    return count, sha.hexdigest()
 
 
 def main():
-    digest, count = hashlib.sha256(), 0
-    for record in records():
-        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
-        count += 1
-    print(f"{count} records, sha256 {digest.hexdigest()}")
+    count, hexdigest = digest(records())
+    print(f"{count} records, sha256 {hexdigest}")
     return 0
 
 
