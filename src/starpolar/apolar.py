@@ -24,6 +24,13 @@ ints and make no `Fp`; an annihilator piece is read off the mod-p
 kernel's int64 rows, which become forms directly
 (`poly.form_from_vector`); and a Waring solve runs on residues
 (`solve_waring`), whose `Fp` weights are the only `Fp`s it makes.
+A decomposition's residual rebuilds sum alpha_i L_i^d with every power
+expanded at once (`WaringDecomposition.combination`): one level per
+degree, each a scatter of the products L_i[m] x_m times the last level,
+placed by `poly.shift_table`, on one `field.residue_array` of the
+weights and coordinates over Z, Q or F_p.  It forms no multinomial, so
+it stays independent of the solver's `linear_power_table` columns, and
+a zero residual is a real cross-check.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from math import comb, prod
 import numpy as np
 
 from . import linalg
-from .field import Fp, residue_array, scalar_to_str
+from .field import Fp, modulus_of, residue, residue_array, scalar_to_str
 from .poly import (DUAL, PRIMAL, Form, basis_index, coefficient_vector,
                    contract, contraction_row, field_terms, form_from_vector,
                    linear_power_coefficients, linear_power_table, monomial_basis,
@@ -219,9 +226,17 @@ def _degrevlex_plan(num_vars: int, shift: int, degree: int):
     order, top = ranked(degree), ranked(shift + degree)
     position = np.empty_like(top)
     position[top] = np.arange(len(top))
-    where = position[np.array(shift_table(num_vars, shift, degree), dtype=np.int64)[:, order]]
+    where = position[_shift_array(num_vars, shift, degree)[:, order]]
     order.flags.writeable = where.flags.writeable = False
     return order, where
+
+
+@lru_cache(maxsize=None)
+def _shift_array(num_vars: int, shift: int, degree: int):
+    """`shift_table` as a read-only int64 array, one row per monomial m."""
+    where = np.array(shift_table(num_vars, shift, degree), dtype=np.int64)
+    where.flags.writeable = False
+    return where
 
 
 def _scatter(runs, width: int):
@@ -383,16 +398,47 @@ class WaringDecomposition:
     degree: int
 
     def combination(self) -> Form:
-        """Rebuild the weighted power sum by sparse multiplication.
+        """Rebuild the weighted power sum, sum alpha_i * L_i^d, or None for
+        an empty decomposition.
 
-        This is deliberately a different expansion path from the solver's
-        multinomial columns, so a zero residual is a real cross-check.
+        The weights and the coordinates of the L_i are read over their
+        common field, F_p if a form or a weight has a prime, as one
+        `field.residue_array`, and no `Fp` is made; a term that vanishes
+        has no say in the field, as in a sum of forms.  All powers are
+        expanded at once: row i of V_0 is alpha_i, and V_{k+1} =
+        sum_m L_i[m] x_m V_k over the degree-(k+1) basis is one scatter of
+        the products L_i[m] V_k[i] into layers m, at the positions
+        `poly.shift_table` gives for x_m, summed over m; over F_p each
+        product is reduced before it is added.  The rows of V_d sum to the
+        combination.  No multinomial is formed, so this stays a different
+        path from the solver's `poly.linear_power_table` columns, and a
+        zero residual is a real cross-check.
         """
-        total = None
-        for alpha, lf in zip(self.coefficients, self.linear_forms):
-            piece = (lf ** self.degree) * alpha
-            total = piece if total is None else total + piece
-        return total
+        if not self.linear_forms or not self.coefficients:
+            return None
+        d, first = self.degree, self.linear_forms[0]
+        pairs = [(alpha, lf) for alpha, lf in zip(self.coefficients, self.linear_forms)
+                 if (d == 0 or not lf.is_zero())
+                 and (residue(alpha, lf.prime) if lf.prime else alpha)]
+        if not pairs:
+            return Form.zero(first.ring, first.num_vars, d)
+        p, maps = field_terms(*(lf for _, lf in pairs))
+        p = p or modulus_of(alpha for alpha, _ in pairs)
+        nv = first.num_vars
+        rows = [[alpha, *(terms.get(e, 0) for e in monomial_basis(nv, 1))]
+                for (alpha, _), terms in zip(pairs, maps)]
+        if p is not None:
+            rows = [[residue(x, p) for x in row] for row in rows]
+        M = residue_array(rows, p)
+        V, L = M[:, :1], M[:, 1:]
+        layers = np.arange(nv)[:, None]
+        for k in range(d):
+            B = np.zeros((len(M), nv, comb(nv + k, k + 1)), dtype=M.dtype)
+            prods = L[:, :, None] * V[:, None, :]
+            B[:, layers, _shift_array(nv, 1, k)] = prods % p if p else prods
+            V = B.sum(axis=1) % p if p else B.sum(axis=1)
+        total = V.sum(axis=0) % p if p else V.sum(axis=0)
+        return form_from_vector(first.ring, nv, d, total.tolist(), p)
 
     def residual(self, f: Form) -> Form:
         return self.combination() - f
@@ -446,7 +492,8 @@ def solve_waring(points, f: Form):
     ones included; F_p needs p < 2^31, as every F_p matrix does.  Over Q
     the columns are `linear_power_coefficients` on the scalars as given,
     solved by `linalg.solve_linear`.  `WaringDecomposition.residual`
-    rebuilds F by sparse multiplication, a different path from either.
+    rebuilds F by a batched expansion of the powers with no multinomial,
+    a different path from either.
     """
     if f.ring != PRIMAL:
         raise ValueError("Waring decomposition expects a primal form")

@@ -49,7 +49,10 @@ the rows with a nonzero entry in c, and only their columns from c on:
 every other row would receive 0 times the pivot row, and the pivot row
 is zero left of c.  So sparse matrices (the product rows of an ideal
 piece) cost little, and the result is the same array as full-row
-elimination.
+elimination.  Both mod-p eliminations run one loop (`_echelon_mod`) and
+differ only in the rows cleared at a pivot: `rref_mod` clears the
+column above and below it in one update, Gauss-Jordan in one pass with
+no back-substitution, while `rank_mod` clears below only.
 
 An update x = a - b * q with a, b, q residues in [0, p) lies in
 [-(p - 1)^2, p), inside (-2^62, 2^31) for p < 2^31, so it is exact in
@@ -339,15 +342,21 @@ def rank_mod(rows, p: int) -> int:
 def _eliminate(M, rows, r: int, c: int, p: int) -> None:
     """Clear column c of the given rows with pivot row r (whose entry there is 1).
 
-    Row r is zero left of c, so only columns c: change.  Adjacent rows are
-    updated in place through a view, scattered ones through a gathered copy.
+    Row r is zero left of c, so only columns c: change.  Rows that are
+    adjacent, but for the pivot row between them, are updated in place
+    through a view, the pivot row with factor 0; scattered ones through a
+    gathered copy.
     """
     if not rows.size:
         return
-    lo = int(rows[0])
-    run = rows[-1] - lo + 1 == rows.size
-    block = M[lo:lo + rows.size, c:] if run else M[rows, c:]
-    tmp = np.multiply.outer(block[:, 0], M[r, c:])
+    lo, span = int(rows[0]), int(rows[-1]) + 1 - int(rows[0])
+    run = span == rows.size or (span == rows.size + 1 and lo < r < lo + span)
+    block = M[lo:lo + span, c:] if run else M[rows, c:]
+    factors = block[:, 0]
+    if span > rows.size and run:
+        factors = factors.copy()
+        factors[r - lo] = 0
+    tmp = np.multiply.outer(factors, M[r, c:])
     block -= tmp
     # reduce mod p by floor division (module docstring); tmp is reused
     np.floor_divide(block, p, out=tmp)
@@ -357,8 +366,10 @@ def _eliminate(M, rows, r: int, c: int, p: int) -> None:
         M[rows, c:] = block
 
 
-def _echelon_mod(M, p: int):
-    """In-place row-echelon form mod p (eliminate below only, pivots are 1).
+def _echelon_mod(M, p: int, reduced: bool = False):
+    """In-place row-echelon form mod p with pivots 1: at each pivot the
+    rows below are cleared, and with ``reduced`` the rows above too, which
+    leaves the reduced form.
 
     Returns the pivot column list; rows beyond the rank are zero.
     """
@@ -366,7 +377,7 @@ def _echelon_mod(M, p: int):
     pivots = []
     r = 0
     for c in range(ncols):
-        nz = np.flatnonzero(M[r:, c])
+        nz = M[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         j = r + int(nz[0])
@@ -377,7 +388,10 @@ def _echelon_mod(M, p: int):
         prow *= inv
         prow %= p
         # the rows r + nz[1:] keep their place in the swap (they lie below j)
-        _eliminate(M, r + nz[1:], r, c, p)
+        rows = r + nz[1:]
+        if reduced and r:
+            rows = np.concatenate((M[:r, c].nonzero()[0], rows))
+        _eliminate(M, rows, r, c, p)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -386,15 +400,15 @@ def _echelon_mod(M, p: int):
 
 
 def rref_mod(rows, p: int):
-    """Reduced row-echelon form mod p.  Returns (array, pivot columns)."""
+    """Reduced row-echelon form mod p.  Returns (array, pivot columns).
+
+    One Gauss-Jordan pass (`_echelon_mod`): at each pivot one `_eliminate`
+    clears its column above and below it, so no back-substitution follows.
+    """
     M = residue_array(rows, p)
     if M.size == 0:
         return M, []
-    pivots = _echelon_mod(M, p)
-    for r in reversed(range(len(pivots))):
-        c = pivots[r]
-        _eliminate(M, np.flatnonzero(M[:r, c]), r, c, p)
-    return M, pivots
+    return M, _echelon_mod(M, p, reduced=True)
 
 
 def kernel_mod(rows, num_cols: int, p: int):

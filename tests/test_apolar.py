@@ -5,13 +5,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from starpolar import linalg
-from starpolar.apolar import (CatalecticantMatrix, _coefficient_runs, _degrevlex_plan,
-                              _scatter, annihilates, catalecticant, ideal_piece_dimension,
-                              is_apolar_ideal_contained, perp_piece,
+from starpolar import linalg, poly
+from starpolar.apolar import (CatalecticantMatrix, WaringDecomposition, _coefficient_runs,
+                              _degrevlex_plan, _scatter, annihilates, catalecticant,
+                              ideal_piece_dimension, is_apolar_ideal_contained, perp_piece,
                               solve_waring, verify_perp_generators)
 from starpolar.field import DEFAULT_PRIME, Fp, random_scalar
-from starpolar.poly import (DUAL, PRIMAL, Form, coefficient_vector, contract,
+from starpolar.poly import (DUAL, PRIMAL, Form, coefficient_vector, contract, format_form,
                             monomial_basis, parse_form, shift_table)
 from starpolar.starconfig import point_ideal_piece
 
@@ -286,6 +286,60 @@ def test_solve_waring_binary_example():
     assert deco is not None
     assert deco.coefficients == [Fraction(1, 2), Fraction(1, 2), Fraction(-1)]
     assert deco.residual(f).is_zero()
+
+
+def _combination_by_powers(deco):
+    """sum alpha * L^d, term by term through `Form.__pow__`."""
+    total = None
+    for alpha, lf in zip(deco.coefficients, deco.linear_forms):
+        piece = (lf ** deco.degree) * alpha
+        total = piece if total is None else total + piece
+    return total
+
+
+def _seeded_decompositions(rng, coord, weight, draws=40):
+    """Decompositions in 1-4 variables, degrees 0-6, some coordinates and
+    weights zero, with a form G of the same degree to take residuals of."""
+    def sparse(scalar):
+        return 0 if rng.random() < 0.2 else scalar()
+
+    for _ in range(draws):
+        nv, d, count = rng.randrange(1, 5), rng.randrange(7), rng.randrange(1, 7)
+        lines = [Form.linear(PRIMAL, [sparse(coord) for _ in range(nv)]) for _ in range(count)]
+        deco = WaringDecomposition(lines, [sparse(weight) for _ in lines], d)
+        G = Form(PRIMAL, nv, d, {m: weight() for m in monomial_basis(nv, d)
+                                 if rng.random() < 0.5})
+        yield deco, G
+
+
+@pytest.mark.parametrize("coord, weight", [
+    ("F_7", "F_7"), ("F_101", "F_101"), ("F_big", "F_big"), ("Q", "Q"),
+    ("Z", "F_7"), ("Q", "F_101"), ("F_7", "Q"), ("F_big", "Z")])
+def test_combination_matches_the_sum_of_form_powers(coord, weight, monkeypatch):
+    rng = random.Random(f"combination:{coord}:{weight}")
+    scalars = {"Z": lambda: rng.randint(-5, 5),
+               "Q": lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))}
+    scalars.update({f"F_{p}": (lambda p=p: Fp(rng.randrange(p), p)) for p in (7, 101)})
+    scalars["F_big"] = lambda: Fp(rng.randrange(DEFAULT_PRIME), DEFAULT_PRIME)
+    cases = []
+    for deco, G in _seeded_decompositions(rng, scalars[coord], scalars[weight]):
+        expected = _combination_by_powers(deco)
+        cases.append((deco, G, expected, [expected - G, -G]))
+    assert any(not res.is_zero() for *_, (res, _) in cases)
+    calls = []
+    real = poly._term_products
+    monkeypatch.setattr(poly, "_term_products", lambda *a: calls.append(1) or real(*a))
+    for deco, G, expected, (residual, shifted) in cases:
+        got = deco.combination()
+        assert (got.ring, got.num_vars, got.degree, got.prime) == (
+            expected.ring, expected.num_vars, expected.degree, expected.prime)
+        assert got.terms == expected.terms and format_form(got) == format_form(expected)
+        assert deco.residual(G) == residual
+        assert deco.residual(expected).is_zero()
+        assert deco.residual(expected + G) == shifted
+    # the combination expands no power by term-pair products
+    assert calls == []
+    assert WaringDecomposition([], [], 3).combination() is None
 
 
 def test_solve_waring_infeasible():

@@ -279,7 +279,30 @@ def test_det_over_jets_matches_value_determinant():
         assert dj.grad.tolist() == cofactors
 
 
-def test_mod_paths_agree_with_generic():
+def _swap_cases(rng, p, count=30):
+    """Matrices mod p whose first pivot lies below zero rows, with zero
+    columns, zero rows and, in some, a row that is a sum of two others."""
+    cases = []
+    for _ in range(count):
+        m, n = rng.randrange(2, 9), rng.randrange(2, 9)
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+        for c in rng.sample(range(n), rng.randrange(1, n)):
+            for row in rows:
+                row[c] = 0
+        lead = next((c for c in range(n) if rows[0][c] or rows[-1][c]), None)
+        if lead is not None:
+            for row in rows[:rng.randrange(1, m)]:
+                row[lead] = 0
+            rows[-1][lead] = rng.randrange(1, p)
+        if m > 2 and rng.random() < 0.5:
+            rows[1] = [(a + b) % p for a, b in zip(rows[0], rows[-1])]
+        if rng.random() < 0.3:
+            rows[rng.randrange(m)] = [0] * n
+        cases.append(rows)
+    return cases
+
+
+def test_mod_paths_agree_with_generic(monkeypatch):
     p = 101
     rng = random.Random(23)
     cases = []
@@ -288,12 +311,22 @@ def test_mod_paths_agree_with_generic():
         cases.append([[rng.randrange(p) for _ in range(n)] for _ in range(m)])
     # no pivot at all, and ten free columns against two pivots
     cases += [[[0] * 4] * 3, [[rng.randrange(p) for _ in range(12)] for _ in range(2)]]
-    for rows in cases:
+    cases = [(p, rows) for rows in cases] + [(7, rows) for rows in _swap_cases(rng, 7)]
+    calls = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a: calls.append(a[3]) or real(*a))
+    for p, rows in cases:
         n = len(rows[0])
         frows = [[Fp(e, p) for e in row] for row in rows]
-        assert linalg.rank_mod(rows, p) == len(linalg.rref(frows)[1])
+        R, pivots = linalg.rref_generic(frows)
+        calls.clear()
+        M, mod_pivots = linalg.rref_mod(rows, p)
+        # Gauss-Jordan in one pass: one elimination per pivot column
+        assert calls == mod_pivots == pivots
+        assert [[Fp(e, p) for e in row] for row in M.tolist()] == R
+        assert linalg.rank_mod(rows, p) == len(pivots)
         ker = linalg.kernel_mod(rows, n, p)
-        assert len(ker) == n - linalg.rank_mod(rows, p)
+        assert len(ker) == n - len(pivots)
         for v in ker:
             for row in rows:
                 assert sum(a * int(b) for a, b in zip(row, v)) % p == 0

@@ -42,7 +42,19 @@ digests must be equal.  Timings are left out.  The records cover:
   sets over F_7, F_11 and F_101, whose leading terms fall short of the
   rank; the two-variable set y0^2, y0*y1 + y1^2 and the cuspidal cubic's
   mixed-degree annihilator generators over Q and over F_p; and one wide
-  (14, 2) set at t = 14, 15.
+  (14, 2) set at t = 14, 15;
+- `WaringDecomposition` combinations, residuals against F and against F
+  plus one monomial, and JSON, for n + 1 = 1..5, d = 0..7 and 1, 3 or 8
+  points: `solve_waring`'s answer on a seeded power sum and a
+  decomposition built directly, some weights and coordinates zero, over
+  F_7, F_11, F_(2^31 - 1) and Q, int points with an F_p form, F_p points
+  with a Q form, int and `Fraction` points with F_p weights and F_p
+  points with int weights; the empty decomposition; `waring --json`
+  through `cli.main`;
+- `rref_mod`, `kernel_mod` and `solve_over` over F_7, F_101 and
+  F_(2^31 - 1) on seeded matrices: empty, 0 x 4, 3 x 0, 1 x 1, zero rows
+  and columns, a pivot below zeros, rank-deficient, wide and tall, and
+  consistent and inconsistent systems.
 
 Arrays are hashed as little-endian int64 bytes, the same on every
 platform.  `quick_records` is a subset of the records with at least one of
@@ -65,8 +77,11 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
+from math import comb
 
-from starpolar import apolar, cli, existence
+import numpy as np
+
+from starpolar import apolar, cli, existence, linalg
 from starpolar.existence import (GeneralPositionError, ResampleBudgetError,
                                  incidence_matrix, jacobian_matrix, jacobian_rank_test)
 from starpolar.field import DEFAULT_PRIME, Fp, scalar_from_str, scalar_to_str
@@ -357,6 +372,149 @@ def route_b_records(rng, big=((6, 4), (7, 4), (7, 5)), small=((6, 4), (7, 4)), d
            [star_ideal_dimension_by_products(hset, t) for t in (14, 15)]]
 
 
+def waring_outcome(deco, F, extra):
+    """The combination, the residuals against F and against F + ``extra``,
+    and the JSON of a decomposition, or the error one of them raises."""
+    if deco is None:
+        return None
+    try:
+        return [format_form(deco.combination()),
+                [format_form(deco.residual(G)) for G in (F, F + extra)],
+                deco.to_json_dict()]
+    except (TypeError, ValueError) as err:
+        return error(err)
+
+
+def waring_records(rng, nvs=range(1, 6), degrees=range(8), counts=(1, 3, 8)):
+    """Waring combinations and residuals: of `solve_waring`'s answer on a
+    power sum of seeded points, and of a decomposition built directly from
+    the points and weights, which may be zero or have zero coordinates.
+    Over F_7, F_11, F_(2^31 - 1) and Q, and mixed: int points with an F_p
+    form and F_p points with a Q form, int or `Fraction` points with F_p
+    weights, F_p points with int or `Fraction` weights.  Then the empty
+    decomposition and `waring --json` through `cli.main`."""
+    def fp(p):
+        return lambda: Fp(rng.randrange(p), p)
+
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def integer():
+        return rng.randint(-5, 5)
+
+    # (point coordinates, the form's points or None for the same points,
+    # the form's weights, the direct decomposition's weights)
+    fields = {f"F_{p}": (fp(p), None, fp(p), fp(p)) for p in (7, 11, DEFAULT_PRIME)}
+    fields["Q"] = (rational, None, rational, rational)
+    for p in (7, DEFAULT_PRIME):
+        fields[f"Z-points/F_{p}-form"] = (integer, None, fp(p), fp(p))
+        fields[f"Q-points/F_{p}-weights"] = (rational, None, fp(p), fp(p))
+        fields[f"F_{p}-points/Q-form"] = (fp(p), rational, rational, rational)
+        fields[f"F_{p}-points/Z-weights"] = (fp(p), None, integer, integer)
+
+    def sparse(scalar):
+        return 0 if rng.random() < 0.25 else scalar()
+
+    for field, (coord, form_coord, weight, direct) in fields.items():
+        for nv in nvs:
+            for d in degrees:
+                for count in counts:
+                    pts = [tuple(sparse(coord) for _ in range(nv)) for _ in range(count)]
+                    if rng.random() < 0.2:
+                        pts[rng.randrange(count)] = (0,) * nv
+                    at = pts if form_coord is None else [
+                        tuple(form_coord() for _ in range(nv)) for _ in pts]
+                    F = power_sum(at, [weight() for _ in pts], d)
+                    mono = monomial_basis(nv, d)[rng.randrange(comb(nv - 1 + d, d))]
+                    extra = Form.monomial(PRIMAL, mono, weight() or 1)
+                    try:
+                        solved = waring_outcome(apolar.solve_waring(pts, F), F, extra)
+                    except ValueError as err:
+                        solved = error(err)
+                    deco = apolar.WaringDecomposition([Form.linear(PRIMAL, pt) for pt in pts],
+                                                      [sparse(direct) for _ in pts], d)
+                    yield ["waring", field, nv, d, [[str(c) for c in pt] for pt in pts],
+                           format_form(F), solved, waring_outcome(deco, F, extra)]
+    empty = apolar.WaringDecomposition([], [], 3)
+    try:
+        residual = format_form(empty.residual(parse_form("x0^3")))
+    except TypeError as err:
+        residual = error(err)
+    yield ["waring", "empty", empty.combination() is None, residual, empty.to_json_dict()]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "points.json")
+        for nv, d, count in ((2, 3, 3), (3, 2, 4), (3, 4, 6), (4, 3, 5), (2, 5, 2)):
+            pts = [[rational() for _ in range(nv)] for _ in range(count)]
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump([[scalar_to_str(c) for c in pt] for pt in pts], fh)
+            forms = [format_form(power_sum(pts, [rational() for _ in pts], d)),
+                     format_form(Form(PRIMAL, nv, d, {m: integer()
+                                                      for m in monomial_basis(nv, d)}))]
+            for text in forms:
+                yield ["waring-cli", run_cli(["waring", f"--form={text}", "--forms", path,
+                                              "--json"])]
+
+
+def _matrix_cases(rng, p):
+    """Seeded matrices mod p with the edges of an elimination: empty, 1 x 1,
+    zero rows and columns, a pivot below a zero, rank-deficient, wide, tall."""
+    def rows(m, n):
+        return [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+
+    yield "empty", []
+    yield "0x4", np.zeros((0, 4), dtype=np.int64)
+    yield "3x0", [[], [], []]
+    yield "1x1", rows(1, 1)
+    yield "1x1-zero", [[0]]
+    yield "zeros", [[0] * 5 for _ in range(4)]
+    a = rows(6, 7)
+    a[2] = [0] * 7
+    for row in a:
+        row[3] = 0
+    yield "zero-row-and-column", a
+    b = rows(5, 5)
+    b[0][0] = 0
+    yield "swap", b
+    c = rows(7, 6)
+    c[0][0] = c[1][0] = c[2][0] = 0
+    yield "swap-below-zeros", c
+    d = rows(4, 9)
+    d += [[(x + 2 * y) % p for x, y in zip(d[0], d[1])],
+          [(3 * x - y) % p for x, y in zip(d[2], d[3])]]
+    yield "rank-deficient", d
+    yield "wide", rows(3, 12)
+    yield "tall", rows(14, 4)
+    low = rows(8, 3)
+    yield "tall-rank-2", [[(r[0] * u + r[1] * v) % p for u, v in zip(low[0], low[1])]
+                          for r in low]
+
+
+def linalg_records(rng):
+    """`rref_mod`, `kernel_mod` and `solve_over` on `_matrix_cases` over
+    F_7, F_101 and F_(2^31 - 1), and on consistent and inconsistent systems."""
+    for p in PRIMES:
+        for name, rows in _matrix_cases(rng, p):
+            ncols = len(rows[0]) if len(rows) else 4
+            R, pivots = linalg.rref_mod(rows, p)
+            kernel = linalg.kernel_mod(rows, ncols, p)
+            try:
+                solution = linalg.solve_over(p, rows)
+            except IndexError as err:
+                solution = error(err)
+            yield ["linalg", p, name, arrays(("rref", R), ("kernel", kernel)), pivots, solution]
+        for m, n in ((3, 3), (5, 3), (3, 6), (6, 6)):
+            A = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+            x = [rng.randrange(p) for _ in range(n)]
+            b = [sum(a * v for a, v in zip(row, x)) % p for row in A]
+            A[-1] = [(u + v) % p for u, v in zip(A[0], A[1])]
+            bad = list(b)
+            bad[-1] = (b[0] + b[1] + 1) % p
+            for tag, rhs in (("consistent", [(b[0] + b[1]) % p if i == m - 1 else v
+                                             for i, v in enumerate(b)]), ("inconsistent", bad)):
+                yield ["linalg-solve", p, m, n, tag,
+                       linalg.solve_over(p, [row + [v] for row, v in zip(A, rhs)])]
+
+
 def records():
     for prime in (101, DEFAULT_PRIME):
         for n in range(1, 6):
@@ -389,6 +547,8 @@ def records():
                     for draw in range(2):
                         yield draw_record("digest-wide", p, d, r, n, draw)
     yield from route_b_records(random.Random("digest:route-b"))
+    yield from waring_records(random.Random("digest:waring"))
+    yield from linalg_records(random.Random("digest:linalg"))
 
 
 def quick_records():
