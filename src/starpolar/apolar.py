@@ -46,8 +46,8 @@ from . import linalg
 from .field import Fp, modulus_of, residue, residue_array, scalar_to_str
 from .poly import (DUAL, PRIMAL, Form, basis_index, coefficient_vector,
                    contract, contraction_row, field_terms, form_from_vector,
-                   linear_power_coefficients, linear_power_table, monomial_basis,
-                   format_form, shift_table)
+                   linear_power_table, monomial_basis, format_form, shift_table)
+from .poly import linear_power_coefficients  # noqa: F401, unused: the tracer wraps this name
 
 # monomial cells a piece may list: a catalecticant's columns times its
 # rows, or the basis of a piece above the form's degree
@@ -226,17 +226,9 @@ def _degrevlex_plan(num_vars: int, shift: int, degree: int):
     order, top = ranked(degree), ranked(shift + degree)
     position = np.empty_like(top)
     position[top] = np.arange(len(top))
-    where = position[_shift_array(num_vars, shift, degree)[:, order]]
+    where = position[shift_table(num_vars, shift, degree)[:, order]]
     order.flags.writeable = where.flags.writeable = False
     return order, where
-
-
-@lru_cache(maxsize=None)
-def _shift_array(num_vars: int, shift: int, degree: int):
-    """`shift_table` as a read-only int64 array, one row per monomial m."""
-    where = np.array(shift_table(num_vars, shift, degree), dtype=np.int64)
-    where.flags.writeable = False
-    return where
 
 
 def _scatter(runs, width: int):
@@ -435,7 +427,7 @@ class WaringDecomposition:
         for k in range(d):
             B = np.zeros((len(M), nv, comb(nv + k, k + 1)), dtype=M.dtype)
             prods = L[:, :, None] * V[:, None, :]
-            B[:, layers, _shift_array(nv, 1, k)] = prods % p if p else prods
+            B[:, layers, shift_table(nv, 1, k)] = prods % p if p else prods
             V = B.sum(axis=1) % p if p else B.sum(axis=1)
         total = V.sum(axis=0) % p if p else V.sum(axis=0)
         return form_from_vector(first.ring, nv, d, total.tolist(), p)
@@ -485,15 +477,13 @@ def solve_waring(points, f: Form):
     column order, so the output is reproducible.
 
     The points, as linear forms, and F are read over their common field
-    (`poly.field_terms`).  Over F_p (an `Fp` among the points or F's
-    coefficients) everything runs on the residues: two points are refused when they are proportional
-    mod p, the columns are rows of `poly.linear_power_table`, the system is
-    solved by `linalg.solve_over`, and the weights come back as `Fp`, free
-    ones included; F_p needs p < 2^31, as every F_p matrix does.  Over Q
-    the columns are `linear_power_coefficients` on the scalars as given,
-    solved by `linalg.solve_linear`.  `WaringDecomposition.residual`
-    rebuilds F by a batched expansion of the powers with no multinomial,
-    a different path from either.
+    (`poly.field_terms`): F_p, on residues, if an `Fp` is among them, else
+    Q, on the scalars as given.  Over either field two proportional points
+    are refused, the columns are rows of `poly.linear_power_table`, and
+    the system is solved by `linalg.solve_over`; over F_p the weights are
+    `Fp`s, free ones included, and p < 2^31, as for every F_p matrix.
+    `WaringDecomposition.residual` rebuilds F by a batched expansion of
+    the powers with no multinomial, a different path from the solver's.
     """
     if f.ring != PRIMAL:
         raise ValueError("Waring decomposition expects a primal form")
@@ -510,13 +500,8 @@ def solve_waring(points, f: Form):
         raise ValueError(
             f"linear forms {dup[0]} and {dup[1]} are proportional; "
             "the apolarity setup requires pairwise independent points")
-    if p is None:
-        cols = [linear_power_coefficients(c, d) for c in pts]
-        rows = [[col[r] for col in cols] for r in range(len(cols[0]))]
-        alphas = linalg.solve_linear(rows, rhs)
-    else:
-        alphas = linalg.solve_over(p, np.column_stack([linear_power_table(pts, d, p).T, rhs]))
-        alphas = None if alphas is None else [Fp(a, p) for a in alphas]
+    alphas = linalg.solve_over(p, np.column_stack([linear_power_table(pts, d, p).T,
+                                                   residue_array([rhs], p)[0]]))
     if alphas is None:
         return None
-    return WaringDecomposition(forms, alphas, d)
+    return WaringDecomposition(forms, alphas if p is None else [Fp(a, p) for a in alphas], d)

@@ -254,8 +254,6 @@ def solve_linear(rows, rhs):
     solution is canonical.  The field is chosen as in `rank`; over F_p the
     solution holds `Fp` entries, free variables included.
     """
-    if not rows:
-        return []
     p, aug = residue_rows([list(r) + [b] for r, b in zip(rows, rhs)])
     x = solve_over(p, aug)
     return x if p is None or x is None else [Fp(v, p) for v in x]
@@ -269,8 +267,13 @@ def solve_over(p, aug):
     x holds the last column of the reduced rows at the pivots and 0 at the
     free columns.  Read off at the last column too, it ends in 1 exactly
     when that column is a pivot, the row 0 = 1 of an inconsistent system.
+    No rows give [], as in `solve_linear`; rows with no column b, ``ValueError``.
     """
     R, pivots = rref_over(p, aug)
+    if not R.shape[1]:
+        if len(R):
+            raise ValueError(f"{len(R)} augmented rows [A | b] have no columns")
+        return []
     x = np.zeros(R.shape[1], dtype=R.dtype)
     x[pivots] = R[:len(pivots), -1]
     return None if x[-1] else x[:-1].tolist()

@@ -28,10 +28,10 @@ to a residue once when any of them is an `Fp`.
 
 The values of the degree-t monomials at a set of points come as one
 array (`monomial_table`): int64 residues over F_p, exact scalars over Z
-and Q.  The ideal layer hands it straight to `linalg`.  Over F_p,
-`linear_power_table` multiplies it by the multinomials mod p, cached per
-(num_vars, degree, p), and so gives the coefficients of the powers of
-linear forms: the Jacobian and the F_p Waring solve both read it.
+and Q.  The ideal layer hands it straight to `linalg`, and
+`linear_power_table` multiplies it by the multinomials, cached per
+(num_vars, degree, p), for the coefficients of the powers of linear
+forms that the Jacobian and the Waring solve read.
 
 Text grammar (whitespace-insensitive)::
 
@@ -96,16 +96,19 @@ def basis_index(num_vars: int, degree: int):
 
 @lru_cache(maxsize=None)
 def shift_table(num_vars: int, shift: int, degree: int):
-    """Where multiplying by a monomial sends each basis monomial.
+    """Where multiplying by a monomial sends each basis monomial, as a
+    read-only int64 array.
 
-    One tuple per degree-``shift`` monomial m, in canonical order; entry i is
+    One row per degree-``shift`` monomial m, in canonical order; entry i is
     the position of m * b_i in the degree-(shift + degree) basis, where b_i
     is the i-th degree-``degree`` basis monomial.
     """
     idx = basis_index(num_vars, shift + degree)
     basis = monomial_basis(num_vars, degree)
-    return tuple(tuple(idx[tuple(a + e for a, e in zip(m, b))] for b in basis)
-                 for m in monomial_basis(num_vars, shift))
+    table = np.array([[idx[tuple(a + e for a, e in zip(m, b))] for b in basis]
+                      for m in monomial_basis(num_vars, shift)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -494,22 +497,24 @@ def contract(op: Form, f: Form) -> Form:
 
 
 @lru_cache(maxsize=None)
-def _multinomial_row(num_vars: int, degree: int, p: int):
-    """The multinomials of the degree-t basis mod p, a read-only int64 array."""
-    row = np.array([multinomial(degree, e) % p for e in monomial_basis(num_vars, degree)],
-                   dtype=np.int64)
+def _multinomial_row(num_vars: int, degree: int, p):
+    """The multinomials of the degree-t basis, a read-only `field.residue_array`
+    row: int64 residues mod p, or Python ints with p None."""
+    row = [multinomial(degree, e) for e in monomial_basis(num_vars, degree)]
+    row = residue_array([[c % p for c in row] if p else row], p)[0]
     row.flags.writeable = False
     return row
 
 
-def linear_power_table(points, degree: int, p: int):
-    """Coefficient vectors of (P_0 x_0 + ... + P_n x_n)^degree mod p over the
-    canonical basis, one int64 row per point P of ``points`` (int residues,
-    as `monomial_table` takes them): the monomial values times the
-    multinomials, reduced mod p.  The package's one mod-p power evaluator;
-    `linear_power_coefficients` evaluates on the scalars as given."""
+def linear_power_table(points, degree: int, p):
+    """Coefficient vectors of (P_0 x_0 + ... + P_n x_n)^degree over the
+    canonical basis, one row per point P of ``points``, over the field of
+    `monomial_table`: its values times the multinomials, reduced mod p over
+    F_p.  The package's one power evaluator over Z, Q and F_p;
+    `linear_power_coefficients` evaluates on any scalars as given (jets)."""
     points = residue_array(points, p)
-    return monomial_table(points, degree, p) * _multinomial_row(points.shape[1], degree, p) % p
+    powers = monomial_table(points, degree, p) * _multinomial_row(points.shape[1], degree, p)
+    return powers % p if p else powers
 
 
 def linear_power_coefficients(coords, degree: int):

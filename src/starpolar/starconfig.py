@@ -11,13 +11,13 @@ l_k(P_S) is a determinant with a repeated row, 0 over Z, Q and F_p alike.
 Given r linear forms in the dual ring with every (n+1)-subset linearly
 independent, the configuration consists of the C(r, n) points cut out by
 the n-subsets.  Each point is the Cramer point of its subset, signed
-maximal minors polynomial in the coefficients.  Over F_p every point is
-a row of one int64 table (`cramer_table`), built from one Laplace pass
-mod p over all (n-1)-subsets U at once, run from a per-n index plan, with
-the face index of U in each point's subset (`_star_index`, which the scan
-below reads too); `HyperplaneSet` and both matrices of `existence` read it.
-Over Z and Q, and in the generic map the tests differentiate, each
-n-subset takes its own `linalg.minors` pass (`_points_from_coeff_rows`).
+maximal minors polynomial in the coefficients.  Over Z, Q and F_p every
+point is a row of one `field.residue_array` (`cramer_table`), built from
+one Laplace pass over all (n-1)-subsets U at once, run from a per-n index
+plan, with the face index of U in each point's subset (`_star_index`,
+which the scan below reads too); `HyperplaneSet` and both matrices of
+`existence` read it.  The generic map the tests differentiate takes one
+`linalg.minors` pass per n-subset (`_points_from_coeff_rows`).
 One blocked scan is the only evaluation of l_k(P_S), over F_p and on int
 rows over Q: the certificate drains it, and `star_weights` multiplies it
 into an incidence draw's weights mod p.  General position is stated only
@@ -163,8 +163,7 @@ class HyperplaneSet:
         if self.r < self.n:
             raise ValueError(f"need r >= n, got r={self.r}, n={self.n}")
         p, residues = residue_rows(rows)
-        coords = (_points_from_coeff_rows(residues, self.n) if p is None
-                  else cramer_table(residues, p)[1])
+        coords = cramer_table(residues, p)[1]
         violation = general_position_violation(p, residues, coords)
         if violation is not None:
             raise GeneralPositionError(violation)
@@ -183,12 +182,11 @@ class HyperplaneSet:
     @cached_property
     def points(self) -> tuple:
         """The `StarPoint` of every n-subset, in `combinations` order, built
-        on first read from the certified coordinates: the `Fp`s of the int64
-        `cramer_table` rows over F_p, the scalars of `_points_from_coeff_rows`
-        over Z and Q."""
+        on first read from the certified `cramer_table` rows: their `Fp`s
+        over F_p, their exact scalars over Z and Q."""
         p, coords = self._certified
-        if p is not None:
-            coords = [tuple(Fp(c, p) for c in pt) for pt in coords.tolist()]
+        coords = coords.tolist()
+        coords = coords if p is None else [[Fp(c, p) for c in pt] for pt in coords]
         return tuple(StarPoint(S, tuple(pt))
                      for S, pt in zip(combinations(range(self.r), self.n), coords))
 
@@ -208,12 +206,13 @@ class HyperplaneSet:
 
     @cached_property
     def kernel_points(self) -> tuple:
-        """The point of each n-subset as the one kernel vector of its
-        n x (n+1) coefficient block (exact RREF), in subset order, found
-        on first use and kept; route A's points, independent of the Cramer
-        ``points``."""
-        return tuple(linalg.kernel_basis([self.coeffs[j] for j in tau], self.n + 1)[0]
-                     for tau in combinations(range(self.r), self.n))
+        """(p, rows): the point of each n-subset, in subset order, as the one
+        `linalg.kernel_over` vector of its n x (n+1) block of the coefficients'
+        `field.residue_rows`, found on first use and kept; route A's points,
+        independent of the Cramer ``points``."""
+        p, rows = residue_rows(self.coeffs)
+        return p, [linalg.kernel_over(p, [rows[j] for j in tau], self.n + 1)[0]
+                   for tau in combinations(range(self.r), self.n)]
 
     def __repr__(self):
         return f"HyperplaneSet(r={self.r}, n={self.n})"
@@ -301,45 +300,48 @@ def _laplace_plan(n: int):
     return levels, final
 
 
-def _cofactor_tables(rows, n: int, p: int):
-    """The tables E_U mod p of the (n-1)-subsets U of the rows, an int64
-    residue array, in `combinations` order.
+def _cofactor_tables(rows, n: int, p):
+    """The tables E_U of the (n-1)-subsets U of the rows, in `combinations`
+    order, one `field.residue_array` over the field ``p`` names.
 
     Let S = U + {k} have k in position q.  The Cramer coordinate P_{S,j} is
     multilinear in the rows, and d P_{S,j} / d a_{k,i} = (-1)^q E_U[i, j]:
     the signed maximal minor of U's rows on the columns other than i and j,
     with E_U antisymmetric and zero on the diagonal.  Every U is expanded
     in one Laplace pass, level by level as in `linalg.minors`, keyed on the
-    columns used so far, with an int64 vector over all U per key, from the
-    `_laplace_plan` of n: per level one gather, one product mod p with the
-    signed columns of row U[L], one sum of each key's L residues (far below
-    2^63) and one reduction.
+    columns used so far, with a vector over all U per key, from the
+    `_laplace_plan` of n: per level one gather, one product with the signed
+    columns of row U[L], one sum of each key's L terms and, over F_p, a
+    reduction of each product and of each sum (L residues, far below 2^63).
     """
     subsets = _star_index(len(rows), n)[0]
     levels, (keys, signs) = _laplace_plan(n)
-    values = np.ones((1, len(subsets)), dtype=np.int64)
+    values = np.ones((1, len(subsets)), dtype=rows.dtype)
     for level, (source, column) in enumerate(levels):
         entries = rows[subsets[:, level]].T
-        terms = values[source] * np.concatenate([entries, -entries])[column] % p
-        values = terms.reshape(-1, level + 1, len(subsets)).sum(axis=1) % p
-    return (signs[:, None] * values[keys] % p).T.reshape(-1, n + 1, n + 1)
+        terms = values[source] * np.concatenate([entries, -entries])[column]
+        terms = (terms % p if p else terms).reshape(-1, level + 1, len(subsets))
+        values = terms.sum(axis=1) % p if p else terms.sum(axis=1)
+    tables = signs[:, None] * values[keys]
+    return (tables % p if p else tables).T.reshape(-1, n + 1, n + 1)
 
 
-def cramer_table(rows, p: int):
-    """(tables, points, sets, faces) of r int rows mod p, in `combinations`
-    order: the rows' `_cofactor_tables`, one per (n-1)-subset U; the int64
-    residues P_S = a_k . (d P_S / d a_k), k = S[0], the points of
-    `_points_from_coeff_rows` mod p; and the n-subsets S and faces of the
+def cramer_table(rows, p):
+    """(tables, points, sets, faces) of r rows over the field ``p`` names, in
+    `combinations` order: the rows' `_cofactor_tables`, one per (n-1)-subset
+    U; the points P_S = a_k . (d P_S / d a_k), k = S[0], those of
+    `_points_from_coeff_rows`; and the n-subsets S and faces of the
     `_star_index`, so d P_S / d a_{S[q]} is (-1)^q tables[faces[s, q]].
-    The rows are read through `field.residue_array`, which refuses
-    p >= 2^31 before any product."""
+    The rows are read through `field.residue_array`: int64 residues mod p,
+    with p >= 2^31 refused before any product, or exact scalars with p None."""
     rows = residue_array(rows, p)
     r, n = len(rows), rows.shape[1] - 1
     tables = _cofactor_tables(rows, n, p)
     _, sets, faces = _star_index(r, n)
     first, cofactor = rows[sets[:, 0]], tables[faces[:, 0]]
-    # a sum of n + 1 residues before its reduction, far below 2^63
-    points = sum(first[:, i, None] * cofactor[:, i, :] % p for i in range(n + 1)) % p
+    terms = (first[:, i, None] * cofactor[:, i, :] for i in range(n + 1))
+    # over F_p a sum of n + 1 residues before its reduction, far below 2^63
+    points = sum(t % p for t in terms) % p if p else reduce(np.add, terms)
     return tables, points, sets, faces
 
 
@@ -431,7 +433,7 @@ def star_ideal_dimension_by_intersection(hset: HyperplaneSet, t: int) -> int:
     (`HyperplaneSet.kernel_points`, independent of the Cramer minors)."""
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    return comb(hset.n + t, t) - _rank_in_degree(*residue_rows(hset.kernel_points), t)
+    return comb(hset.n + t, t) - _rank_in_degree(*hset.kernel_points, t)
 
 
 def star_ideal_dimension_by_products(hset: HyperplaneSet, t: int) -> int:

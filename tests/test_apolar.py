@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from starpolar import linalg, poly
+from starpolar import apolar, linalg, poly
 from starpolar.apolar import (CatalecticantMatrix, WaringDecomposition, _coefficient_runs,
                               _degrevlex_plan, _scatter, annihilates, catalecticant,
                               ideal_piece_dimension, is_apolar_ideal_contained, perp_piece,
@@ -286,6 +286,24 @@ def test_solve_waring_binary_example():
     assert deco is not None
     assert deco.coefficients == [Fraction(1, 2), Fraction(1, 2), Fraction(-1)]
     assert deco.residual(f).is_zero()
+
+
+def test_q_waring_solve_takes_the_one_power_table(monkeypatch):
+    # over Q the columns are rows of `poly.linear_power_table`, as over F_p,
+    # and no point goes through the generic `linear_power_coefficients`
+    calls, fields = [], []
+    real = apolar.linear_power_table
+    for owner in (poly, apolar):
+        monkeypatch.setattr(owner, "linear_power_coefficients", lambda *a: calls.append(a))
+    monkeypatch.setattr(apolar, "linear_power_table",
+                        lambda pts, d, p: fields.append(p) or real(pts, d, p))
+    f = parse_form("x0^2", num_vars=2)
+    deco = solve_waring([(1, 1), (1, -1), (0, 1)], f)
+    assert deco.coefficients == [Fraction(1, 2), Fraction(1, 2), Fraction(-1)]
+    deco = solve_waring(CUSPIDAL_X4_POINTS, CUSPIDAL)
+    assert deco.residual(CUSPIDAL).is_zero()
+    assert all(a.__class__ in (int, Fraction) for a in deco.coefficients)
+    assert calls == [] and fields == [None, None]
 
 
 def _combination_by_powers(deco):

@@ -467,6 +467,15 @@ def test_rank_and_kernel_pick_the_field_from_fp_entries():
     assert frees > 40
 
 
+@pytest.mark.parametrize("p", [7, None])
+def test_solve_over_with_no_rows_or_no_columns(p):
+    # no rows, so no unknowns, as `solve_linear` answers
+    assert linalg.solve_over(p, []) == [] == linalg.solve_linear([], [])
+    # rows with no column have no right-hand side: named, not an IndexError
+    with pytest.raises(ValueError, match="3 augmented rows .* have no columns"):
+        linalg.solve_over(p, [[], [], []])
+
+
 def test_fp_dispatch_reads_every_entry_in_the_field():
     p = 7
     # 1/2 is 4 mod 7, so the second row is twice the first there

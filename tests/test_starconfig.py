@@ -153,6 +153,38 @@ def test_fp_cramer_points_match_minors_on_fp_objects():
     assert dependent > 150 and zero_rows == 3 * 3 * (4 * 2 + 3 * 1)
 
 
+def test_exact_cramer_points_match_minors_per_subset():
+    # over Z and Q the table runs the same Laplace pass on object arrays;
+    # each n-subset's own `linalg.minors` pass (`_points_from_coeff_rows`,
+    # the generic map's) must give exactly the same points, as the same
+    # Python scalars, also for dependent rows, zero rows and entries far
+    # past int64
+    rng = random.Random(2027)
+    draws = {"Z": lambda: rng.randint(-9, 9),
+             "Q": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))}
+    cases = dependent = 0
+    for field, draw in draws.items():
+        for n in range(1, 6):
+            for r in range(n, n + 4):
+                for trial in range(4):
+                    rows = [[draw() for _ in range(n + 1)] for _ in range(r)]
+                    if trial == 1 and r > 2:
+                        rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+                    if trial == 2:
+                        rows[rng.randrange(r)] = [rows[0][0] * 0] * (n + 1)
+                    if trial == 3:
+                        rows = [[c * 2**40 for c in row] for row in rows]
+                    dependent += det_scan_violation(rows) is not None
+                    want = [list(pt) for pt in _points_from_coeff_rows(rows, n)]
+                    got = cramer_table(rows, None)[1]
+                    assert got.dtype == object and got.tolist() == want, (field, rows)
+                    assert [[c.__class__ for c in pt] for pt in got.tolist()] == \
+                        [[c.__class__ for c in pt] for pt in want], (field, rows)
+                    cases += 1
+    exact = {c.__class__ for pt in got.tolist() for c in pt}
+    assert cases == 2 * 5 * 4 * 4 and dependent > 40 and exact == {Fraction}
+
+
 def test_planned_cofactor_pass_matches_the_mask_walk_and_the_minors():
     # the pass runs from a per-n plan of index arrays; the dict-of-masks
     # walk it replaced and the exact minors of each (n-1)-subset, taken one
@@ -311,20 +343,31 @@ def test_degenerate_r_equals_n_detected():
 
 
 def test_one_cramer_pass_per_hyperplane_set(monkeypatch):
-    calls = []
-    real = linalg.minors
+    passes, minors = [], []
+    real_tables, real_minors = starconfig._cofactor_tables, linalg.minors
+
+    def tables(rows, n, p):
+        passes.append((len(rows), n, p))
+        return real_tables(rows, n, p)
 
     def counting(rows):
-        calls.append(len(rows))
-        return real(rows)
+        minors.append(len(rows))
+        return real_minors(rows)
 
+    monkeypatch.setattr(starconfig, "_cofactor_tables", tables)
     monkeypatch.setattr(linalg, "minors", counting)
-    # moment-curve rows: every 4 x 4 minor is a nonzero Vandermonde
-    hset = HyperplaneSet([(1, t, t * t, t ** 3) for t in range(1, 7)])
-    pts = intersection_points(hset)
-    # one pass per n-subset: the certificate reads the points it keeps
-    assert calls == [3] * comb(6, 3) and len(pts) == comb(6, 3)
-    assert intersection_points(hset) == pts and len(calls) == comb(6, 3)
+    # moment-curve rows, over Z and scaled into Q: every 4 x 4 minor is a
+    # nonzero Vandermonde
+    for rows in ([(1, t, t * t, t ** 3) for t in range(1, 7)],
+                 [(Fraction(1, t), 1, t, t * t) for t in range(1, 7)]):
+        passes.clear()
+        hset = HyperplaneSet(rows)
+        pts = intersection_points(hset)
+        # one batched pass over all 2-subsets, as over F_p: the certificate
+        # reads the points it gives, and no subset takes a pass of its own
+        assert passes == [(6, 3, None)] and minors == [] and len(pts) == comb(6, 3)
+        assert intersection_points(hset) == pts and len(passes) == 1
+        assert all(c.__class__ in (int, Fraction) for pt in pts for c in pt.coords)
 
 
 def test_one_cofactor_pass_per_fp_hyperplane_set(monkeypatch):
@@ -783,13 +826,13 @@ def test_ideal_layer_refuses_a_prime_past_int64():
 
 def test_route_a_finds_its_kernel_points_once_per_set(monkeypatch):
     calls = []
-    real = linalg.kernel_basis
+    real = linalg.kernel_over
 
-    def counting(rows, num_cols):
+    def counting(p, rows, num_cols):
         calls.append(len(rows))
-        return real(rows, num_cols)
+        return real(p, rows, num_cols)
 
-    monkeypatch.setattr(linalg, "kernel_basis", counting)
+    monkeypatch.setattr(linalg, "kernel_over", counting)
     for r, n in ((5, 2), (6, 3)):
         hset = random_hyperplanes(n, r, random.Random(r))
         assert calls == []  # building the set finds no kernel point

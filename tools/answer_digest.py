@@ -499,7 +499,7 @@ def linalg_records(rng):
             kernel = linalg.kernel_mod(rows, ncols, p)
             try:
                 solution = linalg.solve_over(p, rows)
-            except IndexError as err:
+            except ValueError as err:
                 solution = error(err)
             yield ["linalg", p, name, arrays(("rref", R), ("kernel", kernel)), pivots, solution]
         for m, n in ((3, 3), (5, 3), (3, 6), (6, 6)):
