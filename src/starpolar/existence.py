@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from math import comb
 
@@ -335,7 +335,11 @@ class JacobianTestReport:
         return self.expected_rank - self.rank
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "expected_rank": self.expected_rank,
+        """The fields in declaration order, ``trial_ranks`` as a copy, then the
+        derived values; shallow, where `dataclasses.asdict` copies deeply."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["trial_ranks"] = list(self.trial_ranks)
+        return {**out, "expected_rank": self.expected_rank,
                 "defect": self.defect, "verdict": self.verdict, "note": self.note}
 
 

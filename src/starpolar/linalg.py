@@ -49,16 +49,30 @@ the rows with a nonzero entry in c, and only their columns from c on:
 every other row would receive 0 times the pivot row, and the pivot row
 is zero left of c.  So sparse matrices (the product rows of an ideal
 piece) cost little, and the result is the same array as full-row
-elimination.  Both mod-p eliminations run one loop (`_echelon_mod`) and
-differ only in the rows cleared at a pivot: `rref_mod` clears the
-column above and below it in one update, Gauss-Jordan in one pass with
-no back-substitution, while `rank_mod` clears below only.
+elimination.
+
+The two mod-p eliminations are separate loops.  `rref_mod` runs
+Gauss-Jordan (`_echelon_mod`): column by column, it swaps a pivot row
+up, scales it to a leading 1 and clears the column above and below it
+in one update, with no back-substitution.  `rank_mod` needs neither the
+reduced form nor the pivot columns, so it sweeps the rows in their given
+order (`_row_sweep_rank`), over the short side of the matrix: a nonzero
+row r is counted, and its leading column c is cleared from the rows
+below it by subtracting multiples of row r.  These are row operations,
+so the span and the rank stay, and once row r has been swept every row
+below it is zero in c.  So the leading columns of the nonzero rows are
+distinct, those rows sorted by leading column are an echelon form, and
+their count is the rank, with no row swap and no pivot scaling.  The
+rank of the transpose is the same, and the sweep takes one step per row.
 
 An update x = a - b * q with a, b, q residues in [0, p) lies in
 [-(p - 1)^2, p), inside (-2^62, 2^31) for p < 2^31, so it is exact in
-int64.  It is reduced as x - floor(x / p) * p: numpy's floor division by
-a scalar is several times cheaper than its int64 remainder, and floor
-division gives the residue in [0, p) for negative x too.
+int64.  `_echelon_mod` reduces it as x - floor(x / p) * p, since numpy's
+floor division by a scalar is cheaper than its int64 remainder on large
+blocks, and floor division gives the residue in [0, p) for negative x
+too.  `_row_sweep_rank` reduces it by numpy's remainder, which is also
+in [0, p) and measured faster on the smaller blocks of the rank test
+and route A.
 """
 
 from __future__ import annotations
@@ -198,7 +212,7 @@ def rank(rows) -> int:
 
 def rank_over(p, rows) -> int:
     """Rank over the field that ``p`` names, as in `rref_over`: by the
-    echelon pass alone over F_p (`rank_mod`), by `rref` over Q."""
+    row sweep over F_p (`rank_mod`), by `rref` over Q."""
     return len(rref(rows)[1]) if p is None else rank_mod(rows, p)
 
 
@@ -335,11 +349,41 @@ def check_modulus(p: int) -> None:
 
 
 def rank_mod(rows, p: int) -> int:
-    """Rank of an integer matrix mod p (plain echelon, eliminate below only)."""
+    """Rank of an integer matrix mod p, by the row sweep `_row_sweep_rank`
+    over the shorter side of the matrix (module docstring)."""
     M = residue_array(rows, p)
     if M.size == 0:
         return 0
-    return len(_echelon_mod(M, p))
+    if len(M) > M.shape[1]:
+        M = np.ascontiguousarray(M.T)
+    return _row_sweep_rank(M, p)
+
+
+def _row_sweep_rank(M, p: int) -> int:
+    """Rank of the residue array M mod p, which it overwrites: each nonzero
+    row in turn clears its leading column from the rows below it, with no
+    row swap and no pivot scaling; the nonzero rows are counted."""
+    rank = 0
+    for r in range(len(M)):
+        row = M[r]
+        nz = row.nonzero()[0]
+        if not nz.size:
+            continue
+        rank += 1
+        c = int(nz[0])
+        below = M[r + 1:]
+        hit = below[:, c].nonzero()[0]
+        if not hit.size:
+            continue
+        # every row below hit: update through a view; else gather and scatter
+        full = hit.size == len(below)
+        block = below[:, c:] if full else below[hit, c:]
+        factors = block[:, 0] * pow(int(row[c]), -1, p) % p
+        block -= np.multiply.outer(factors, row[c:])
+        block %= p
+        if not full:
+            below[hit, c:] = block
+    return rank
 
 
 def _eliminate(M, rows, r: int, c: int, p: int) -> None:
@@ -369,10 +413,9 @@ def _eliminate(M, rows, r: int, c: int, p: int) -> None:
         M[rows, c:] = block
 
 
-def _echelon_mod(M, p: int, reduced: bool = False):
-    """In-place row-echelon form mod p with pivots 1: at each pivot the
-    rows below are cleared, and with ``reduced`` the rows above too, which
-    leaves the reduced form.
+def _echelon_mod(M, p: int):
+    """In-place reduced row-echelon form mod p by Gauss-Jordan: at each
+    pivot, scaled to 1, one `_eliminate` clears the rows above and below.
 
     Returns the pivot column list; rows beyond the rank are zero.
     """
@@ -392,7 +435,7 @@ def _echelon_mod(M, p: int, reduced: bool = False):
         prow %= p
         # the rows r + nz[1:] keep their place in the swap (they lie below j)
         rows = r + nz[1:]
-        if reduced and r:
+        if r:
             rows = np.concatenate((M[:r, c].nonzero()[0], rows))
         _eliminate(M, rows, r, c, p)
         pivots.append(c)
@@ -411,7 +454,7 @@ def rref_mod(rows, p: int):
     M = residue_array(rows, p)
     if M.size == 0:
         return M, []
-    return M, _echelon_mod(M, p, reduced=True)
+    return M, _echelon_mod(M, p)
 
 
 def kernel_mod(rows, num_cols: int, p: int):

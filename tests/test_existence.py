@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -341,6 +342,12 @@ def test_jactest_report_serialization():
     rep = jacobian_rank_test(2, 3, 2, seed=9, trials=2)
     payload = rep.to_json_dict()
     text = json.dumps(payload)
+    # the same bytes, key order included, as the deep copy of `asdict`
+    assert text == json.dumps({**asdict(rep), "expected_rank": rep.expected_rank,
+                               "defect": rep.defect, "verdict": rep.verdict,
+                               "note": rep.note})
+    payload["trial_ranks"].append(0)
+    assert rep.trial_ranks == [6]
     back = json.loads(text)
     for key in ("d", "r", "n", "m", "target", "prime", "seed", "trials",
                 "rank", "expected_rank", "defect", "verdict", "trial_ranks",

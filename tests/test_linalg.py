@@ -5,13 +5,14 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from starpolar import linalg, starconfig
+from starpolar import apolar, existence, linalg, starconfig
 from starpolar.apolar import catalecticant, ideal_piece_dimension, perp_piece, solve_waring
 from starpolar.existence import incidence_matrix, jacobian_matrix, parameter_count
 from starpolar.field import DEFAULT_PRIME, Fp, Jet
 from starpolar.poly import DUAL, PRIMAL, Form, contract
-from starpolar.starconfig import (HyperplaneSet, cramer_table, general_position_violation,
-                                  hilbert_function, point_ideal_piece)
+from starpolar.starconfig import (GeneralPositionError, HyperplaneSet, cramer_table,
+                                  general_position_violation, hilbert_function,
+                                  point_ideal_piece)
 
 from helpers import rref_kernel
 
@@ -381,6 +382,58 @@ def test_mod_kernels_match_rref_over_fp_objects():
                 rref_kernel(frows, n)
 
 
+def _scattered_tall_cases(monkeypatch, rng):
+    """(p, M) for route B's whole-row scatters (`apolar._scatter`) with more
+    rows than columns, from the product generators of seeded star
+    configurations at every degree t <= r + 1."""
+    scattered = []
+    real = apolar._scatter
+    monkeypatch.setattr(apolar, "_scatter", lambda *a: scattered.append(real(*a)) or scattered[-1])
+    cases = []
+    for p in (7, 101, DEFAULT_PRIME):
+        for r, n in ((4, 2), (5, 2), (5, 3)):
+            while True:
+                rows = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(r)]
+                try:
+                    hset = HyperplaneSet([[Fp(e, p) for e in row] for row in rows])
+                    break
+                except GeneralPositionError:
+                    continue
+            for t in range(r + 2):
+                ideal_piece_dimension(hset.product_generators, t)
+            cases += [(p, M) for M in scattered if len(M) > M.shape[1]]
+            scattered.clear()
+    return cases
+
+
+def test_rank_mod_is_the_pivot_count_on_either_side(monkeypatch):
+    """`rank_mod` of a matrix and of its transpose is the pivot count of
+    `rref_generic` on `Fp`s: on the shaped and swap cases, behind a run of
+    zero rows, on a deficient incidence matrix of (3, 7, 5) and on route B's
+    tall, rank-deficient scatters; an int64 input array is left as it is."""
+    rng = random.Random(37)
+    cases = []
+    for p in (2, 7, 101, DEFAULT_PRIME):
+        cases += [(p, rows) for rows in _shaped_modp_cases(rng, p) + _swap_cases(rng, p)]
+        for m, n in ((3, 5), (2, 9)):
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+            cases += [(p, [[0] * n] * 4 + rows), (p, [[0] * n] * 4 + rows + [[0] * n])]
+    values = existence._draw_parameter_values(3, 7, 5, DEFAULT_PRIME, random.Random(5))
+    star7 = incidence_matrix(3, 7, 5, values)
+    assert star7.shape == (35, 42) and linalg.rank_mod(star7, DEFAULT_PRIME) == 55 - 21
+    cases.append((DEFAULT_PRIME, star7))
+    scattered = _scattered_tall_cases(monkeypatch, rng)
+    deficient = 0
+    for index, (p, rows) in enumerate(cases + scattered):
+        M = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+        before = M.copy()
+        rank = len(linalg.rref_generic([[Fp(e, p) for e in row] for row in M.tolist()])[1])
+        assert linalg.rank_mod(M, p) == linalg.rank_mod(M.T, p) == rank, (p, M.shape)
+        assert np.array_equal(M, before)
+        deficient += index >= len(cases) and rank < M.shape[1]
+    assert deficient >= 9, deficient
+
+
 def test_mod_path_rejects_oversized_prime():
     with pytest.raises(ValueError):
         linalg.rank_mod([[1]], 2**31 + 11)
@@ -396,6 +449,7 @@ def test_fp_matrices_refuse_a_prime_past_int64(monkeypatch, p):
         raise AssertionError("an elimination or product ran")
 
     monkeypatch.setattr(linalg, "_echelon_mod", unreachable)
+    monkeypatch.setattr(linalg, "_row_sweep_rank", unreachable)
     monkeypatch.setattr(linalg, "rref", unreachable)
     monkeypatch.setattr(starconfig, "_cofactor_tables", unreachable)
     ints = [(1, 2, 3), (0, 1, 5), (4, 0, 1)]

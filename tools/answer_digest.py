@@ -54,7 +54,8 @@ digests must be equal.  Timings are left out.  The records cover:
 - `rref_mod`, `kernel_mod` and `solve_over` over F_7, F_101 and
   F_(2^31 - 1) on seeded matrices: empty, 0 x 4, 3 x 0, 1 x 1, zero rows
   and columns, a pivot below zeros, rank-deficient, wide and tall, and
-  consistent and inconsistent systems.
+  consistent and inconsistent systems; `rank_mod` of each of these
+  matrices and of its transpose.
 
 Arrays are hashed as little-endian int64 bytes, the same on every
 platform.  `quick_records` is a subset of the records with at least one of
@@ -491,7 +492,8 @@ def _matrix_cases(rng, p):
 
 def linalg_records(rng):
     """`rref_mod`, `kernel_mod` and `solve_over` on `_matrix_cases` over
-    F_7, F_101 and F_(2^31 - 1), and on consistent and inconsistent systems."""
+    F_7, F_101 and F_(2^31 - 1), and on consistent and inconsistent systems;
+    `rank_mod` of each case and of its transpose."""
     for p in PRIMES:
         for name, rows in _matrix_cases(rng, p):
             ncols = len(rows[0]) if len(rows) else 4
@@ -502,6 +504,8 @@ def linalg_records(rng):
             except ValueError as err:
                 solution = error(err)
             yield ["linalg", p, name, arrays(("rref", R), ("kernel", kernel)), pivots, solution]
+            transpose = np.array(rows, dtype=np.int64).reshape(len(rows), ncols).T
+            yield ["linalg-rank", p, name, linalg.rank_mod(rows, p), linalg.rank_mod(transpose, p)]
         for m, n in ((3, 3), (5, 3), (3, 6), (6, 6)):
             A = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
             x = [rng.randrange(p) for _ in range(n)]
