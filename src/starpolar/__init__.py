@@ -20,7 +20,6 @@ from .starconfig import (GeneralPositionError, HilbertFunctionTable,
                          HyperplaneSet, StarPoint, general_position_violation,
                          hilbert_function, intersection_points,
                          point_ideal_piece, random_hyperplanes,
-                         star_ideal_graded_dimension,
                          star_ideal_product_generators)
 from .existence import (ClassificationVerdict, JacobianTestReport, Verdict,
                         classify, gamma_coefficients, jacobian_rank_test,

@@ -43,7 +43,7 @@ from math import comb, prod
 import numpy as np
 
 from . import linalg
-from .field import Fp, modulus_of, residue, residue_array, scalar_to_str
+from .field import Fp, modulus_of, residue, residue_array, residue_rows, scalar_to_str
 from .poly import (DUAL, PRIMAL, Form, basis_index, coefficient_vector,
                    contract, contraction_row, field_terms, form_from_vector,
                    linear_power_table, monomial_basis, format_form, shift_table)
@@ -69,7 +69,7 @@ class CatalecticantMatrix:
     col_basis: tuple         # monomials of T_i
 
     def rank(self) -> int:
-        return linalg.rank(self.entries)
+        return linalg.rank_over(*residue_rows(self.entries))
 
     def to_json_dict(self) -> dict:
         return {

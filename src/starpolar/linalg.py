@@ -1,16 +1,13 @@
 """Exact dense linear algebra over field scalars.
 
-Matrices are lists of rows of exact scalars of one field: `Fraction` or
-`Fp`, with plain ints as the image of Z.  No floating point occurs.
-
-`rank`, `kernel_basis` and `solve_linear` pick the field from their own
-entries: F_p if any entry is an `Fp`, else Q.  They read the entries
-through `field.residue_rows`, whose pair (p, rows) holds int residues in
-[0, p) over F_p and the scalars as given with p None, and they wrap an
-F_p answer into `Fp`s.  The `*_over` forms take that pair and answer in
-its representation.  `rref_over` is the one place that picks an
-elimination, `rref_mod` over F_p and `rref` over Q, and every kernel,
-solution and echelon basis is read off it the same way for both fields.
+A matrix comes as the pair (p, rows) that `field.residue_rows` returns,
+which picks the field: int residues in [0, p) over F_p, ints and
+`Fraction`s with p None over Q.  No floating point occurs.  The `*_over`
+forms take that pair and answer in its representation.  `rref_over` is
+the one place that picks an elimination, `rref_mod` over F_p and `rref`
+over Q, and every kernel, solution and echelon basis is read off it the
+same way for both fields; `rank_over` takes `rank_mod`'s row sweep over
+F_p.
 The division-free `minors` takes any scalars: it returns every maximal
 minor of a k x m matrix from one Laplace pass, and `det` is its square
 case.
@@ -24,9 +21,8 @@ primitive again; both divisions are by common divisors, so they are
 exact, and only the rows with a nonzero entry in c are touched, as in
 elimination by division.  At the end each pivot row is divided by its
 pivot entry: an entry is a `Fraction` only where the pivot does not
-divide it, an int otherwise.  Any other scalars, such as `Fp` objects,
-go through `rref_generic`, which divides in their field; the tests keep
-it as the reference.
+divide it, an int otherwise.  Any other scalar, such as an `Fp` object,
+raises ``TypeError``.
 
 A kernel is read off one elimination R of the matrix with its columns
 reversed, by one array read-off: on an object array of scalars over Q,
@@ -82,49 +78,37 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .field import INT64_PRIME_LIMIT, Fp, is_prime, residue_array, residue_rows
-
-
-def _invert(x):
-    """Multiplicative inverse that never produces a float."""
-    if isinstance(x, int):
-        if x == 1:
-            return 1
-        if x == -1:
-            return -1
-        return Fraction(1, x)
-    return 1 / x
+from .field import INT64_PRIME_LIMIT, is_prime, residue_array
 
 
 def rref(rows):
-    """Reduced row-echelon form over an exact field.
+    """Reduced row-echelon form over Q.
 
     Args:
-        rows: list of equal-length rows of field scalars.
+        rows: rows of equal length of ints and `Fraction`s.
 
     Returns:
         (R, pivots): the reduced rows (new lists; input untouched) and the
         list of pivot column indices (its length is the rank).
 
-    Rows of ints and `Fraction`s are reduced fraction-free on Python ints
-    (module docstring), and an entry of R is an int when it is integral;
-    any other scalars go through `rref_generic`.
+    The rows are reduced fraction-free by Gauss-Jordan on primitive int
+    rows (module docstring), and an entry of R is an int when it is
+    integral.  ``ValueError`` if the rows differ in width, ``TypeError``
+    on an entry that is neither an int nor a `Fraction`.
     """
     R = [list(r) for r in rows]
-    if all(isinstance(e, (int, Fraction)) for row in R for e in row):
-        return _rref_fraction_free(R)
-    return rref_generic(R)
-
-
-def _rref_fraction_free(R):
-    """`rref` of int/`Fraction` rows by Gauss-Jordan on primitive int rows
-    (module docstring); a `Fraction` is made only for a returned entry
-    that is not integral."""
     pivots = []
     if not R:
         return R, pivots
-    R = [_primitive(_integer_row(row)) for row in R]
     nrows, ncols = len(R), len(R[0])
+    for row in R:
+        if len(row) != ncols:
+            raise ValueError("rows of unequal widths")
+        for e in row:
+            if not isinstance(e, (int, Fraction)):
+                raise TypeError(f"rref reduces over Q: an entry is a {type(e).__name__}, "
+                                "not an int or a Fraction")
+    R = [_primitive(_integer_row(row)) for row in R]
     pr = 0
     for c in range(ncols):
         pl = next((i for i in range(pr, nrows) if R[i][c]), None)
@@ -161,39 +145,6 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def rref_generic(rows):
-    """`rref` by division in the field of the entries, for any exact
-    scalars: every pivot row is scaled to a leading 1 and cleared from the
-    others.  `rref` runs it on scalars other than ints and `Fraction`s,
-    such as `Fp` objects; the tests keep it as the reference of the
-    fraction-free path and of the mod-p kernels."""
-    R = [list(r) for r in rows]
-    pivots = []
-    if not R:
-        return R, pivots
-    nrows, ncols = len(R), len(R[0])
-    pr = 0
-    for c in range(ncols):
-        pl = next((i for i in range(pr, nrows) if R[i][c]), None)
-        if pl is None:
-            continue
-        R[pr], R[pl] = R[pl], R[pr]
-        piv = R[pr][c]
-        if piv != 1:
-            inv = _invert(piv)
-            R[pr] = [inv * e for e in R[pr]]
-        for i in range(nrows):
-            if i != pr and R[i][c]:
-                f = R[i][c]
-                prow = R[pr]
-                R[i] = [a - f * b for a, b in zip(R[i], prow)]
-        pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return R, pivots
-
-
 def rref_over(p, rows):
     """(R, pivots) of the rows over the field that ``p`` names, the pair
     `field.residue_rows` returns: over F_p the rows hold int residues
@@ -205,32 +156,18 @@ def rref_over(p, rows):
     return residue_array(R, None), pivots
 
 
-def rank(rows) -> int:
-    """Rank over the field of the entries: F_p if any entry is an `Fp`, else Q."""
-    return rank_over(*residue_rows(rows))
-
-
 def rank_over(p, rows) -> int:
     """Rank over the field that ``p`` names, as in `rref_over`: by the
     row sweep over F_p (`rank_mod`), by `rref` over Q."""
     return len(rref(rows)[1]) if p is None else rank_mod(rows, p)
 
 
-def kernel_basis(rows, num_cols: int):
-    """Basis of the right kernel of the matrix, as rows in reduced echelon form.
-
-    The field is chosen as in `rank`; over F_p the rows hold `Fp` entries.
-    ``num_cols`` is required so the kernel of an empty matrix is well defined.
-    """
-    p, rows = residue_rows(rows)
-    kernel = kernel_over(p, rows, num_cols)
-    return kernel if p is None else [[Fp(e, p) for e in row] for row in kernel]
-
-
 def kernel_over(p, rows, num_cols: int):
-    """`kernel_basis` over the field that ``p`` names, as lists, read off the
-    rows' `field.residue_array`: int residues over F_p (`kernel_mod`),
-    scalars of Q with p None.  ``ValueError`` if a row is not ``num_cols`` wide."""
+    """Basis of the right kernel over the field that ``p`` names, as in
+    `rref_over`, as lists in reduced echelon form, read off the rows'
+    `field.residue_array`: int residues over F_p (`kernel_mod`), scalars of
+    Q with p None.  ``num_cols`` makes the kernel of no rows well defined;
+    ``ValueError`` if a row is not ``num_cols`` wide."""
     if p is not None:
         return kernel_mod(rows, num_cols, p).tolist()
     for row in rows:
@@ -261,27 +198,16 @@ def _check_width(width: int, num_cols: int) -> None:
         raise ValueError(f"a row has {width} columns, expected num_cols={num_cols}")
 
 
-def solve_linear(rows, rhs):
-    """One exact solution of ``rows @ x = rhs`` or None if inconsistent.
-
-    Free variables are set to zero under the column order, so the returned
-    solution is canonical.  The field is chosen as in `rank`; over F_p the
-    solution holds `Fp` entries, free variables included.
-    """
-    p, aug = residue_rows([list(r) + [b] for r, b in zip(rows, rhs)])
-    x = solve_over(p, aug)
-    return x if p is None or x is None else [Fp(v, p) for v in x]
-
-
 def solve_over(p, aug):
-    """`solve_linear` of the augmented rows [A | b] over the field that
-    ``p`` names, as in `rref_over`, as a list: int residues over F_p,
-    scalars of Q with p None; None if there is no solution.
+    """One exact solution x of A x = b from the augmented rows [A | b] over
+    the field that ``p`` names, as in `rref_over`, as a list: int residues
+    over F_p, scalars of Q with p None; None if there is no solution.
 
     x holds the last column of the reduced rows at the pivots and 0 at the
-    free columns.  Read off at the last column too, it ends in 1 exactly
-    when that column is a pivot, the row 0 = 1 of an inconsistent system.
-    No rows give [], as in `solve_linear`; rows with no column b, ``ValueError``.
+    free columns, so it is canonical.  Read off at the last column too, it
+    ends in 1 exactly when that column is a pivot, the row 0 = 1 of an
+    inconsistent system.  No rows give [], no unknowns; rows with no
+    column b, ``ValueError``.
     """
     R, pivots = rref_over(p, aug)
     if not R.shape[1]:

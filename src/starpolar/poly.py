@@ -432,7 +432,8 @@ def monomial_table(points, degree: int, p):
     once, and over F_p every product is reduced before the next is taken,
     so no entry leaves int64; the exponent rows are built once per shape
     (`_exponent_array`).  This is the package's one evaluator of point
-    sets; `monomial_values` evaluates one point on any scalars as given.
+    sets; `monomial_values` evaluates one point on any scalars as given,
+    for `linear_power_coefficients`.
     """
     points = residue_array(points, p)
     exps = _exponent_array(points.shape[1], degree)
@@ -444,15 +445,6 @@ def monomial_table(points, degree: int, p):
     for j in range(points.shape[1]):
         table = table * pows[:, j, exps[:, j]] % p if p else table * pows[:, j, exps[:, j]]
     return table
-
-
-def evaluate(f: Form, coords):
-    """Evaluate a form at affine coordinates (any commutative scalars)."""
-    coords = list(coords)
-    if len(coords) != f.num_vars:
-        raise ValueError("coordinate count does not match variable count")
-    return sum(c * v for c, v in zip(coefficient_vector(f),
-                                     monomial_values(coords, f.degree)) if c)
 
 
 def contract(op: Form, f: Form) -> Form:

@@ -69,10 +69,6 @@ class ResampleBudgetError(RuntimeError):
     large prime unless something is wrong)."""
 
 
-class DegenerateIntersectionError(ArithmeticError):
-    """An n-subset of hyperplanes failed to cut out a single point."""
-
-
 def redraw(draw, what: str):
     """(draw(), number of draws refused before it): call ``draw`` again
     while it raises `GeneralPositionError`, at most ``RESAMPLE_BUDGET`` times
@@ -225,14 +221,6 @@ class StarPoint:
 
     tag: tuple
     coords: tuple
-
-    def normalized(self) -> tuple:
-        """Representative scaled so the first nonzero coordinate is 1."""
-        for k, c in enumerate(self.coords):
-            if c:
-                inv = linalg._invert(c)
-                return tuple(self.coords[:k]) + tuple(inv * b for b in self.coords[k:])
-        raise DegenerateIntersectionError("zero point cannot be normalized")
 
 
 def _points_from_coeff_rows(rows, n: int):
@@ -448,22 +436,6 @@ def star_ideal_dimension_by_products(hset: HyperplaneSet, t: int) -> int:
     if t < hset.r - hset.n + 1:
         return 0
     return ideal_piece_dimension(hset.product_generators, t)
-
-
-def star_ideal_graded_dimension(hset: HyperplaneSet, t: int) -> int:
-    """Degree-t dimension of the configuration ideal, computed both ways.
-
-    A disagreement between the intersection route and the product route
-    would falsify the generation statement this package relies on, so it
-    is reported as an error rather than silently repaired.
-    """
-    by_intersection = star_ideal_dimension_by_intersection(hset, t)
-    by_products = star_ideal_dimension_by_products(hset, t)
-    if by_intersection != by_products:
-        raise ArithmeticError(
-            f"ideal dimension routes disagree in degree {t}: "
-            f"intersection {by_intersection} vs products {by_products}")
-    return by_intersection
 
 
 def random_hyperplanes(n: int, r: int, rng) -> HyperplaneSet:

@@ -11,9 +11,11 @@ is the oracle of the rank test: its trial loop forced onto the tangent
 Jacobian, which `jacobian_rank_test` replaces by the incidence matrix
 below the degree bound.  `incidence_matrix_on_scalars` builds that matrix
 entry by entry from its definition, on `Fp` objects.
+`rref_generic` is the reference elimination: it divides in the field of
+its entries (`Fraction`s, `Fp` objects), where `linalg.rref` reduces
+fraction-free over Q and `linalg.rref_mod` on int64 residues.
 `rref_kernel` is the exact reference for the kernels over Q and the int64
-mod-p kernels: the generic `rref` loop alone (`linalg.rref_generic`, not
-the fraction-free path that the Q kernels run), run a second time on the
+mod-p kernels: `rref_generic` alone, run a second time on the
 free-column basis in natural column order, and `det_scan_violation` the one for the
 general-position certificate: every maximal minor by `linalg.det`.
 `cofactor_tables_by_masks` is the reference for the planned Laplace pass of
@@ -25,8 +27,9 @@ The `*_on_scalars` functions are the same kind of reference for the
 tables of the ideal layer (`poly.monomial_table` over Z, Q and F_p) and
 for `Form.__mul__` over F_p: the evaluation matrices (`evaluation_matrix`,
 one `poly.monomial_values` list per point), product rows and term
-products built from the scalars as given, then ranked by
-`linalg.rank`/`kernel_basis`.
+products built from the scalars as given, then ranked by `rank_on_scalars`
+in the field `field.residue_rows` picks from them.  `evaluate` and
+`normalized` read a form and a point on the scalars as given.
 The (3, 7, 5) certificate at the end checks its identity over the
 integers with plain dict polynomials, using no Cramer or jet code.
 """
@@ -40,8 +43,8 @@ from math import factorial, perm, prod
 import numpy as np
 
 from starpolar.existence import _rank_test, gamma_coefficients
-from starpolar.field import DEFAULT_PRIME, DEFAULT_SEED, Fp
-from starpolar.linalg import det, kernel_basis, minors, rank, rref_generic
+from starpolar.field import DEFAULT_PRIME, DEFAULT_SEED, Fp, residue_rows
+from starpolar.linalg import det, kernel_over, minors, rank_over
 from starpolar.poly import (DUAL, PRIMAL, Form, coefficient_vector, form_from_vector,
                             monomial_basis, monomial_values, shift_table)
 from starpolar.starconfig import StarPoint
@@ -229,9 +232,41 @@ def dp_eval(p, point):
     return total
 
 
+def rref_generic(rows):
+    """Reduced row-echelon form (R, pivots) by division in the field of the
+    entries, for any exact scalars: every pivot row is scaled to a leading
+    1 and cleared from the others.  An int pivot is inverted as a
+    `Fraction`, never a float."""
+    R = [list(r) for r in rows]
+    pivots = []
+    if not R:
+        return R, pivots
+    nrows, ncols = len(R), len(R[0])
+    pr = 0
+    for c in range(ncols):
+        pl = next((i for i in range(pr, nrows) if R[i][c]), None)
+        if pl is None:
+            continue
+        R[pr], R[pl] = R[pl], R[pr]
+        piv = R[pr][c]
+        if piv != 1:
+            inv = Fraction(1, piv) if isinstance(piv, int) else 1 / piv
+            R[pr] = [inv * e for e in R[pr]]
+        for i in range(nrows):
+            if i != pr and R[i][c]:
+                f = R[i][c]
+                prow = R[pr]
+                R[i] = [a - f * b for a, b in zip(R[i], prow)]
+        pivots.append(c)
+        pr += 1
+        if pr == nrows:
+            break
+    return R, pivots
+
+
 def rref_kernel(rows, n):
-    """Right kernel in reduced echelon form, by the generic `rref` loop alone
-    (the reference)."""
+    """Right kernel in reduced echelon form, by `rref_generic` alone (the
+    reference)."""
     R, pivots = rref_generic(rows)
     basis = []
     for fcol in (c for c in range(n) if c not in pivots):
@@ -251,7 +286,7 @@ def det_scan_violation(rows):
         return None
     width = len(rows[0])
     if len(rows) < width:
-        return None if rank(rows) == len(rows) else tuple(range(len(rows)))
+        return None if len(rref_generic(rows)[1]) == len(rows) else tuple(range(len(rows)))
     for subset in combinations(range(len(rows)), width):
         if not det([rows[j] for j in subset]):
             return subset
@@ -509,24 +544,31 @@ def evaluation_matrix(points, degree):
             for pt in points]
 
 
+def rank_on_scalars(rows):
+    """Rank over the field of the scalars as given: F_p if an entry is an
+    `Fp`, else Q (`field.residue_rows`)."""
+    return rank_over(*residue_rows(rows))
+
+
 def hilbert_on_scalars(points, t_max):
     """HF(0..t_max): the rank of `evaluation_matrix` on the points' own scalars."""
-    return [rank(evaluation_matrix(points, t)) for t in range(t_max + 1)]
+    return [rank_on_scalars(evaluation_matrix(points, t)) for t in range(t_max + 1)]
 
 
 def point_ideal_piece_on_scalars(points, degree, num_vars):
     """The kernel of `evaluation_matrix` on the points' own scalars, as forms."""
     size = len(monomial_basis(num_vars, degree))
-    return [form_from_vector(DUAL, num_vars, degree, v)
-            for v in kernel_basis(evaluation_matrix(points, degree), size)]
+    p, rows = residue_rows(evaluation_matrix(points, degree))
+    return [form_from_vector(DUAL, num_vars, degree, v, p)
+            for v in kernel_over(p, rows, size)]
 
 
 def route_a_on_scalars(hset, t):
-    """Route A with its kernel points found again for this t."""
+    """Route A with its kernel points found again for this t, by `rref_kernel`."""
     nv = hset.n + 1
-    points = [kernel_basis([hset.coeffs[j] for j in tau], nv)[0]
+    points = [rref_kernel([hset.coeffs[j] for j in tau], nv)[0]
               for tau in combinations(range(hset.r), hset.n)]
-    return len(monomial_basis(nv, t)) - rank(evaluation_matrix(points, t))
+    return len(monomial_basis(nv, t)) - rank_on_scalars(evaluation_matrix(points, t))
 
 
 def product_rows_on_scalars(gens, t):
@@ -550,8 +592,7 @@ def product_rows_on_scalars(gens, t):
 def ideal_piece_dimension_on_scalars(generators, t):
     """Rank of `product_rows_on_scalars` over the field of the coefficients."""
     gens = [g for g in generators if not g.is_zero()]
-    rows = product_rows_on_scalars(gens, t) if gens else []
-    return rank(rows) if rows else 0
+    return rank_on_scalars(product_rows_on_scalars(gens, t) if gens else [])
 
 
 def form_mul_on_scalars(f, g):
@@ -567,3 +608,24 @@ def form_mul_on_scalars(f, g):
             else:
                 terms.pop(mono, None)
     return Form(f.ring, f.num_vars, f.degree + g.degree, terms)
+
+
+def evaluate(f, coords):
+    """The value of a form at ``coords`` on the scalars as given: its
+    coefficient vector against `poly.monomial_values`."""
+    coords = list(coords)
+    if len(coords) != f.num_vars:
+        raise ValueError("coordinate count does not match variable count")
+    return sum(c * v for c, v in zip(coefficient_vector(f), monomial_values(coords, f.degree))
+               if c)
+
+
+def normalized(coords):
+    """A point's representative whose first nonzero coordinate is 1, exact
+    (an int is inverted as a `Fraction`); ``ValueError`` on the zero point."""
+    k = next((k for k, c in enumerate(coords) if c), None)
+    if k is None:
+        raise ValueError("the zero point has no representative")
+    c = coords[k]
+    inv = Fraction(1, c) if isinstance(c, int) else 1 / c
+    return tuple(coords[:k]) + tuple(inv * b for b in coords[k:])

@@ -8,13 +8,13 @@ import pytest
 from starpolar import apolar, existence, linalg, starconfig
 from starpolar.apolar import catalecticant, ideal_piece_dimension, perp_piece, solve_waring
 from starpolar.existence import incidence_matrix, jacobian_matrix, parameter_count
-from starpolar.field import DEFAULT_PRIME, Fp, Jet
+from starpolar.field import DEFAULT_PRIME, Fp, Jet, residue_rows
 from starpolar.poly import DUAL, PRIMAL, Form, contract
 from starpolar.starconfig import (GeneralPositionError, HyperplaneSet, cramer_table,
                                   general_position_violation, hilbert_function,
                                   point_ideal_piece)
 
-from helpers import rref_kernel
+from helpers import rref_generic, rref_kernel
 
 
 def F(*vals):
@@ -60,20 +60,14 @@ def _integral_cases(rng):
     return cases
 
 
-def test_fraction_free_rref_matches_the_generic_loop(monkeypatch):
+def test_fraction_free_rref_matches_the_generic_loop():
     cases = _integral_cases(random.Random(43))
-    generic = linalg.rref_generic
-
-    def refuse(rows):
-        raise AssertionError("int and Fraction rows take the fraction-free path")
-
-    monkeypatch.setattr(linalg, "rref_generic", refuse)
     deficient = integral = 0
     for rows in cases:
         before = [list(row) for row in rows]
         R, pivots = linalg.rref(rows)
         assert rows == before  # the input is untouched
-        assert (R, pivots) == generic(rows), rows
+        assert (R, pivots) == rref_generic(rows), rows
         deficient += len(pivots) < min(len(rows), len(rows[0]))
         for e in (e for row in R for e in row):
             assert e.__class__ in (int, Fraction)
@@ -82,9 +76,11 @@ def test_fraction_free_rref_matches_the_generic_loop(monkeypatch):
                 assert e.__class__ is int
                 integral += 1
     assert deficient > 30 and integral > 500
-    # other scalars still go through the generic loop
-    monkeypatch.setattr(linalg, "rref_generic", generic)
-    assert linalg.rref([[Fp(2, 7), Fp(3, 7)]]) == ([[Fp(1, 7), Fp(5, 7)]], [0])
+    # `rref` is Q's elimination alone: other scalars are refused by type,
+    # and the reference loop divides in their field
+    with pytest.raises(TypeError, match="an entry is a Fp, not an int or a Fraction"):
+        linalg.rref([[Fp(2, 7), Fp(3, 7)]])
+    assert rref_generic([[Fp(2, 7), Fp(3, 7)]]) == ([[Fp(1, 7), Fp(5, 7)]], [0])
 
 
 def test_rank_and_kernel_dimensions():
@@ -92,8 +88,8 @@ def test_rank_and_kernel_dimensions():
     for _ in range(30):
         m, n = rng.randrange(1, 6), rng.randrange(1, 6)
         rows = [[Fraction(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(m)]
-        rk = linalg.rank(rows)
-        ker = linalg.kernel_basis(rows, n)
+        rk = linalg.rank_over(None, rows)
+        ker = linalg.kernel_over(None, rows, n)
         assert rk + len(ker) == n
         for v in ker:
             for row in rows:
@@ -101,12 +97,12 @@ def test_rank_and_kernel_dimensions():
 
 
 def test_kernel_of_empty_matrix_is_identity():
-    ker = linalg.kernel_basis([], 3)
+    ker = linalg.kernel_over(None, [], 3)
     assert ker == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_kernel_basis_is_reduced_echelon():
-    ker = linalg.kernel_basis([F(1, 1)], 2)
+    ker = linalg.kernel_over(None, [F(1, 1)], 2)
     assert ker == [[1, Fraction(-1)]]
 
 
@@ -143,19 +139,17 @@ def test_q_kernels_match_rref_kernel():
     free = 0
     for rows in cases:
         n = len(rows[0])
-        ker = linalg.kernel_basis(rows, n)
+        ker = linalg.kernel_over(None, rows, n)
         assert ker == rref_kernel(rows, n), rows
-        assert linalg.kernel_over(None, rows, n) == ker
         free += len(ker)
         # a consistent system: x = (1, ..., 1) solves it
         rhs = [sum(row, 0) for row in rows]
-        x = linalg.solve_linear(rows, rhs)
+        x = linalg.solve_over(None, [list(r) + [b] for r, b in zip(rows, rhs)])
         assert [sum(a * b for a, b in zip(row, x)) for row in rows] == rhs
-        assert linalg.solve_over(None, [list(r) + [b] for r, b in zip(rows, rhs)]) == x
         # exact scalars only, from the shared read-off: no numpy int64 and
         # no object-array leftovers
         assert all(e.__class__ in (int, Fraction) for row in ker + [x] for e in row)
-    assert [linalg.rank(cases[i]) for i in (2, 3, 12, 13)] == [2, 6, 2, 6]
+    assert [linalg.rank_over(None, cases[i]) for i in (2, 3, 12, 13)] == [2, 6, 2, 6]
     assert free > 60
 
 
@@ -168,10 +162,11 @@ def test_one_elimination_per_kernel(monkeypatch):
     p = 101
     rows = [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 0, 1, 5, 7]]
     for kernel, expected in ((lambda: linalg.kernel_mod(rows, 5, p), "rref_mod"),
-                             (lambda: linalg.kernel_basis([[Fp(e, p) for e in row]
-                                                           for row in rows], 5), "rref_mod"),
+                             (lambda: linalg.kernel_over(*residue_rows(
+                                 [[Fp(e, p) for e in row] for row in rows]), 5), "rref_mod"),
                              (lambda: linalg.kernel_over(None, rows, 5), "rref"),
-                             (lambda: linalg.kernel_basis([F(*row) for row in rows], 5), "rref")):
+                             (lambda: linalg.kernel_over(None, [F(*row) for row in rows], 5),
+                              "rref")):
         calls.clear()
         assert len(kernel()) == 3
         assert calls == [expected]
@@ -185,9 +180,9 @@ def test_one_elimination_per_kernel(monkeypatch):
 @pytest.mark.parametrize("num_cols", [0, 2, 4])
 def test_kernels_refuse_a_num_cols_that_is_not_the_width(num_cols):
     p = 7
-    calls = [lambda: linalg.kernel_basis([[1, 2, 3]], num_cols),
-             lambda: linalg.kernel_basis([F(1, 2, 3), F(0, 1, 1)], num_cols),
-             lambda: linalg.kernel_basis([[Fp(1, p), 2, 3]], num_cols),
+    calls = [lambda: linalg.kernel_over(None, [[1, 2, 3]], num_cols),
+             lambda: linalg.kernel_over(None, [F(1, 2, 3), F(0, 1, 1)], num_cols),
+             lambda: linalg.kernel_over(*residue_rows([[Fp(1, p), 2, 3]]), num_cols),
              lambda: linalg.kernel_over(None, [(1, 2, 3)], num_cols),
              lambda: linalg.kernel_mod([[1, 2, 3]], num_cols, p),
              lambda: linalg.kernel_mod(np.array([[1, 2, 3]]), num_cols, p)]
@@ -196,19 +191,18 @@ def test_kernels_refuse_a_num_cols_that_is_not_the_width(num_cols):
             call()
     # a short row among full-width ones
     with pytest.raises(ValueError, match="^a row has 2 columns, expected num_cols=3$"):
-        linalg.kernel_basis([[1, 2, 3], [1, 2]], 3)
+        linalg.kernel_over(None, [[1, 2, 3], [1, 2]], 3)
     # with no rows there is no width to disagree with
-    assert len(linalg.kernel_basis([], num_cols)) == num_cols
+    assert len(linalg.kernel_over(None, [], num_cols)) == num_cols
     assert linalg.kernel_mod([], num_cols, p).shape == (num_cols, num_cols)
 
 
 def test_solve_linear():
-    A = [F(1, 1), F(1, -1)]
-    x = linalg.solve_linear(A, F(3, 1))
+    x = linalg.solve_over(None, [F(1, 1, 3), F(1, -1, 1)])
     assert x == [Fraction(2), Fraction(1)]
-    assert linalg.solve_linear([F(1, 0), F(1, 0)], F(1, 2)) is None
+    assert linalg.solve_over(None, [F(1, 0, 1), F(1, 0, 2)]) is None
     # underdetermined: free variable pinned to zero
-    x = linalg.solve_linear([F(0, 1, 2)], F(4))
+    x = linalg.solve_over(None, [F(0, 1, 2, 4)])
     assert x == [0, Fraction(4), 0]
 
 
@@ -221,7 +215,7 @@ def test_det_matches_cofactor_values():
         k = rng.randrange(1, 5)
         rows = [[Fraction(rng.randrange(-4, 5)) for _ in range(k)] for _ in range(k)]
         # compare with rank: singular iff rank < k
-        assert (linalg.det(rows) == 0) == (linalg.rank(rows) < k)
+        assert (linalg.det(rows) == 0) == (linalg.rank_over(None, rows) < k)
     # every maximal minor of a k x m matrix against the Leibniz sum
     p = 101
     cases = []
@@ -319,7 +313,7 @@ def test_mod_paths_agree_with_generic(monkeypatch):
     for p, rows in cases:
         n = len(rows[0])
         frows = [[Fp(e, p) for e in row] for row in rows]
-        R, pivots = linalg.rref_generic(frows)
+        R, pivots = rref_generic(frows)
         calls.clear()
         M, mod_pivots = linalg.rref_mod(rows, p)
         # Gauss-Jordan in one pass: one elimination per pivot column
@@ -373,7 +367,7 @@ def test_mod_kernels_match_rref_over_fp_objects():
             n = len(rows[0])
             frows = [[Fp(e, p) for e in row] for row in rows]
             R, pivots = linalg.rref_mod(rows, p)
-            Rf, fpivots = linalg.rref(frows)
+            Rf, fpivots = rref_generic(frows)
             assert pivots == fpivots
             assert R.tolist() == [[e.value for e in row] for row in Rf]
             assert linalg.rank_mod(rows, p) == len(fpivots)
@@ -427,7 +421,7 @@ def test_rank_mod_is_the_pivot_count_on_either_side(monkeypatch):
     for index, (p, rows) in enumerate(cases + scattered):
         M = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
         before = M.copy()
-        rank = len(linalg.rref_generic([[Fp(e, p) for e in row] for row in M.tolist()])[1])
+        rank = len(rref_generic([[Fp(e, p) for e in row] for row in M.tolist()])[1])
         assert linalg.rank_mod(M, p) == linalg.rank_mod(M.T, p) == rank, (p, M.shape)
         assert np.array_equal(M, before)
         deficient += index >= len(cases) and rank < M.shape[1]
@@ -458,9 +452,9 @@ def test_fp_matrices_refuse_a_prime_past_int64(monkeypatch, p):
     cube = lin ** 3
     params = [Fp(k + 1, p) for k in range(parameter_count(3, 4, 2))]
     calls = [lambda: HyperplaneSet(rows),
-             lambda: linalg.rank(rows),
-             lambda: linalg.kernel_basis(rows, 3),
-             lambda: linalg.solve_linear(rows, rows[0]),
+             lambda: linalg.rank_over(*residue_rows(rows)),
+             lambda: linalg.kernel_over(*residue_rows(rows), 3),
+             lambda: linalg.solve_over(*residue_rows([row + [row[0]] for row in rows])),
              lambda: solve_waring(rows, cube),
              lambda: catalecticant(cube, 1).rank(),
              lambda: perp_piece(cube, 1),
@@ -497,62 +491,76 @@ def test_rank_and_kernel_pick_the_field_from_fp_entries():
     frees = 0
     for rows in cases:
         n = len(rows[0])
-        # one plain int per row still counts as the image of Z in F_p
+        # one plain int per row still counts as the image of Z in F_p; with no
+        # `Fp` entry, a single column of ints is read over Q
         frows = [[row[0]] + [Fp(e, p) for e in row[1:]] for row in rows]
-        assert linalg.rank(frows) == linalg.rank_mod(rows, p)
-        assert linalg.rank(frows) == len(linalg.rref(frows)[1])
-        ker = linalg.kernel_basis(frows, n)
-        assert all(e.__class__ is Fp and e.p == p for row in ker for e in row)
-        assert [[e.value for e in row] for row in ker] == \
-            linalg.kernel_mod(rows, n, p).tolist()
-        assert ker == rref_kernel(frows, n)
+        assert residue_rows(frows) == (p if n > 1 else None, rows)
+        rank = linalg.rank_over(p, rows)
+        assert rank == linalg.rank_mod(rows, p) == len(rref_generic(frows)[1])
         # the residue representation: Python ints in [0, p), no numpy int64
-        residues = linalg.kernel_over(p, rows, n)
-        assert residues == [[e.value for e in row] for row in ker]
+        ker = linalg.kernel_over(p, rows, n)
+        assert ker == linalg.kernel_mod(rows, n, p).tolist()
+        assert [[Fp(e, p) for e in row] for row in ker] == rref_kernel(frows, n)
         rhs = [sum(row) % p for row in rows]
         x = linalg.solve_over(p, [row + [b] for row, b in zip(rows, rhs)])
-        assert all(e.__class__ is int and 0 <= e < p for row in residues + [x] for e in row)
-        # consistent (x = (1, ..., 1) solves it), free variables are Fp(0, p)
-        fx = linalg.solve_linear(frows, [Fp(b, p) for b in rhs])
-        assert all(e.__class__ is Fp and e.p == p for e in fx)
-        assert [e.value for e in fx] == x
-        assert [sum(a * b for a, b in zip(row, fx)) for row in frows] == rhs
-        frees += n - linalg.rank(frows)
+        assert all(e.__class__ is int and 0 <= e < p for row in ker + [x] for e in row)
+        # consistent: x = (1, ..., 1) solves it
+        assert [sum(a * Fp(b, p) for a, b in zip(row, x)) for row in frows] == rhs
+        frees += n - rank
     assert frees > 40
 
 
 @pytest.mark.parametrize("p", [7, None])
 def test_solve_over_with_no_rows_or_no_columns(p):
-    # no rows, so no unknowns, as `solve_linear` answers
-    assert linalg.solve_over(p, []) == [] == linalg.solve_linear([], [])
+    # no rows, so no unknowns
+    assert linalg.solve_over(p, []) == []
     # rows with no column have no right-hand side: named, not an IndexError
     with pytest.raises(ValueError, match="3 augmented rows .* have no columns"):
         linalg.solve_over(p, [[], [], []])
+
+
+@pytest.mark.parametrize("p", [7, None])
+@pytest.mark.parametrize("rows", [[[1], [1, 2]], [[1, 2], [3]]], ids=["widening", "narrowing"])
+def test_rows_of_unequal_widths_are_refused(p, rows):
+    """A rank, echelon form or solution of rows of unequal widths raises
+    ``ValueError`` over Q and over F_7: no entry is dropped or indexed past."""
+    calls = [lambda: linalg.rank_over(p, rows), lambda: linalg.rref_over(p, rows),
+             lambda: linalg.solve_over(p, rows)]
+    if p is None:
+        calls.append(lambda: linalg.rref(rows))
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    if p is None:
+        with pytest.raises(ValueError, match="^rows of unequal widths$"):
+            linalg.rref(rows)
 
 
 def test_fp_dispatch_reads_every_entry_in_the_field():
     p = 7
     # 1/2 is 4 mod 7, so the second row is twice the first there
     rows = [[Fp(1, p), 3], [Fraction(1, 2), Fraction(3, 2)]]
-    assert linalg.rank(rows) == 1
-    assert linalg.kernel_basis(rows, 2) == [[Fp(1, p), Fp(2, p)]]
+    assert residue_rows(rows) == (p, [[1, 3], [4, 5]])
+    assert linalg.rank_over(*residue_rows(rows)) == 1
+    assert linalg.kernel_over(*residue_rows(rows), 2) == [[1, 2]]
     with pytest.raises(ValueError, match="mixed prime-field moduli"):
-        linalg.rank([[Fp(1, p), Fp(1, 11)]])
+        residue_rows([[Fp(1, p), Fp(1, 11)]])
 
 
 def test_rank_and_kernel_over_rationals_stay_on_rref():
     rows = [F(1, 2, 3), F(2, 4, 7), F(1, 2, 4)]
-    assert linalg.rank(rows) == 2
-    ker = linalg.kernel_basis(rows, 3)
+    assert residue_rows(rows) == (None, rows)
+    assert linalg.rank_over(None, rows) == 2
+    ker = linalg.kernel_over(None, rows, 3)
     assert ker == [[1, Fraction(-1, 2), 0]]
     assert not any(isinstance(e, Fp) for row in ker for e in row)
-    assert linalg.kernel_basis([], 2) == [[1, 0], [0, 1]]
+    assert linalg.kernel_over(None, [], 2) == [[1, 0], [0, 1]]
 
 
 def _solve_by_rref(rows, rhs):
-    """`solve_linear`'s read-off on the generic loop's rref of the augmented rows."""
+    """`solve_over`'s read-off on the generic loop's rref of the augmented rows."""
     ncols = len(rows[0])
-    R, pivots = linalg.rref_generic([list(r) + [b] for r, b in zip(rows, rhs)])
+    R, pivots = rref_generic([list(r) + [b] for r, b in zip(rows, rhs)])
     if ncols in pivots:
         return None
     x = [0] * ncols
@@ -594,26 +602,30 @@ def test_solve_linear_over_fp_matches_rref_on_fp_objects(monkeypatch):
             else:
                 rhs = [Fp(rng.randrange(p), p) for _ in range(m)]
             calls.clear()
+            aug = residue_rows([list(r) + [b] for r, b in zip(rows, rhs)])
+            assert aug[0] == p
             if p == big:
                 # refused by the mod-p elimination before it reduces a row
                 with pytest.raises(ValueError, match="too large"):
-                    linalg.solve_linear(rows, rhs)
+                    linalg.solve_over(*aug)
                 assert calls == [p]
                 continue
-            got = linalg.solve_linear(rows, rhs)
+            got = linalg.solve_over(*aug)
             assert calls == [p]
             want = _solve_by_rref(rows, rhs)
-            assert got == want, (p, rows, rhs)
+            assert (got is None) == (want is None), (p, rows, rhs)
             if got is None:
                 kinds["inconsistent"] += 1
                 continue
             kinds["solved"] += 1
-            # free variables too are zeros of F_p, not the int 0
-            assert all(isinstance(v, Fp) and v.p == p for v in got)
+            # residues: Python ints in [0, p), free variables too
+            assert all(v.__class__ is int and 0 <= v < p for v in got)
+            got = [Fp(v, p) for v in got]
+            assert got == want, (p, rows, rhs)
             assert [sum((a * b for a, b in zip(row, got)), Fp(0, p))
                     for row in rows] == rhs
             # free columns (no pivot in the rref) are pinned to zero
-            pivots = linalg.rref(rows)[1]
+            pivots = rref_generic(rows)[1]
             free = [c for c in range(n) if c not in pivots]
             kinds["free"] += bool(free)
             assert all(got[c] == 0 for c in free)

@@ -13,11 +13,11 @@ from starpolar.starconfig import point_ideal_piece
 from starpolar.poly import (DUAL, MAX_EXPONENT, MAX_VARIABLE_INDEX, PRIMAL,
                             Form, HomogeneityError, ParseError,
                             coefficient_vector, contract, contraction_row,
-                            evaluate, form_from_vector, format_form,
+                            form_from_vector, format_form,
                             linear_power_coefficients, monomial_basis,
                             monomial_table, monomial_values, multinomial,
                             parse_form)
-from helpers import (contract_by_pairs, dp_add, dp_diff, form_mul_on_scalars,
+from helpers import (contract_by_pairs, dp_add, dp_diff, evaluate, form_mul_on_scalars,
                      random_form_over)
 
 
@@ -259,6 +259,8 @@ def test_multinomial():
 
 
 def test_evaluate():
+    # `helpers.evaluate`, by `coefficient_vector` and `monomial_values`: the
+    # vanishing checks of the ideal layer read it
     C = parse_form(CUSPIDAL)
     assert evaluate(C, [1, 0, 0]) == 1
     assert evaluate(C, [1, 1, 1]) == 0

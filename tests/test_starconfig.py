@@ -9,7 +9,7 @@ import pytest
 from starpolar import apolar, linalg, starconfig
 from starpolar.apolar import ideal_piece_dimension, perp_piece
 from starpolar.field import DEFAULT_PRIME, Fp, residue_array, residue_rows
-from starpolar.poly import DUAL, Form, evaluate, parse_form
+from starpolar.poly import DUAL, Form, parse_form
 from starpolar.starconfig import (POINT_BLOCK, RESAMPLE_BUDGET, GeneralPositionError,
                                   HilbertFunctionTable, ResampleBudgetError,
                                   HyperplaneSet, general_position_violation,
@@ -17,11 +17,10 @@ from starpolar.starconfig import (POINT_BLOCK, RESAMPLE_BUDGET, GeneralPositionE
                                   random_hyperplanes,
                                   star_ideal_dimension_by_intersection,
                                   star_ideal_dimension_by_products,
-                                  star_ideal_graded_dimension,
                                   star_ideal_product_generators,
                                   _points_from_coeff_rows, cramer_table, redraw)
-from helpers import (cofactor_tables_by_masks, det_scan_violation, hilbert_on_scalars,
-                     ideal_piece_dimension_on_scalars, point_ideal_piece_on_scalars,
+from helpers import (cofactor_tables_by_masks, det_scan_violation, evaluate, hilbert_on_scalars,
+                     ideal_piece_dimension_on_scalars, normalized, point_ideal_piece_on_scalars,
                      random_form_over, route_a_on_scalars)
 
 CUSPIDAL_LINES = [parse_form(s, num_vars=3, ring=DUAL) for s in
@@ -327,7 +326,7 @@ def test_intersection_points_cuspidal_lines():
 def test_intersection_points_coordinate_lines():
     hset = HyperplaneSet([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     pts = intersection_points(hset)
-    norm = {pt.normalized() for pt in pts}
+    norm = {normalized(pt.coords) for pt in pts}
     assert norm == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
@@ -395,14 +394,13 @@ def test_one_cofactor_pass_per_fp_hyperplane_set(monkeypatch):
 @pytest.mark.parametrize("call", [
     lambda: star_ideal_dimension_by_products(_cuspidal_set(), -1),
     lambda: star_ideal_dimension_by_intersection(_cuspidal_set(), -1),
-    lambda: star_ideal_graded_dimension(_cuspidal_set(), -1),
     lambda: ideal_piece_dimension(CUSPIDAL_LINES, -1),
     lambda: ideal_piece_dimension([], -1),
     lambda: hilbert_function(CUSPIDAL_POINTS, -1),
     lambda: hilbert_function([], -1),
     lambda: point_ideal_piece(CUSPIDAL_POINTS, -1),
     lambda: perp_piece(parse_form("x0^2 - x1*x2"), -1),
-], ids=["route-b", "route-a", "both-routes", "ideal-piece", "no-generators",
+], ids=["route-b", "route-a", "ideal-piece", "no-generators",
         "hilbert", "no-points", "point-ideal", "perp"])
 def test_negative_degrees_are_refused(call):
     # refused before any other work: with no generators or no points too
@@ -456,10 +454,10 @@ def test_route_b_expands_its_generators_once_per_set(monkeypatch):
 
 def test_graded_dimension_cuspidal_lines():
     hset = _cuspidal_set()
-    assert star_ideal_graded_dimension(hset, 2) == 0
-    assert star_ideal_graded_dimension(hset, 3) == 4
-    for t in range(3):  # below the generation degree r - n + 1 = 3
-        assert star_ideal_graded_dimension(hset, t) == 0
+    # zero below the generation degree r - n + 1 = 3, then the 4 generators
+    for t, expected in enumerate([0, 0, 0, 4]):
+        assert star_ideal_dimension_by_intersection(hset, t) == \
+            star_ideal_dimension_by_products(hset, t) == expected
 
 
 def test_hilbert_function_cuspidal_lines():
@@ -624,7 +622,7 @@ def test_generators_vanish_and_points_lie_exactly_on_tags():
     for hset in sets:
         r, n = hset.r, hset.n
         assert len(hset.points) == comb(r, n)
-        assert len({pt.normalized() for pt in hset.points}) == comb(r, n)
+        assert len({normalized(pt.coords) for pt in hset.points}) == comb(r, n)
         assert len(hset.product_generators) == comb(r, n - 1)
         for g in hset.product_generators:
             for pt in hset.points:

@@ -55,7 +55,10 @@ digests must be equal.  Timings are left out.  The records cover:
   F_(2^31 - 1) on seeded matrices: empty, 0 x 4, 3 x 0, 1 x 1, zero rows
   and columns, a pivot below zeros, rank-deficient, wide and tall, and
   consistent and inconsistent systems; `rank_mod` of each of these
-  matrices and of its transpose.
+  matrices and of its transpose;
+- `rref`, `rank_over`, `kernel_over` and `solve_over` over Q on the same
+  shapes of matrix, read as ints and as `Fraction`s with denominators
+  1 to 3, and on rank-deficient consistent and inconsistent systems.
 
 Arrays are hashed as little-endian int64 bytes, the same on every
 platform.  `quick_records` is a subset of the records with at least one of
@@ -493,7 +496,9 @@ def _matrix_cases(rng, p):
 def linalg_records(rng):
     """`rref_mod`, `kernel_mod` and `solve_over` on `_matrix_cases` over
     F_7, F_101 and F_(2^31 - 1), and on consistent and inconsistent systems;
-    `rank_mod` of each case and of its transpose."""
+    `rank_mod` of each case and of its transpose; `rref`, `rank_over`,
+    `kernel_over` and `solve_over` over Q on `_matrix_cases` read as ints
+    and as `Fraction`s, and on systems like the F_p ones."""
     for p in PRIMES:
         for name, rows in _matrix_cases(rng, p):
             ncols = len(rows[0]) if len(rows) else 4
@@ -517,6 +522,33 @@ def linalg_records(rng):
                                              for i, v in enumerate(b)]), ("inconsistent", bad)):
                 yield ["linalg-solve", p, m, n, tag,
                        linalg.solve_over(p, [row + [v] for row, v in zip(A, rhs)])]
+    for name, rows in _matrix_cases(rng, 101):
+        ncols = len(rows[0]) if len(rows) else 4
+        ints = [[int(e) for e in row] for row in rows]
+        fractions = [[Fraction(e, 1 + (i + j) % 3) for j, e in enumerate(row)]
+                     for i, row in enumerate(ints)]
+        for kind, Q in (("Z", ints), ("Q", fractions)):
+            R, pivots = linalg.rref(Q)
+            try:
+                solution = _strs(linalg.solve_over(None, Q))
+            except ValueError as err:
+                solution = error(err)
+            yield ["linalg-Q", kind, name, [_strs(row) for row in R], pivots,
+                   linalg.rank_over(None, Q),
+                   [_strs(row) for row in linalg.kernel_over(None, Q, ncols)], solution]
+    for m, n in ((3, 3), (5, 3), (3, 6), (6, 6)):
+        A = [[Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
+        A[-1] = [u + v for u, v in zip(A[0], A[1])]
+        x = [rng.randint(-9, 9) for _ in range(n)]
+        b = [sum(a * v for a, v in zip(row, x)) for row in A]
+        for tag, rhs in (("consistent", b), ("inconsistent", b[:-1] + [b[-1] + 1])):
+            yield ["linalg-solve", "Q", m, n, tag, linalg.rank_over(None, A),
+                   [_strs(row) for row in linalg.kernel_over(None, A, n)],
+                   _strs(linalg.solve_over(None, [row + [v] for row, v in zip(A, rhs)]))]
+
+
+def _strs(row):
+    return None if row is None else [scalar_to_str(e) for e in row]
 
 
 def records():
