@@ -93,7 +93,6 @@ class Verdict(str, Enum):
     EXISTS = "Exists"
     NOT_EXISTS = "NotExists"
     CONJECTURAL_EXISTS = "ConjecturalExists"
-    UNDETERMINED = "Undetermined"
 
 
 @dataclass
@@ -112,8 +111,10 @@ def classify(d: int, r: int, n: int) -> ClassificationVerdict:
     """Decide existence of an apolar star configuration for the generic
     degree-d form in n+1 variables, as a pure function of (d, r, n).
 
-    Rules, in order: binary forms are out of scope; degree one is out of
-    scope below the degree bound; quadrics exist iff r >= n + 1; r >= d + n
+    Rules, in order: binary forms (n = 1) exist iff 2r >= d + 1, that is r
+    at least Sylvester's generic rank (apolar points may carry zero weights);
+    for d = 1 the one star point of r = n hyperplanes can be L itself;
+    quadrics exist iff r >= n + 1; r >= d + n
     always suffices (the configuration ideal starts in degree r - n + 1 >
     d, where the annihilator is everything); below that threshold the
     parameter count is negative except for four exceptional triples, which
@@ -126,14 +127,10 @@ def classify(d: int, r: int, n: int) -> ClassificationVerdict:
     _validate_triple(d, r, n)
     if n == 1:
         return ClassificationVerdict(
-            Verdict.UNDETERMINED, "binary-forms-out-of-scope",
-            "the classification covers n >= 2 only")
-    if d == 1:
-        if r >= d + n:
-            return ClassificationVerdict(Verdict.EXISTS, "ideal-degree-bound")
-        return ClassificationVerdict(
-            Verdict.UNDETERMINED, "degree-one-out-of-scope",
-            "the classification covers d >= 2 only")
+            Verdict.EXISTS if 2 * r >= d + 1 else Verdict.NOT_EXISTS, "binary-sylvester",
+            f"the generic binary form of degree {d} has Waring rank {(d + 2) // 2}")
+    if d == 1 and r == n:
+        return ClassificationVerdict(Verdict.EXISTS, "linear-point")
     if d == 2:
         if r >= n + 1:
             return ClassificationVerdict(Verdict.EXISTS, "quadric-threshold")

@@ -256,11 +256,17 @@ def residue_array(rows, p):
     scalars of Z and Q in an object array with p None.  Every matrix and
     point table of the package is read through here.  A prime of 2^31 or
     more raises ``ValueError`` before any entry is converted: below it, a
-    product of two residues fits in int64, as the mod-p kernels need.
+    product of two residues fits in int64, as the mod-p kernels need.  Rows
+    of unequal widths raise ``ValueError("rows of unequal widths")``.
     """
     if p is not None and p >= INT64_PRIME_LIMIT:
         raise ValueError(f"prime {p} too large for the int64 mod-p kernel")
-    M = np.array(rows, dtype=object) if p is None else np.asarray(rows, dtype=np.int64)
+    try:
+        M = np.array(rows, dtype=object) if p is None else np.asarray(rows, dtype=np.int64)
+    except ValueError:  # numpy's refusal of ragged int rows
+        if len({np.shape(row) for row in rows}) > 1:
+            raise ValueError("rows of unequal widths") from None
+        raise
     if M.ndim == 1:
         if M.size and np.ndim(M[0]):  # an object array of rows of unequal widths
             raise ValueError("rows of unequal widths")

@@ -24,9 +24,14 @@ pivot entry: an entry is a `Fraction` only where the pivot does not
 divide it, an int otherwise.  Any other scalar, such as an `Fp` object,
 raises ``TypeError``.
 
-A kernel is read off one elimination R of the matrix with its columns
-reversed, by one array read-off: on an object array of scalars over Q,
-on the int64 residue array over F_p.  The vector of a free column f of R
+A kernel over Q of at least as many rows as columns is first tried mod
+`DEFAULT_PRIME`, on the rows scaled to integers: the rank mod p of an int
+matrix is at most its rank over Q, so a rank mod p equal to the number of
+columns proves the kernel is {0}, and no exact elimination runs.  A
+smaller rank mod p proves nothing.  Otherwise a kernel is read off one
+elimination R of the matrix with its columns reversed, by one array
+read-off: on an object array of scalars over Q, on the int64 residue
+array over F_p.  The vector of a free column f of R
 has a 1 at f and -R[i, f] at the i-th pivot, and R[i, f] = 0 for every
 pivot right of f, so it ends in its own 1.  Reversed back, that 1 leads,
 and every other vector is 0 there (f is free): listed by descending f,
@@ -78,7 +83,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .field import INT64_PRIME_LIMIT, is_prime, residue_array
+from .field import DEFAULT_PRIME, INT64_PRIME_LIMIT, is_prime, residue_array
 
 
 def rref(rows):
@@ -166,12 +171,18 @@ def kernel_over(p, rows, num_cols: int):
     """Basis of the right kernel over the field that ``p`` names, as in
     `rref_over`, as lists in reduced echelon form, read off the rows'
     `field.residue_array`: int residues over F_p (`kernel_mod`), scalars of
-    Q with p None.  ``num_cols`` makes the kernel of no rows well defined;
-    ``ValueError`` if a row is not ``num_cols`` wide."""
+    Q with p None.  Over Q, at least ``num_cols`` rows are first ranked as
+    int rows mod `DEFAULT_PRIME` (module docstring), and full column rank
+    there answers [].  ``num_cols`` makes the kernel of no rows well
+    defined; ``ValueError`` if a row is not ``num_cols`` wide."""
     if p is not None:
         return kernel_mod(rows, num_cols, p).tolist()
     for row in rows:
         _check_width(len(row), num_cols)
+    if len(rows) >= num_cols and rank_mod(
+            [[e % DEFAULT_PRIME for e in _integer_row(row)] for row in rows],
+            DEFAULT_PRIME) == num_cols:
+        return []
     return _read_kernel(None, residue_array(rows, None), num_cols).tolist()
 
 

@@ -13,7 +13,7 @@ from starpolar.apolar import (CatalecticantMatrix, WaringDecomposition, _coeffic
 from starpolar.field import DEFAULT_PRIME, Fp, random_scalar
 from starpolar.poly import (DUAL, PRIMAL, Form, coefficient_vector, contract, format_form,
                             monomial_basis, parse_form, shift_table)
-from starpolar.starconfig import point_ideal_piece
+from starpolar.starconfig import HyperplaneSet, point_ideal_piece
 
 from helpers import normalized, random_form_over, rank_on_scalars, rref_generic, rref_kernel
 
@@ -191,7 +191,9 @@ def test_ideal_piece_dimension_matches_hand_count():
 
 def test_product_rows_match_form_products():
     """Rows placed by `_degrevlex_plan` against rows expanded by
-    `Form.__mul__`, both read with their columns in degrevlex order."""
+    `Form.__mul__`, both read with their columns in degrevlex order, and
+    route B's dimension against the rank of the expanded rows in their own
+    field."""
     rng = random.Random(41)
     fields = (lambda: Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)),
               lambda: Fp(rng.randrange(7), 7),
@@ -220,6 +222,7 @@ def test_product_rows_match_form_products():
                         for order, where in [_degrevlex_plan(nv, t - e, e)]]
                 rows = _scatter(runs, len(top))
                 rows = rows if p is not None else rows.tolist()
+            rank = rank_on_scalars(expanded)
             if trial % 3 and nonzero:  # over F_p: one int64 array of residues
                 assert p == (7, DEFAULT_PRIME)[trial % 3 - 1]
                 assert rows.dtype == np.int64
@@ -228,7 +231,6 @@ def test_product_rows_match_form_products():
             else:
                 assert p is None
             assert rows == expanded
-            rank = len(linalg.rref(expanded)[1]) if expanded else 0
             assert ideal_piece_dimension(gens, t) == rank
 
 
@@ -487,3 +489,29 @@ def test_fp_power_sum_takes_the_mod_p_path(monkeypatch):
         assert calls == ["rank_mod", "kernel_mod"]
         assert [[int(c) for c in coefficient_vector(b)] for b in basis] == kernel
         assert all(isinstance(c, Fp) for b in basis for c in b.terms.values())
+
+
+@pytest.mark.parametrize("p", [10007, DEFAULT_PRIME])
+@pytest.mark.parametrize("n", [2, 3])
+def test_waring_points_are_vertices_of_an_apolar_cycle_star(n, p):
+    """The apolarity lemma through a star: F = sum a_i P_i^3 over s = n + 2
+    seeded points, and hyperplane i is the span of the n points off the
+    cycle edge {i, i + 1}.  Each point then lies on the n hyperplanes whose
+    edges miss it, so it is a star vertex, and I_X in I_P in F^perp: the
+    certified configuration is apolar to F."""
+    rng = random.Random(f"cycle-star:{n}:{p}")
+    s = n + 2
+    for _ in range(50):
+        pts = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(s)]
+        F = Form.zero(PRIMAL, n + 1, 3)
+        for pt in pts:
+            F = F + Form.linear(PRIMAL, [Fp(c, p) for c in pt]) ** 3 * Fp(rng.randrange(p), p)
+        rows = []
+        for i in range(s):
+            off = [pts[j] for j in range(s) if j not in (i, (i + 1) % s)]
+            (normal,) = linalg.kernel_over(p, off, n + 1)
+            rows.append([Fp(c, p) for c in normal])
+        hset = HyperplaneSet(rows)  # raises GeneralPositionError unless certified
+        vertices = {normalized(pt.coords) for pt in hset.points}
+        assert all(normalized([Fp(c, p) for c in pt]) in vertices for pt in pts)
+        assert is_apolar_ideal_contained(hset.product_generators, F).contained

@@ -89,15 +89,29 @@ def test_classify_boundary_both_sides():
     assert "open" in classify(14, 15, 2).note
 
 
-def test_classify_out_of_scope_rows():
-    assert classify(3, 4, 1).verdict == Verdict.UNDETERMINED
-    assert classify(1, 2, 2).verdict == Verdict.UNDETERMINED
-    assert classify(1, 5, 2).verdict == Verdict.EXISTS  # degree bound still applies
+def test_classify_binary_and_degree_one_rows():
+    # binary forms: r points exist iff r reaches Sylvester's generic rank
+    assert classify(3, 2, 1).to_json_dict() == {
+        "verdict": "Exists", "rule": "binary-sylvester",
+        "note": "the generic binary form of degree 3 has Waring rank 2"}
+    assert classify(3, 1, 1).verdict == Verdict.NOT_EXISTS
+    assert classify(4, 2, 1).verdict == Verdict.NOT_EXISTS
+    assert classify(4, 9, 1).verdict == Verdict.EXISTS
+    assert "rank 3" in classify(4, 2, 1).note
+    # degree one: the one star point of n hyperplanes, then the degree bound
+    assert classify(1, 2, 2).verdict == Verdict.EXISTS
+    assert classify(1, 2, 2).rule == "linear-point"
+    assert classify(1, 5, 2).verdict == Verdict.EXISTS
+    assert classify(1, 5, 2).rule == "ideal-degree-bound"
+    assert classify(1, 3, 2).rule == "ideal-degree-bound"
+    assert len(Verdict) == 3
     with pytest.raises(ValueError):
         classify(3, 1, 2)
 
 
 def test_classify_rules_on_a_grid():
+    """Every triple gets one of the three verdicts, by a rule that fits it."""
+    verdicts = set()
     for n in range(1, 41):
         for d in range(1, 61):
             for r in range(n, d + n + 3):
@@ -106,9 +120,17 @@ def test_classify_rules_on_a_grid():
                     assert rho(d, r, n) < 0, (d, r, n)
                 if v.verdict == Verdict.CONJECTURAL_EXISTS:
                     assert n == 2 and r == d + 1, (d, r, n)
-                if v.verdict == Verdict.EXISTS and r < d + n:
+                if v.verdict == Verdict.EXISTS and r < d + n and n >= 2:
                     assert ((d, r, n) in existence.EXCEPTIONAL_TRIPLES
-                            or v.rule == "quadric-threshold"), (d, r, n)
+                            or v.rule in ("quadric-threshold", "linear-point")), (d, r, n)
+                if n == 1:
+                    assert (v.verdict == Verdict.EXISTS) == (2 * r >= d + 1), (d, r, n)
+                elif r < d + n and rho(d, r, n) >= 0:
+                    # below the threshold, rho >= 0 only on the boundary e = 0
+                    # or for (2, n, n)
+                    assert r == d + n - 1 or (d, r) == (2, n), (d, r, n)
+                verdicts.add(v.verdict)
+    assert verdicts == set(Verdict)
 
 
 def test_classify_is_pure():
@@ -366,10 +388,20 @@ def test_jactest_validates_prime():
 
 
 def test_jactest_accepts_binary_forms():
-    # n = 1 is out of scope for classify but fine for the rank test
     rep = jacobian_rank_test(3, 4, 1)
     assert rep.verdict == "RankFull" and rep.rank == 4
-    assert classify(3, 4, 1).verdict == Verdict.UNDETERMINED
+    assert classify(3, 4, 1).verdict == Verdict.EXISTS
+
+
+def test_binary_and_linear_rules_match_the_rank_test():
+    """`binary-sylvester` and `linear-point` say Exists exactly where the
+    rank test reaches full rank: every binary cell with d <= 10, r <= 8,
+    and (1, n, n) for n = 2..7."""
+    cells = [(d, r, 1) for d in range(1, 11) for r in range(1, 9)]
+    cells += [(1, n, n) for n in range(2, 8)]
+    for d, r, n in cells:
+        exists = classify(d, r, n).verdict == Verdict.EXISTS
+        assert exists == (jacobian_rank_test(d, r, n).verdict == "RankFull"), (d, r, n)
 
 
 def test_classification_consistency_with_rank_test():

@@ -206,7 +206,7 @@ def test_residue_array_reads_every_field(p):
     assert residue_array([], p).shape == (0, 0)
     assert residue_array([1, 2, 3], p).tolist() == [[1, 2, 3]]
     for ragged in ([[1, 2, 3], [4, 5]], [(1, 2), (3, 4, 5)]):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rows of unequal widths$"):
             residue_array(ragged, p)
 
 

@@ -523,17 +523,32 @@ def test_solve_over_with_no_rows_or_no_columns(p):
 @pytest.mark.parametrize("rows", [[[1], [1, 2]], [[1, 2], [3]]], ids=["widening", "narrowing"])
 def test_rows_of_unequal_widths_are_refused(p, rows):
     """A rank, echelon form or solution of rows of unequal widths raises
-    ``ValueError`` over Q and over F_7: no entry is dropped or indexed past."""
+    ``ValueError`` over Q and over F_7, with the same message on both: no
+    entry is dropped or indexed past."""
     calls = [lambda: linalg.rank_over(p, rows), lambda: linalg.rref_over(p, rows),
              lambda: linalg.solve_over(p, rows)]
     if p is None:
         calls.append(lambda: linalg.rref(rows))
     for call in calls:
-        with pytest.raises(ValueError):
-            call()
-    if p is None:
         with pytest.raises(ValueError, match="^rows of unequal widths$"):
-            linalg.rref(rows)
+            call()
+
+
+def test_q_kernel_of_full_column_rank_runs_no_exact_elimination(monkeypatch):
+    """A Q kernel whose int rows have full column rank mod `DEFAULT_PRIME` is
+    {0} with no `rref` call; rows whose rank drops mod p, or over Q, are
+    still read off exactly."""
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(rows) or real(rows))
+    full = [[Fraction(1, 2), 3, -4], [5, Fraction(-7, 3), 0], [2, 2, 9], [1, 0, 1]]
+    assert linalg.kernel_over(None, full, 3) == []
+    assert linalg.kernel_over(None, [[2**70, 1], [1, 0]], 2) == []
+    assert calls == []
+    assert linalg.kernel_over(None, [[1, 0], [0, DEFAULT_PRIME]], 2) == []
+    assert len(calls) == 1
+    assert linalg.kernel_over(None, [[1, 2], [2, 4], [3, 6]], 2) == [[1, Fraction(-1, 2)]]
+    assert len(calls) == 2
 
 
 def test_fp_dispatch_reads_every_entry_in_the_field():

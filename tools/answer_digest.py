@@ -58,7 +58,13 @@ digests must be equal.  Timings are left out.  The records cover:
   matrices and of its transpose;
 - `rref`, `rank_over`, `kernel_over` and `solve_over` over Q on the same
   shapes of matrix, read as ints and as `Fraction`s with denominators
-  1 to 3, and on rank-deficient consistent and inconsistent systems.
+  1 to 3, and on rank-deficient consistent and inconsistent systems;
+- `perp_piece` over Q of dense integer and rational forms in 2, 3 and 4
+  variables, in every degree i <= d + 1, most of whose catalecticants
+  have full column rank, and of forms whose catalecticant loses rank mod
+  2^31 - 1; `point_ideal_piece` over Q of more points than monomials,
+  some equal mod 2^31 - 1; `kernel_over` over Q of full-rank matrices
+  with an entry 2^31 - 1.
 
 Arrays are hashed as little-endian int64 bytes, the same on every
 platform.  `quick_records` is a subset of the records with at least one of
@@ -551,6 +557,40 @@ def _strs(row):
     return None if row is None else [scalar_to_str(e) for e in row]
 
 
+def catalecticant_records(rng):
+    """Q kernels of full column rank: `perp_piece` of dense integer and
+    rational forms in every degree, and of forms whose catalecticant loses
+    rank mod the default prime; `point_ideal_piece` of more points than
+    monomials; `kernel_over` of matrices whose rank drops mod that prime."""
+    q = DEFAULT_PRIME
+    fields = {"Z": lambda: rng.randint(-9, 9),
+              "Q": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))}
+    for nv, degrees in ((2, range(1, 17)), (3, range(1, 15)), (4, range(1, 8))):
+        for d in degrees:
+            for field, scalar in fields.items():
+                F = Form(PRIMAL, nv, d, {m: scalar() for m in monomial_basis(nv, d)})
+                yield ["perp-Q", field, format_form(F),
+                       [[format_form(b) for b in apolar.perp_piece(F, i).basis]
+                        for i in range(d + 2)]]
+    for text in ("x0^2 + 2147483647*x1^2", "x0^4 + 2147483647*x1^4 + x2^4 + x0*x1*x2^2",
+                 "x0^3 + x1^3 + x2^3 + 2147483647*x0*x1*x2 + 4294967294*x2^2*x0"):
+        F = parse_form(text)
+        yield ["perp-Q", "mod-p-drop", text,
+               [[format_form(b) for b in apolar.perp_piece(F, i).basis]
+                for i in range(F.degree + 2)]]
+    for nv in (2, 3, 4):
+        for t in range(4):
+            count = comb(nv - 1 + t, t) + rng.randrange(3)
+            pts = [tuple(rng.randint(-9, 9) for _ in range(nv)) for _ in range(count)]
+            pts[-1] = tuple(x + q * rng.randint(-2, 2) for x in pts[0])
+            yield ["point-ideal-Q", [[str(c) for c in pt] for pt in pts], t,
+                   [format_form(g) for g in point_ideal_piece(pts, t, nv)]]
+    for rows in ([[1, 0], [0, q]], [[q, 1], [1, 0]], [[1, 2], [3, 4 + q]],
+                 [[Fraction(1, q), 1], [1, q], [2, 3]], [[2, 4], [1, 2 + q], [0, q]]):
+        yield ["kernel-Q", [_strs(row) for row in rows],
+               [_strs(row) for row in linalg.kernel_over(None, rows, 2)]]
+
+
 def records():
     for prime in (101, DEFAULT_PRIME):
         for n in range(1, 6):
@@ -585,6 +625,7 @@ def records():
     yield from route_b_records(random.Random("digest:route-b"))
     yield from waring_records(random.Random("digest:waring"))
     yield from linalg_records(random.Random("digest:linalg"))
+    yield from catalecticant_records(random.Random("digest:catalecticant"))
 
 
 def quick_records():
