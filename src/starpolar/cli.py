@@ -119,6 +119,10 @@ def load_forms_file(path: str, ring: str, num_vars: int | None = None):
 
 def _cmd_rho(args) -> int:
     value = rho(args.d, args.r, args.n)
+    try:
+        str(value)  # refused past sys.get_int_max_str_digits(), as json refuses it
+    except ValueError:
+        raise ValueError(f"rho({args.d},{args.r},{args.n}) has too many digits to print") from None
     note = ("necessary condition fails: no apolar configuration for the "
             "generic form" if value < 0 else "necessary condition holds")
     _emit(args, {"d": args.d, "r": args.r, "n": args.n, "rho": value, "note": note},
@@ -237,7 +241,7 @@ def _cmd_waring(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.n != 2:
-        raise ValueError("the conjecture sweep is a plane-curve family: --n 2")
+        raise ValueError("sweep runs the plane family (d, d+1, 2): --n 2")
     if args.dmin < 3 or args.dmax < args.dmin:
         raise ValueError("need 3 <= dmin <= dmax")
     # refuse a bad prime, trial count or size before the output file exists;
@@ -361,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     _json_flag(p)
     p.set_defaults(func=_cmd_waring)
 
-    p = sub.add_parser("sweep", help="run the conjecture family and persist "
-                                     "JSON-lines records")
+    p = sub.add_parser("sweep", help="rank-test the plane family (d, d+1, 2) "
+                                     "and persist JSON-lines records")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--dmin", type=int, default=3)
     p.add_argument("--dmax", type=int, required=True)

@@ -1,6 +1,6 @@
 """Existence of an apolar star configuration for the generic degree-d form:
-the parameter-count necessary condition, the closed-form classification,
-and the randomized Jacobian rank test that certifies the remaining cases.
+the parameter-count necessary condition, the closed-form classification
+of every triple, and the randomized Jacobian rank test that cross-checks it.
 
 The rank test takes the polynomial map sending hyperplane coefficients
 and mixing weights (a, alpha) to the coefficient vector of the weighted
@@ -27,7 +27,8 @@ is generated by the C(r, n-1) products of r - n + 1 of the hyperplanes
 (Geramita-Harbourne-Migliore), and the configuration is apolar to the form
 iff every degree-d multiple mu * prod_{i in T} l_i kills it (the apolarity
 lemma; Iarrobino-Kanev).  Differentiating these conditions along the
-hyperplanes gives, at every draw with p > d, rank J = C(r, n) + rank M.
+hyperplanes gives rank J = C(r, n) + rank M at every draw with p > d,
+zero weights included, as the plane family's proof in `classify` needs.
 So `jacobian_rank_test` ranks M below the bound and J at and above it
 (`_route`), each under its own size rule (`check_incidence_matrix`,
 `check_jacobian_size`); J stays the oracle of the identity.  M takes its
@@ -40,6 +41,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, fields
+from decimal import Decimal  # prints ints past sys.get_int_max_str_digits()
 from enum import Enum
 from math import comb
 
@@ -57,9 +59,6 @@ from .starconfig import (GeneralPositionError, ResampleBudgetError,  # noqa: F40
 # and one defective case with the generic Jacobian rank of its map
 EXCEPTIONAL_TRIPLES = frozenset({(3, 5, 3), (4, 6, 3), (5, 7, 3), (3, 6, 4)})
 DEFECTIVE_TRIPLES = {(3, 7, 5): 55}
-# the plane family (d, d+1, 2) reaches full Jacobian rank for 3 <= d <= this
-# degree; acceptance criterion 4 checks the whole range
-PLANE_VERIFIED_DEGREE = 13
 # int64 cells of the largest array a draw holds (2^25 cells, 256 MiB): the
 # Jacobian's C(r,n) * (n+1) * C(n+d,d), or for M `check_incidence_matrix`'s
 # count; the plane family (d, d+1, 2), ranked through M, fits up to d = 405.
@@ -92,7 +91,6 @@ def rho_n2(d: int, r: int) -> int:
 class Verdict(str, Enum):
     EXISTS = "Exists"
     NOT_EXISTS = "NotExists"
-    CONJECTURAL_EXISTS = "ConjecturalExists"
 
 
 @dataclass
@@ -111,24 +109,23 @@ def classify(d: int, r: int, n: int) -> ClassificationVerdict:
     """Decide existence of an apolar star configuration for the generic
     degree-d form in n+1 variables, as a pure function of (d, r, n).
 
-    Rules, in order: binary forms (n = 1) exist iff 2r >= d + 1, that is r
-    at least Sylvester's generic rank (apolar points may carry zero weights);
-    for d = 1 the one star point of r = n hyperplanes can be L itself;
-    quadrics exist iff r >= n + 1; r >= d + n
-    always suffices (the configuration ideal starts in degree r - n + 1 >
-    d, where the annihilator is everything); below that threshold the
-    parameter count is negative except for four exceptional triples, which
-    exist, and (3, 7, 5), which does not: rho = 0 there, but the coefficient
-    map has generic rank 55 < 56, certified exactly in characteristic zero
-    by an integer normal vector to its image; in the plane the boundary
-    family r = d + 1 is conjectural (verified computationally through
-    degree ``PLANE_VERIFIED_DEGREE``).
+    Rules, in order: binary forms (n = 1) exist iff 2r >= d + 1, at least
+    Sylvester's generic rank (apolar points may carry zero weights); for
+    d = 1 the one star point of r = n hyperplanes can be L itself; quadrics
+    exist iff r >= n + 1; r >= d + n always suffices (the configuration
+    ideal starts in degree r - n + 1 > d); below that the parameter count
+    is negative except on four exceptional triples, which exist, on
+    (3, 7, 5), where rho = 0 but the map has generic rank 55 < 56 (an
+    integer normal vector to its image certifies it), and on the plane
+    family (d, d+1, 2), which exists: M has full rank at a point weighted
+    on a cycle of the lines (README, "The plane family (d, d+1, 2)").
     """
     _validate_triple(d, r, n)
     if n == 1:
         return ClassificationVerdict(
             Verdict.EXISTS if 2 * r >= d + 1 else Verdict.NOT_EXISTS, "binary-sylvester",
-            f"the generic binary form of degree {d} has Waring rank {(d + 2) // 2}")
+            f"the generic binary form of degree {Decimal(d)} has Waring rank "
+            f"{Decimal((d + 2) // 2)}")
     if d == 1 and r == n:
         return ClassificationVerdict(Verdict.EXISTS, "linear-point")
     if d == 2:
@@ -150,12 +147,10 @@ def classify(d: int, r: int, n: int) -> ClassificationVerdict:
             f"{DEFECTIVE_TRIPLES[d, r, n]} < {comb(n + d, d)}")
     if n == 2 and r == d + 1:
         return ClassificationVerdict(
-            Verdict.CONJECTURAL_EXISTS, "ternary-conjecture",
-            f"verified computationally for d <= {PLANE_VERIFIED_DEGREE}"
-            if d <= PLANE_VERIFIED_DEGREE
-            else f"open; verified computationally only for d <= {PLANE_VERIFIED_DEGREE}")
+            Verdict.EXISTS, "plane-incidence-cycle",
+            "M has full rank at a point weighted on a cycle of the lines; proof in README")
     return ClassificationVerdict(
-        Verdict.NOT_EXISTS, "parameter-count", f"rho = {rho(d, r, n)} < 0")
+        Verdict.NOT_EXISTS, "parameter-count", f"rho = {Decimal(rho(d, r, n))} < 0")
 
 
 # ---------------------------------------------------------------------------

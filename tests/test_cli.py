@@ -60,9 +60,20 @@ def test_classify_command(capsys):
     code, data = run_json(capsys, ["classify", "--d", "4", "--r", "6", "--n", "3"])
     assert data["verdict"] == "Exists" and data["rule"] == "exceptional-triple"
     code, data = run_json(capsys, ["classify", "--d", "6", "--r", "7", "--n", "2"])
-    assert data["verdict"] == "ConjecturalExists"
+    assert data["verdict"] == "Exists" and data["rule"] == "plane-incidence-cycle"
     code, data = run_json(capsys, ["classify", "--d", "3", "--r", "8", "--n", "5"])
     assert data["verdict"] == "Exists" and data["rule"] == "ideal-degree-bound"
+
+
+def test_huge_triples_classify_and_refuse_rho_by_name(capsys):
+    # rho(10000, 10000, 10000) has more digits than `sys` lets an int print
+    assert main(["classify", "--d", "10000", "--r", "10000", "--n", "10000"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "(10000,10000,10000): NotExists [parameter-count] -- rho = -22456026627")
+    for extra in ([], ["--json"]):
+        assert main(["rho", "--d", "10000", "--r", "10000", "--n", "10000"] + extra) == 2
+        assert capsys.readouterr().err == ("error: rho(10000,10000,10000) has too "
+                                           "many digits to print\n")
 
 
 def test_jactest_command(capsys):

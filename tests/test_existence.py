@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
@@ -71,8 +72,8 @@ def test_classify_examples():
     assert classify(5, 9, 6).verdict == Verdict.NOT_EXISTS
     assert classify(3, 10, 6).verdict == Verdict.EXISTS
     v = classify(7, 8, 2)
-    assert v.verdict == Verdict.CONJECTURAL_EXISTS
-    assert "13" in v.note
+    assert v.verdict == Verdict.EXISTS and v.rule == "plane-incidence-cycle"
+    assert "README" in v.note
     assert classify(2, 3, 2).verdict == Verdict.EXISTS
     assert classify(2, 3, 2).rule == "quadric-threshold"
     assert classify(2, 2, 2).verdict == Verdict.NOT_EXISTS
@@ -85,8 +86,13 @@ def test_classify_boundary_both_sides():
     assert classify(3, 7, 5).rule == "certified-defective"
     assert classify(4, 7, 5).verdict == Verdict.NOT_EXISTS    # r < d + n, plain
     assert classify(4, 7, 5).rule == "parameter-count"
-    assert classify(14, 15, 2).verdict == Verdict.CONJECTURAL_EXISTS
-    assert "open" in classify(14, 15, 2).note
+    # one answer and note for every d of the plane family
+    assert classify(14, 15, 2).to_json_dict() == classify(3, 4, 2).to_json_dict() == {
+        "verdict": "Exists", "rule": "plane-incidence-cycle",
+        "note": "M has full rank at a point weighted on a cycle of the lines; "
+                "proof in README"}
+    assert classify(14, 16, 2).rule == "ideal-degree-bound"   # r = d + n
+    assert classify(14, 14, 2).rule == "parameter-count"      # r = d
 
 
 def test_classify_binary_and_degree_one_rows():
@@ -104,13 +110,13 @@ def test_classify_binary_and_degree_one_rows():
     assert classify(1, 5, 2).verdict == Verdict.EXISTS
     assert classify(1, 5, 2).rule == "ideal-degree-bound"
     assert classify(1, 3, 2).rule == "ideal-degree-bound"
-    assert len(Verdict) == 3
+    assert len(Verdict) == 2
     with pytest.raises(ValueError):
         classify(3, 1, 2)
 
 
 def test_classify_rules_on_a_grid():
-    """Every triple gets one of the three verdicts, by a rule that fits it."""
+    """Every triple gets one of the two verdicts, by a rule that fits it."""
     verdicts = set()
     for n in range(1, 41):
         for d in range(1, 61):
@@ -118,11 +124,12 @@ def test_classify_rules_on_a_grid():
                 v = classify(d, r, n)
                 if v.rule == "parameter-count":
                     assert rho(d, r, n) < 0, (d, r, n)
-                if v.verdict == Verdict.CONJECTURAL_EXISTS:
-                    assert n == 2 and r == d + 1, (d, r, n)
+                if v.rule == "plane-incidence-cycle":
+                    assert n == 2 and r == d + 1 and d >= 3, (d, r, n)
                 if v.verdict == Verdict.EXISTS and r < d + n and n >= 2:
                     assert ((d, r, n) in existence.EXCEPTIONAL_TRIPLES
-                            or v.rule in ("quadric-threshold", "linear-point")), (d, r, n)
+                            or v.rule in ("plane-incidence-cycle", "quadric-threshold",
+                                          "linear-point")), (d, r, n)
                 if n == 1:
                     assert (v.verdict == Verdict.EXISTS) == (2 * r >= d + 1), (d, r, n)
                 elif r < d + n and rho(d, r, n) >= 0:
@@ -135,6 +142,25 @@ def test_classify_rules_on_a_grid():
 
 def test_classify_is_pure():
     assert classify(6, 7, 2).to_json_dict() == classify(6, 7, 2).to_json_dict()
+
+
+def test_classify_notes_print_ints_of_any_size():
+    """Notes print their ints whole, under any limit `sys` puts on int to
+    str conversion: rho(10000, 10000, 10000) has 6,020 digits."""
+    limit = sys.get_int_max_str_digits()
+    huge = 10**5000
+    try:
+        sys.set_int_max_str_digits(0)
+        want = {(10000, 10000, 10000): f"rho = {rho(10000, 10000, 10000)} < 0",
+                (huge, 1, 1): f"the generic binary form of degree {huge} has "
+                              f"Waring rank {huge // 2 + 1}"}
+        for cap in (640, limit):
+            sys.set_int_max_str_digits(cap)
+            for (d, r, n), note in want.items():
+                v = classify(d, r, n)
+                assert (v.verdict, v.note) == (Verdict.NOT_EXISTS, note), (cap, d)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_parameter_count():
@@ -394,11 +420,13 @@ def test_jactest_accepts_binary_forms():
 
 
 def test_binary_and_linear_rules_match_the_rank_test():
-    """`binary-sylvester` and `linear-point` say Exists exactly where the
-    rank test reaches full rank: every binary cell with d <= 10, r <= 8,
-    and (1, n, n) for n = 2..7."""
+    """`binary-sylvester`, `linear-point` and `plane-incidence-cycle` say
+    Exists exactly where the rank test reaches full rank: every binary cell
+    with d <= 10, r <= 8, (1, n, n) for n = 2..7 and (d, d+1, 2) for
+    d = 3..30."""
     cells = [(d, r, 1) for d in range(1, 11) for r in range(1, 9)]
     cells += [(1, n, n) for n in range(2, 8)]
+    cells += [(d, d + 1, 2) for d in range(3, 31)]
     for d, r, n in cells:
         exists = classify(d, r, n).verdict == Verdict.EXISTS
         assert exists == (jacobian_rank_test(d, r, n).verdict == "RankFull"), (d, r, n)
@@ -633,6 +661,36 @@ def test_incidence_matrix_entries_match_their_definition(d, r, n, p):
 
     (values, matrix), _ = redraw(draw, "an entry check")
     assert matrix.tolist() == incidence_matrix_on_scalars(d, r, n, values)
+
+
+def test_plane_family_has_full_rank_at_a_cycle_point():
+    """The proof of `plane-incidence-cycle` (README), step by step, at a
+    general-position point whose weights vanish off the cycle edges
+    {u, u+1 mod r}: row u of M meets only the blocks u - 1 and u + 1, and M
+    has rank d + 1 = C(d+2, 2) - C(d+1, 2).  Up to d = 13 the Jacobian is
+    ranked at the same point too: its weight rows P_S^d are independent,
+    rank J = C(r, 2) + rank M with the zero weights, and so J is full."""
+    p = DEFAULT_PRIME
+    for d in range(3, 61):
+        r = d + 1
+        rng = random.Random(f"cycle:{d}")
+        edges = {(u, u + 1) for u in range(r - 1)} | {(0, r - 1)}
+        alphas = [random_scalar(rng, p) if S in edges else Fp(0, p)
+                  for S in combinations(range(r), 2)]
+
+        def draw():
+            values = [random_scalar(rng, p) for _ in range(3 * r)] + alphas
+            return values, existence.incidence_matrix(d, r, 2, values)
+
+        (values, M), _ = redraw(draw, "a cycle point")
+        blocks = M.reshape(r, r, 3).any(axis=2)
+        cycle = [[(u - j) % r in (1, r - 1) for j in range(r)] for u in range(r)]
+        assert blocks.tolist() == cycle, d
+        assert linalg.rank_mod(M, p) == d + 1 == comb(d + 2, 2) - comb(r, 2), d
+        if d <= 13:
+            J = jacobian_matrix(d, r, 2, values)
+            assert linalg.rank_mod(J[-comb(r, 2):], p) == comb(r, 2), d
+            assert linalg.rank_mod(J, p) == comb(r, 2) + d + 1 == comb(d + 2, 2), d
 
 
 def test_plane_family_runs_to_the_incidence_bound():

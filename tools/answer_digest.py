@@ -64,7 +64,9 @@ digests must be equal.  Timings are left out.  The records cover:
   have full column rank, and of forms whose catalecticant loses rank mod
   2^31 - 1; `point_ideal_piece` over Q of more points than monomials,
   some equal mod 2^31 - 1; `kernel_over` over Q of full-rank matrices
-  with an entry 2^31 - 1.
+  with an entry 2^31 - 1;
+- the `classify` verdict, rule and note of every triple with
+  1 <= n <= 40, 1 <= d <= 60 and n <= r <= d + n + 2.
 
 Arrays are hashed as little-endian int64 bytes, the same on every
 platform.  `quick_records` is a subset of the records with at least one of
@@ -591,6 +593,16 @@ def catalecticant_records(rng):
                [_strs(row) for row in linalg.kernel_over(None, rows, 2)]]
 
 
+def classify_records():
+    """(d, r, n, verdict, rule, note) of `classify` over a grid of triples
+    that reaches past the degree bound r = d + n."""
+    for n in range(1, 41):
+        for d in range(1, 61):
+            for r in range(n, d + n + 3):
+                v = existence.classify(d, r, n)
+                yield ["classify", d, r, n, v.verdict.value, v.rule, v.note]
+
+
 def records():
     for prime in (101, DEFAULT_PRIME):
         for n in range(1, 6):
@@ -626,6 +638,7 @@ def records():
     yield from waring_records(random.Random("digest:waring"))
     yield from linalg_records(random.Random("digest:linalg"))
     yield from catalecticant_records(random.Random("digest:catalecticant"))
+    yield from classify_records()
 
 
 def quick_records():
