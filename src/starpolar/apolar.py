@@ -16,8 +16,9 @@ columns P.  With F the f other columns and N the other rows,
 rank = k0 + rank(N_F - N_P S_P^-1 S_F), exactly, over any field.  By
 Bayer-Stillman (generic coordinates, degrevlex) the leading terms of the
 generators give almost all of the rank, so f is near HF(t) and only that
-small Schur complement meets the mod-p kernel.  Its products cost each
-row's nonzeros times f, so the block is taken when 4f <= k0; otherwise
+small Schur complement meets the mod-p kernel.  S_P^-1 S_F is solved
+level by level, each row of S multiplied once; the block is taken when
+the product rows number at least the columns and f <= k0, and otherwise
 the rows are ranked whole.  Over F_p a form holds int residues
 (`poly.Form`), so contraction, membership and containment tests run on
 ints and make no `Fp`; an annihilator piece is read off the mod-p
@@ -52,6 +53,9 @@ from .poly import linear_power_coefficients  # noqa: F401, unused: the tracer wr
 # monomial cells a piece may list: a catalecticant's columns times its
 # rows, or the basis of a piece above the form's degree
 MAX_PIECE_CELLS = 2**16
+
+# int64 terms `_sparse_products` gathers at once (64 KiB)
+PRODUCT_BLOCK = 2**13
 
 
 @dataclass
@@ -265,11 +269,18 @@ def _sparse_rows(runs):
 
 def _sparse_products(cols, vals, Z, p: int):
     """The rows sum_j vals[:, j] * Z[cols[:, j]] mod p, each product
-    reduced before it is added."""
-    out = np.zeros((len(cols), Z.shape[1]), dtype=np.int64)
-    for c, v in zip(cols.T, vals.T):
-        out += v[:, None] * Z[c] % p
-    return out % p
+    reduced before the terms are added.  The terms of a block of rows are
+    gathered at once, about `PRODUCT_BLOCK` of them, so a block stays in
+    cache: one gather of every row's terms (about 1 MB for (6, 4) at
+    t = 6) slowed the operations run after it by some 4%."""
+    out = np.empty((len(cols), Z.shape[1]), dtype=np.int64)
+    step = max(1, PRODUCT_BLOCK // max(1, cols.shape[1] * Z.shape[1]))
+    for lo in range(0, len(cols), step):
+        terms = Z[cols[lo:lo + step]]
+        terms *= vals[lo:lo + step, :, None]
+        terms %= p
+        np.remainder(terms.sum(axis=1), p, out=out[lo:lo + step])
+    return out
 
 
 def _schur_rank(p: int, reduced, full, lead, first, width: int) -> int:
@@ -279,14 +290,17 @@ def _schur_rank(p: int, reduced, full, lead, first, width: int) -> int:
     lead at the distinct columns P = ``lead``, in increasing order.
 
     With F the other f columns and N the other rows, T = S_P is unit upper
-    triangular, and rank M = k0 + rank(N_F - N_P T^-1 S_F).  X = T^-1 S_F
-    is the fixed point of X <- S_F - (T - I) X, unique because T - I is
-    strictly upper triangular, so the first sweep that changes nothing has
-    found it.  A row is read at its nonzeros only: against Z, which holds X
-    at P and -I at F, the rows of S give their residual T X - S_F, and the
-    rows of N the negated Schur complement, of the same rank.  The rows of
-    a full run (t = e) are padded apart, so that their length does not
-    widen the sparse product rows.
+    triangular, and rank M = k0 + rank(N_F - N_P T^-1 S_F).  Row i of
+    T X = S_F gives X_i from the rows of X = T^-1 S_F at the other columns
+    of P where row i of S is nonzero, all right of its lead.  A row's
+    level, the longest chain of such dependencies, comes from an int
+    gather and max per level, and each level's rows of X are formed at
+    once from those before, so each row of S is multiplied once.  A row is
+    read at its nonzeros only: against Z, which holds X at P and -I at F,
+    a row of S past its lead gives -X_i, and the rows of N the negated
+    Schur complement, of the same rank.  The rows of a full run (t = e)
+    are padded apart, so that their length does not widen the sparse
+    product rows.
     """
     cols, vals = _sparse_rows(reduced)
     free = np.ones(width, dtype=bool)
@@ -294,13 +308,20 @@ def _schur_rank(p: int, reduced, full, lead, first, width: int) -> int:
     f = int(free.sum())
     Z = np.zeros((width, f), dtype=np.int64)
     Z[free] = (p - 1) * np.eye(f, dtype=np.int64)
-    X = np.zeros((len(lead), f), dtype=np.int64)
+    # past its leading 1, row i of S needs the rows of S named in needs[i]
+    s_cols, s_vals = cols[first, 1:], vals[first, 1:]
+    row_at = np.full(width, -1, dtype=np.int64)
+    row_at[lead] = np.arange(len(lead))
+    needs = np.where(s_vals != 0, row_at[s_cols], -1)
+    level = np.zeros(len(lead), dtype=np.int64)
     while True:
-        Z[lead] = X
-        resid = _sparse_products(cols[first], vals[first], Z, p)
-        if not resid.any():
+        deeper = np.where(needs >= 0, level[needs] + 1, 0).max(axis=1, initial=0)
+        if np.array_equal(deeper, level):
             break
-        X = (X - resid) % p
+        level = deeper
+    for k in range(level.max() + 1):
+        rows = np.flatnonzero(level == k)
+        Z[lead[rows]] = -_sparse_products(s_cols[rows], s_vals[rows], Z, p) % p
     rest = np.ones(len(cols), dtype=bool)
     rest[first] = False
     schur = [_sparse_products(cols[rest], vals[rest], Z, p)]
@@ -330,10 +351,14 @@ def ideal_piece_dimension(generators, t: int) -> int:
     fall short.  By Bayer-Stillman the degrevlex initial ideal in generic
     coordinates is generated in degrees up to the regularity, so for a
     star configuration's product generators f is close to HF(t).  The
-    products cost each row's nonzeros times f, more than the elimination
-    they replace once f is large, so this block is taken when 4f <= k0;
-    otherwise, over Q, and at t = e with no product rows, the rows are
-    ranked by one elimination, as `_scatter` places them.
+    block is taken when the reduced runs' product rows number at least
+    ``width`` and f <= k0.  Past that its products, each row's nonzeros
+    times f, cost more than the elimination they replace: wide plane
+    sets, where f > k0, ranked whole 5-10% faster ((8, 2) at t = 9) or 2-3
+    times faster ((14, 2) at t = 14), and so did the short (4, 2) at t = 4
+    and (5, 2) at t = 5, whose few rows do not repay the block's fixed
+    cost.  Otherwise, over Q, and at t = e with no product rows, the rows
+    are ranked by one elimination, as `_scatter` places them.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
@@ -353,14 +378,13 @@ def ideal_piece_dimension(generators, t: int) -> int:
         else:
             full.append((coeffs, where))
     width = comb(nv - 1 + t, t)
-    # k0 <= the reduced runs' product rows, so 4f <= k0 needs 5 rows >= 4 width
-    if p is not None and 5 * sum(map(len, leads)) >= 4 * width:
+    if p is not None and sum(map(len, leads)) >= width:
         # one product row per distinct leading column (any one will do)
         leading = np.concatenate(leads)
         pick = np.full(width, -1, dtype=np.int64)
         pick[leading] = np.arange(len(leading))
         lead = np.flatnonzero(pick >= 0)
-        if 4 * (width - len(lead)) <= len(lead):
+        if width - len(lead) <= len(lead):
             return len(lead) + _schur_rank(p, reduced, full, lead, pick[lead], width)
     return linalg.rank_over(p, _scatter(reduced + full, width))
 

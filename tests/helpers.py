@@ -30,6 +30,9 @@ one `poly.monomial_values` list per point), product rows and term
 products built from the scalars as given, then ranked by `rank_on_scalars`
 in the field `field.residue_rows` picks from them.  `evaluate` and
 `normalized` read a form and a point on the scalars as given.
+`scattered_product_rows` is not an oracle but a case builder: route B's
+whole product rows, formed by the package's own steps, as matrices for
+the rank tests.
 The (3, 7, 5) certificate at the end checks its identity over the
 integers with plain dict polynomials, using no Cramer or jet code.
 """
@@ -38,10 +41,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
 
 import numpy as np
 
+from starpolar import apolar, linalg
 from starpolar.existence import _rank_test, gamma_coefficients
 from starpolar.field import DEFAULT_PRIME, DEFAULT_SEED, Fp, residue_rows
 from starpolar.linalg import det, kernel_over, minors, rank_over
@@ -593,6 +597,26 @@ def ideal_piece_dimension_on_scalars(generators, t):
     """Rank of `product_rows_on_scalars` over the field of the coefficients."""
     gens = [g for g in generators if not g.is_zero()]
     return rank_on_scalars(product_rows_on_scalars(gens, t) if gens else [])
+
+
+def scattered_product_rows(generators, t):
+    """Route B's whole product rows in degree t, as
+    `apolar.ideal_piece_dimension` forms them before any rank: the echelon
+    basis of each run of degree e < t and the run itself at e = t, their
+    columns in degrevlex order, placed by `apolar._scatter`."""
+    gens = [g for g in generators if not g.is_zero()]
+    nv = gens[0].num_vars
+    p, runs = apolar._coefficient_runs(gens, t)
+    reduced, full = [], []
+    for e, coeffs in runs:
+        order, where = apolar._degrevlex_plan(nv, t - e, e)
+        coeffs = coeffs[:, order]
+        if e < t:
+            R, pivots = linalg.rref_over(p, coeffs)
+            reduced.append((R[:len(pivots)], where))
+        else:
+            full.append((coeffs, where))
+    return apolar._scatter(reduced + full, comb(nv - 1 + t, t))
 
 
 def form_mul_on_scalars(f, g):

@@ -13,9 +13,10 @@ from starpolar.apolar import (CatalecticantMatrix, WaringDecomposition, _coeffic
 from starpolar.field import DEFAULT_PRIME, Fp, random_scalar
 from starpolar.poly import (DUAL, PRIMAL, Form, coefficient_vector, contract, format_form,
                             monomial_basis, parse_form, shift_table)
-from starpolar.starconfig import HyperplaneSet, point_ideal_piece
+from starpolar.starconfig import GeneralPositionError, HyperplaneSet, point_ideal_piece
 
-from helpers import normalized, random_form_over, rank_on_scalars, rref_generic, rref_kernel
+from helpers import (ideal_piece_dimension_on_scalars, normalized, random_form_over,
+                     rank_on_scalars, rref_generic, rref_kernel)
 
 CUSPIDAL = parse_form("x0^3 - x1^2*x2")
 CONIC_TANGENT = parse_form("x0*(x2^2+x0*x1)")
@@ -232,6 +233,55 @@ def test_product_rows_match_form_products():
                 assert p is None
             assert rows == expanded
             assert ideal_piece_dimension(gens, t) == rank
+
+
+def test_leading_term_levels_match_the_product_rank(monkeypatch):
+    """Route B against the rank of the product rows on `Fp` objects where
+    its level schedule is deep and its leading terms fall short: star
+    sets (5, 3), (6, 3) and (6, 4) for every t <= r + 1, and random
+    generator sets of mixed degrees, over F_7, F_11 and F_101.  A spy
+    reads each block's level count (its `_sparse_products` calls, less
+    one for the other rows and one for a run of degree t) and its Schur
+    complement rank."""
+    blocks, calls = [], []
+    schur_rank, products = apolar._schur_rank, apolar._sparse_products
+
+    def spy(p, reduced, full, *rest):
+        calls.clear()
+        rank = schur_rank(p, reduced, full, *rest)
+        blocks.append((len(calls) - 1 - bool(full), rank))
+        return rank
+
+    monkeypatch.setattr(apolar, "_sparse_products", lambda *a: calls.append(None) or products(*a))
+    monkeypatch.setattr(apolar, "_schur_rank", spy)
+    rng = random.Random(38)
+    for p in (7, 11, 101):
+        for r, n in ((5, 3), (6, 3), (6, 4)):
+            while True:
+                try:
+                    hset = HyperplaneSet([[Fp(rng.randrange(p), p) for _ in range(n + 1)]
+                                          for _ in range(r)])
+                    break
+                except GeneralPositionError:
+                    continue
+            for t in range(r + 2):
+                gens = hset.product_generators
+                assert ideal_piece_dimension(gens, t) == \
+                    ideal_piece_dimension_on_scalars(gens, t), (p, r, n, t)
+        taken = 0
+        for _ in range(6):
+            nv = rng.choice((3, 4))
+            gens = [random_form_over(rng, DUAL, nv, rng.choice((1, 2, 2, 3)), p,
+                                     rng.choice((0.5, 1.0)))
+                    for _ in range(rng.randrange(nv, nv + 4))]
+            before = len(blocks)
+            for t in range(6):
+                assert ideal_piece_dimension(gens, t) == \
+                    ideal_piece_dimension_on_scalars(gens, t), (p, gens, t)
+            taken += len(blocks) > before
+        assert taken >= 3, (p, taken)
+    assert max(levels for levels, _ in blocks) >= 5
+    assert any(rank for _, rank in blocks)
 
 
 def test_shift_table_matches_monomial_products():

@@ -14,7 +14,7 @@ from starpolar.starconfig import (GeneralPositionError, HyperplaneSet, cramer_ta
                                   general_position_violation, hilbert_function,
                                   point_ideal_piece)
 
-from helpers import rref_generic, rref_kernel
+from helpers import rref_generic, rref_kernel, scattered_product_rows
 
 
 def F(*vals):
@@ -376,13 +376,10 @@ def test_mod_kernels_match_rref_over_fp_objects():
                 rref_kernel(frows, n)
 
 
-def _scattered_tall_cases(monkeypatch, rng):
-    """(p, M) for route B's whole-row scatters (`apolar._scatter`) with more
-    rows than columns, from the product generators of seeded star
-    configurations at every degree t <= r + 1."""
-    scattered = []
-    real = apolar._scatter
-    monkeypatch.setattr(apolar, "_scatter", lambda *a: scattered.append(real(*a)) or scattered[-1])
+def _scattered_tall_cases(rng):
+    """(p, M) for route B's whole product rows (`scattered_product_rows`)
+    with more rows than columns, from the product generators of seeded
+    star configurations at every degree t <= r + 1."""
     cases = []
     for p in (7, 101, DEFAULT_PRIME):
         for r, n in ((4, 2), (5, 2), (5, 3)):
@@ -394,13 +391,13 @@ def _scattered_tall_cases(monkeypatch, rng):
                 except GeneralPositionError:
                     continue
             for t in range(r + 2):
-                ideal_piece_dimension(hset.product_generators, t)
-            cases += [(p, M) for M in scattered if len(M) > M.shape[1]]
-            scattered.clear()
+                M = scattered_product_rows(hset.product_generators, t)
+                if len(M) > M.shape[1]:
+                    cases.append((p, M))
     return cases
 
 
-def test_rank_mod_is_the_pivot_count_on_either_side(monkeypatch):
+def test_rank_mod_is_the_pivot_count_on_either_side():
     """`rank_mod` of a matrix and of its transpose is the pivot count of
     `rref_generic` on `Fp`s: on the shaped and swap cases, behind a run of
     zero rows, on a deficient incidence matrix of (3, 7, 5) and on route B's
@@ -416,7 +413,7 @@ def test_rank_mod_is_the_pivot_count_on_either_side(monkeypatch):
     star7 = incidence_matrix(3, 7, 5, values)
     assert star7.shape == (35, 42) and linalg.rank_mod(star7, DEFAULT_PRIME) == 55 - 21
     cases.append((DEFAULT_PRIME, star7))
-    scattered = _scattered_tall_cases(monkeypatch, rng)
+    scattered = _scattered_tall_cases(rng)
     deficient = 0
     for index, (p, rows) in enumerate(cases + scattered):
         M = np.array(rows, dtype=np.int64).reshape(len(rows), -1)

@@ -735,10 +735,10 @@ def test_ideal_layer_matches_the_path_on_scalars(field, monkeypatch):
     `ideal_piece_dimension` against the evaluation matrices and product
     rows built on the scalars as given (`Fp` objects over F_p).
 
-    Over F_p, (6, 4) and, at the default prime, (7, 4) take route B's
-    leading-term block; over F_7 and F_101 its leading terms fall short, so
-    some Schur complement has positive rank.  Over Q the block is never
-    taken."""
+    Over F_p, (5, 3), (6, 4) and, at the default prime, (7, 4) take route
+    B's leading-term block; over F_7 and F_101 its leading terms fall
+    short, so some Schur complement has positive rank.  Over Q the block
+    is never taken."""
     blocks = []  # (Schur complement rank, whether generators of degree t joined)
     schur_rank = apolar._schur_rank
 
@@ -792,8 +792,10 @@ def test_ideal_layer_matches_the_path_on_scalars(field, monkeypatch):
     if field != DEFAULT_PRIME:
         assert any(rank for rank, _ in blocks)
     else:
-        # (6, 4) at t = 6 ranks only its Schur complement, on f = HF(6) = 15
-        # columns; a wide plane set, (14, 2) at t = 14, ranks its full rows
+        # (6, 4) at t = 6 and (6, 3) at t = 6 rank only their Schur
+        # complements, on f = HF(6) = 15 and 20 columns; wide plane sets,
+        # (14, 2) at t = 14 and (8, 2) at t = 9, where f > k0, rank their
+        # full rows
         widths = []
         rank_mod = linalg.rank_mod
         monkeypatch.setattr(linalg, "rank_mod",
@@ -802,9 +804,17 @@ def test_ideal_layer_matches_the_path_on_scalars(field, monkeypatch):
         assert ideal_piece_dimension(gens, 6) == comb(10, 4) - comb(6, 4)
         assert widths and all(w <= 15 for _, w in widths)
         widths.clear()
+        gens = _hyperplane_set(rng, field, 6, 3).product_generators
+        assert ideal_piece_dimension(gens, 6) == comb(9, 3) - comb(6, 3)
+        assert [w for _, w in widths] == [20]
+        widths.clear()
         gens = _hyperplane_set(rng, field, 14, 2).product_generators
         assert ideal_piece_dimension(gens, 14) == comb(16, 2) - comb(14, 2)
         assert widths == [(3 * 14, comb(16, 2))]
+        widths.clear()
+        gens = _hyperplane_set(rng, field, 8, 2).product_generators
+        assert ideal_piece_dimension(gens, 9) == comb(11, 2) - comb(8, 2)
+        assert widths == [(6 * 8, comb(11, 2))]
 
 
 def test_ideal_layer_refuses_a_prime_past_int64():

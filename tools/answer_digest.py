@@ -41,8 +41,10 @@ digests must be equal.  Timings are left out.  The records cover:
   sets over F_(2^31 - 1) for every t <= r + 1; seeded (6, 4) and (7, 4)
   sets over F_7, F_11 and F_101, whose leading terms fall short of the
   rank; the two-variable set y0^2, y0*y1 + y1^2 and the cuspidal cubic's
-  mixed-degree annihilator generators over Q and over F_p; and one wide
-  (14, 2) set at t = 14, 15;
+  mixed-degree annihilator generators over Q and over F_p; one wide
+  (14, 2) set at t = 14, 15; and seeded (5, 3) and (6, 3) sets over F_7,
+  F_11, F_101 and F_(2^31 - 1) for every t <= r + 1, whose tall product
+  rows route B's leading-term block takes under its f <= k0 rule;
 - `WaringDecomposition` combinations, residuals against F and against F
   plus one monomial, and JSON, for n + 1 = 1..5, d = 0..7 and 1, 3 or 8
   points: `solve_waring`'s answer on a seeded power sum and a
@@ -357,11 +359,14 @@ def _seeded_set(rng, r, n, p):
             continue
 
 
-def route_b_records(rng, big=((6, 4), (7, 4), (7, 5)), small=((6, 4), (7, 4)), draws=3):
+def route_b_records(rng, big=((6, 4), (7, 4), (7, 5)), small=((6, 4), (7, 4)), draws=3,
+                    tall=((5, 3), (6, 3))):
     """Route B where its leading-term block has edges: star sets over
     F_(2^31 - 1) up to t = r + 1, star sets over small primes, where the
     leading terms of the generators fall short of the rank, generators in
-    two variables and of mixed degrees over Q and F_p, and a wide plane set."""
+    two variables and of mixed degrees over Q and F_p, a wide plane set,
+    and the ``tall`` shapes over small primes and F_(2^31 - 1) up to
+    t = r + 1."""
     for r, n in big:
         hset = _seeded_set(rng, r, n, DEFAULT_PRIME)
         yield ["route-b", DEFAULT_PRIME, r, n,
@@ -382,6 +387,12 @@ def route_b_records(rng, big=((6, 4), (7, 4), (7, 5)), small=((6, 4), (7, 4)), d
     hset = _seeded_set(rng, 14, 2, DEFAULT_PRIME)
     yield ["route-b", DEFAULT_PRIME, 14, 2,
            [star_ideal_dimension_by_products(hset, t) for t in (14, 15)]]
+    for p in (7, 11, 101, DEFAULT_PRIME):
+        for r, n in tall:
+            for _ in range(draws):
+                hset = _seeded_set(rng, r, n, p)
+                yield ["route-b", p, r, n, [[str(c) for c in row] for row in hset.coeffs],
+                       [star_ideal_dimension_by_products(hset, t) for t in range(r + 2)]]
 
 
 def waring_outcome(deco, F, extra):
@@ -661,7 +672,7 @@ def quick_records():
     yield from hilbert_wide_records(random.Random("quick:hilbert-wide"), rs=(10,))
     yield from cramer_records(random.Random("quick:cramer"), ns=(2, 3))
     yield from route_b_records(random.Random("quick:route-b"), big=((6, 4),),
-                               small=((6, 4),), draws=1)
+                               small=((6, 4),), draws=1, tall=())
 
 
 def digest(recs):
