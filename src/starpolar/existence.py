@@ -1,6 +1,8 @@
 """Existence of an apolar star configuration for the generic degree-d form:
 the parameter-count necessary condition, the closed-form classification
 of every triple, and the randomized Jacobian rank test that cross-checks it.
+Below the degree bound `classify` has one rule, proved in its docstring:
+Exists iff r = d + n - 1 and rho >= 0, (3, 7, 5) apart.
 
 The rank test takes the polynomial map sending hyperplane coefficients
 and mixing weights (a, alpha) to the coefficient vector of the weighted
@@ -28,7 +30,7 @@ is generated by the C(r, n-1) products of r - n + 1 of the hyperplanes
 iff every degree-d multiple mu * prod_{i in T} l_i kills it (the apolarity
 lemma; Iarrobino-Kanev).  Differentiating these conditions along the
 hyperplanes gives rank J = C(r, n) + rank M at every draw with p > d,
-zero weights included, as the plane family's proof in `classify` needs.
+zero weights included, as the boundary proof of `classify` needs.
 So `jacobian_rank_test` ranks M below the bound and J at and above it
 (`_route`), each under its own size rule (`check_incidence_matrix`,
 `check_jacobian_size`); J stays the oracle of the identity.  M takes its
@@ -55,9 +57,7 @@ from .starconfig import (GeneralPositionError, ResampleBudgetError,  # noqa: F40
                          _points_from_coeff_rows, cramer_table,
                          general_position_violation, redraw, star_weights)
 
-# the below-threshold triples (d, r, n) with rho >= 0: four existence cases,
-# and one defective case with the generic Jacobian rank of its map
-EXCEPTIONAL_TRIPLES = frozenset({(3, 5, 3), (4, 6, 3), (5, 7, 3), (3, 6, 4)})
+# (3, 7, 5) has rho = 0, but the generic Jacobian rank of its map is 55 < 56
 DEFECTIVE_TRIPLES = {(3, 7, 5): 55}
 # int64 cells of the largest array a draw holds (2^25 cells, 256 MiB): the
 # Jacobian's C(r,n) * (n+1) * C(n+d,d), or for M `check_incidence_matrix`'s
@@ -113,12 +113,14 @@ def classify(d: int, r: int, n: int) -> ClassificationVerdict:
     Sylvester's generic rank (apolar points may carry zero weights); for
     d = 1 the one star point of r = n hyperplanes can be L itself; quadrics
     exist iff r >= n + 1; r >= d + n always suffices (the configuration
-    ideal starts in degree r - n + 1 > d); below that the parameter count
-    is negative except on four exceptional triples, which exist, on
-    (3, 7, 5), where rho = 0 but the map has generic rank 55 < 56 (an
-    integer normal vector to its image certifies it), and on the plane
-    family (d, d+1, 2), which exists: M has full rank at a point weighted
-    on a cycle of the lines (README, "The plane family (d, d+1, 2)").
+    ideal starts in degree r - n + 1 > d); (3, 7, 5), where rho = 0 but an
+    integer normal vector certifies generic rank 55 < 56, does not; the
+    rest exist iff r = d + n - 1 and rho >= 0.  As rho(r + 1) - rho(r) =
+    C(r, n-1) + n > 0 and rho(d + n - 2) < 0 for d >= 3, rho < 0 below that
+    boundary.  On it rho = n r - C(r, n-1), which is r for n = 2 and, for
+    n >= 3, >= 0 only at (3,5,3), (4,6,3), (5,7,3), (3,6,4) and (3,7,5);
+    at each existing cell M has full rank at a point weighted on a support
+    (README, "The boundary r = d + n - 1"), a cycle of the lines for n = 2.
     """
     _validate_triple(d, r, n)
     if n == 1:
@@ -136,21 +138,19 @@ def classify(d: int, r: int, n: int) -> ClassificationVerdict:
             "a generic quadric needs n + 1 independent points")
     if r >= d + n:
         return ClassificationVerdict(Verdict.EXISTS, "ideal-degree-bound")
-    if (d, r, n) in EXCEPTIONAL_TRIPLES:
-        return ClassificationVerdict(
-            Verdict.EXISTS, "exceptional-triple",
-            "tabulated below-threshold entry; cross-check with the rank test")
     if (d, r, n) in DEFECTIVE_TRIPLES:
         return ClassificationVerdict(
             Verdict.NOT_EXISTS, "certified-defective",
             f"rho = {rho(d, r, n)}, but the generic Jacobian rank is "
             f"{DEFECTIVE_TRIPLES[d, r, n]} < {comb(n + d, d)}")
-    if n == 2 and r == d + 1:
+    count = rho(d, r, n)
+    if r == d + n - 1 and count >= 0:
         return ClassificationVerdict(
-            Verdict.EXISTS, "plane-incidence-cycle",
-            "M has full rank at a point weighted on a cycle of the lines; proof in README")
+            Verdict.EXISTS, "boundary-support",
+            f"rho = {Decimal(count)} >= 0 on the boundary r = d + n - 1; M has full "
+            "rank at a point weighted on a support; proof in README")
     return ClassificationVerdict(
-        Verdict.NOT_EXISTS, "parameter-count", f"rho = {Decimal(rho(d, r, n))} < 0")
+        Verdict.NOT_EXISTS, "parameter-count", f"rho = {Decimal(count)} < 0")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ oracle for the chain-rule Jacobian, runs the generic coefficient map
 is the oracle of the rank test: its trial loop forced onto the tangent
 Jacobian, which `jacobian_rank_test` replaces by the incidence matrix
 below the degree bound.  `incidence_matrix_on_scalars` builds that matrix
-entry by entry from its definition, on `Fp` objects.
+entry by entry from its definition, on `Fp` objects or on ints.
 `rref_generic` is the reference elimination: it divides in the field of
 its entries (`Fraction`s, `Fp` objects), where `linalg.rref` reduces
 fraction-free over Q and `linalg.rref_mod` on int64 residues.
@@ -139,13 +139,13 @@ def jacobian_route_rank_test(d, r, n, prime=DEFAULT_PRIME, seed=DEFAULT_SEED,
 
 
 def incidence_matrix_on_scalars(d, r, n, values):
-    """The incidence matrix M at an F_p parameter point (`Fp` objects), as
-    lists of ints, from its definition and with no package table: the
-    points P_S are the signed maximal minors of `linalg.minors`, each
-    weight w_S = prod_{i not in S} l_i(P_S) a Python product, and row
-    (U, mu), in `combinations` x `monomial_basis` order, holds in column
-    block j not in U the vector alpha_S w_S mu(P_S) P_S, S = U + {j}, and
-    zeros in the blocks j in U."""
+    """The incidence matrix M at a parameter point over F_p (`Fp` objects)
+    or over Z (ints), as lists of ints, from its definition and with no
+    package table: the points P_S are the signed maximal minors of
+    `linalg.minors`, each weight w_S = prod_{i not in S} l_i(P_S) a Python
+    product, and row (U, mu), in `combinations` x `monomial_basis` order,
+    holds in column block j not in U the vector alpha_S w_S mu(P_S) P_S,
+    S = U + {j}, and zeros in the blocks j in U."""
     rows = [values[k * (n + 1):(k + 1) * (n + 1)] for k in range(r)]
     alphas = dict(zip(combinations(range(r), n), values[(n + 1) * r:]))
     full, zero = (1 << (n + 1)) - 1, values[0] * 0

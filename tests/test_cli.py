@@ -58,9 +58,11 @@ def test_classify_command(capsys):
     assert data["verdict"] == "NotExists" and data["rule"] == "certified-defective"
     assert "55 < 56" in data["note"]
     code, data = run_json(capsys, ["classify", "--d", "4", "--r", "6", "--n", "3"])
-    assert data["verdict"] == "Exists" and data["rule"] == "exceptional-triple"
+    assert data["verdict"] == "Exists" and data["rule"] == "boundary-support"
+    assert data["note"].startswith("rho = 3 >= 0 on the boundary")
     code, data = run_json(capsys, ["classify", "--d", "6", "--r", "7", "--n", "2"])
-    assert data["verdict"] == "Exists" and data["rule"] == "plane-incidence-cycle"
+    assert data["verdict"] == "Exists" and data["rule"] == "boundary-support"
+    assert data["note"].startswith("rho = 7 >= 0 on the boundary")
     code, data = run_json(capsys, ["classify", "--d", "3", "--r", "8", "--n", "5"])
     assert data["verdict"] == "Exists" and data["rule"] == "ideal-degree-bound"
 

@@ -68,11 +68,11 @@ def test_rho_closed_forms_per_dimension():
 
 def test_classify_examples():
     assert classify(4, 6, 3).verdict == Verdict.EXISTS
-    assert classify(4, 6, 3).rule == "exceptional-triple"
+    assert classify(4, 6, 3).rule == "boundary-support"
     assert classify(5, 9, 6).verdict == Verdict.NOT_EXISTS
     assert classify(3, 10, 6).verdict == Verdict.EXISTS
     v = classify(7, 8, 2)
-    assert v.verdict == Verdict.EXISTS and v.rule == "plane-incidence-cycle"
+    assert v.verdict == Verdict.EXISTS and v.rule == "boundary-support"
     assert "README" in v.note
     assert classify(2, 3, 2).verdict == Verdict.EXISTS
     assert classify(2, 3, 2).rule == "quadric-threshold"
@@ -86,13 +86,19 @@ def test_classify_boundary_both_sides():
     assert classify(3, 7, 5).rule == "certified-defective"
     assert classify(4, 7, 5).verdict == Verdict.NOT_EXISTS    # r < d + n, plain
     assert classify(4, 7, 5).rule == "parameter-count"
-    # one answer and note for every d of the plane family
-    assert classify(14, 15, 2).to_json_dict() == classify(3, 4, 2).to_json_dict() == {
-        "verdict": "Exists", "rule": "plane-incidence-cycle",
-        "note": "M has full rank at a point weighted on a cycle of the lines; "
-                "proof in README"}
+    # one rule and note on the boundary r = d + n - 1, rho >= 0; for the
+    # plane family rho = r, and on n >= 3 the four finite cells
+    note = ("rho = {} >= 0 on the boundary r = d + n - 1; M has full rank at a "
+            "point weighted on a support; proof in README")
+    for (d, r, n), count in {(3, 4, 2): 4, (14, 15, 2): 15, (3, 5, 3): 5, (4, 6, 3): 3,
+                             (5, 7, 3): 0, (3, 6, 4): 4}.items():
+        assert classify(d, r, n).to_json_dict() == {
+            "verdict": "Exists", "rule": "boundary-support", "note": note.format(count)}
     assert classify(14, 16, 2).rule == "ideal-degree-bound"   # r = d + n
     assert classify(14, 14, 2).rule == "parameter-count"      # r = d
+    assert classify(6, 8, 3).to_json_dict() == {              # boundary, rho < 0
+        "verdict": "NotExists", "rule": "parameter-count", "note": "rho = -4 < 0"}
+    assert classify(3, 8, 6).note == "rho = -8 < 0"           # boundary, n = 6
 
 
 def test_classify_binary_and_degree_one_rows():
@@ -116,20 +122,25 @@ def test_classify_binary_and_degree_one_rows():
 
 
 def test_classify_rules_on_a_grid():
-    """Every triple gets one of the two verdicts, by a rule that fits it."""
-    verdicts = set()
+    """Every triple gets one of the two verdicts, by a rule that fits it;
+    `boundary-support` fires exactly on r = d + n - 1 with rho >= 0 for
+    n >= 2 and d >= 3, (3, 7, 5) apart: the plane family and four cells."""
+    verdicts, boundary = set(), []
     for n in range(1, 41):
         for d in range(1, 61):
             for r in range(n, d + n + 3):
                 v = classify(d, r, n)
                 if v.rule == "parameter-count":
                     assert rho(d, r, n) < 0, (d, r, n)
-                if v.rule == "plane-incidence-cycle":
-                    assert n == 2 and r == d + 1 and d >= 3, (d, r, n)
+                on_boundary = (n >= 2 and d >= 3 and r == d + n - 1 and rho(d, r, n) >= 0
+                               and (d, r, n) != (3, 7, 5))
+                assert (v.rule == "boundary-support") == on_boundary, (d, r, n)
+                if on_boundary:
+                    assert v.verdict == Verdict.EXISTS, (d, r, n)
+                    boundary.append((d, r, n))
                 if v.verdict == Verdict.EXISTS and r < d + n and n >= 2:
-                    assert ((d, r, n) in existence.EXCEPTIONAL_TRIPLES
-                            or v.rule in ("plane-incidence-cycle", "quadric-threshold",
-                                          "linear-point")), (d, r, n)
+                    assert v.rule in ("boundary-support", "quadric-threshold",
+                                      "linear-point"), (d, r, n)
                 if n == 1:
                     assert (v.verdict == Verdict.EXISTS) == (2 * r >= d + 1), (d, r, n)
                 elif r < d + n and rho(d, r, n) >= 0:
@@ -138,6 +149,9 @@ def test_classify_rules_on_a_grid():
                     assert r == d + n - 1 or (d, r) == (2, n), (d, r, n)
                 verdicts.add(v.verdict)
     assert verdicts == set(Verdict)
+    assert len(boundary) == 62
+    assert [c for c in boundary if c[2] != 2] == [(3, 5, 3), (4, 6, 3), (5, 7, 3), (3, 6, 4)]
+    assert [c for c in boundary if c[2] == 2] == [(d, d + 1, 2) for d in range(3, 61)]
 
 
 def test_classify_is_pure():
@@ -420,8 +434,8 @@ def test_jactest_accepts_binary_forms():
 
 
 def test_binary_and_linear_rules_match_the_rank_test():
-    """`binary-sylvester`, `linear-point` and `plane-incidence-cycle` say
-    Exists exactly where the rank test reaches full rank: every binary cell
+    """`binary-sylvester`, `linear-point` and `boundary-support` on the plane
+    family say Exists exactly where the rank test reaches full rank: every binary cell
     with d <= 10, r <= 8, (1, n, n) for n = 2..7 and (d, d+1, 2) for
     d = 3..30."""
     cells = [(d, r, 1) for d in range(1, 11) for r in range(1, 9)]
@@ -663,8 +677,49 @@ def test_incidence_matrix_entries_match_their_definition(d, r, n, p):
     assert matrix.tolist() == incidence_matrix_on_scalars(d, r, n, values)
 
 
+def _rank_on_support(d, r, n, support):
+    """Exact rank over Q of M at a seeded integer point whose r hyperplanes,
+    with entries in [-3, 3], pass the determinant scan of general position,
+    and whose weights vanish off ``support``, a set of n-subsets."""
+    rng = random.Random(f"support:{d}:{r}:{n}")
+    rows = None
+    while rows is None or det_scan_violation(rows) is not None:
+        rows = [[rng.randint(-3, 3) for _ in range(n + 1)] for _ in range(r)]
+    alphas = [rng.choice((-2, -1, 1, 2)) if S in support else 0
+              for S in combinations(range(r), n)]
+    values = [a for row in rows for a in row] + alphas
+    return linalg.rank_over(None, incidence_matrix_on_scalars(d, r, n, values))
+
+
+def _blocks(text):
+    return {tuple(int(i) for i in block) for block in text.split()}
+
+
+def test_boundary_supports_give_full_rank_over_q():
+    """The certificates of `boundary-support` (README, "The boundary
+    r = d + n - 1"): on every boundary cell that exists, M has full row rank
+    C(r, n-1) over Q at an integer point weighted on a named support, so J
+    has full rank there (rank J = C(r, n) + rank M, zero weights included)
+    and hence at the general point.  No prime enters.  A covering of the
+    pairs whose three blocks through 3 meet at vertices on one line of the
+    plane l_3 falls short, which shows the rank is not automatic."""
+    supports = {
+        (3, 5, 3): _blocks("012 013 024 134 234"),
+        (4, 6, 3): _blocks("012 013 045 145 234 235"),
+        (5, 7, 3): _blocks("012 034 056 135 146 236 245"),   # the Fano plane
+        (3, 6, 4): _blocks("0123 0124 0125 0134 0235 0345 1245 1345 2345"),
+    }
+    for d in range(3, 11):
+        r = d + 1
+        supports[d, r, 2] = {(u, u + 1) for u in range(r - 1)} | {(0, r - 1)}
+    for (d, r, n), support in supports.items():
+        assert classify(d, r, n).rule == "boundary-support", (d, r, n)
+        assert _rank_on_support(d, r, n, support) == comb(r, n - 1), (d, r, n)
+    assert _rank_on_support(3, 5, 3, _blocks("012 034 134 234")) == 8 < comb(5, 2)
+
+
 def test_plane_family_has_full_rank_at_a_cycle_point():
-    """The proof of `plane-incidence-cycle` (README), step by step, at a
+    """The proof of `boundary-support` on the plane family (README), at a
     general-position point whose weights vanish off the cycle edges
     {u, u+1 mod r}: row u of M meets only the blocks u - 1 and u + 1, and M
     has rank d + 1 = C(d+2, 2) - C(d+1, 2).  Up to d = 13 the Jacobian is
