@@ -9,7 +9,10 @@ linear algebra (no Groebner bases anywhere).  The degree-t piece of an
 ideal is the span of the generators' monomial multiples, with the
 monomials in degrevlex order; over F_p their rows are int64 residues of
 an echelon basis of each degree's generators placed at their products'
-positions.  Each basis row is 1 at its leading monomial, and a monomial
+positions.  That basis does not depend on t: `generator_basis` reduces
+a generator list once, into read-only arrays that a caller keeps and
+passes for every degree, and per degree only the placing and the rank
+remain.  Each basis row is 1 at its leading monomial, and a monomial
 multiple leads at 1 at the product of the two, so one multiple per
 distinct leading column gives k0 rows S, unit upper triangular on those
 columns P.  With F the f other columns and N the other rows,
@@ -191,8 +194,8 @@ def is_apolar_ideal_contained(generators, f: Form) -> ApolarityCheck:
     return ApolarityCheck(True)
 
 
-def _coefficient_runs(gens, t: int):
-    """(p, runs): each run of generators of one degree e <= t, in generator
+def _coefficient_runs(gens):
+    """(p, runs): each run of generators of one degree e, in generator
     order, as (e, their coefficient rows over the degree-e basis).
 
     The rows are one `field.residue_array` per run, over the field of the
@@ -203,8 +206,6 @@ def _coefficient_runs(gens, t: int):
     p, term_maps = field_terms(*gens)
     runs = []
     for e, run in groupby(zip(gens, term_maps), key=lambda pair: pair[0].degree):
-        if e > t:
-            continue
         idx, rows = basis_index(nv, e), []
         for _, terms in run:
             rows.append([0] * len(idx))
@@ -212,6 +213,39 @@ def _coefficient_runs(gens, t: int):
                 rows[-1][idx[m]] = c
         runs.append((e, residue_array(rows, p)))
     return p, runs
+
+
+@dataclass(frozen=True)
+class GeneratorBasis:
+    """The part of `ideal_piece_dimension` that does not depend on t: for
+    each run of generators of one degree e, in generator order, (e, R,
+    pivots), R the nonzero rows of the `linalg.rref_over` of their
+    coefficient rows with the columns in degrevlex order (`_degrevlex_plan`)
+    and ``pivots`` their leading columns.  Both arrays are read-only, so a
+    basis can be kept with the generators (`generator_basis`)."""
+
+    p: int | None
+    num_vars: int
+    runs: tuple
+
+
+def generator_basis(generators) -> GeneratorBasis:
+    """The `GeneratorBasis` of the nonzero generators: one echelon basis
+    per run of one degree, the same at every t.  The products of a basis
+    span the same pieces as the generators' from no more rows, and each
+    basis row b is 1 at its leading monomial LM(b) and 0 at the others'."""
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
+        return GeneratorBasis(None, 0, ())
+    nv = gens[0].num_vars
+    p, runs = _coefficient_runs(gens)
+    kept = []
+    for e, coeffs in runs:
+        R, pivots = linalg.rref_over(p, coeffs[:, _degrevlex_plan(nv, 0, e)[0]])
+        pivots = np.array(pivots, dtype=np.int64)
+        R.flags.writeable = pivots.flags.writeable = False
+        kept.append((e, R[:len(pivots)], pivots))
+    return GeneratorBasis(p, nv, tuple(kept))
 
 
 @lru_cache(maxsize=None)
@@ -283,11 +317,12 @@ def _sparse_products(cols, vals, Z, p: int):
     return out
 
 
-def _schur_rank(p: int, reduced, full, lead, first, width: int) -> int:
-    """rank M - k0 mod p, for M the product rows of the runs ``reduced``
-    and ``full`` (`_scatter`).  Each product row of a reduced run leads at
-    1; ``first`` names, in their `_sparse_rows` order, k0 of them S that
-    lead at the distinct columns P = ``lead``, in increasing order.
+def _schur_rank(p: int, runs, lead, first, width: int) -> int:
+    """rank M - k0 mod p, for M the product rows of the placed echelon
+    ``runs`` (`_scatter`), a run of degree t among them, each of which
+    leads at 1; ``first`` names, in their `_sparse_rows` order, k0 of
+    them S that lead at the distinct columns P = ``lead``, in increasing
+    order.
 
     With F the other f columns and N the other rows, T = S_P is unit upper
     triangular, and rank M = k0 + rank(N_F - N_P T^-1 S_F).  Row i of
@@ -298,11 +333,9 @@ def _schur_rank(p: int, reduced, full, lead, first, width: int) -> int:
     once from those before, so each row of S is multiplied once.  A row is
     read at its nonzeros only: against Z, which holds X at P and -I at F,
     a row of S past its lead gives -X_i, and the rows of N the negated
-    Schur complement, of the same rank.  The rows of a full run (t = e)
-    are padded apart, so that their length does not widen the sparse
-    product rows.
+    Schur complement, of the same rank.
     """
-    cols, vals = _sparse_rows(reduced)
+    cols, vals = _sparse_rows(runs)
     free = np.ones(width, dtype=bool)
     free[lead] = False
     f = int(free.sum())
@@ -324,23 +357,24 @@ def _schur_rank(p: int, reduced, full, lead, first, width: int) -> int:
         Z[lead[rows]] = -_sparse_products(s_cols[rows], s_vals[rows], Z, p) % p
     rest = np.ones(len(cols), dtype=bool)
     rest[first] = False
-    schur = [_sparse_products(cols[rest], vals[rest], Z, p)]
-    if full:
-        schur.append(_sparse_products(*_sparse_rows(full), Z, p))
-    return linalg.rank_over(p, np.concatenate(schur))
+    return linalg.rank_over(p, _sparse_products(cols[rest], vals[rest], Z, p))
 
 
 def ideal_piece_dimension(generators, t: int) -> int:
-    """Dimension of the degree-t piece of the ideal the generators span.
+    """Dimension of the degree-t piece of the ideal the generators span;
+    ``generators`` are forms or their `GeneratorBasis`.
 
     The piece is spanned by the products m * g with m a monomial of degree
     t - deg g, so its dimension is the rank of their coefficient rows over
     the field of the coefficients, with the columns in degrevlex order
-    (`_degrevlex_plan`; a rank does not depend on the column order).  Each
-    run of generators of one degree e < t is first replaced by an echelon
-    basis of its span, the nonzero rows of its `linalg.rref_over`: the
-    products of a basis span the same piece from no more rows, and each
-    basis row b is 1 at its leading monomial LM(b) and 0 at the others'.
+    (`_degrevlex_plan`; a rank does not depend on the column order).  The
+    rows are those of the echelon basis of each run of degree e <= t
+    (`generator_basis`), which does not depend on t: a caller that asks
+    about many degrees passes the basis, built once, and forms given here
+    are reduced for this call, those of degree above t left out.  Only the
+    placing of the basis rows (``where``) and the rank depend on t.  When
+    the one run in use has degree t its rows are their own products, and
+    independent, so the rank is its pivot count, with no elimination.
 
     Over F_p the leading terms then settle most of the rank without an
     elimination.  Multiplying by a monomial keeps the order, so m * b leads
@@ -351,32 +385,30 @@ def ideal_piece_dimension(generators, t: int) -> int:
     fall short.  By Bayer-Stillman the degrevlex initial ideal in generic
     coordinates is generated in degrees up to the regularity, so for a
     star configuration's product generators f is close to HF(t).  The
-    block is taken when the reduced runs' product rows number at least
-    ``width`` and f <= k0.  Past that its products, each row's nonzeros
-    times f, cost more than the elimination they replace: wide plane
-    sets, where f > k0, ranked whole 5-10% faster ((8, 2) at t = 9) or 2-3
-    times faster ((14, 2) at t = 14), and so did the short (4, 2) at t = 4
-    and (5, 2) at t = 5, whose few rows do not repay the block's fixed
-    cost.  Otherwise, over Q, and at t = e with no product rows, the rows
-    are ranked by one elimination, as `_scatter` places them.
+    block is taken when the product rows number at least ``width`` and
+    f <= k0.  Past that its products, each row's nonzeros times f, cost
+    more than the elimination they replace: wide plane sets, where f > k0,
+    ranked whole 5-10% faster ((8, 2) at t = 9) or 2-3 times faster
+    ((14, 2) at t = 14), and so did the short (4, 2) at t = 4 and (5, 2)
+    at t = 5, whose few rows do not repay the block's fixed cost.
+    Otherwise, and over Q, the rows are ranked by one elimination, as
+    `_scatter` places them.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    gens = [g for g in generators if not g.is_zero()]
-    if not gens:
+    if not isinstance(generators, GeneratorBasis):
+        generators = generator_basis([g for g in generators if g.degree <= t])
+    p, nv = generators.p, generators.num_vars
+    runs = [(e, R, pivots) for e, R, pivots in generators.runs if e <= t]
+    if not runs:
         return 0
-    nv = gens[0].num_vars
-    p, runs = _coefficient_runs(gens, t)
-    reduced, full, leads = [], [], []
-    for e, coeffs in runs:
-        order, where = _degrevlex_plan(nv, t - e, e)
-        coeffs = coeffs[:, order]
-        if e < t:
-            R, pivots = linalg.rref_over(p, coeffs)
-            reduced.append((R[:len(pivots)], where))
-            leads.append(where[:, pivots].ravel())
-        else:
-            full.append((coeffs, where))
+    if len(runs) == 1 and runs[0][0] == t:
+        return len(runs[0][2])
+    placed, leads = [], []
+    for e, R, pivots in runs:
+        where = _degrevlex_plan(nv, t - e, e)[1]
+        placed.append((R, where))
+        leads.append(where[:, pivots].ravel())
     width = comb(nv - 1 + t, t)
     if p is not None and sum(map(len, leads)) >= width:
         # one product row per distinct leading column (any one will do)
@@ -385,8 +417,8 @@ def ideal_piece_dimension(generators, t: int) -> int:
         pick[leading] = np.arange(len(leading))
         lead = np.flatnonzero(pick >= 0)
         if width - len(lead) <= len(lead):
-            return len(lead) + _schur_rank(p, reduced, full, lead, pick[lead], width)
-    return linalg.rank_over(p, _scatter(reduced + full, width))
+            return len(lead) + _schur_rank(p, placed, lead, pick[lead], width)
+    return linalg.rank_over(p, _scatter(placed, width))
 
 
 def verify_perp_generators(f: Form, generators) -> bool:
@@ -394,12 +426,14 @@ def verify_perp_generators(f: Form, generators) -> bool:
 
     Verifies (a) containment: every generator annihilates F, and (b) the
     generated ideal matches the annihilator dimension in every degree up
-    to deg F + 1 (beyond which both are everything).
+    to deg F + 1 (beyond which both are everything), from one
+    `generator_basis` of the generators of those degrees.
     """
     if not is_apolar_ideal_contained(generators, f):
         return False
+    basis = generator_basis([g for g in generators if g.degree <= f.degree + 1])
     for t in range(f.degree + 2):
-        if ideal_piece_dimension(generators, t) != perp_piece(f, t).dimension:
+        if ideal_piece_dimension(basis, t) != perp_piece(f, t).dimension:
             return False
     return True
 

@@ -30,7 +30,9 @@ The evaluation matrices of the Hilbert function, of `point_ideal_piece`
 and of route A are `poly.monomial_table`s over Z, Q and F_p alike, and a
 rank over Z or Q is tried mod `DEFAULT_PRIME` first (`_rank_in_degree`).
 Route A's points, the kernel vectors of the coefficient blocks, and route
-B's generators are found once per set on first use.  The Hilbert function
+B's product generators and their read-only echelon basis
+(`apolar.generator_basis`) are found once per set on first use; per
+degree, route B only places and ranks that basis.  The Hilbert function
 ranks no degree past the first t >= 1 where it is the number of points.
 """
 
@@ -46,7 +48,7 @@ import numpy as np
 from . import linalg
 from .field import DEFAULT_PRIME, Fp, random_scalar, residue_array, residue_rows
 from .poly import DUAL, Form, coefficient_vector, form_from_vector, monomial_table
-from .apolar import ideal_piece_dimension
+from .apolar import generator_basis, ideal_piece_dimension
 
 # random draws (hyperplane sets, parameter points) tried before giving up
 RESAMPLE_BUDGET = 32
@@ -199,6 +201,13 @@ class HyperplaneSet:
         return tuple(
             reduce(Form.__mul__, [f for k, f in enumerate(forms) if k not in sigma])
             for sigma in combinations(range(self.r), self.n - 1))
+
+    @cached_property
+    def product_basis(self):
+        """The `apolar.generator_basis` of the ``product_generators``: their
+        echelon basis, read-only, which route B places and ranks at every
+        degree; found on first use and kept."""
+        return generator_basis(self.product_generators)
 
     @cached_property
     def kernel_points(self) -> tuple:
@@ -428,14 +437,15 @@ def star_ideal_dimension_by_products(hset: HyperplaneSet, t: int) -> int:
     """dim of the degree-t piece of the ideal the product generators span.
 
     Below the generators' degree r - n + 1 the piece is zero, and the
-    generators are not expanded; above it they are expanded once per set
-    (`HyperplaneSet.product_generators`), not once per degree.
+    generators are not expanded; from it on they are expanded and reduced
+    to an echelon basis once per set (`HyperplaneSet.product_basis`), not
+    once per degree.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
     if t < hset.r - hset.n + 1:
         return 0
-    return ideal_piece_dimension(hset.product_generators, t)
+    return ideal_piece_dimension(hset.product_basis, t)
 
 
 def random_hyperplanes(n: int, r: int, rng) -> HyperplaneSet:

@@ -45,7 +45,7 @@ from math import comb, factorial, perm, prod
 
 import numpy as np
 
-from starpolar import apolar, linalg
+from starpolar import apolar
 from starpolar.existence import _rank_test, gamma_coefficients
 from starpolar.field import DEFAULT_PRIME, DEFAULT_SEED, Fp, residue_rows
 from starpolar.linalg import det, kernel_over, minors, rank_over
@@ -602,21 +602,12 @@ def ideal_piece_dimension_on_scalars(generators, t):
 def scattered_product_rows(generators, t):
     """Route B's whole product rows in degree t, as
     `apolar.ideal_piece_dimension` forms them before any rank: the echelon
-    basis of each run of degree e < t and the run itself at e = t, their
+    basis of each run of degree e <= t (`apolar.generator_basis`), its
     columns in degrevlex order, placed by `apolar._scatter`."""
-    gens = [g for g in generators if not g.is_zero()]
-    nv = gens[0].num_vars
-    p, runs = apolar._coefficient_runs(gens, t)
-    reduced, full = [], []
-    for e, coeffs in runs:
-        order, where = apolar._degrevlex_plan(nv, t - e, e)
-        coeffs = coeffs[:, order]
-        if e < t:
-            R, pivots = linalg.rref_over(p, coeffs)
-            reduced.append((R[:len(pivots)], where))
-        else:
-            full.append((coeffs, where))
-    return apolar._scatter(reduced + full, comb(nv - 1 + t, t))
+    basis = apolar.generator_basis(generators)
+    nv = basis.num_vars
+    return apolar._scatter([(R, apolar._degrevlex_plan(nv, t - e, e)[1])
+                            for e, R, _ in basis.runs if e <= t], comb(nv - 1 + t, t))
 
 
 def form_mul_on_scalars(f, g):

@@ -181,6 +181,41 @@ def test_verify_perp_generators_golden():
         CUSPIDAL, CUSPIDAL_PERP_GENS + [parse_form("y1^2*y2")])
 
 
+def test_verify_perp_generators_reduces_the_generators_once(monkeypatch):
+    """One coefficient build and one echelon basis serve all deg F + 2
+    degrees: the cuspidal list's two degree runs are reduced once each,
+    over Q and over F_p, where each degree once had its own."""
+    runs, bases = [], []
+    coefficient_runs, basis = apolar._coefficient_runs, apolar.generator_basis
+    monkeypatch.setattr(apolar, "_coefficient_runs",
+                        lambda gens: runs.append(len(gens)) or coefficient_runs(gens))
+    monkeypatch.setattr(apolar, "generator_basis",
+                        lambda gens: bases.append(None) or basis(gens))
+    for one in (1, Fp(1, 7), Fp(1, DEFAULT_PRIME)):
+        runs.clear()
+        bases.clear()
+        assert verify_perp_generators(CUSPIDAL * one, [g * one for g in CUSPIDAL_PERP_GENS])
+        assert runs == [5] and len(bases) == 1
+
+
+@pytest.mark.parametrize("one", [1, Fp(1, 7), Fp(1, DEFAULT_PRIME)])
+def test_generator_basis_is_read_only(one):
+    """A kept basis cannot be written through: its echelon rows and pivots
+    refuse assignment, and the answers read from it stay the same."""
+    gens = [g * one for g in CUSPIDAL_PERP_GENS]
+    basis = apolar.generator_basis(gens)
+    want = [ideal_piece_dimension_on_scalars(gens, t) for t in range(6)]
+    assert [e for e, _, _ in basis.runs] == [2, 3]
+    for _, R, pivots in basis.runs:
+        with pytest.raises(ValueError, match="read-only"):
+            R[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            R[:] = R[::-1]
+        with pytest.raises(ValueError, match="read-only"):
+            pivots[0] = 1
+    assert [ideal_piece_dimension(basis, t) for t in range(6)] == want
+
+
 def test_ideal_piece_dimension_matches_hand_count():
     gens = CUSPIDAL_PERP_GENS[:3]  # y2^2, y0*y2, y0*y1
     # degree-3 products hit 7 distinct monomials
@@ -218,8 +253,8 @@ def test_product_rows_match_form_products():
                         for row in [coefficient_vector(Form.monomial(DUAL, m) * g)]]
             p, rows = None, []
             if nonzero:
-                p, runs = _coefficient_runs(nonzero, t)
-                runs = [(coeffs[:, order], where) for e, coeffs in runs
+                p, runs = _coefficient_runs(nonzero)
+                runs = [(coeffs[:, order], where) for e, coeffs in runs if e <= t
                         for order, where in [_degrevlex_plan(nv, t - e, e)]]
                 rows = _scatter(runs, len(top))
                 rows = rows if p is not None else rows.tolist()
@@ -241,15 +276,14 @@ def test_leading_term_levels_match_the_product_rank(monkeypatch):
     sets (5, 3), (6, 3) and (6, 4) for every t <= r + 1, and random
     generator sets of mixed degrees, over F_7, F_11 and F_101.  A spy
     reads each block's level count (its `_sparse_products` calls, less
-    one for the other rows and one for a run of degree t) and its Schur
-    complement rank."""
+    one for the other rows) and its Schur complement rank."""
     blocks, calls = [], []
     schur_rank, products = apolar._schur_rank, apolar._sparse_products
 
-    def spy(p, reduced, full, *rest):
+    def spy(p, runs, *rest):
         calls.clear()
-        rank = schur_rank(p, reduced, full, *rest)
-        blocks.append((len(calls) - 1 - bool(full), rank))
+        rank = schur_rank(p, runs, *rest)
+        blocks.append((len(calls) - 1, rank))
         return rank
 
     monkeypatch.setattr(apolar, "_sparse_products", lambda *a: calls.append(None) or products(*a))

@@ -742,8 +742,9 @@ def test_ideal_layer_matches_the_path_on_scalars(field, monkeypatch):
     blocks = []  # (Schur complement rank, whether generators of degree t joined)
     schur_rank = apolar._schur_rank
 
-    def spy(p, reduced, full, *rest):
-        blocks.append((schur_rank(p, reduced, full, *rest), bool(full)))
+    def spy(p, runs, *rest):
+        # a run of degree t is placed by the one row of `where` for m = 1
+        blocks.append((schur_rank(p, runs, *rest), any(len(where) == 1 for _, where in runs)))
         return blocks[-1][0]
 
     monkeypatch.setattr(apolar, "_schur_rank", spy)
@@ -815,6 +816,33 @@ def test_ideal_layer_matches_the_path_on_scalars(field, monkeypatch):
         gens = _hyperplane_set(rng, field, 8, 2).product_generators
         assert ideal_piece_dimension(gens, 9) == comb(11, 2) - comb(8, 2)
         assert widths == [(6 * 8, comb(11, 2))]
+
+
+@pytest.mark.parametrize("field", [7, 101, DEFAULT_PRIME, "Q"])
+def test_route_b_reduces_each_degree_run_once(field, monkeypatch):
+    """Route B asked about t = r + 1 down to 0 on one set reduces its
+    product generators, one run of degree r - n + 1, once: one
+    `linalg.rref_over` call of C(r, n-1) rows, kept read-only in
+    `HyperplaneSet.product_basis`.  Each answer is the rank of the product
+    rows on the scalars as given."""
+    calls = []
+    rref_over = linalg.rref_over
+    rng = random.Random(f"route-b-once:{field}")
+    # exact rref over Q grows fast in the product rows, so Q stops at (5, 2)
+    shapes = ((4, 2), (5, 2)) + ((5, 3), (6, 3), (6, 4)) * isinstance(field, int)
+    for r, n in shapes:
+        hset = _hyperplane_set(rng, field, r, n)
+        ts = range(r + 1, -1, -1)
+        want = [ideal_piece_dimension_on_scalars(hset.product_generators, t)
+                if t >= r - n + 1 else 0 for t in ts]
+        calls.clear()
+        monkeypatch.setattr(linalg, "rref_over",
+                            lambda p, rows: calls.append(np.shape(rows)) or rref_over(p, rows))
+        assert [star_ideal_dimension_by_products(hset, t) for t in ts] == want
+        monkeypatch.undo()
+        assert calls == [(comb(r, n - 1), comb(r + 1, n))]
+        (_, R, pivots), = hset.product_basis.runs
+        assert not R.flags.writeable and not pivots.flags.writeable
 
 
 def test_ideal_layer_refuses_a_prime_past_int64():

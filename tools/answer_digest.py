@@ -45,6 +45,13 @@ digests must be equal.  Timings are left out.  The records cover:
   (14, 2) set at t = 14, 15; and seeded (5, 3) and (6, 3) sets over F_7,
   F_11, F_101 and F_(2^31 - 1) for every t <= r + 1, whose tall product
   rows route B's leading-term block takes under its f <= k0 rule;
+  fresh seeded (4, 2), (5, 3), (6, 3) and (6, 4) sets over F_7, F_101
+  and F_(2^31 - 1), and (4, 2) and (5, 3) sets over Z, asked about every
+  t <= r + 1 in descending and in a shuffled order; and
+  `verify_perp_generators` of those two generator lists, and of the lists
+  less their first or last generator, against a form whose annihilator
+  they generate and one whose they do not, over Q and over F_7, F_101 and
+  F_(2^31 - 1);
 - `WaringDecomposition` combinations, residuals against F and against F
   plus one monomial, and JSON, for n + 1 = 1..5, d = 0..7 and 1, 3 or 8
   points: `solve_waring`'s answer on a seeded power sum and a
@@ -359,14 +366,31 @@ def _seeded_set(rng, r, n, p):
             continue
 
 
+def _seeded_integer_set(rng, r, n):
+    """The first seeded draw of r integer rows in -5..5 in general position."""
+    while True:
+        try:
+            return HyperplaneSet([[rng.randint(-5, 5) for _ in range(n + 1)]
+                                  for _ in range(r)])
+        except (GeneralPositionError, ValueError):
+            continue
+
+
 def route_b_records(rng, big=((6, 4), (7, 4), (7, 5)), small=((6, 4), (7, 4)), draws=3,
-                    tall=((5, 3), (6, 3))):
+                    tall=((5, 3), (6, 3)), orders=((4, 2), (5, 3), (6, 3), (6, 4)),
+                    perp=True):
     """Route B where its leading-term block has edges: star sets over
     F_(2^31 - 1) up to t = r + 1, star sets over small primes, where the
     leading terms of the generators fall short of the rank, generators in
     two variables and of mixed degrees over Q and F_p, a wide plane set,
     and the ``tall`` shapes over small primes and F_(2^31 - 1) up to
-    t = r + 1."""
+    t = r + 1.  Then fresh star sets of the ``orders`` shapes over F_7,
+    F_101 and F_(2^31 - 1), and of those with r <= 5 over Z, each asked
+    about t = r + 1 down to 0 and in a shuffled order, so that the first
+    degree asked differs; and, with
+    ``perp``, `verify_perp_generators` of the two plain generator lists and
+    of lists one generator short, against the form they generate the
+    annihilator of and a form they do not, over Q and F_p."""
     for r, n in big:
         hset = _seeded_set(rng, r, n, DEFAULT_PRIME)
         yield ["route-b", DEFAULT_PRIME, r, n,
@@ -393,6 +417,30 @@ def route_b_records(rng, big=((6, 4), (7, 4), (7, 5)), small=((6, 4), (7, 4)), d
                 hset = _seeded_set(rng, r, n, p)
                 yield ["route-b", p, r, n, [[str(c) for c in row] for row in hset.coeffs],
                        [star_ideal_dimension_by_products(hset, t) for t in range(r + 2)]]
+    for p in (None, 7, 101, DEFAULT_PRIME):
+        # exact rref over Q grows fast in the product rows: Z stops at r = 5
+        for r, n in (shape for shape in orders if p or shape[0] <= 5):
+            for descending in (True, False):
+                hset = (_seeded_set(rng, r, n, p) if p else
+                        _seeded_integer_set(rng, r, n))
+                ts = list(range(r + 1, -1, -1))
+                if not descending:
+                    rng.shuffle(ts)
+                yield ["route-b-order", p, r, n, [[str(c) for c in row] for row in hset.coeffs],
+                       [[t, star_ideal_dimension_by_products(hset, t)] for t in ts]]
+    if not perp:
+        return
+    forms = {"two-variable": ["2*x0*x1 - x1^2", "x0*x1 - x1^2"],
+             "cuspidal-perp": ["x0^3 - x1^2*x2", "x0^3 + x1^2*x2"]}
+    for name, texts in plain.items():
+        gens = [parse_form(s, num_vars=2 if name == "two-variable" else 3) for s in texts]
+        for p in (None, 7, 101, DEFAULT_PRIME):
+            one = 1 if p is None else Fp(1, p)
+            for F in (parse_form(s) * one for s in forms[name]):
+                for over in (gens, gens[:-1], gens[1:]):
+                    over = [g * one for g in over]
+                    yield ["route-b-perp", name, p, format_form(F), len(over),
+                           apolar.verify_perp_generators(F, over)]
 
 
 def waring_outcome(deco, F, extra):
@@ -672,7 +720,7 @@ def quick_records():
     yield from hilbert_wide_records(random.Random("quick:hilbert-wide"), rs=(10,))
     yield from cramer_records(random.Random("quick:cramer"), ns=(2, 3))
     yield from route_b_records(random.Random("quick:route-b"), big=((6, 4),),
-                               small=((6, 4),), draws=1, tall=())
+                               small=((6, 4),), draws=1, tall=(), orders=(), perp=False)
 
 
 def digest(recs):
