@@ -219,10 +219,12 @@ def _coefficient_runs(gens):
 class GeneratorBasis:
     """The part of `ideal_piece_dimension` that does not depend on t: for
     each run of generators of one degree e, in generator order, (e, R,
-    pivots), R the nonzero rows of the `linalg.rref_over` of their
-    coefficient rows with the columns in degrevlex order (`_degrevlex_plan`)
-    and ``pivots`` their leading columns.  Both arrays are read-only, so a
-    basis can be kept with the generators (`generator_basis`)."""
+    pivots, order), R the nonzero rows of the `linalg.rref_over` of their
+    coefficient rows with the columns in degrevlex order (`_degrevlex_plan`),
+    ``pivots`` their leading columns, and ``order`` each row's columns with
+    its nonzeros first, leftmost first (the stable argsort of R == 0), which
+    `_sparse_rows` slices.  All three arrays are read-only, so a basis can
+    be kept with the generators (`generator_basis`)."""
 
     p: int | None
     num_vars: int
@@ -242,9 +244,11 @@ def generator_basis(generators) -> GeneratorBasis:
     kept = []
     for e, coeffs in runs:
         R, pivots = linalg.rref_over(p, coeffs[:, _degrevlex_plan(nv, 0, e)[0]])
-        pivots = np.array(pivots, dtype=np.int64)
-        R.flags.writeable = pivots.flags.writeable = False
-        kept.append((e, R[:len(pivots)], pivots))
+        R.flags.writeable = False
+        R, pivots = R[:len(pivots)], np.array(pivots, dtype=np.int64)
+        order = np.argsort(R == 0, axis=1, kind="stable")
+        pivots.flags.writeable = order.flags.writeable = False
+        kept.append((e, R, pivots, order))
     return GeneratorBasis(p, nv, tuple(kept))
 
 
@@ -286,12 +290,14 @@ def _scatter(runs, width: int):
 
 
 def _sparse_rows(runs):
-    """(cols, vals): each product row of `_scatter`'s runs as its nonzero
-    entries, leftmost first, padded with zeros to the longest row."""
-    q = max(int(np.count_nonzero(rows, axis=1).max()) for rows, _ in runs)
+    """(cols, vals): each product row of the placed runs (rows, where,
+    order) as its nonzero entries, leftmost first, padded with zeros to the
+    longest row; ``order`` is the run's `GeneratorBasis` order, so only
+    its first columns are gathered."""
+    q = max(int(np.count_nonzero(rows, axis=1).max()) for rows, _, _ in runs)
     cols, vals = [], []
-    for rows, where in runs:
-        nz = np.argsort(rows == 0, axis=1, kind="stable")[:, :q]
+    for rows, where, order in runs:
+        nz = order[:, :q]
         c = np.zeros((len(where), len(rows), q), dtype=np.int64)
         v = np.zeros_like(c)
         c[..., :nz.shape[1]] = where[:, nz]
@@ -319,7 +325,7 @@ def _sparse_products(cols, vals, Z, p: int):
 
 def _schur_rank(p: int, runs, lead, first, width: int) -> int:
     """rank M - k0 mod p, for M the product rows of the placed echelon
-    ``runs`` (`_scatter`), a run of degree t among them, each of which
+    ``runs`` (`_sparse_rows`), a run of degree t among them, each of which
     leads at 1; ``first`` names, in their `_sparse_rows` order, k0 of
     them S that lead at the distinct columns P = ``lead``, in increasing
     order.
@@ -399,15 +405,15 @@ def ideal_piece_dimension(generators, t: int) -> int:
     if not isinstance(generators, GeneratorBasis):
         generators = generator_basis([g for g in generators if g.degree <= t])
     p, nv = generators.p, generators.num_vars
-    runs = [(e, R, pivots) for e, R, pivots in generators.runs if e <= t]
+    runs = [run for run in generators.runs if run[0] <= t]
     if not runs:
         return 0
     if len(runs) == 1 and runs[0][0] == t:
         return len(runs[0][2])
     placed, leads = [], []
-    for e, R, pivots in runs:
+    for e, R, pivots, order in runs:
         where = _degrevlex_plan(nv, t - e, e)[1]
-        placed.append((R, where))
+        placed.append((R, where, order))
         leads.append(where[:, pivots].ravel())
     width = comb(nv - 1 + t, t)
     if p is not None and sum(map(len, leads)) >= width:
@@ -418,7 +424,7 @@ def ideal_piece_dimension(generators, t: int) -> int:
         lead = np.flatnonzero(pick >= 0)
         if width - len(lead) <= len(lead):
             return len(lead) + _schur_rank(p, placed, lead, pick[lead], width)
-    return linalg.rank_over(p, _scatter(placed, width))
+    return linalg.rank_over(p, _scatter([(R, where) for R, where, _ in placed], width))
 
 
 def verify_perp_generators(f: Form, generators) -> bool:

@@ -33,7 +33,9 @@ Route A's points, the kernel vectors of the coefficient blocks, and route
 B's product generators and their read-only echelon basis
 (`apolar.generator_basis`) are found once per set on first use; per
 degree, route B only places and ranks that basis.  The Hilbert function
-ranks no degree past the first t >= 1 where it is the number of points.
+ranks no degree past the first t >= 1 where it is the number of points,
+and route A none from t = r - n on when the scan passes on its points:
+there the separators prod_{k not in S} l_k separate them.
 """
 
 from __future__ import annotations
@@ -87,8 +89,9 @@ def redraw(draw, what: str):
 def general_position_violation(p, rows, points):
     """First (n+1)-subset of coefficient rows with vanishing maximal minor,
     or None, read off `_checked_values` (the minor of S + (k,) is +-l_k(P_S)).
-    ``points`` are the Cramer points of the n-subsets of the rows in
-    `combinations` order, over the field ``p`` names (`linalg.rank_over`).
+    ``points`` lie on the n hyperplanes of each n-subset of the rows, in
+    `combinations` order, over the field ``p`` names (`linalg.rank_over`):
+    their Cramer points, or route A's kernel points.
     Rows over Q that are not all ints are scanned with the points as int
     rows (`linalg._integer_row`): l_k(cP) = c l_k(P) keeps every zero."""
     if p is None and not all(isinstance(e, int) for row in rows for e in row):
@@ -427,10 +430,23 @@ def point_ideal_piece(points, degree: int, num_vars: int | None = None):
 def star_ideal_dimension_by_intersection(hset: HyperplaneSet, t: int) -> int:
     """dim of the degree-t piece of the intersection ideal: the kernel of the
     evaluation matrix at the points taken as kernel vectors
-    (`HyperplaneSet.kernel_points`, independent of the Cramer minors)."""
+    (`HyperplaneSet.kernel_points`, independent of the Cramer minors).
+
+    From t = r - n on, the scan of `general_position_violation` on these
+    points replaces the rank.  Each P_S lies on its own n hyperplanes, so
+    when the scan finds every l_k(P_S), k not in S, nonzero, the separator
+    prod_{k not in S} l_k of degree r - n is nonzero at P_S and zero at
+    every other point, and times an x_i with P_S,i != 0 it separates P_S in
+    each higher degree: the C(r, n) rows are independent.  Below r - n, or
+    when the scan names a subset, degree t is ranked (`_rank_in_degree`).
+    """
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    return comb(hset.n + t, t) - _rank_in_degree(*hset.kernel_points, t)
+    p, coords = hset.kernel_points
+    if t >= hset.r - hset.n and general_position_violation(
+            p, residue_rows(hset.coeffs)[1], coords) is None:
+        return comb(hset.n + t, t) - len(coords)
+    return comb(hset.n + t, t) - _rank_in_degree(p, coords, t)
 
 
 def star_ideal_dimension_by_products(hset: HyperplaneSet, t: int) -> int:

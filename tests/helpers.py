@@ -607,7 +607,7 @@ def scattered_product_rows(generators, t):
     basis = apolar.generator_basis(generators)
     nv = basis.num_vars
     return apolar._scatter([(R, apolar._degrevlex_plan(nv, t - e, e)[1])
-                            for e, R, _ in basis.runs if e <= t], comb(nv - 1 + t, t))
+                            for e, R, _, _ in basis.runs if e <= t], comb(nv - 1 + t, t))
 
 
 def form_mul_on_scalars(f, g):

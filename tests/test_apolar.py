@@ -200,19 +200,26 @@ def test_verify_perp_generators_reduces_the_generators_once(monkeypatch):
 
 @pytest.mark.parametrize("one", [1, Fp(1, 7), Fp(1, DEFAULT_PRIME)])
 def test_generator_basis_is_read_only(one):
-    """A kept basis cannot be written through: its echelon rows and pivots
-    refuse assignment, and the answers read from it stay the same."""
+    """A kept basis cannot be written through: its echelon rows, pivots
+    and nonzero order refuse assignment, and the answers read from it stay
+    the same.  Each row's order lists its nonzero columns first, leftmost
+    first, then its zero columns, leftmost first."""
     gens = [g * one for g in CUSPIDAL_PERP_GENS]
     basis = apolar.generator_basis(gens)
     want = [ideal_piece_dimension_on_scalars(gens, t) for t in range(6)]
-    assert [e for e, _, _ in basis.runs] == [2, 3]
-    for _, R, pivots in basis.runs:
+    assert [e for e, _, _, _ in basis.runs] == [2, 3]
+    for _, R, pivots, order in basis.runs:
+        for row, cols in zip(R.tolist(), order.tolist()):
+            nonzero = [j for j, x in enumerate(row) if x]
+            assert cols == nonzero + [j for j, x in enumerate(row) if not x]
         with pytest.raises(ValueError, match="read-only"):
             R[0, 0] = 0
         with pytest.raises(ValueError, match="read-only"):
             R[:] = R[::-1]
         with pytest.raises(ValueError, match="read-only"):
             pivots[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            order[0, 0] = 1
     assert [ideal_piece_dimension(basis, t) for t in range(6)] == want
 
 

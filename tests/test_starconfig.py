@@ -602,11 +602,11 @@ def test_hilbert_genericity_random_shapes():
 
 def test_ideal_routes_agree_random_shapes():
     rng = random.Random(26)
-    for r, n in [(4, 2), (5, 2), (5, 3)]:
+    for r, n in [(4, 2), (5, 2), (5, 3), (6, 3), (6, 4), (7, 3)]:
         hset = random_hyperplanes(n, r, rng)
         pts = intersection_points(hset)
-        table = hilbert_function(pts, r)
-        for t in range(r + 1):
+        table = hilbert_function(pts, r + 1)
+        for t in range(r + 2):
             a = star_ideal_dimension_by_intersection(hset, t)
             b = star_ideal_dimension_by_products(hset, t)
             assert a == b
@@ -719,8 +719,11 @@ def _fp_point_sets(rng, p, nv):
 
 
 def _hyperplane_set(rng, field, r, n):
+    """A certified seeded set over F_p (``field`` a prime), Z ("Z", entries
+    in -5..5) or Q ("Q", `Fraction`s with denominators 1 to 3)."""
     while True:
         rows = [[Fp(rng.randrange(field), field) if isinstance(field, int)
+                 else rng.randrange(-5, 6) if field == "Z"
                  else Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
                  for _ in range(n + 1)] for _ in range(r)]
         try:
@@ -744,7 +747,7 @@ def test_ideal_layer_matches_the_path_on_scalars(field, monkeypatch):
 
     def spy(p, runs, *rest):
         # a run of degree t is placed by the one row of `where` for m = 1
-        blocks.append((schur_rank(p, runs, *rest), any(len(where) == 1 for _, where in runs)))
+        blocks.append((schur_rank(p, runs, *rest), any(len(where) == 1 for _, where, _ in runs)))
         return blocks[-1][0]
 
     monkeypatch.setattr(apolar, "_schur_rank", spy)
@@ -841,8 +844,8 @@ def test_route_b_reduces_each_degree_run_once(field, monkeypatch):
         assert [star_ideal_dimension_by_products(hset, t) for t in ts] == want
         monkeypatch.undo()
         assert calls == [(comb(r, n - 1), comb(r + 1, n))]
-        (_, R, pivots), = hset.product_basis.runs
-        assert not R.flags.writeable and not pivots.flags.writeable
+        (_, R, pivots, order), = hset.product_basis.runs
+        assert not any(a.flags.writeable for a in (R, pivots, order))
 
 
 def test_ideal_layer_refuses_a_prime_past_int64():
@@ -877,3 +880,58 @@ def test_route_a_finds_its_kernel_points_once_per_set(monkeypatch):
         # one kernel per n-subset for all t together, not one per subset and t
         assert calls == [n] * comb(r, n)
         calls.clear()
+
+
+# shapes for route A's separator certificate: r = n, n = 1, and C(r, n) up to 35
+SEPARATOR_SHAPES = ((1, 1), (2, 2), (4, 4), (3, 1), (5, 1), (4, 2), (5, 2), (5, 3),
+                    (6, 3), (6, 4), (7, 3))
+
+
+@pytest.mark.parametrize("field", [7, 101, DEFAULT_PRIME, "Z", "Q"])
+def test_route_a_separators_match_the_rank(field):
+    """From t = r - n on, route A answers C(n + t, t) - C(r, n) from the
+    scan of its kernel points; that answer equals the rank route, C(n + t, t)
+    minus the rank of the degree-t evaluation table at the same points, for
+    every t <= r + 2 on three seeded sets of each shape."""
+    rng = random.Random(f"separators:{field}")
+    for r, n in SEPARATOR_SHAPES:
+        for _ in range(3):
+            hset = _hyperplane_set(rng, field, r, n)
+            for t in range(r + 3):
+                want = comb(n + t, t) - starconfig._rank_in_degree(*hset.kernel_points, t)
+                assert star_ideal_dimension_by_intersection(hset, t) == want, (r, n, t)
+
+
+@pytest.mark.parametrize("field", [7, DEFAULT_PRIME, "Q"])
+def test_route_a_ranks_only_below_the_separation_degree(field, monkeypatch):
+    """Route A forms no evaluation table at t >= r - n, where the
+    separators answer, and exactly one below it: over F_p in that field,
+    over Q mod `DEFAULT_PRIME`, where the rank of a seeded set is full."""
+    tables = _counting_tables(monkeypatch)
+    rng = random.Random(f"separation-degree:{field}")
+    first = field if isinstance(field, int) else DEFAULT_PRIME
+    for r, n in SEPARATOR_SHAPES:
+        hset = _hyperplane_set(rng, field, r, n)
+        for t in range(r + 3):
+            tables.clear()
+            star_ideal_dimension_by_intersection(hset, t)
+            assert tables == ([] if t >= r - n else [(t, first)]), (r, n, t)
+
+
+@pytest.mark.parametrize("field", [DEFAULT_PRIME, "Q"])
+def test_route_a_ranks_points_the_scan_refuses(field):
+    """A negative control: with a (5, 2) set's kernel points overwritten so
+    that the point of {0, 2} is the point of {0, 1}, which lies on l_1, the
+    scan names (0, 2, 1) and route A ranks every degree.  Nine distinct
+    points give dimensions 1, 6, 12 at t = 3, 4, 5, where the separator
+    formula would claim 0, 5, 11."""
+    hset = _hyperplane_set(random.Random(f"refused:{field}"), field, 5, 2)
+    p, coords = hset.kernel_points
+    coords = [coords[0], coords[0], *coords[2:]]
+    hset.__dict__["kernel_points"] = p, coords
+    assert general_position_violation(p, residue_rows(hset.coeffs)[1], coords) == (0, 2, 1)
+    got = [star_ideal_dimension_by_intersection(hset, t) for t in range(8)]
+    assert got == [comb(2 + t, t) - starconfig._rank_in_degree(p, coords, t)
+                   for t in range(8)]
+    assert got[3:6] == [1, 6, 12]
+    assert [comb(2 + t, t) - comb(5, 2) for t in range(3, 6)] == [0, 5, 11]
