@@ -73,7 +73,7 @@ floor division by a scalar is cheaper than its int64 remainder on large
 blocks, and floor division gives the residue in [0, p) for negative x
 too.  `_row_sweep_rank` reduces it by numpy's remainder, which is also
 in [0, p) and measured faster on the smaller blocks of the rank test
-and route A.
+and the Hilbert function.
 """
 
 from __future__ import annotations

@@ -22,20 +22,22 @@ One blocked scan is the only evaluation of l_k(P_S), over F_p and on int
 rows over Q: the certificate drains it, and `star_weights` multiplies it
 into an incidence draw's weights mod p.  General position is stated only
 here: its error names the first dependent (n+1)-subset, a zero row
-included, for a `HyperplaneSet` and both draws of `existence`, and
-`redraw` is the one loop that redraws a refused random draw, up to
-``RESAMPLE_BUDGET`` times.
+included, for a `HyperplaneSet`, route A's kernel points and both draws
+of `existence`, and `redraw` is the one loop that redraws a refused
+random draw, up to ``RESAMPLE_BUDGET`` times.
 
-The evaluation matrices of the Hilbert function, of `point_ideal_piece`
-and of route A are `poly.monomial_table`s over Z, Q and F_p alike, and a
-rank over Z or Q is tried mod `DEFAULT_PRIME` first (`_rank_in_degree`).
-Route A's points, the kernel vectors of the coefficient blocks, and route
-B's product generators and their read-only echelon basis
+The evaluation matrices of the Hilbert function and of
+`point_ideal_piece` are `poly.monomial_table`s over Z, Q and F_p alike,
+and a rank over Z or Q is tried mod `DEFAULT_PRIME` first
+(`_rank_in_degree`).  Route A forms no evaluation matrix: its points, the
+kernel vectors of the coefficient blocks, are found and certified by the
+scan once per set on first use, and every degree is read off that
+certificate, since the separators prod_{k not in S} l_k make the
+degree-(r - n) evaluation matrix square and invertible.  Route B's
+product generators and their read-only echelon basis
 (`apolar.generator_basis`) are found once per set on first use; per
 degree, route B only places and ranks that basis.  The Hilbert function
-ranks no degree past the first t >= 1 where it is the number of points,
-and route A none from t = r - n on when the scan passes on its points:
-there the separators prod_{k not in S} l_k separate them.
+ranks no degree past the first t >= 1 where it is the number of points.
 """
 
 from __future__ import annotations
@@ -216,11 +218,17 @@ class HyperplaneSet:
     def kernel_points(self) -> tuple:
         """(p, rows): the point of each n-subset, in subset order, as the one
         `linalg.kernel_over` vector of its n x (n+1) block of the coefficients'
-        `field.residue_rows`, found on first use and kept; route A's points,
-        independent of the Cramer ``points``."""
+        `field.residue_rows`; route A's points, independent of the Cramer
+        ``points``.  Found and certified on first use and kept: the scan of
+        `general_position_violation` runs on them once, and a subset it
+        names raises `GeneralPositionError`, so a kept value is certified."""
         p, rows = residue_rows(self.coeffs)
-        return p, [linalg.kernel_over(p, [rows[j] for j in tau], self.n + 1)[0]
-                   for tau in combinations(range(self.r), self.n)]
+        points = [linalg.kernel_over(p, [rows[j] for j in tau], self.n + 1)[0]
+                  for tau in combinations(range(self.r), self.n)]
+        violation = general_position_violation(p, rows, points)
+        if violation is not None:
+            raise GeneralPositionError(violation)
+        return p, points
 
     def __repr__(self):
         return f"HyperplaneSet(r={self.r}, n={self.n})"
@@ -382,9 +390,10 @@ def _point_coords(points, num_vars: int | None = None):
 
 def _rank_in_degree(p, coords, degree: int) -> int:
     """Rank of the degree-t `poly.monomial_table` of the `field.residue_rows`
-    pair (p, coords).  Over Q it is of the int rows (`linalg._integer_row`)
-    mod `DEFAULT_PRIME` when that is min(points, monomials), since a minor
-    nonzero mod p is nonzero over Z; `rref` settles any smaller one."""
+    pair (p, coords), for `hilbert_function` only: route A ranks nothing.
+    Over Q it is of the int rows (`linalg._integer_row`) mod `DEFAULT_PRIME`
+    when that is min(points, monomials), since a minor nonzero mod p is
+    nonzero over Z; `rref` settles any smaller one."""
     if p is None:
         coords = [linalg._integer_row(c) for c in coords]
         full = min(len(coords), comb(len(coords[0]) - 1 + degree, degree))
@@ -428,25 +437,23 @@ def point_ideal_piece(points, degree: int, num_vars: int | None = None):
 
 
 def star_ideal_dimension_by_intersection(hset: HyperplaneSet, t: int) -> int:
-    """dim of the degree-t piece of the intersection ideal: the kernel of the
-    evaluation matrix at the points taken as kernel vectors
-    (`HyperplaneSet.kernel_points`, independent of the Cramer minors).
+    """dim of the degree-t piece of the intersection ideal of the points
+    taken as kernel vectors (`HyperplaneSet.kernel_points`, independent of
+    the Cramer minors): max(0, C(n + t, t) - C(r, n)), read off their
+    certificate with no evaluation matrix.
 
-    From t = r - n on, the scan of `general_position_violation` on these
-    points replaces the rank.  Each P_S lies on its own n hyperplanes, so
-    when the scan finds every l_k(P_S), k not in S, nonzero, the separator
-    prod_{k not in S} l_k of degree r - n is nonzero at P_S and zero at
-    every other point, and times an x_i with P_S,i != 0 it separates P_S in
-    each higher degree: the C(r, n) rows are independent.  Below r - n, or
-    when the scan names a subset, degree t is ranked (`_rank_in_degree`).
+    Each P_S lies on its own n hyperplanes, and the certificate finds every
+    l_k(P_S), k not in S, nonzero, so the separator prod_{k not in S} l_k
+    of degree r - n is nonzero at P_S and zero at every other point.  The
+    degree-(r - n) evaluation matrix, C(r, n) square, is then invertible.
+    Times an x_i with P_S,i != 0 a separator separates P_S in each higher
+    degree, so there the C(r, n) rows are independent; below r - n a form
+    f vanishing on the points would give x_0^(r-n-t) f in the kernel of the
+    invertible matrix, so f = 0 and the piece is zero.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    p, coords = hset.kernel_points
-    if t >= hset.r - hset.n and general_position_violation(
-            p, residue_rows(hset.coeffs)[1], coords) is None:
-        return comb(hset.n + t, t) - len(coords)
-    return comb(hset.n + t, t) - _rank_in_degree(p, coords, t)
+    return max(0, comb(hset.n + t, t) - len(hset.kernel_points[1]))
 
 
 def star_ideal_dimension_by_products(hset: HyperplaneSet, t: int) -> int:

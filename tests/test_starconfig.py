@@ -885,16 +885,26 @@ def test_route_a_finds_its_kernel_points_once_per_set(monkeypatch):
 # shapes for route A's separator certificate: r = n, n = 1, and C(r, n) up to 35
 SEPARATOR_SHAPES = ((1, 1), (2, 2), (4, 4), (3, 1), (5, 1), (4, 2), (5, 2), (5, 3),
                     (6, 3), (6, 4), (7, 3))
+# shapes with no set in general position over a small prime, where r
+# lines in P^n are in general position when their coefficient vectors are
+# an arc: over F_3, P^1 has 4 points and an arc has at most 4 points in
+# P^2 and 5 in P^3; over F_5 an arc in P^3 has at most 6
+EMPTY_SHAPES = {3: {(5, 1), (5, 2), (6, 3), (7, 3)}, 5: {(7, 3)}}
 
 
-@pytest.mark.parametrize("field", [7, 101, DEFAULT_PRIME, "Z", "Q"])
+@pytest.mark.parametrize("field", [3, 5, 7, 101, DEFAULT_PRIME, "Z", "Q"])
 def test_route_a_separators_match_the_rank(field):
-    """From t = r - n on, route A answers C(n + t, t) - C(r, n) from the
-    scan of its kernel points; that answer equals the rank route, C(n + t, t)
-    minus the rank of the degree-t evaluation table at the same points, for
-    every t <= r + 2 on three seeded sets of each shape."""
+    """Route A's closed form C(n + t, t) - min(C(n + t, t), C(r, n)) equals
+    the rank route, C(n + t, t) minus the rank of the degree-t evaluation
+    table at the same kernel points, for every t <= r + 2 on three seeded
+    sets of each shape: below r - n, where no form vanishes on the points,
+    and from r - n on, where the separators separate them.  Over F_3 and
+    F_5 the `EMPTY_SHAPES`, for which `_hyperplane_set` would draw forever,
+    are left out."""
     rng = random.Random(f"separators:{field}")
     for r, n in SEPARATOR_SHAPES:
+        if (r, n) in EMPTY_SHAPES.get(field, ()):
+            continue
         for _ in range(3):
             hset = _hyperplane_set(rng, field, r, n)
             for t in range(r + 3):
@@ -903,35 +913,56 @@ def test_route_a_separators_match_the_rank(field):
 
 
 @pytest.mark.parametrize("field", [7, DEFAULT_PRIME, "Q"])
-def test_route_a_ranks_only_below_the_separation_degree(field, monkeypatch):
-    """Route A forms no evaluation table at t >= r - n, where the
-    separators answer, and exactly one below it: over F_p in that field,
-    over Q mod `DEFAULT_PRIME`, where the rank of a seeded set is full."""
+def test_route_a_reads_every_degree_off_one_scan(field, monkeypatch):
+    """Route A answers every t <= r + 2 by its closed form with no
+    evaluation table and no `_rank_in_degree` call, and scans its kernel
+    points once per set, by one `general_position_violation` for all t
+    together (the set's own scan of its Cramer points at construction
+    is not counted)."""
     tables = _counting_tables(monkeypatch)
+    ranks, scans = [], []
+    rank, scan = starconfig._rank_in_degree, starconfig.general_position_violation
+    monkeypatch.setattr(starconfig, "_rank_in_degree",
+                        lambda *args: ranks.append(args) or rank(*args))
+    monkeypatch.setattr(starconfig, "general_position_violation",
+                        lambda p, rows, points: scans.append(points) or scan(p, rows, points))
     rng = random.Random(f"separation-degree:{field}")
-    first = field if isinstance(field, int) else DEFAULT_PRIME
     for r, n in SEPARATOR_SHAPES:
         hset = _hyperplane_set(rng, field, r, n)
+        scans.clear()
         for t in range(r + 3):
-            tables.clear()
-            star_ideal_dimension_by_intersection(hset, t)
-            assert tables == ([] if t >= r - n else [(t, first)]), (r, n, t)
+            monomials = comb(n + t, t)
+            assert star_ideal_dimension_by_intersection(hset, t) == \
+                monomials - min(monomials, comb(r, n)), (r, n, t)
+        assert tables == [] and ranks == []
+        assert len(scans) == 1 and scans[0] is hset.kernel_points[1], (r, n)
 
 
 @pytest.mark.parametrize("field", [DEFAULT_PRIME, "Q"])
-def test_route_a_ranks_points_the_scan_refuses(field):
-    """A negative control: with a (5, 2) set's kernel points overwritten so
-    that the point of {0, 2} is the point of {0, 1}, which lies on l_1, the
-    scan names (0, 2, 1) and route A ranks every degree.  Nine distinct
-    points give dimensions 1, 6, 12 at t = 3, 4, 5, where the separator
-    formula would claim 0, 5, 11."""
+def test_route_a_raises_on_kernel_points_the_scan_refuses(field, monkeypatch):
+    """A negative control: with `linalg.kernel_over` tampered before first
+    use so that the point of {0, 2} of a (5, 2) set is the point of {0, 1},
+    which lies on l_1, ``kernel_points`` and route A at every degree raise
+    `GeneralPositionError` naming (0, 2, 1), and nothing is kept.  The
+    closed form would be wrong on those points: nine distinct points give
+    dimensions 1, 6, 12 at t = 3, 4, 5, where it claims 0, 5, 11."""
     hset = _hyperplane_set(random.Random(f"refused:{field}"), field, 5, 2)
-    p, coords = hset.kernel_points
+    p, rows = residue_rows(hset.coeffs)
+    real = linalg.kernel_over
+
+    def tampered(p, block, num_cols):
+        return real(p, [rows[0], rows[1]] if block == [rows[0], rows[2]] else block, num_cols)
+
+    monkeypatch.setattr(linalg, "kernel_over", tampered)
+    for answer in [lambda: hset.kernel_points] + [
+            lambda t=t: star_ideal_dimension_by_intersection(hset, t) for t in range(8)]:
+        with pytest.raises(GeneralPositionError) as err:
+            answer()
+        assert err.value.subset == (0, 2, 1)
+    assert "kernel_points" not in hset.__dict__
+    monkeypatch.undo()
+    coords = hset.kernel_points[1]
     coords = [coords[0], coords[0], *coords[2:]]
-    hset.__dict__["kernel_points"] = p, coords
-    assert general_position_violation(p, residue_rows(hset.coeffs)[1], coords) == (0, 2, 1)
-    got = [star_ideal_dimension_by_intersection(hset, t) for t in range(8)]
-    assert got == [comb(2 + t, t) - starconfig._rank_in_degree(p, coords, t)
-                   for t in range(8)]
-    assert got[3:6] == [1, 6, 12]
-    assert [comb(2 + t, t) - comb(5, 2) for t in range(3, 6)] == [0, 5, 11]
+    assert [comb(2 + t, t) - starconfig._rank_in_degree(p, coords, t)
+            for t in range(3, 6)] == [1, 6, 12]
+    assert [star_ideal_dimension_by_intersection(hset, t) for t in range(3, 6)] == [0, 5, 11]

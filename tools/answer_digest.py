@@ -26,6 +26,9 @@ digests must be equal.  Timings are left out.  The records cover:
 - both ideal-dimension routes for every t <= r on seeded line sets over
   Z, Q, F_7, F_101 and F_(2^31 - 1), n = 2, 3 and r = n..n+3, or the
   error a set raises;
+- both ideal-dimension routes for every t <= r + 1 on six seeded line
+  sets per shape over F_3 and F_5, n = 2, 3 and r = n..n+3, or the error
+  a set raises (some shapes have no set in general position there);
 - `hilbert_function` of general integer and rational line sets in P^2,
   r = 10..14, of points with an entry or a denominator of 2^63 or more,
   and of points that are distinct but equal mod 2^31 - 1;
@@ -252,6 +255,17 @@ def hilbert_records(rng, nvs=(2, 3, 4)):
                        hilbert_function(pts, len(pts) + 2).values]
 
 
+def route_record(field, n, r, rows, ts):
+    """Route A and route B at every t in ``ts`` on the set of these rows,
+    or the error the set raises."""
+    try:
+        hset = HyperplaneSet(rows)
+    except (GeneralPositionError, ValueError) as err:
+        return [field, n, r, error(err)]
+    return [field, n, r, [star_ideal_dimension_by_intersection(hset, t) for t in ts],
+            [star_ideal_dimension_by_products(hset, t) for t in ts]]
+
+
 def route_records(rng, ns=(2, 3)):
     """Route A and route B in every degree t <= r on seeded line sets."""
     fields = {"Z": lambda: rng.randint(-5, 5),
@@ -260,14 +274,19 @@ def route_records(rng, ns=(2, 3)):
     for field, scalar in fields.items():
         for n in ns:
             for r in range(n, n + 4):
-                try:
-                    hset = HyperplaneSet([[scalar() for _ in range(n + 1)] for _ in range(r)])
-                except (GeneralPositionError, ValueError) as err:
-                    yield [field, n, r, error(err)]
-                    continue
-                yield [field, n, r,
-                       [star_ideal_dimension_by_intersection(hset, t) for t in range(r + 1)],
-                       [star_ideal_dimension_by_products(hset, t) for t in range(r + 1)]]
+                rows = [[scalar() for _ in range(n + 1)] for _ in range(r)]
+                yield route_record(field, n, r, rows, range(r + 1))
+
+
+def small_prime_route_records(rng, primes=(3, 5), ns=(2, 3), draws=6):
+    """Route A and route B in every degree t <= r + 1 on seeded line sets
+    over small primes, where many draws fail general position."""
+    for p in primes:
+        for n in ns:
+            for r in range(n, n + 4):
+                for _ in range(draws):
+                    rows = [[Fp(rng.randrange(p), p) for _ in range(n + 1)] for _ in range(r)]
+                    yield route_record(f"F_{p}", n, r, rows, range(r + 2))
 
 
 def hilbert_wide_records(rng, rs=range(10, 15)):
@@ -685,6 +704,7 @@ def records():
     yield from cli_records(random.Random("digest:cli"))
     yield from hilbert_records(random.Random("digest:hilbert"))
     yield from route_records(random.Random("digest:routes"))
+    yield from small_prime_route_records(random.Random("digest:small-prime-routes"))
     yield from hilbert_wide_records(random.Random("digest:hilbert-wide"))
     yield from cramer_records(random.Random("digest:cramer"))
     for p in PRIMES:
